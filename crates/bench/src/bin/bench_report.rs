@@ -1,7 +1,9 @@
 //! Emits the machine-readable perf snapshot for the current PR (e.g.
 //! `BENCH_PR3.json`), prints a side-by-side delta against the newest
 //! checked-in `BENCH_PR*.json`, and **fails (exit 1) when a headline row
-//! regresses** by more than [`GUARD_MAX_REGRESSION`] — the bench gate
+//! regresses** by more than [`GUARD_MAX_REGRESSION`] **or when a
+//! `live_ingest` row's delta ingest is no faster than the full re-warm it
+//! replaces** (`ingest_ns ≥ rewarm_ns`) — the bench gate
 //! `scripts/ci.sh --release-bench` runs.
 //!
 //! Measures, per corpus size (default 2 000 and 20 000 papers; override
@@ -35,7 +37,8 @@
 //!   the remaining 5 % as an append-only delta
 //!   (`ProfileCache::ingest_delta`) versus a cold full re-warm over the
 //!   grown corpus. Non-headline: the rows carry no `name` field, so the
-//!   regression guard ignores them;
+//!   regression guard ignores them; the *ingest guard* instead fails the
+//!   run when any row's `ingest_ns ≥ rewarm_ns`;
 //! * `scaling` — PR 8 (only with `--scaling`, the `scripts/ci.sh
 //!   --scaling` mode): per-thread-count curves at 1, 2, 4 and 8 workers
 //!   for the pairwise build, PEPS top-k (work-stealing rounds) and
@@ -1358,26 +1361,55 @@ fn main() {
     }
     eprintln!("wrote {out_path}");
 
+    let ingest_ok = ingest_guard(&live);
+    let headline_ok = baseline_guard(&out_path, baseline_path, &rows);
+    if !(ingest_ok && headline_ok) {
+        std::process::exit(1);
+    }
+}
+
+/// Delta ingest must stay faster than the cold re-warm it replaces:
+/// fails when any `live_ingest` row has `ingest_ns ≥ rewarm_ns`, so the
+/// ratio cannot silently invert.
+fn ingest_guard(live: &[LiveIngestRow]) -> bool {
+    println!("\n== ingest guard (live_ingest: ingest must beat a full re-warm) ==");
+    let mut ok = true;
+    for l in live {
+        let pass = l.ingest_ns < l.rewarm_ns;
+        println!(
+            "  {} n={:<6} ingest {:>12} ns  full re-warm {:>12} ns  ({:.2}x)",
+            if pass { "ok  " } else { "FAIL" },
+            l.papers,
+            l.ingest_ns,
+            l.rewarm_ns,
+            l.rewarm_ns as f64 / l.ingest_ns.max(1) as f64,
+        );
+        ok &= pass;
+    }
+    ok
+}
+
+/// Prints the delta against the baseline report and runs the headline
+/// regression guard; `true` when it passes or there is no baseline.
+fn baseline_guard(out_path: &str, baseline_path: Option<String>, rows: &[Row]) -> bool {
     let Some(baseline_path) = baseline_path else {
         println!("\n(no baseline BENCH_PR*.json found — skipping delta and regression guard)");
-        return;
+        return true;
     };
     if baseline_path == out_path {
         eprintln!(
             "baseline and output are the same file ({out_path}) — a report never \
              guards against itself; pass a distinct baseline"
         );
-        std::process::exit(1);
+        return false;
     }
     let Ok(contents) = std::fs::read_to_string(&baseline_path) else {
         println!("\n(no {baseline_path} found — skipping delta and regression guard)");
-        return;
+        return true;
     };
     let baseline_rows: Vec<BaselineRow> = contents.lines().filter_map(parse_result_row).collect();
-    print_delta(&baseline_path, &baseline_rows, &rows);
-    if !regression_guard(&baseline_path, &baseline_rows, &rows) {
-        std::process::exit(1);
-    }
+    print_delta(&baseline_path, &baseline_rows, rows);
+    regression_guard(&baseline_path, &baseline_rows, rows)
 }
 
 /// Speedup of a scaling row over the 1-worker run of the same phase and

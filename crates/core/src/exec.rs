@@ -26,9 +26,10 @@
 //! 1. A [`TupleInterner`] maps every distinct key value (`dblp.pid`) the
 //!    base query surfaces to a dense `u32` id, assigned on first sight and
 //!    stable for the executor's lifetime. The mapping is fed by
-//!    `relstore`'s `distinct_row_set` fast path, which deduplicates by
-//!    row id and short-circuits join expansion, so interning clones each
-//!    key value exactly once — not once per joined row.
+//!    `relstore`'s columnar `distinct_row_set` plan, which returns each
+//!    matching driver row once, and keys are read from the driver's
+//!    typed key segment, so interning clones each key value exactly
+//!    once — not once per joined row.
 //! 2. Each preference's *tuple set* is an adaptive compressed
 //!    [`TupleSet`] over those ids — a sorted
 //!    `u32` array for sparse predicates (the single-author/rare-venue long
@@ -129,11 +130,11 @@
 //! this contract at every injection point.
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use relstore::{ColRef, Database, Predicate, RowId, SelectQuery, Value};
+use relstore::{ColRef, Database, Predicate, RowId, SelectQuery, Table, Value};
 
 use crate::combine::{f_and, PrefAtom};
 use crate::error::{HypreError, Result};
@@ -292,6 +293,45 @@ impl TupleInterner {
         self.ids.insert(value.clone(), id);
         self.values.push(value.clone());
         Ok(id)
+    }
+
+    /// Interns the key of each listed row of `table`, in row order, read
+    /// straight from the key column's typed segment so no row is
+    /// materialised; `NULL` keys are skipped. A string key interns once
+    /// per distinct dictionary *code*, so string keys keep the dense
+    /// corpus-order id assignment.
+    fn intern_keys(&mut self, table: &Table, key_idx: usize, rows: &[RowId]) -> Result<Vec<u32>> {
+        let mut ids = Vec::with_capacity(rows.len());
+        let live = rows.iter().filter(|r| !table.is_null_at(r.0, key_idx));
+        if let Some(vals) = table.int_values(key_idx) {
+            for rid in live {
+                ids.push(self.intern(&Value::Int(vals[rid.0]))?);
+            }
+        } else if let Some((codes, dict)) = table.str_codes(key_idx) {
+            let mut code_ids: HashMap<u32, u32> = HashMap::new();
+            for rid in live {
+                let code = codes[rid.0];
+                let id = match code_ids.get(&code) {
+                    Some(&id) => id,
+                    None => {
+                        let Some(s) = dict.get(code) else {
+                            unreachable!("codes come from this dictionary");
+                        };
+                        let id = self.intern(&Value::str(s))?;
+                        code_ids.insert(code, id);
+                        id
+                    }
+                };
+                ids.push(id);
+            }
+        } else {
+            for rid in live {
+                if let Some(v) = table.value_at(rid.0, key_idx) {
+                    ids.push(self.intern(&v)?);
+                }
+            }
+        }
+        Ok(ids)
     }
 
     /// A flat, self-contained copy (base and overlay merged) — what a
@@ -567,7 +607,6 @@ impl<'db> Executor<'db> {
     /// sorts once and picks the right container for the final cardinality.
     fn run_and_intern(&self, unit: &Predicate) -> Result<TupleSet> {
         let q = self.base.select_for(unit);
-        let mut ids: Vec<u32> = Vec::new();
         if self.base.key_on_driver() {
             // Fast path: distinct driving rows (no Value hashed or cloned
             // per joined row), then one interner probe per distinct row —
@@ -576,50 +615,17 @@ impl<'db> Executor<'db> {
             let driver = self.db.table(&self.base.table)?;
             if let Some(key_idx) = driver.schema().index_of(&self.base.key.column) {
                 let rids = q.distinct_row_set(self.db)?;
-                let mut interner = self.interner.borrow_mut();
-                if let Some(vals) = driver.int_values(key_idx) {
-                    for rid in rids {
-                        if !driver.is_null_at(rid.0, key_idx) {
-                            ids.push(interner.intern(&Value::Int(vals[rid.0]))?);
-                        }
-                    }
-                } else if let Some((codes, dict)) = driver.str_codes(key_idx) {
-                    // The column dictionary feeds the interner directly:
-                    // one intern per distinct *code*, memoised, so string
-                    // keys keep the dense corpus-order id assignment.
-                    let mut code_ids: HashMap<u32, u32> = HashMap::new();
-                    for rid in rids {
-                        if driver.is_null_at(rid.0, key_idx) {
-                            continue;
-                        }
-                        let code = codes[rid.0];
-                        let id = if let Some(&id) = code_ids.get(&code) {
-                            id
-                        } else {
-                            let Some(s) = dict.get(code) else {
-                                unreachable!("codes come from this dictionary");
-                            };
-                            let id = interner.intern(&Value::str(s))?;
-                            code_ids.insert(code, id);
-                            id
-                        };
-                        ids.push(id);
-                    }
-                } else {
-                    for rid in rids {
-                        if let Some(v) = driver.value_at(rid.0, key_idx) {
-                            if !v.is_null() {
-                                ids.push(interner.intern(&v)?);
-                            }
-                        }
-                    }
-                }
+                let ids = self
+                    .interner
+                    .borrow_mut()
+                    .intern_keys(driver, key_idx, &rids)?;
                 return Ok(TupleSet::from_unsorted(ids));
             }
         }
         // General path: the key lives on a joined table; fall back to
         // value-level deduplication.
         let mut interner = self.interner.borrow_mut();
+        let mut ids: Vec<u32> = Vec::new();
         for v in q.distinct_values(self.db, &self.base.key)? {
             ids.push(interner.intern(&v)?);
         }
@@ -896,17 +902,21 @@ impl ProfileCache {
     }
 
     /// Absorbs an *append-only* corpus delta into a new snapshot without
-    /// re-deriving any predicate from SQL scratch: for every base-query
+    /// re-deriving any predicate from SQL scratch. For every base-query
     /// table that grew since warm time, the delta rows are mapped to the
-    /// driver rows they could affect (new driver rows directly; new
-    /// joined rows through their join key against the warmed driver
-    /// prefix), each predicate is re-evaluated over just those candidate
-    /// rows ([`relstore::SelectQuery::distinct_row_set_among`]), fresh
-    /// matches intern *above* the frozen id space, and the matching run /
-    /// array / bitmap containers grow copy-on-write — untouched sets are
-    /// shared structurally with the old snapshot. Because the tables are
-    /// append-only, predicate matches are monotone (a driver row can only
-    /// *gain* witnesses), so insert-only maintenance is exact.
+    /// driver rows they could affect: new driver rows directly, new
+    /// joined rows through their join key — sought in the driver's index
+    /// on the join column when it has one, else found in one pass over
+    /// that column. Each predicate is then re-evaluated over just those
+    /// candidate rows by relstore's seeded columnar plan
+    /// ([`relstore::SelectQuery::distinct_row_set_among`]); the matching
+    /// rows' keys are read from the driver's typed key segment (no row is
+    /// materialised), fresh matches intern *above* the frozen id space,
+    /// and the matching run / array / bitmap containers grow
+    /// copy-on-write — untouched sets are shared structurally with the
+    /// old snapshot. Because the tables are append-only, predicate
+    /// matches are monotone (a driver row can only *gain* witnesses), so
+    /// insert-only maintenance is exact.
     ///
     /// `self` is never mutated: on any error the old snapshot remains
     /// fully intact and serving — the atomicity contract the epoch layer
@@ -977,10 +987,10 @@ impl ProfileCache {
             .copied()
             .unwrap_or((driver.len(), driver.len()));
 
-        // Per joined table that grew: the *old* driver rows reachable
-        // from its delta rows through the join key. One probe map per
-        // driver join column, built once and shared across predicates.
-        let mut probe_maps: HashMap<&str, HashMap<Value, Vec<RowId>>> = HashMap::new();
+        // Per joined table that grew: the driver rows its delta rows reach
+        // through the join key — sought key by key through the driver's
+        // index on the join column when it has one, else found in one
+        // pass over that column.
         let mut joined_candidates: HashMap<&str, Vec<RowId>> = HashMap::new();
         for (table, left, right) in &self.base.joins {
             let Some(&(old, now)) = spans.get(table.as_str()) else {
@@ -989,36 +999,30 @@ impl ProfileCache {
             if now == old {
                 continue;
             }
-            if !probe_maps.contains_key(left.column.as_str()) {
-                let left_idx = driver
-                    .schema()
-                    .require(Some(&self.base.table), &left.column)?;
-                let mut map: HashMap<Value, Vec<RowId>> = HashMap::new();
-                for rid in 0..driver.len() {
-                    if let Some(v) = driver.value_at(rid, left_idx) {
-                        if !v.is_null() {
-                            map.entry(v).or_default().push(RowId(rid));
-                        }
-                    }
-                }
-                probe_maps.insert(left.column.as_str(), map);
-            }
             let jt = db.table(table)?;
             let right_idx = jt.schema().require(Some(table), &right.column)?;
-            let Some(probe) = probe_maps.get(left.column.as_str()) else {
-                unreachable!("probe map built above");
-            };
+            let left_idx = driver
+                .schema()
+                .require(Some(&self.base.table), &left.column)?;
+            let delta_keys = (old..now)
+                .filter_map(|idx| jt.value_at(idx, right_idx))
+                .filter(|key| !key.is_null());
             let cands = joined_candidates.entry(table.as_str()).or_default();
-            for idx in old..now {
-                let Some(key) = jt.value_at(idx, right_idx) else {
-                    continue;
-                };
-                if key.is_null() {
-                    continue;
+            if driver.has_index(&left.column) {
+                for key in delta_keys {
+                    cands.extend_from_slice(driver.index_lookup(&left.column, &key).unwrap_or(&[]));
                 }
-                if let Some(hits) = probe.get(&key) {
-                    cands.extend_from_slice(hits);
-                }
+            } else {
+                let delta_keys: HashSet<Value> = delta_keys.collect();
+                cands.extend(
+                    (0..driver.len())
+                        .filter(|&rid| {
+                            driver
+                                .value_at(rid, left_idx)
+                                .is_some_and(|v| delta_keys.contains(&v))
+                        })
+                        .map(RowId),
+                );
             }
         }
         let new_driver: Vec<RowId> = (driver_old..driver_now).map(RowId).collect();
@@ -1030,42 +1034,37 @@ impl ProfileCache {
         let before_universe = interner.len();
         let mut sets: HashMap<String, SharedTupleSet> = HashMap::with_capacity(self.sets.len());
         let mut changed: Vec<String> = Vec::new();
+        let mut cands_by_refs: HashMap<Vec<&str>, Vec<RowId>> = HashMap::new();
         let mut keys: Vec<&String> = self.preds.keys().collect();
         keys.sort();
         for key in keys {
             let (Some(pred), Some(old_set)) = (self.preds.get(key), self.sets.get(key)) else {
                 unreachable!("preds and sets share keys");
             };
-            let mut cands: Vec<RowId> = new_driver.clone();
-            let referenced = pred.tables();
-            for (table, _, _) in &self.base.joins {
-                if referenced.contains(table) {
-                    if let Some(c) = joined_candidates.get(table.as_str()) {
-                        cands.extend_from_slice(c);
-                    }
+            // A predicate's candidates depend only on which grown joined
+            // tables its query joins, so each such set is merged once.
+            let q = self.base.select_for(pred);
+            let grown_refs: Vec<&str> = q.tables()[1..]
+                .iter()
+                .filter_map(|t| joined_candidates.get_key_value(t.as_str()))
+                .map(|(t, _)| *t)
+                .collect();
+            let cands = cands_by_refs.entry(grown_refs).or_insert_with_key(|refs| {
+                let mut cands = new_driver.clone();
+                for t in refs {
+                    cands.extend_from_slice(&joined_candidates[t]);
                 }
-            }
-            cands.sort_unstable();
-            cands.dedup();
+                cands.sort_unstable();
+                cands.dedup();
+                cands
+            });
             if cands.is_empty() {
                 sets.insert(key.clone(), Arc::clone(old_set));
                 continue;
             }
-            let q = self.base.select_for(pred);
-            let mut fresh: Vec<u32> = Vec::new();
-            for rid in q.distinct_row_set_among(db, &cands)? {
-                let Some(row) = driver.row(rid) else {
-                    unreachable!("candidate rows exist");
-                };
-                let v = &row[key_idx];
-                if v.is_null() {
-                    continue;
-                }
-                let id = interner.intern(v)?;
-                if !old_set.contains(id) {
-                    fresh.push(id);
-                }
-            }
+            let rids = q.distinct_row_set_among(db, cands)?;
+            let mut fresh = interner.intern_keys(driver, key_idx, &rids)?;
+            fresh.retain(|&id| !old_set.contains(id));
             if fresh.is_empty() {
                 sets.insert(key.clone(), Arc::clone(old_set));
             } else {
@@ -2154,12 +2153,28 @@ mod tests {
 
     #[test]
     fn ingest_delta_appends_matches_and_shares_untouched_sets() {
-        let base_db = db();
+        // Without an index on the driver's join column, delta join keys
+        // reach old papers by one pass over that column; with one, by
+        // index seeks. Both must find paper 1's new author link.
+        for indexed in [false, true] {
+            let mut base_db = db();
+            if indexed {
+                base_db
+                    .table_mut("dblp")
+                    .unwrap()
+                    .create_index("pid", relstore::IndexKind::Hash)
+                    .unwrap();
+            }
+            ingest_grows_matches_and_shares_untouched_sets(&base_db);
+        }
+    }
+
+    fn ingest_grows_matches_and_shares_untouched_sets(base_db: &Database) {
         let vldb = p("dblp.venue='VLDB'");
         let pods = p("dblp.venue='PODS'");
         let coauth = p("dblp_author.aid=11");
         let cache =
-            ProfileCache::warm(&base_db, BaseQuery::dblp(), [&vldb, &pods, &coauth]).unwrap();
+            ProfileCache::warm(base_db, BaseQuery::dblp(), [&vldb, &pods, &coauth]).unwrap();
 
         // Append one VLDB paper and link existing paper 1 to author 11.
         let mut grown = base_db.clone();

@@ -65,6 +65,19 @@ impl Index {
             Index::Hash(_) => None,
             Index::BTree(m) => {
                 let mut out = Vec::new();
+                // `BTreeMap::range` panics on an inverted range; one such
+                // range (`BETWEEN 5 AND 3`) simply holds no rows.
+                if let (
+                    Bound::Included(l) | Bound::Excluded(l),
+                    Bound::Included(h) | Bound::Excluded(h),
+                ) = (lo, hi)
+                {
+                    let both_included =
+                        matches!((lo, hi), (Bound::Included(_), Bound::Included(_)));
+                    if l > h || (l == h && !both_included) {
+                        return Some(out);
+                    }
+                }
                 for (_, rows) in m.range((lo, hi)) {
                     out.extend_from_slice(rows);
                 }
@@ -112,5 +125,18 @@ mod tests {
         // empty range
         let hits = ix.range(&Value::Int(2010), &Value::Int(2020)).unwrap();
         assert!(hits.is_empty());
+        // inverted and degenerate half-open ranges hold no rows
+        assert!(ix
+            .range(&Value::Int(2005), &Value::Int(2003))
+            .unwrap()
+            .is_empty());
+        let five = Value::Int(2005);
+        for (lo, hi) in [
+            (Bound::Excluded(&five), Bound::Excluded(&five)),
+            (Bound::Included(&five), Bound::Excluded(&five)),
+            (Bound::Excluded(&five), Bound::Included(&five)),
+        ] {
+            assert!(ix.range_bounds(lo, hi).unwrap().is_empty());
+        }
     }
 }

@@ -14,28 +14,61 @@
 //! table's scan with an index when the filter contains a usable top-level
 //! equality conjunct.
 //!
-//! ## Columnar fast path
+//! ## Columnar plans
 //!
 //! [`SelectQuery::distinct_row_set`] — the call feeding the tuple interner
-//! in `hypre-core` — compiles the filter into a crate-internal `FastPred` over the
-//! table's columnar segments when the query has one of three shapes: a
-//! single-table select, a single equi-join with a driver-only filter
-//! (semi-join membership test), or a single equi-join filtered on the
-//! joined side (filtered key-set membership). A compiled atom reads the
-//! typed segment directly — `i64`/`f64` comparisons delegate to
-//! [`Value::compare`] on stack-built values, and string atoms are
-//! evaluated **once per dictionary code** into a truth table, so a scan
-//! over a million rows compares a million `u32`s, not a million strings.
-//! Any shape or predicate the compiler does not cover falls back to the
-//! row-materialising pipeline below, which remains the semantic reference
-//! ([`SelectQuery::distinct_row_set_rowwise`] pins it for benches).
+//! in `hypre-core` — and its seeded twin
+//! [`SelectQuery::distinct_row_set_among`] — the delta-ingest call — both
+//! compile the query into one crate-internal `FastPlan` over the tables'
+//! columnar segments and indexes. Three shapes compile:
+//!
+//! * **Scan** — a single-table select: the compiled filter runs over the
+//!   driver rows an index seed names (a top-level `=`/`IN`/range conjunct
+//!   on an indexed driver column), or over every driver row.
+//! * **Semi-join** — one `INT` equi-join, filter on the driver only: a
+//!   passing driver row also needs a join partner, found by a seek on the
+//!   joined key's index when it has one, else in a key set built once.
+//! * **Joined filter** — one `INT` equi-join, filter on the joined table
+//!   only: the joined rows are seeded from the joined table's indexes
+//!   exactly as a scan's are (so `dblp_author.aid = N` touches the few
+//!   rows of author `N`, not the link table), the passing rows' keys are
+//!   collected, and the keys are mapped back to driver rows through the
+//!   driver key's index when the key set is small, else by one pass over
+//!   the driver key segment.
+//!
+//! Atoms read the typed segments directly. An `INT` column against `Int`
+//! literals compiles to a plain `i64` test — `=`, `<>`, `<`, `<=`, `>`,
+//! `>=` and `BETWEEN` become one inclusive range check, `IN` a binary
+//! search over the sorted literals. Cross-type literals (`pid = 7.0`,
+//! `pid BETWEEN 10.5 AND 20`) and `FLOAT` columns delegate to
+//! [`Value::compare`] on stack-built values, so mixed-type semantics are
+//! inherited rather than re-implemented. String atoms are evaluated
+//! **once per dictionary code** into a truth table, so a scan over a
+//! million rows compares a million `u32`s, not a million strings.
+//!
+//! A *seeded* plan restricts the driver rows to the caller's candidate
+//! rows (out-of-range and duplicate ids are dropped), which is how delta
+//! ingest re-checks a predicate over only the rows an append could have
+//! changed. It walks whichever list is shorter: the seed itself, or its
+//! own access path (index seed, or driver rows sought by key) with a
+//! binary search into the sorted seed — so a seeded `aid = N` check costs
+//! the few rows of author `N`, not the length of the seed.
+//!
+//! Shapes the compiler does not cover — several joins, a filter spanning
+//! both sides of a join, non-`INT` join keys — run the row-materialising
+//! join pipeline below. That pipeline is also the reference oracle:
+//! [`SelectQuery::distinct_row_set_rowwise`] always takes it, and the
+//! differential tests and the row-versus-columnar bench compare the plans
+//! against it.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crate::database::Database;
 use crate::error::{RelError, Result};
+use crate::index::Index;
 use crate::predicate::{CmpOp, ColRef, ColumnResolver, Predicate};
-use crate::table::{ColumnData, NullMask, RowId, StrDict, Table};
+use crate::table::{ColumnData, NullMask, RowId, Table};
 use crate::value::Value;
 
 /// An inner equi-join condition `left = right` between two qualified columns.
@@ -162,61 +195,71 @@ impl SelectQuery {
     /// The distinct *driving-table* rows with at least one joined row
     /// passing the filter, in scan (ascending `RowId`) order.
     ///
-    /// This is the fast path feeding the tuple interner in `hypre-core`.
-    /// Supported query shapes compile into a columnar plan (see the module
-    /// docs) that scans typed segments without materialising a single row;
-    /// everything else runs the reference join pipeline, where
-    /// deduplication is a dense `Vec<bool>` over row ids and the join
-    /// short-circuits the moment a driving row produces its first passing
-    /// joined row.
+    /// This is the call feeding the tuple interner in `hypre-core`. The
+    /// query compiles into a columnar plan (see the module docs): index
+    /// seeks on either side of the join, typed `i64` kernels, and driver
+    /// rows recovered from joined keys through the driver key's index —
+    /// no row is ever materialised. Shapes the plan compiler does not
+    /// cover run the reference join pipeline instead, with the same
+    /// result. Either way the call charges one operation against an
+    /// armed fault schedule.
     pub fn distinct_row_set(&self, db: &Database) -> Result<Vec<RowId>> {
-        self.row_set_impl(db, None, true)
+        self.row_set(db, None)
     }
 
     /// The reference row-materialising implementation of
     /// [`SelectQuery::distinct_row_set`]: identical semantics, but every
-    /// candidate row is materialised to `Vec<Value>` and the filter is
-    /// evaluated through the generic resolver. Kept public so benches can
-    /// measure the columnar plan against it.
+    /// candidate row is materialised to `Vec<Value>`, each joined table
+    /// is hash-built whole, and the filter is evaluated through the
+    /// generic resolver. It is the oracle the differential tests and the
+    /// row-versus-columnar bench compare the columnar plans against; no
+    /// production path calls it.
     pub fn distinct_row_set_rowwise(&self, db: &Database) -> Result<Vec<RowId>> {
-        self.row_set_impl(db, None, false)
+        let bound = self.bind(db)?;
+        self.rowwise_row_set(db, &bound, None)
     }
 
     /// Like [`SelectQuery::distinct_row_set`], but only the listed
-    /// driving-table rows are considered as candidates — the filter and
-    /// join pipeline run unchanged over them. This is the delta-ingest
-    /// seam: after an append, the executor re-evaluates a predicate over
-    /// just the rows a delta could have affected instead of the whole
-    /// table. Out-of-range and duplicate candidates are ignored; the
-    /// result is in ascending `RowId` order.
+    /// driving-table rows are considered as candidates: the same columnar
+    /// plan runs with the list in place of the driver's index seed. This
+    /// is the delta-ingest seam — after an append, the executor
+    /// re-evaluates a predicate over just the rows a delta could have
+    /// affected instead of the whole table. The result equals
+    /// `distinct_row_set_rowwise` restricted to the candidates:
+    /// out-of-range and duplicate candidates are ignored, and the result
+    /// is in ascending `RowId` order.
     pub fn distinct_row_set_among(
         &self,
         db: &Database,
         candidates: &[RowId],
     ) -> Result<Vec<RowId>> {
-        self.row_set_impl(db, Some(candidates), false)
+        self.row_set(db, Some(candidates))
     }
 
-    fn row_set_impl(
+    fn row_set(&self, db: &Database, seed: Option<&[RowId]>) -> Result<Vec<RowId>> {
+        let bound = self.bind(db)?;
+        // Compilability is decided before the fault check so that both
+        // outcomes charge exactly one operation against an armed fault
+        // schedule (compile failures fall through to `execute`, which
+        // performs the check itself).
+        match FastPlan::compile(self, &bound) {
+            Some(plan) => {
+                db.fault_check()?;
+                Ok(plan.run(self, &bound, seed))
+            }
+            None => self.rowwise_row_set(db, &bound, seed),
+        }
+    }
+
+    fn rowwise_row_set(
         &self,
         db: &Database,
+        bound: &BoundQuery<'_>,
         seed: Option<&[RowId]>,
-        allow_fast: bool,
     ) -> Result<Vec<RowId>> {
-        let bound = self.bind(db)?;
-        if seed.is_none() && allow_fast {
-            // Compilability is decided before the fault check so that both
-            // outcomes charge exactly one operation against an armed fault
-            // schedule (compile failures fall through to `execute`, which
-            // performs the check itself).
-            if let Some(plan) = FastPlan::compile(self, &bound) {
-                db.fault_check()?;
-                return Ok(plan.run(self, &bound));
-            }
-        }
         let mut seen = vec![false; bound.tables[0].len()];
         let mut out = Vec::new();
-        self.execute(db, &bound, seed, |rid, _| {
+        self.execute(db, bound, seed, |rid, _| {
             if !seen[rid.0] {
                 seen[rid.0] = true;
                 out.push(rid);
@@ -440,42 +483,102 @@ impl SelectQuery {
 }
 
 // ----------------------------------------------------------------------
-// columnar fast path
+// columnar plans
 // ----------------------------------------------------------------------
 
-/// A compiled columnar plan for [`SelectQuery::distinct_row_set`]. Each
-/// variant borrows the typed segments it scans; compilation fails (to the
-/// generic pipeline) rather than approximating.
+/// A compiled columnar plan for [`SelectQuery::distinct_row_set`] and
+/// [`SelectQuery::distinct_row_set_among`]. Each variant borrows the
+/// typed segments and indexes it reads; compilation fails (to the
+/// row-wise pipeline) rather than approximating.
 enum FastPlan<'db> {
     /// Single-table select: evaluate the compiled filter per driver row.
     Scan { pred: FastPred<'db> },
     /// One equi-join, filter on the driver only: a driver row qualifies if
-    /// the filter passes *and* its key appears in the joined key segment.
+    /// the filter passes *and* its key has a joined partner.
     SemiJoin {
         pred: FastPred<'db>,
-        driver_key: IntKeyCol<'db>,
-        joined_key: IntKeyCol<'db>,
+        driver_key: KeyCol<'db>,
+        joined_key: KeyCol<'db>,
     },
     /// One equi-join, filter on the joined table only: collect the keys of
-    /// passing joined rows, then membership-test the driver key segment.
+    /// the passing joined rows, then find the driver rows holding them.
     JoinedFilter {
         pred: FastPred<'db>,
-        driver_key: IntKeyCol<'db>,
-        joined_key: IntKeyCol<'db>,
+        driver_key: KeyCol<'db>,
+        joined_key: KeyCol<'db>,
     },
 }
 
-/// An `INT` join-key segment: values plus null mask.
-struct IntKeyCol<'db> {
+/// The cost of one driver-key index seek in walked rows: a joined-filter
+/// plan seeks driver rows key by key only when `SEEK_COST` × keys is less
+/// than the rows it would otherwise walk (the seed, or every driver row).
+/// A seek hashes a `Value` and follows its posting list; a walked row
+/// hashes one `i64`.
+const SEEK_COST: usize = 2;
+
+/// An `INT` join-key segment: values, null mask and the column's index,
+/// if it has one.
+struct KeyCol<'db> {
     values: &'db [i64],
     nulls: &'db NullMask,
+    index: Option<&'db Index>,
 }
 
-fn int_key_col<'db>(table: &'db Table, col_idx: usize) -> Option<IntKeyCol<'db>> {
-    match table.column_data(col_idx)? {
-        ColumnData::Int { values, nulls } => Some(IntKeyCol { values, nulls }),
-        _ => None,
+impl<'db> KeyCol<'db> {
+    fn new(table: &'db Table, col_idx: usize) -> Option<Self> {
+        match table.column_data(col_idx)? {
+            ColumnData::Int { values, nulls } => Some(KeyCol {
+                values,
+                nulls,
+                index: table.index_at(col_idx),
+            }),
+            _ => None,
+        }
     }
+
+    /// The key of `row`; `None` when it is `NULL`, which no inner join
+    /// matches.
+    fn get(&self, row: usize) -> Option<i64> {
+        (!self.nulls.is_null(row)).then(|| self.values[row])
+    }
+}
+
+/// Calls `f` on each row a plan visits: the listed ids (a caller's seed
+/// or an index seed) with out-of-range ones dropped, or every row below
+/// `len`.
+fn for_each_row(len: usize, listed: Option<&[RowId]>, mut f: impl FnMut(usize)) {
+    match listed {
+        Some(ids) => ids.iter().filter(|id| id.0 < len).for_each(|id| f(id.0)),
+        None => (0..len).for_each(f),
+    }
+}
+
+/// The driver rows below `len` that pass `keep`. The walk follows the
+/// plan's own access path (`access`: an index seed or rows sought by key;
+/// `None` means every row) or the caller's sorted `seed`, whichever is
+/// shorter; rows walked from `access` must also be in `seed`.
+fn select(
+    len: usize,
+    access: Option<&[RowId]>,
+    seed: Option<&[RowId]>,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<RowId> {
+    let mut out = Vec::new();
+    match (access, seed) {
+        (Some(access), Some(seed)) if access.len() < seed.len() => {
+            for_each_row(len, Some(access), |r| {
+                if seed.binary_search(&RowId(r)).is_ok() && keep(r) {
+                    out.push(RowId(r));
+                }
+            });
+        }
+        (walk, None) | (_, walk @ Some(_)) => for_each_row(len, walk, |r| {
+            if keep(r) {
+                out.push(RowId(r));
+            }
+        }),
+    }
+    out
 }
 
 impl<'db> FastPlan<'db> {
@@ -501,8 +604,8 @@ impl<'db> FastPlan<'db> {
                 if probe.table_idx != 0 {
                     return None;
                 }
-                let driver_key = int_key_col(bound.tables[0], probe.col_idx)?;
-                let joined_key = int_key_col(bound.tables[1], joined_idx)?;
+                let driver_key = KeyCol::new(bound.tables[0], probe.col_idx)?;
+                let joined_key = KeyCol::new(bound.tables[1], joined_idx)?;
                 if let Some(pred) = FastPred::compile(&q.filter, bound, 0) {
                     return Some(FastPlan::SemiJoin {
                         pred,
@@ -521,55 +624,80 @@ impl<'db> FastPlan<'db> {
         }
     }
 
-    /// Runs the plan. Infallible: compilation resolved every reference.
-    fn run(&self, q: &SelectQuery, bound: &BoundQuery<'db>) -> Vec<RowId> {
+    /// Runs the plan. Without a seed it walks its own access path (an
+    /// index seed, or driver rows sought by key) or every driver row; with
+    /// one it walks the seed, or its access path filtered by the seed
+    /// when that is shorter. Infallible: compilation resolved every
+    /// reference.
+    fn run(&self, q: &SelectQuery, bound: &BoundQuery<'db>, seed: Option<&[RowId]>) -> Vec<RowId> {
         let driver = bound.tables[0];
-        // The same index seeding the generic path uses; candidates are
-        // unique but not necessarily in RowId order.
-        let candidates = q.index_seed(driver, &bound.names[0]);
-        let rows: Box<dyn Iterator<Item = usize>> = match &candidates {
-            Some(ids) => Box::new(ids.iter().map(|id| id.0)),
-            None => Box::new(0..driver.len()),
+        // A seed is binary-searched, so it must be sorted (delta ingest
+        // passes it sorted already).
+        let sorted_seed: Vec<RowId>;
+        let seed = match seed {
+            Some(ids) if !ids.is_sorted() => {
+                let mut ids = ids.to_vec();
+                ids.sort_unstable();
+                sorted_seed = ids;
+                Some(sorted_seed.as_slice())
+            }
+            seed => seed,
         };
-        let mut out: Vec<RowId> = match self {
-            FastPlan::Scan { pred } => rows.filter(|&r| pred.eval(r)).map(RowId).collect(),
+        let mut out = match self {
+            FastPlan::Scan { pred } => {
+                let access = q.index_seed(driver, &bound.names[0]);
+                select(driver.len(), access.as_deref(), seed, |r| pred.eval(r))
+            }
             FastPlan::SemiJoin {
                 pred,
                 driver_key,
                 joined_key,
             } => {
-                let present: HashSet<i64> = joined_key
-                    .values
-                    .iter()
-                    .enumerate()
-                    .filter(|&(r, _)| !joined_key.nulls.is_null(r))
-                    .map(|(_, &k)| k)
-                    .collect();
-                rows.filter(|&r| {
-                    pred.eval(r)
-                        && !driver_key.nulls.is_null(r)
-                        && present.contains(&driver_key.values[r])
+                // A partner is one seek on the joined key's index; without
+                // an index, the joined keys are collected once up front.
+                let joined_keys: HashSet<i64> = match joined_key.index {
+                    Some(_) => HashSet::new(),
+                    None => (0..bound.tables[1].len())
+                        .filter_map(|r| joined_key.get(r))
+                        .collect(),
+                };
+                let has_partner = |k: i64| match joined_key.index {
+                    Some(ix) => !ix.get(&Value::Int(k)).is_empty(),
+                    None => joined_keys.contains(&k),
+                };
+                let access = q.index_seed(driver, &bound.names[0]);
+                select(driver.len(), access.as_deref(), seed, |r| {
+                    pred.eval(r) && driver_key.get(r).is_some_and(has_partner)
                 })
-                .map(RowId)
-                .collect()
             }
             FastPlan::JoinedFilter {
                 pred,
                 driver_key,
                 joined_key,
             } => {
-                let passing: HashSet<i64> = joined_key
-                    .values
-                    .iter()
-                    .enumerate()
-                    .filter(|&(r, _)| !joined_key.nulls.is_null(r) && pred.eval(r))
-                    .map(|(_, &k)| k)
-                    .collect();
-                rows.filter(|&r| {
-                    !driver_key.nulls.is_null(r) && passing.contains(&driver_key.values[r])
+                // Seed the joined side from its own indexes (the filter's
+                // conjuncts are all joined-side), exactly as a scan seeds
+                // the driver.
+                let joined = bound.tables[1];
+                let joined_seed = q.index_seed(joined, &bound.names[1]);
+                let mut passing: HashSet<i64> = HashSet::new();
+                for_each_row(joined.len(), joined_seed.as_deref(), |r| {
+                    if pred.eval(r) {
+                        passing.extend(joined_key.get(r));
+                    }
+                });
+                let walk_len = seed.map_or(driver.len(), <[RowId]>::len);
+                let few_keys = passing.len().saturating_mul(SEEK_COST) < walk_len;
+                let sought: Option<Vec<RowId>> = driver_key.index.filter(|_| few_keys).map(|ix| {
+                    passing
+                        .iter()
+                        .flat_map(|&k| ix.get(&Value::Int(k)))
+                        .copied()
+                        .collect()
+                });
+                select(driver.len(), sought.as_deref(), seed, |r| {
+                    driver_key.get(r).is_some_and(|k| passing.contains(&k))
                 })
-                .map(RowId)
-                .collect()
             }
         };
         out.sort_unstable();
@@ -584,15 +712,32 @@ impl<'db> FastPlan<'db> {
 /// the collapsed booleans.
 enum FastPred<'db> {
     Const(bool),
+    /// The typed kernel of an `INT` column against `Int` literals: passes
+    /// when the value lies in `lo..=hi` (`inside`) or outside it (`<>`).
+    IntRange {
+        values: &'db [i64],
+        nulls: &'db NullMask,
+        lo: i64,
+        hi: i64,
+        inside: bool,
+    },
+    /// The typed kernel of an all-`Int` `IN` list over an `INT` column;
+    /// `lits` is sorted and deduplicated.
+    IntIn {
+        values: &'db [i64],
+        nulls: &'db NullMask,
+        lits: Vec<i64>,
+    },
+    /// An `INT` column against a cross-type literal (`pid = 7.0`).
     IntAtom {
         values: &'db [i64],
         nulls: &'db NullMask,
-        node: NumNode,
+        test: LitTest,
     },
     FloatAtom {
         values: &'db [f64],
         nulls: &'db NullMask,
-        node: NumNode,
+        test: LitTest,
     },
     /// String atoms are pre-evaluated per dictionary code.
     StrAtom {
@@ -605,39 +750,76 @@ enum FastPred<'db> {
     Or(Vec<FastPred<'db>>),
 }
 
-/// The literal side of a compiled numeric atom; evaluation delegates to
-/// [`Value::compare`]/[`Value::sql_eq`] on a stack-built column value, so
-/// cross-type comparison semantics are inherited, not re-implemented.
-enum NumNode {
+/// The literal side of a compiled atom. [`LitTest::eval`] takes the
+/// column value's comparison against a literal, so numeric atoms inherit
+/// [`Value::compare`]'s cross-type semantics and string atoms run the same
+/// test once per dictionary code.
+enum LitTest {
     Cmp(CmpOp, Value),
     Between(Value, Value),
     InList(Vec<Value>),
 }
 
-impl NumNode {
-    fn eval(&self, v: &Value) -> bool {
+impl LitTest {
+    fn eval(&self, cmp: impl Fn(&Value) -> Option<Ordering>) -> bool {
         match self {
-            NumNode::Cmp(op, lit) => v.compare(lit).map(|o| op.matches(o)).unwrap_or(false),
-            NumNode::Between(lo, hi) => {
-                let ge_lo = v.compare(lo).map(|o| CmpOp::Ge.matches(o)).unwrap_or(false);
-                let le_hi = v.compare(hi).map(|o| CmpOp::Le.matches(o)).unwrap_or(false);
-                ge_lo && le_hi
+            LitTest::Cmp(op, lit) => cmp(lit).is_some_and(|o| op.matches(o)),
+            LitTest::Between(lo, hi) => {
+                cmp(lo).is_some_and(|o| CmpOp::Ge.matches(o))
+                    && cmp(hi).is_some_and(|o| CmpOp::Le.matches(o))
             }
-            NumNode::InList(vals) => vals.iter().any(|lit| v.sql_eq(lit)),
+            LitTest::InList(vals) => vals.iter().any(|lit| cmp(lit) == Some(Ordering::Equal)),
         }
     }
-}
 
-/// Builds the per-code truth table for a string atom: `f` is evaluated
-/// once per distinct dictionary string.
-fn str_matches(dict: &StrDict, f: impl Fn(&str) -> bool) -> Vec<bool> {
-    dict.iter().map(f).collect()
+    /// The typed `i64` kernel for this test over an `INT` segment, when
+    /// every literal is an `Int`: comparisons and `BETWEEN` become one
+    /// inclusive range check (`<>` its complement), `IN` a binary search.
+    fn int_kernel<'db>(&self, values: &'db [i64], nulls: &'db NullMask) -> Option<FastPred<'db>> {
+        let range = |lo, hi, inside| FastPred::IntRange {
+            values,
+            nulls,
+            lo,
+            hi,
+            inside,
+        };
+        Some(match self {
+            LitTest::Cmp(op, Value::Int(lit)) => {
+                let lit = *lit;
+                match op {
+                    CmpOp::Eq => range(lit, lit, true),
+                    CmpOp::Ne => range(lit, lit, false),
+                    CmpOp::Le => range(i64::MIN, lit, true),
+                    CmpOp::Ge => range(lit, i64::MAX, true),
+                    // `< i64::MIN` and `> i64::MAX` match nothing.
+                    CmpOp::Lt => lit
+                        .checked_sub(1)
+                        .map_or(FastPred::Const(false), |hi| range(i64::MIN, hi, true)),
+                    CmpOp::Gt => lit
+                        .checked_add(1)
+                        .map_or(FastPred::Const(false), |lo| range(lo, i64::MAX, true)),
+                }
+            }
+            LitTest::Between(Value::Int(lo), Value::Int(hi)) => range(*lo, *hi, true),
+            LitTest::InList(vals) => {
+                let mut lits = vals.iter().map(Value::as_i64).collect::<Option<Vec<_>>>()?;
+                lits.sort_unstable();
+                lits.dedup();
+                FastPred::IntIn {
+                    values,
+                    nulls,
+                    lits,
+                }
+            }
+            _ => return None,
+        })
+    }
 }
 
 /// `Value::compare` restricted to a string left-hand side: comparable only
 /// against string literals (strings have no numeric image, and `NULL`
 /// compares as incomparable).
-fn cmp_str_lit(s: &str, lit: &Value) -> Option<std::cmp::Ordering> {
+fn cmp_str_lit(s: &str, lit: &Value) -> Option<Ordering> {
     match lit {
         Value::Str(l) => Some(s.cmp(l.as_str())),
         _ => None,
@@ -654,108 +836,87 @@ impl<'db> FastPred<'db> {
         bound: &BoundQuery<'db>,
         table_idx: usize,
     ) -> Option<FastPred<'db>> {
-        let atom = |col: &ColRef| -> Option<&'db ColumnData> {
+        let column = |col: &ColRef| -> Option<&'db ColumnData> {
             let loc = bound.locate(col).ok()?;
             (loc.table_idx == table_idx)
                 .then(|| bound.tables[table_idx].column_data(loc.col_idx))
                 .flatten()
         };
+        let all = |ps: &[Predicate]| -> Option<Vec<FastPred<'db>>> {
+            ps.iter()
+                .map(|p| Self::compile(p, bound, table_idx))
+                .collect()
+        };
         Some(match pred {
             Predicate::True => FastPred::Const(true),
             Predicate::False => FastPred::Const(false),
-            Predicate::Cmp(col, op, lit) => match atom(col)? {
-                ColumnData::Int { values, nulls } => FastPred::IntAtom {
-                    values,
-                    nulls,
-                    node: NumNode::Cmp(*op, lit.clone()),
-                },
-                ColumnData::Float { values, nulls } => FastPred::FloatAtom {
-                    values,
-                    nulls,
-                    node: NumNode::Cmp(*op, lit.clone()),
-                },
-                ColumnData::Str { codes, dict, nulls } => FastPred::StrAtom {
-                    codes,
-                    nulls,
-                    matches: str_matches(dict, |s| {
-                        cmp_str_lit(s, lit).map(|o| op.matches(o)).unwrap_or(false)
-                    }),
-                },
-            },
-            Predicate::Between(col, lo, hi) => match atom(col)? {
-                ColumnData::Int { values, nulls } => FastPred::IntAtom {
-                    values,
-                    nulls,
-                    node: NumNode::Between(lo.clone(), hi.clone()),
-                },
-                ColumnData::Float { values, nulls } => FastPred::FloatAtom {
-                    values,
-                    nulls,
-                    node: NumNode::Between(lo.clone(), hi.clone()),
-                },
-                ColumnData::Str { codes, dict, nulls } => FastPred::StrAtom {
-                    codes,
-                    nulls,
-                    matches: str_matches(dict, |s| {
-                        let ge_lo = cmp_str_lit(s, lo)
-                            .map(|o| CmpOp::Ge.matches(o))
-                            .unwrap_or(false);
-                        let le_hi = cmp_str_lit(s, hi)
-                            .map(|o| CmpOp::Le.matches(o))
-                            .unwrap_or(false);
-                        ge_lo && le_hi
-                    }),
-                },
-            },
-            Predicate::InList(col, vals) => match atom(col)? {
-                ColumnData::Int { values, nulls } => FastPred::IntAtom {
-                    values,
-                    nulls,
-                    node: NumNode::InList(vals.clone()),
-                },
-                ColumnData::Float { values, nulls } => FastPred::FloatAtom {
-                    values,
-                    nulls,
-                    node: NumNode::InList(vals.clone()),
-                },
-                ColumnData::Str { codes, dict, nulls } => FastPred::StrAtom {
-                    codes,
-                    nulls,
-                    matches: str_matches(dict, |s| {
-                        vals.iter()
-                            .any(|lit| matches!(lit, Value::Str(l) if s == l.as_str()))
-                    }),
-                },
-            },
+            Predicate::Cmp(col, op, lit) => {
+                Self::atom(column(col)?, LitTest::Cmp(*op, lit.clone()))
+            }
+            Predicate::Between(col, lo, hi) => {
+                Self::atom(column(col)?, LitTest::Between(lo.clone(), hi.clone()))
+            }
+            Predicate::InList(col, vals) => Self::atom(column(col)?, LitTest::InList(vals.clone())),
             Predicate::Not(inner) => {
                 FastPred::Not(Box::new(Self::compile(inner, bound, table_idx)?))
             }
-            Predicate::And(ps) => FastPred::And(
-                ps.iter()
-                    .map(|p| Self::compile(p, bound, table_idx))
-                    .collect::<Option<Vec<_>>>()?,
-            ),
-            Predicate::Or(ps) => FastPred::Or(
-                ps.iter()
-                    .map(|p| Self::compile(p, bound, table_idx))
-                    .collect::<Option<Vec<_>>>()?,
-            ),
+            Predicate::And(ps) => FastPred::And(all(ps)?),
+            Predicate::Or(ps) => FastPred::Or(all(ps)?),
         })
+    }
+
+    /// Compiles one atom over its column's segment.
+    fn atom(data: &'db ColumnData, test: LitTest) -> FastPred<'db> {
+        match data {
+            ColumnData::Int { values, nulls } => match test.int_kernel(values, nulls) {
+                Some(kernel) => kernel,
+                None => FastPred::IntAtom {
+                    values,
+                    nulls,
+                    test,
+                },
+            },
+            ColumnData::Float { values, nulls } => FastPred::FloatAtom {
+                values,
+                nulls,
+                test,
+            },
+            ColumnData::Str { codes, dict, nulls } => FastPred::StrAtom {
+                codes,
+                nulls,
+                matches: dict
+                    .iter()
+                    .map(|s| test.eval(|lit| cmp_str_lit(s, lit)))
+                    .collect(),
+            },
+        }
     }
 
     fn eval(&self, row: usize) -> bool {
         match self {
             FastPred::Const(b) => *b,
+            FastPred::IntRange {
+                values,
+                nulls,
+                lo,
+                hi,
+                inside,
+            } => !nulls.is_null(row) && (*lo..=*hi).contains(&values[row]) == *inside,
+            FastPred::IntIn {
+                values,
+                nulls,
+                lits,
+            } => !nulls.is_null(row) && lits.binary_search(&values[row]).is_ok(),
             FastPred::IntAtom {
                 values,
                 nulls,
-                node,
-            } => !nulls.is_null(row) && node.eval(&Value::Int(values[row])),
+                test,
+            } => !nulls.is_null(row) && test.eval(|lit| Value::Int(values[row]).compare(lit)),
             FastPred::FloatAtom {
                 values,
                 nulls,
-                node,
-            } => !nulls.is_null(row) && node.eval(&Value::Float(values[row])),
+                test,
+            } => !nulls.is_null(row) && test.eval(|lit| Value::Float(values[row]).compare(lit)),
             FastPred::StrAtom {
                 codes,
                 nulls,
@@ -1491,6 +1652,133 @@ mod tests {
         let fast = q.distinct_row_set(&db).unwrap();
         assert_eq!(fast, q.distinct_row_set_rowwise(&db).unwrap());
         assert_eq!(fast, vec![RowId(2), RowId(3)], "paper 6 (2010) authorless");
+    }
+
+    #[test]
+    fn typed_kernels_match_value_compare_at_the_extremes() {
+        // Int literals compile to `i64` range tests; the boundaries where
+        // `lit ± 1` would overflow, reversed BETWEENs, duplicate IN
+        // literals and `<>` over NULL rows must all agree with the
+        // row-wise `Value::compare` path.
+        let mut db = mini_dblp();
+        db.table_mut("dblp")
+            .unwrap()
+            .insert(vec![7.into(), Value::Null, Value::Null, Value::Null])
+            .unwrap();
+        let year = || ColRef::parse("dblp.year");
+        let mut preds: Vec<Predicate> = Vec::new();
+        for lit in [i64::MIN, i64::MIN + 1, 2008, i64::MAX - 1, i64::MAX] {
+            for op in [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ] {
+                preds.push(Predicate::cmp(year(), op, lit));
+            }
+        }
+        preds.push(Predicate::between(year(), 2010, 2006));
+        preds.push(Predicate::between(year(), i64::MIN, i64::MAX));
+        preds.push(Predicate::in_list(year(), [2010, 2000, 2010]));
+        preds.push(Predicate::in_list(
+            year(),
+            [Value::Int(2010), Value::Float(2000.0)],
+        ));
+        preds.push(Predicate::cmp(year(), CmpOp::Ne, 2010).not());
+        for p in preds {
+            let q = SelectQuery::from("dblp").filter(p);
+            assert_eq!(
+                q.distinct_row_set(&db).unwrap(),
+                q.distinct_row_set_rowwise(&db).unwrap(),
+                "{}",
+                q.predicate()
+            );
+        }
+    }
+
+    #[test]
+    fn every_plan_charges_exactly_one_fault_operation() {
+        use crate::fault::FailSchedule;
+        use std::sync::Arc;
+
+        let mut db = mini_dblp();
+        db.table_mut("dblp")
+            .unwrap()
+            .create_index("pid", IndexKind::Hash)
+            .unwrap();
+        db.table_mut("dblp_author")
+            .unwrap()
+            .create_index("aid", IndexKind::Hash)
+            .unwrap();
+        let joined = |filter: &str| {
+            SelectQuery::from("dblp")
+                .join(
+                    "dblp_author",
+                    ColRef::parse("dblp.pid"),
+                    ColRef::parse("dblp_author.pid"),
+                )
+                .filter(parse_predicate(filter).unwrap())
+        };
+        let index_seek = joined("dblp_author.aid=102");
+        let typed = SelectQuery::from("dblp")
+            .filter(parse_predicate("dblp.year BETWEEN 2006 AND 2010").unwrap());
+        let mixed = joined("dblp.venue='PVLDB' AND dblp_author.aid=102");
+
+        // Pin which plan each call exercises.
+        let bound = index_seek.bind(&db).unwrap();
+        assert!(matches!(
+            FastPlan::compile(&index_seek, &bound),
+            Some(FastPlan::JoinedFilter { .. })
+        ));
+        assert!(index_seek
+            .index_seed(bound.tables[1], "dblp_author")
+            .is_some());
+        let bound = typed.bind(&db).unwrap();
+        assert!(matches!(
+            FastPlan::compile(&typed, &bound),
+            Some(FastPlan::Scan {
+                pred: FastPred::IntRange { .. }
+            })
+        ));
+        let bound = mixed.bind(&db).unwrap();
+        assert!(FastPlan::compile(&mixed, &bound).is_none(), "falls back");
+
+        let seed = [RowId(3), RowId(2), RowId(3), RowId(99)];
+        type Call<'q> = Box<dyn Fn(&Database) -> Result<Vec<RowId>> + 'q>;
+        let calls: Vec<(&str, Call)> = vec![
+            (
+                "joined index seek",
+                Box::new(|db| index_seek.distinct_row_set(db)),
+            ),
+            ("typed kernel", Box::new(|db| typed.distinct_row_set(db))),
+            (
+                "seeded",
+                Box::new(|db| index_seek.distinct_row_set_among(db, &seed)),
+            ),
+            ("fallback", Box::new(|db| mixed.distinct_row_set(db))),
+            (
+                "seeded fallback",
+                Box::new(|db| mixed.distinct_row_set_among(db, &seed)),
+            ),
+        ];
+        for (name, call) in &calls {
+            let want = call(&db).unwrap();
+            let mut counted = db.clone();
+            let probe = Arc::new(FailSchedule::never());
+            counted.arm_faults(Arc::clone(&probe));
+            assert_eq!(call(&counted).unwrap(), want, "{name}");
+            assert_eq!(probe.ops_started(), 1, "{name} charges one operation");
+
+            let mut failing = db.clone();
+            let schedule = Arc::new(FailSchedule::nth(1));
+            failing.arm_faults(Arc::clone(&schedule));
+            assert_eq!(call(&failing), Err(RelError::FaultInjected(1)), "{name}");
+            assert_eq!(schedule.injected(), 1, "{name}");
+            assert_eq!(call(&failing).unwrap(), want, "{name} after the fault");
+            assert_eq!(schedule.ops_started(), 2, "{name}");
+        }
     }
 
     #[test]

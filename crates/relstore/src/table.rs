@@ -465,6 +465,12 @@ impl Table {
             .is_some_and(|ci| self.indexes.contains_key(&ci))
     }
 
+    /// The index on the column at `col_idx`, if one exists — the positional
+    /// access the compiled plans use for key seeks.
+    pub(crate) fn index_at(&self, col_idx: usize) -> Option<&Index> {
+        self.indexes.get(&col_idx).map(Arc::as_ref)
+    }
+
     /// Point lookup through the index on `column`, if one exists.
     pub fn index_lookup(&self, column: &str, value: &Value) -> Option<&[RowId]> {
         let ci = self.schema.index_of(column)?;

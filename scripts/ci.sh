@@ -13,7 +13,9 @@
 #                    BENCH_PR<n+1>.json and compared against
 #                    BENCH_PR<n>.json; any headline row (pairwise build,
 #                    PEPS top-k) regressing by more than 25% exits
-#                    non-zero.
+#                    non-zero, and so does any live_ingest row whose
+#                    delta ingest is no faster than a full re-warm
+#                    (ingest_ns >= rewarm_ns).
 #   --scaling        pass --scaling through to bench_report so the
 #                    report includes 1/2/4/8-worker scaling curves for
 #                    the pairwise build, PEPS top-k and batched serving.

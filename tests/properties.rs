@@ -1,15 +1,17 @@
 //! Property-based tests (proptest) for the model's invariants, run across
 //! crates: intensity algebra, propagation axioms, graph invariants under
 //! random preference streams, PEPS-vs-brute-force ranking equality, TA
-//! correctness, parser round-trips (predicate and preference-DSL) and
-//! skyline dominance.
+//! correctness, parser round-trips (predicate and preference-DSL),
+//! skyline dominance, and relstore's columnar plans against the row-wise
+//! reference pipeline.
 
 use proptest::prelude::*;
 
 use hypre_repro::core::dsl::{AtomAst, AtomKind, Pos, PrefExpr, ProfileAst};
 use hypre_repro::prelude::*;
 use hypre_repro::relstore::{
-    parse_predicate, ColRef, DataType, Database, Predicate, Schema, Value,
+    parse_predicate, CmpOp, ColRef, DataType, Database, IndexKind, Predicate, RowId, Schema,
+    SelectQuery, Value,
 };
 use hypre_repro::topk::{threshold_algorithm, GradedList};
 
@@ -584,5 +586,198 @@ proptest! {
         again.sort();
         prop_assert_eq!(&sorted, &again);
         prop_assert_eq!(&sorted[0], &Value::Null);
+    }
+}
+
+// ---------------------------------------------------------------------
+// columnar plans vs the row-wise reference (relstore)
+// ---------------------------------------------------------------------
+
+/// A numeric literal: mostly `Int`, else an integral `Float` (`7.0`) or
+/// a fractional `Float` (`10.5`), so `INT` columns see every cross-type
+/// comparison. The range straddles the generated column values, so
+/// boundary rows (`col > v` with a row holding `v`) are common.
+fn num_literal() -> impl Strategy<Value = Value> {
+    (0u8..4, -2i64..9).prop_map(|(kind, v)| match kind {
+        0 | 1 => Value::Int(v),
+        2 => Value::Float(v as f64),
+        _ => Value::Float(v as f64 + 0.5),
+    })
+}
+
+fn cmp_op() -> impl Strategy<Value = CmpOp> {
+    (0u8..6).prop_map(|o| {
+        [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ][o as usize]
+    })
+}
+
+/// One atom over an `INT` column: comparison, `BETWEEN` (possibly with an
+/// empty or cross-type range) or an `IN` list mixing literal types.
+fn int_atom(column: &'static str) -> BoxedStrategy<Predicate> {
+    prop_oneof![
+        (cmp_op(), num_literal()).prop_map(move |(op, v)| Predicate::cmp(
+            ColRef::parse(column),
+            op,
+            v
+        )),
+        (num_literal(), num_literal()).prop_map(move |(lo, hi)| Predicate::between(
+            ColRef::parse(column),
+            lo,
+            hi
+        )),
+        prop::collection::vec(num_literal(), 1..4)
+            .prop_map(move |vs| Predicate::in_list(ColRef::parse(column), vs)),
+    ]
+    .boxed()
+}
+
+fn venue_atom() -> BoxedStrategy<Predicate> {
+    prop_oneof![
+        (cmp_op(), 0u8..4).prop_map(|(op, v)| Predicate::cmp(
+            ColRef::parse("dblp.venue"),
+            op,
+            format!("V{v}")
+        )),
+        prop::collection::vec(0u8..4, 1..3).prop_map(|vs| Predicate::in_list(
+            ColRef::parse("dblp.venue"),
+            vs.into_iter().map(|v| format!("V{v}")).collect::<Vec<_>>()
+        )),
+        // A type-mismatched literal matches nothing.
+        num_literal().prop_map(|v| Predicate::cmp(ColRef::parse("dblp.venue"), CmpOp::Eq, v)),
+    ]
+    .boxed()
+}
+
+fn driver_atom() -> BoxedStrategy<Predicate> {
+    prop_oneof![int_atom("dblp.pid"), int_atom("dblp.year"), venue_atom()].boxed()
+}
+
+fn joined_atom() -> BoxedStrategy<Predicate> {
+    prop_oneof![int_atom("dblp_author.aid"), int_atom("dblp_author.pid")].boxed()
+}
+
+fn pred_tree(leaf: BoxedStrategy<Predicate>) -> BoxedStrategy<Predicate> {
+    leaf.prop_recursive(3, 16, 3, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.prop_map(Predicate::not),
+        ]
+    })
+}
+
+/// A nullable small integer: `0` draws `NULL`.
+fn nullable(v: u8, offset: i64) -> Value {
+    match v {
+        0 => Value::Null,
+        v => Value::Int(i64::from(v) + offset),
+    }
+}
+
+/// Papers and author links with small key ranges (duplicate driver keys,
+/// dangling links), `NULL` keys and `NULL` filter columns on both sides.
+fn plan_db(papers: &[(u8, u8, u8)], links: &[(u8, u8)], indexes: &[u8]) -> Database {
+    let mut db = Database::new();
+    let dblp = db
+        .create_table(
+            "dblp",
+            Schema::of(&[
+                ("pid", DataType::Int),
+                ("venue", DataType::Str),
+                ("year", DataType::Int),
+            ]),
+        )
+        .unwrap();
+    for &(pid, venue, year) in papers {
+        let venue = match venue {
+            0 => Value::Null,
+            v => Value::str(format!("V{}", v - 1)),
+        };
+        dblp.insert(vec![nullable(pid, -1), venue, nullable(year, -2)])
+            .unwrap();
+    }
+    let link = db
+        .create_table(
+            "dblp_author",
+            Schema::of(&[("pid", DataType::Int), ("aid", DataType::Int)]),
+        )
+        .unwrap();
+    for &(pid, aid) in links {
+        link.insert(vec![nullable(pid, -1), nullable(aid, -1)])
+            .unwrap();
+    }
+    let columns = [
+        ("dblp", "pid"),
+        ("dblp", "year"),
+        ("dblp", "venue"),
+        ("dblp_author", "pid"),
+        ("dblp_author", "aid"),
+    ];
+    for (&(table, column), &kind) in columns.iter().zip(indexes) {
+        let kind = match kind {
+            1 => IndexKind::Hash,
+            2 => IndexKind::BTree,
+            _ => continue,
+        };
+        db.table_mut(table)
+            .unwrap()
+            .create_index(column, kind)
+            .unwrap();
+    }
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `distinct_row_set` and `distinct_row_set_among` run relstore's
+    /// columnar plans (index seeks on either side of the join, typed `i64`
+    /// kernels, seeded candidates); the row-wise pipeline is the oracle.
+    /// Every shape — single table, semi-join, joined filter and a mixed
+    /// filter no plan compiles — must match it exactly, under every
+    /// combination of hash, BTree or no index on each filter and join
+    /// column, and a seeded call must equal the oracle restricted to its
+    /// candidates, whatever the candidates (empty, duplicated, past the
+    /// last row).
+    #[test]
+    fn prop_columnar_plans_match_rowwise_reference(
+        papers in prop::collection::vec((0u8..7, 0u8..5, 0u8..12), 0..14),
+        links in prop::collection::vec((0u8..9, 0u8..6), 0..16),
+        indexes in prop::collection::vec(0u8..3, 5..6),
+        shape in 0u8..4,
+        swap_join in 0u8..2,
+        driver_pred in pred_tree(driver_atom()),
+        joined_pred in pred_tree(joined_atom()),
+        mixed_pred in pred_tree(prop_oneof![driver_atom(), joined_atom()].boxed()),
+        seed in prop::collection::vec(0usize..18, 0..10),
+    ) {
+        let db = plan_db(&papers, &links, &indexes);
+        let (left, right) = (ColRef::parse("dblp.pid"), ColRef::parse("dblp_author.pid"));
+        let (left, right) = if swap_join == 1 { (right, left) } else { (left, right) };
+        let joined = SelectQuery::from("dblp").join("dblp_author", left, right);
+        let q = match shape {
+            0 => SelectQuery::from("dblp").filter(driver_pred),
+            1 => joined.filter(driver_pred),
+            2 => joined.filter(joined_pred),
+            _ => joined.filter(mixed_pred),
+        };
+        let want = q.distinct_row_set_rowwise(&db).unwrap();
+        prop_assert_eq!(&q.distinct_row_set(&db).unwrap(), &want, "query {:?}", q);
+        let seed: Vec<RowId> = seed.into_iter().map(RowId).collect();
+        let want_among: Vec<RowId> = want.iter().filter(|r| seed.contains(r)).copied().collect();
+        prop_assert_eq!(
+            q.distinct_row_set_among(&db, &seed).unwrap(),
+            want_among,
+            "query {:?} among {:?}",
+            q,
+            seed
+        );
     }
 }
