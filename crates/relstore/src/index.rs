@@ -1,5 +1,6 @@
 //! Secondary indexes: hash (point lookups) and BTree (point + range).
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -66,7 +67,9 @@ impl Index {
             Index::BTree(m) => {
                 let mut out = Vec::new();
                 // `BTreeMap::range` panics on an inverted range; one such
-                // range (`BETWEEN 5 AND 3`) simply holds no rows.
+                // range (`BETWEEN 5 AND 3`) simply holds no rows. The bounds
+                // are ordered by the map's own `Ord`, which can call two
+                // unequal values equal (`INT`s above 2^53).
                 if let (
                     Bound::Included(l) | Bound::Excluded(l),
                     Bound::Included(h) | Bound::Excluded(h),
@@ -74,8 +77,10 @@ impl Index {
                 {
                     let both_included =
                         matches!((lo, hi), (Bound::Included(_), Bound::Included(_)));
-                    if l > h || (l == h && !both_included) {
-                        return Some(out);
+                    match l.cmp(h) {
+                        Ordering::Greater => return Some(out),
+                        Ordering::Equal if !both_included => return Some(out),
+                        _ => {}
                     }
                 }
                 for (_, rows) in m.range((lo, hi)) {
@@ -138,5 +143,12 @@ mod tests {
         ] {
             assert!(ix.range_bounds(lo, hi).unwrap().is_empty());
         }
+        // unequal INTs above 2^53 that the map's order calls equal
+        let (big, bigger) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert_ne!(big, bigger);
+        assert!(ix
+            .range_bounds(Bound::Excluded(&bigger), Bound::Excluded(&big))
+            .unwrap()
+            .is_empty());
     }
 }

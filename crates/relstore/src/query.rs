@@ -26,8 +26,8 @@
 //!   driver rows an index seed names (a top-level `=`/`IN`/range conjunct
 //!   on an indexed driver column), or over every driver row.
 //! * **Semi-join** — one `INT` equi-join, filter on the driver only: a
-//!   passing driver row also needs a join partner, found by a seek on the
-//!   joined key's index when it has one, else in a key set built once.
+//!   passing driver row also needs a join partner, found in a set of the
+//!   joined keys built once per run.
 //! * **Joined filter** — one `INT` equi-join, filter on the joined table
 //!   only: the joined rows are seeded from the joined table's indexes
 //!   exactly as a scan's are (so `dblp_author.aid = N` touches the few
@@ -517,7 +517,10 @@ enum FastPlan<'db> {
 const SEEK_COST: usize = 2;
 
 /// An `INT` join-key segment: values, null mask and the column's index,
-/// if it has one.
+/// if it has one. Only a joined-filter plan's driver-key seek reads the
+/// index, and it re-checks every sought row on the exact `i64` key: index
+/// lookups match through [`Value`]'s `f64`-based order, which merges
+/// `INT`s above 2^53.
 struct KeyCol<'db> {
     values: &'db [i64],
     nulls: &'db NullMask,
@@ -653,21 +656,12 @@ impl<'db> FastPlan<'db> {
                 driver_key,
                 joined_key,
             } => {
-                // A partner is one seek on the joined key's index; without
-                // an index, the joined keys are collected once up front.
-                let joined_keys: HashSet<i64> = match joined_key.index {
-                    Some(_) => HashSet::new(),
-                    None => (0..bound.tables[1].len())
-                        .filter_map(|r| joined_key.get(r))
-                        .collect(),
-                };
-                let has_partner = |k: i64| match joined_key.index {
-                    Some(ix) => !ix.get(&Value::Int(k)).is_empty(),
-                    None => joined_keys.contains(&k),
-                };
+                let joined_keys: HashSet<i64> = (0..bound.tables[1].len())
+                    .filter_map(|r| joined_key.get(r))
+                    .collect();
                 let access = q.index_seed(driver, &bound.names[0]);
                 select(driver.len(), access.as_deref(), seed, |r| {
-                    pred.eval(r) && driver_key.get(r).is_some_and(has_partner)
+                    pred.eval(r) && driver_key.get(r).is_some_and(|k| joined_keys.contains(&k))
                 })
             }
             FastPlan::JoinedFilter {
