@@ -1,89 +1,81 @@
 //! Emits the machine-readable perf snapshot for the current PR (e.g.
-//! `BENCH_PR3.json`), prints a side-by-side delta against the newest
-//! checked-in `BENCH_PR*.json`, and **fails (exit 1) when a headline row
-//! regresses** by more than [`GUARD_MAX_REGRESSION`] **or when a
-//! `live_ingest` row's delta ingest is no faster than the full re-warm it
-//! replaces** (`ingest_ns ≥ rewarm_ns`) — the bench gate
-//! `scripts/ci.sh --release-bench` runs.
+//! `BENCH_PR13.json`), prints it one text line per row, prints a delta
+//! against the newest checked-in `BENCH_PR*.json`, and **fails (exit 1)**
+//! when a headline row regresses by more than [`GUARD_MAX_REGRESSION`],
+//! when a `live_ingest` row's delta ingest is no faster than the full
+//! re-warm it replaces (`ingest_ns ≥ rewarm_ns`), or when the baseline it
+//! was given cannot be read — the bench gate `scripts/ci.sh
+//! --release-bench` runs.
 //!
-//! Measures, per corpus size (default 2 000 and 20 000 papers; override
-//! with `BENCH_SIZES=2000,20000`), across the **three generations** of
-//! set algebra (adaptive `TupleSet` / pure `BitSet` / seed
-//! `HashSet<Value>`, all memo-warmed so the timed regions are pure set
-//! algebra):
+//! # Report layout
 //!
-//! * `pairwise_build` — `PairwiseCache::build` wall time, plus the cold
-//!   adaptive build including its `n` SQL queries;
-//! * `peps_top_k` — `Peps::top_k` latency (complete variant, k = 10 and
-//!   100) for all three engines over the same pairwise cache;
-//! * `set_algebra` / `set_algebra_sparse` — micro-ops over the densest
-//!   and sparsest profile tuple sets, with per-set container bytes in
-//!   the `memory` section;
-//! * `pairwise_build_parallel` — the PR 3 sharded triangular pass (now
-//!   cost-weighted) at 1, 2 and 4 worker threads (byte-identical
-//!   results; the delta is pure scheduling, so single-core hosts show
-//!   spawn overhead, multi-core hosts show speedup — the host's core
-//!   count is recorded as `available_parallelism`);
-//! * `peps_parallel` — PR 4: `Peps::top_k` with the round expansions
-//!   sharded at 1, 2 and 4 workers (same caveat on single-core hosts;
-//!   `tests/parallel_equivalence.rs` pins every count byte-identical);
-//! * `multi_session` — N user sessions served from one shared
-//!   `ProfileCache` snapshot versus N cold executors that re-run every
-//!   profile query;
-//! * `containers` — PR 4: how the rich profile's tuple sets distribute
-//!   over the three adaptive containers (array / runs / bitmap), with
-//!   per-container byte totals against the pure-bitmap footprint;
-//! * `live_ingest` — PR 6: warming on a 95 % base corpus then ingesting
-//!   the remaining 5 % as an append-only delta
-//!   (`ProfileCache::ingest_delta`) versus a cold full re-warm over the
-//!   grown corpus. Non-headline: the rows carry no `name` field, so the
-//!   regression guard ignores them; the *ingest guard* instead fails the
-//!   run when any row's `ingest_ns ≥ rewarm_ns`;
-//! * `scaling` — PR 8 (only with `--scaling`, the `scripts/ci.sh
-//!   --scaling` mode): per-thread-count curves at 1, 2, 4 and 8 workers
-//!   for the pairwise build, PEPS top-k (work-stealing rounds) and
-//!   batched serving, each with its speedup over the 1-worker run. On a
-//!   1-core host the section records an explicit
-//!   `"skipped": "available_parallelism=1"` marker instead of junk
-//!   spawn-overhead rows; without the flag it records
-//!   `"skipped": "not_requested"`. Non-headline either way (the rows
-//!   carry no `name` field), so the regression guard never trips on a
-//!   host's core count;
-//! * `batched_serving` — PR 7: 100–400 simulated sessions drawing
-//!   profiles Zipf-popularly from the variant pool, served unbatched
-//!   (every session its own executor + PEPS rounds, fanned over 4 OS
-//!   threads) versus one `BatchScheduler` run that evaluates each
-//!   distinct profile identity once and demultiplexes. Both shapes are
-//!   checksum-verified equal before timing. Non-headline, same as
-//!   `live_ingest`;
-//! * `graph_workload` — PR 10: the graph-derived workload end to end —
-//!   property-graph build over the corpus, co-author/venue co-occurrence
-//!   derivation, DSL parse + compile of a profile naming `COAUTHOR_OF` /
-//!   `SAME_VENUE_AS` atoms, and PEPS top-k over the compiled atoms.
-//!   Non-headline (the rows carry a `stage` field, no `name`), so the
-//!   regression guard and the delta printer ignore them;
-//! * `storage_1m` — PR 9: the columnar `distinct_row_set` plan versus
-//!   the row-materialising reference on scan- and join-shaped queries,
-//!   and warm-snapshot persistence (`ProfileCache::save_to` /
-//!   `load_from`) versus a cold SQL re-warm, at every `BENCH_SIZES`
-//!   corpus. With `--bench-1m` the section additionally streams a
-//!   million-paper corpus (`BENCH_1M_PAPERS` overrides the size)
-//!   through `load_streamed` and records single-shot end-to-end
-//!   timings: corpus build, profile warm, pairwise build, PEPS top-k,
-//!   snapshot save/load, and the columnar-vs-rowwise scan at scale.
-//!   Non-headline (custom field names), so the regression guard and
-//!   the delta printer ignore every row.
+//! Every measurement is one [`Row`]: `section`, `name`, `papers`, then
+//! its named metrics. The JSON report holds a short header (`bench`,
+//! `sizes`, `available_parallelism`, `scaling`) and a `rows` array with
+//! one flat object per line:
 //!
-//! The **headline rows** (`pairwise_build`, `peps_top_k` — including the
-//! PR 4 `sparse_k10` row over a sparse/range-heavy synthetic profile,
-//! the regime the run container and clone-free expansion target) are the
-//! regression guard: each is compared against the same row of the
-//! baseline report and the run exits non-zero past the threshold. The
-//! comparison is **normalised by the frozen PR 1 bitset engine** (the
-//! control both runs measure under their own conditions) whenever the
-//! baseline recorded it, so host-wide drift between runs — thermal
-//! state, noisy neighbours on shared hardware — cancels out instead of
-//! tripping the gate; PR 1-era baselines fall back to raw wall-clock.
+//! ```text
+//! {"section":"peps_top_k","name":"complete_k10","papers":2000,"adaptive_ns":…,"bitset_ns":…,"hashset_ns":…,"vs_bitset":2.71,"vs_hashset":9.40}
+//! ```
+//!
+//! Headline rows keep the flat `adaptive_ns`/`bitset_ns`/`hashset_ns`
+//! keys every earlier report used, so one line parser reads old and new
+//! reports alike as a baseline.
+//!
+//! # Sections
+//!
+//! Per corpus size (default 2 000 and 20 000 papers; override with
+//! `BENCH_SIZES=2000,20000`), with the three generations of set algebra
+//! (adaptive `TupleSet` / pure `BitSet` / seed `HashSet<Value>`)
+//! memo-warmed so the timed regions are pure set algebra:
+//!
+//! * `pairwise_build` (headline) — warm `PairwiseCache::build` for all
+//!   three engines; `pairwise_build_cold` adds the cold adaptive build
+//!   including its `n` SQL queries;
+//! * `peps_top_k` (headline) — `Peps::top_k` (complete variant, k = 10
+//!   and 100) over the rich profile, plus `sparse_k10` over a
+//!   sparse/range-heavy synthetic profile (year windows interning to id
+//!   runs, single-author long-tail atoms);
+//! * `containers` — how the rich profile's tuple sets distribute over
+//!   the array / runs / bitmap containers, with bytes against the
+//!   pure-bitmap footprint;
+//! * `multi_session` — N sessions over one shared `ProfileCache`
+//!   snapshot versus N cold executors re-running every profile query;
+//! * `live_ingest` — warm on a 95 % base corpus, then ingest the last
+//!   5 % as an append-only delta (`ProfileCache::ingest_delta`) versus a
+//!   cold full re-warm over the grown corpus; the *ingest guard* fails
+//!   the run when any row has `ingest_ns ≥ rewarm_ns`;
+//! * `storage_1m` — the columnar `distinct_row_set` plan versus the
+//!   row-materialising reference on a scan and a joined filter, and
+//!   warm-snapshot save/load versus a cold SQL re-warm. With
+//!   `--bench-1m` the section also streams a million-paper corpus
+//!   (`BENCH_1M_PAPERS` overrides the size) and records single-shot
+//!   timings for load, warm, pairwise build, PEPS top-k, snapshot
+//!   save/load and the scan at scale;
+//! * `batched_serving` — 100–400 sessions drawing profiles
+//!   Zipf-popularly, served unbatched over 4 OS threads versus one
+//!   `BatchScheduler` run; both shapes are checksum-verified equal first;
+//! * `graph_workload` — property-graph build, co-occurrence derivation,
+//!   DSL compile of `COAUTHOR_OF`/`SAME_VENUE_AS` atoms, and PEPS top-k
+//!   over them;
+//! * `scaling` (only with `--scaling`) — 1/2/4/8-worker curves for the
+//!   pairwise build, PEPS top-k and batched serving, each with its
+//!   speedup over 1 worker and its work-stealing counters. A 1-core host
+//!   records `"scaling": "skipped: available_parallelism=1"` instead, and
+//!   a run without the flag `"skipped: not_requested"`;
+//! * `set_algebra` / `set_algebra_sparse` — `and_count`/`or`/`and_not`
+//!   over the densest and the sparsest operand pair, with each operand's
+//!   bytes in `memory`;
+//! * `ablation` (smallest size only) — the §4.4 exponential versus
+//!   linear intensity model (graph load time), and the §5.5 pairwise
+//!   cache versus one `count_distinct` query per atom pair.
+//!
+//! Only the headline rows are guarded. Each is compared against the same
+//! `(section, name, papers)` row of the baseline report, **normalised by
+//! the frozen PR 1 bitset engine** (the control both runs measure under
+//! their own conditions) whenever the baseline recorded it, so host-wide
+//! drift cancels instead of tripping the gate; PR 1-era baselines fall
+//! back to raw wall-clock.
 //!
 //! Usage: `cargo run --release -p hypre-bench --bin bench_report
 //! [--scaling] [--bench-1m] [out.json [baseline.json]]` — with no positional
@@ -91,15 +83,18 @@
 //! the newest checked-in `BENCH_PR{n}.json`, which doubles as the
 //! baseline.
 
+use std::fmt;
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hypre_bench::baseline::{HashSetAlgebra, SeedPeps};
 use hypre_bench::bitset_baseline::{BitsetAlgebra, BitsetPeps};
 use hypre_bench::timing::median_time;
 use hypre_bench::{serving, Fixture};
 use hypre_core::prelude::*;
+use relstore::{ColRef, SelectQuery};
 
 /// Maximum tolerated slowdown of a headline row versus the baseline
 /// report before the run fails (1.25 = 25 % regression budget).
@@ -108,181 +103,153 @@ const GUARD_MAX_REGRESSION: f64 = 1.25;
 /// Sections the regression guard watches.
 const HEADLINE_SECTIONS: [&str; 2] = ["pairwise_build", "peps_top_k"];
 
-/// One comparison row: median nanoseconds per generation.
+/// Worker counts the `--scaling` curves sweep.
+const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The per-corpus sections, in run order.
+const SECTIONS: [fn(&Corpus) -> Vec<Row>; 10] = [
+    headline,
+    containers,
+    multi_session,
+    live_ingest,
+    storage,
+    batched_serving,
+    graph_workload,
+    scaling,
+    set_algebra,
+    ablation,
+];
+
+/// One metric value: an integer (nanoseconds, bytes, counts) or a ratio.
+#[derive(Debug, Clone, Copy)]
+enum Metric {
+    Count(u128),
+    Ratio(f64),
+}
+
+impl fmt::Display for Metric {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Metric::Count(v) => write!(f, "{v}"),
+            Metric::Ratio(v) => write!(f, "{v:.2}"),
+        }
+    }
+}
+
+/// One report row: the guard's `(section, name, papers)` key plus named
+/// metrics in output order.
+#[derive(Debug)]
 struct Row {
     section: &'static str,
     name: String,
     papers: usize,
-    adaptive_ns: u128,
-    bitset_ns: u128,
-    hashset_ns: u128,
+    metrics: Vec<(&'static str, Metric)>,
 }
 
 impl Row {
-    /// Speedup of the adaptive engine over the pure-bitmap generation.
-    fn vs_bitset(&self) -> f64 {
-        self.bitset_ns as f64 / self.adaptive_ns.max(1) as f64
+    fn new(section: &'static str, name: impl Into<String>, papers: usize) -> Row {
+        Row {
+            section,
+            name: name.into(),
+            papers,
+            metrics: Vec::new(),
+        }
     }
 
-    /// Speedup of the adaptive engine over the seed generation.
-    fn vs_hashset(&self) -> f64 {
-        self.hashset_ns as f64 / self.adaptive_ns.max(1) as f64
+    fn count(mut self, key: &'static str, value: u128) -> Row {
+        self.metrics.push((key, Metric::Count(value)));
+        self
+    }
+
+    /// Appends `num / den` (a zero denominator counts as 1).
+    fn ratio(mut self, key: &'static str, num: u128, den: u128) -> Row {
+        self.metrics
+            .push((key, Metric::Ratio(num as f64 / den.max(1) as f64)));
+        self
+    }
+
+    fn get(&self, key: &str) -> Option<u128> {
+        self.metrics.iter().find_map(|(k, v)| match v {
+            Metric::Count(c) if *k == key => Some(*c),
+            _ => None,
+        })
+    }
+
+    fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\"section\":\"{}\",\"name\":\"{}\",\"papers\":{}",
+            self.section, self.name, self.papers
+        );
+        for (key, value) in &self.metrics {
+            let _ = write!(out, ",\"{key}\":{value}");
+        }
+        out.push('}');
+        out
+    }
+
+    fn to_text(&self) -> String {
+        let mut out = format!(
+            "{:>19} {:<22} n={:<8}",
+            self.section, self.name, self.papers
+        );
+        for (key, value) in &self.metrics {
+            let _ = write!(out, " {key}={value}");
+        }
+        out
     }
 }
 
-/// One memory row: container bytes for a profile tuple set under both
-/// dense generations, tagged with the adaptive container it picked.
-struct MemRow {
-    papers: usize,
-    name: String,
-    container: &'static str,
-    cardinality: usize,
-    adaptive_bytes: usize,
-    bitset_bytes: usize,
-}
-
-/// One parallel row: a warm parallel phase at a worker count
-/// (`pairwise_build_parallel` or `peps_parallel`).
-struct ParallelRow {
+/// A three-generation comparison row: adaptive engine, PR 1 bitset
+/// control, seed hash-set engine, and the adaptive engine's speedups.
+fn engines(
     section: &'static str,
+    name: impl Into<String>,
     papers: usize,
-    threads: usize,
-    ns: u128,
+    adaptive_ns: u128,
+    bitset_ns: u128,
+    hashset_ns: u128,
+) -> Row {
+    Row::new(section, name, papers)
+        .count("adaptive_ns", adaptive_ns)
+        .count("bitset_ns", bitset_ns)
+        .count("hashset_ns", hashset_ns)
+        .ratio("vs_bitset", bitset_ns, adaptive_ns)
+        .ratio("vs_hashset", hashset_ns, adaptive_ns)
 }
 
-/// One container-census row: how many of the profile's tuple sets picked
-/// a container, and what they cost against the pure-bitmap generation.
-struct ContainerRow {
+/// One `BENCH_SIZES` corpus and its memo-warmed engines, shared by every
+/// per-corpus section.
+struct Corpus<'a, 'db> {
     papers: usize,
-    container: &'static str,
-    sets: usize,
-    adaptive_bytes: usize,
-    bitset_bytes: usize,
-}
-
-/// One serving row: N sessions cold versus over a shared snapshot.
-struct MultiSessionRow {
-    papers: usize,
-    sessions: usize,
-    cold_ns: u128,
-    shared_ns: u128,
-    warm_build_ns: u128,
-}
-
-/// One live-ingest row: appending a delta into a warmed snapshot versus
-/// a cold full re-warm over the grown corpus.
-struct LiveIngestRow {
-    papers: usize,
-    delta_rows: usize,
-    changed_predicates: usize,
-    ingest_ns: u128,
-    rewarm_ns: u128,
-}
-
-/// Worker counts the `--scaling` curves sweep.
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// One scaling-curve row: a warm parallel phase at a worker count, for
-/// the multi-core curves the `--scaling` mode emits, plus the summed
-/// work-stealing counters (`crate::steal`) of one instrumented run of
-/// the phase — tasks claimed, successful steals, idle victim probes.
-/// Phases that never enter the work-stealing pool report zeros.
-/// Non-headline (no `name` field in the JSON), so the regression guard
-/// ignores it.
-struct ScalingRow {
-    phase: &'static str,
-    papers: usize,
-    threads: usize,
-    ns: u128,
-    tasks: usize,
-    steals: usize,
-    idle_probes: usize,
-}
-
-/// One storage row (PR 9): the columnar `distinct_row_set` plan versus
-/// the row-materialising reference over the identical query. Custom
-/// field names keep it out of the regression guard.
-struct StorageScanRow {
-    papers: usize,
-    name: &'static str,
-    rows_out: usize,
-    columnar_ns: u128,
-    rowwise_ns: u128,
-}
-
-/// One snapshot row (PR 9): persisting a warmed `ProfileCache` to the
-/// versioned binary snapshot format versus re-warming the same profile
-/// from SQL.
-struct StorageSnapRow {
-    papers: usize,
-    sets: usize,
-    snapshot_bytes: u64,
-    save_ns: u128,
-    load_ns: u128,
-    rewarm_ns: u128,
-}
-
-/// One million-paper gate row (PR 9, `--bench-1m`): a single-shot
-/// end-to-end phase timing over the streamed corpus — these phases run
-/// seconds to minutes, so they are timed once with [`time_once`]
-/// instead of the median-of-5 harness.
-struct StorageMillionRow {
-    papers: usize,
-    phase: &'static str,
-    ns: u128,
-    detail: String,
-}
-
-/// One batched-serving row: a Zipf session mix served unbatched versus
-/// through one `BatchScheduler` run.
-struct BatchedServingRow {
-    papers: usize,
-    sessions: usize,
-    profiles: usize,
-    groups: usize,
-    shared: usize,
-    unbatched_ns: u128,
-    batched_ns: u128,
-}
-
-/// One graph-workload row (PR 10): a stage of the graph-derived pipeline
-/// — property-graph build, co-occurrence derivation, DSL compile, PEPS
-/// top-k over derived atoms. Non-headline: the `stage` field (no `name`)
-/// keeps every row out of the regression guard and the delta printer.
-struct GraphWorkloadRow {
-    papers: usize,
-    stage: &'static str,
-    ns: u128,
-    detail: String,
+    fx: &'db Fixture,
+    /// The rich study user's positive profile.
+    atoms: &'a [PrefAtom],
+    exec: &'a Executor<'db>,
+    pairs: &'a PairwiseCache,
+    bitset: &'a BitsetAlgebra<'a, 'db>,
+    hashset: &'a HashSetAlgebra<'a, 'db>,
+    /// Whether the `--scaling` curves run (requested, and cores > 1).
+    scaling: bool,
+    /// Whether this is the smallest corpus (the `ablation` section's).
+    smallest: bool,
 }
 
 fn measure<R>(f: impl FnMut() -> R) -> u128 {
     median_time(5, Duration::from_millis(120), f).as_nanos()
 }
 
-/// Times one execution of `f` — for the `--bench-1m` phases, where a
-/// single run already takes seconds and median-of-5 would be wasteful.
+/// Times one execution of `f` and returns its output — for phases that
+/// take seconds per run, or that build what the next phase consumes.
 fn time_once<R>(f: impl FnOnce() -> R) -> (u128, R) {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let out = f();
     (start.elapsed().as_nanos(), out)
 }
 
-/// Drains the process-wide work-stealing counters and sums them across
-/// workers: `(tasks, steals, idle_probes)`.
-fn steal_totals() -> (usize, usize, usize) {
-    take_cumulative_stats()
-        .iter()
-        .fold((0, 0, 0), |(t, s, p), w| {
-            (t + w.tasks, s + w.steals, p + w.idle_probes)
-        })
-}
-
 /// A sparse/range-heavy synthetic profile: year windows (whose tuple
 /// sets intern to contiguous id runs — run-container territory) plus
-/// single-author long-tail atoms (tiny arrays). This is the regime the
-/// PR 4 run container and clone-free COW expansion target, and the
-/// `sparse_k10` headline row measures.
+/// single-author long-tail atoms (tiny arrays). The `sparse_k10`
+/// headline row measures it.
 fn sparse_profile() -> Vec<PrefAtom> {
     [
         ("dblp.year>=1995", 0.9),
@@ -308,6 +275,606 @@ fn sparse_profile() -> Vec<PrefAtom> {
     .collect()
 }
 
+fn scan_query() -> SelectQuery {
+    SelectQuery::from("dblp").filter(
+        relstore::parse_predicate("dblp.year>=2005 OR dblp.year<1995")
+            .expect("static predicate parses"),
+    )
+}
+
+fn headline(c: &Corpus) -> Vec<Row> {
+    let (n, atoms, exec) = (c.papers, c.atoms, c.exec);
+    let (bitset, hashset) = (c.bitset, c.hashset);
+    let cold_ns = measure(|| {
+        PairwiseCache::build(atoms, &c.fx.executor())
+            .unwrap()
+            .applicable_count()
+    });
+    let mut rows = vec![
+        Row::new("pairwise_build_cold", "cold", n).count("adaptive_ns", cold_ns),
+        engines(
+            "pairwise_build",
+            "warm",
+            n,
+            measure(|| {
+                PairwiseCache::build(atoms, exec)
+                    .unwrap()
+                    .applicable_count()
+            }),
+            measure(|| bitset.pairwise_counts(atoms).unwrap().len()),
+            measure(|| hashset.pairwise_counts(atoms).unwrap().len()),
+        ),
+    ];
+    let peps = Peps::new(atoms, exec, c.pairs, PepsVariant::Complete);
+    let dense_peps = BitsetPeps::new(atoms, bitset, c.pairs, PepsVariant::Complete);
+    let seed_peps = SeedPeps::new(atoms, hashset, c.pairs, PepsVariant::Complete);
+    for k in [10usize, 100] {
+        rows.push(engines(
+            "peps_top_k",
+            format!("complete_k{k}"),
+            n,
+            measure(|| peps.top_k(k).unwrap().len()),
+            measure(|| dense_peps.top_k(k).unwrap().len()),
+            measure(|| seed_peps.top_k(k).unwrap().len()),
+        ));
+    }
+    let sparse = sparse_profile();
+    hashset.warm(&sparse).unwrap();
+    bitset.warm(&sparse).unwrap();
+    let sparse_pairs = PairwiseCache::build(&sparse, exec).unwrap();
+    let peps = Peps::new(&sparse, exec, &sparse_pairs, PepsVariant::Complete);
+    let dense_peps = BitsetPeps::new(&sparse, bitset, &sparse_pairs, PepsVariant::Complete);
+    let seed_peps = SeedPeps::new(&sparse, hashset, &sparse_pairs, PepsVariant::Complete);
+    rows.push(engines(
+        "peps_top_k",
+        "sparse_k10",
+        n,
+        measure(|| peps.top_k(10).unwrap().len()),
+        measure(|| dense_peps.top_k(10).unwrap().len()),
+        measure(|| seed_peps.top_k(10).unwrap().len()),
+    ));
+    rows
+}
+
+fn containers(c: &Corpus) -> Vec<Row> {
+    ["array", "runs", "bitmap"]
+        .into_iter()
+        .map(|kind| {
+            let (mut sets, mut adaptive_bytes, mut bitset_bytes) = (0u128, 0u128, 0u128);
+            for a in c.atoms {
+                let set = c.exec.tuple_set(&a.predicate).unwrap();
+                if set.container() == kind {
+                    sets += 1;
+                    adaptive_bytes += set.heap_bytes() as u128;
+                    bitset_bytes += c.bitset.tuple_set(&a.predicate).unwrap().heap_bytes() as u128;
+                }
+            }
+            Row::new("containers", kind, c.papers)
+                .count("sets", sets)
+                .count("adaptive_bytes", adaptive_bytes)
+                .count("bitset_bytes", bitset_bytes)
+        })
+        .collect()
+}
+
+/// Both shapes run their sessions concurrently (`hypre_bench::serving`),
+/// so the delta isolates what the snapshot buys rather than conflating it
+/// with thread-level parallelism.
+fn multi_session(c: &Corpus) -> Vec<Row> {
+    const SESSIONS: usize = 4;
+    let (db, atoms) = (&c.fx.db, c.atoms);
+    let warm_build_ns = measure(|| {
+        let warm = c.fx.executor();
+        let built = PairwiseCache::build(atoms, &warm).unwrap().entries().len();
+        (ProfileCache::snapshot(&warm).len(), built)
+    });
+    let cache = Arc::new(ProfileCache::snapshot(c.exec));
+    let base = BaseQuery::dblp();
+    let cold_ns = measure(|| serving::serve_cold_concurrent(db, &base, atoms, SESSIONS, 10));
+    let shared_ns = measure(|| serving::serve_shared_concurrent(db, &cache, atoms, SESSIONS, 10));
+    vec![Row::new("multi_session", "shared_vs_cold", c.papers)
+        .count("sessions", SESSIONS as u128)
+        .count("cold_ns", cold_ns)
+        .count("shared_ns", shared_ns)
+        .count("warm_build_ns", warm_build_ns)
+        .ratio("speedup", cold_ns, shared_ns)]
+}
+
+/// The incremental path re-scores only the predicates the delta touches;
+/// the alternative it must beat is a cold full re-warm.
+fn live_ingest(c: &Corpus) -> Vec<Row> {
+    let split = hypre_bench::ingest::split_corpus(&c.fx.dataset, 0.95);
+    let predicates: Vec<&relstore::Predicate> = c.atoms.iter().map(|a| &a.predicate).collect();
+    let base_cache = ProfileCache::warm(&split.base, BaseQuery::dblp(), predicates.clone())
+        .expect("base warm-up succeeds");
+    let (_, report) = base_cache
+        .ingest_delta(&split.full)
+        .expect("append-only delta ingests");
+    let ingest_ns = measure(|| base_cache.ingest_delta(&split.full).unwrap().1.new_tuples);
+    let rewarm_ns = measure(|| {
+        ProfileCache::warm(&split.full, BaseQuery::dblp(), predicates.clone())
+            .unwrap()
+            .len()
+    });
+    vec![Row::new("live_ingest", "delta_5pct", c.papers)
+        .count(
+            "delta_rows",
+            (split.delta_papers + split.delta_links) as u128,
+        )
+        .count("changed_predicates", report.changed.len() as u128)
+        .count("ingest_ns", ingest_ns)
+        .count("rewarm_ns", rewarm_ns)
+        .ratio("speedup", rewarm_ns, ingest_ns)]
+}
+
+/// Columnar plan versus the row-materialising reference on two shapes
+/// where both do the same logical work — an OR-of-ranges scan (no index
+/// seed) and a joined filter — then snapshot save/load versus what a
+/// load replaces: a cold SQL re-warm of the same predicates.
+fn storage(c: &Corpus) -> Vec<Row> {
+    let (n, db) = (c.papers, &c.fx.db);
+    let join_q = SelectQuery::from("dblp")
+        .join(
+            "dblp_author",
+            ColRef::parse("dblp.pid"),
+            ColRef::parse("dblp_author.pid"),
+        )
+        .filter(relstore::parse_predicate("dblp_author.aid<=25").expect("static predicate parses"));
+    let mut rows = Vec::new();
+    for (name, q) in [
+        ("scan_or_filter", &scan_query()),
+        ("joined_filter", &join_q),
+    ] {
+        let fast = q.distinct_row_set(db).unwrap();
+        let slow = q.distinct_row_set_rowwise(db).unwrap();
+        assert_eq!(fast, slow, "columnar and rowwise plans must agree ({name})");
+        let columnar_ns = measure(|| q.distinct_row_set(db).unwrap().len());
+        let rowwise_ns = measure(|| q.distinct_row_set_rowwise(db).unwrap().len());
+        rows.push(
+            Row::new("storage_1m", name, n)
+                .count("rows_out", fast.len() as u128)
+                .count("columnar_ns", columnar_ns)
+                .count("rowwise_ns", rowwise_ns)
+                .ratio("speedup", rowwise_ns, columnar_ns),
+        );
+    }
+
+    let snap_path =
+        std::env::temp_dir().join(format!("hypre_bench_{n}_{}.hyprsnap", std::process::id()));
+    let predicates: Vec<&relstore::Predicate> = c.atoms.iter().map(|a| &a.predicate).collect();
+    let rewarm = || {
+        ProfileCache::warm(db, BaseQuery::dblp(), predicates.clone())
+            .expect("profile warm-up succeeds")
+    };
+    let warm_cache = rewarm();
+    let save_ns = measure(|| warm_cache.save_to(&snap_path, None).unwrap());
+    let snapshot_bytes = std::fs::metadata(&snap_path)
+        .expect("snapshot written")
+        .len();
+    let load_ns = measure(|| ProfileCache::load_from(&snap_path, db).unwrap().0.len());
+    let _ = std::fs::remove_file(&snap_path);
+    let rewarm_ns = measure(|| rewarm().len());
+    rows.push(snapshot_row(
+        n,
+        warm_cache.len(),
+        snapshot_bytes,
+        save_ns,
+        load_ns,
+        rewarm_ns,
+    ));
+    rows
+}
+
+fn snapshot_row(
+    papers: usize,
+    sets: usize,
+    snapshot_bytes: u64,
+    save_ns: u128,
+    load_ns: u128,
+    rewarm_ns: u128,
+) -> Row {
+    Row::new("storage_1m", "snapshot", papers)
+        .count("sets", sets as u128)
+        .count("snapshot_bytes", u128::from(snapshot_bytes))
+        .count("save_ns", save_ns)
+        .count("load_ns", load_ns)
+        .count("rewarm_ns", rewarm_ns)
+        .ratio("speedup", rewarm_ns, load_ns)
+}
+
+/// The Zipf serving workload: profile variants (overlapping slices of the
+/// two study users' profiles) and one snapshot warmed with all of them.
+fn zipf_pool(c: &Corpus) -> (Vec<Vec<PrefAtom>>, Arc<ProfileCache>) {
+    let modest = c.fx.graph.positive_profile(c.fx.modest_user);
+    let profiles = hypre_bench::profile_variants(c.atoms, &modest);
+    let warm = c.fx.executor();
+    for atom in profiles.iter().flatten() {
+        warm.tuple_set(&atom.predicate).expect("variant predicate");
+    }
+    let cache = Arc::new(ProfileCache::snapshot(&warm));
+    (profiles, cache)
+}
+
+/// The unbatched baseline runs every session's own PEPS rounds over 4 OS
+/// threads; the batched shape evaluates each distinct profile identity
+/// once and demultiplexes.
+fn batched_serving(c: &Corpus) -> Vec<Row> {
+    let (profiles, cache) = zipf_pool(c);
+    let db = &c.fx.db;
+    let session_counts: &[usize] = if c.papers < 10_000 {
+        &[100, 400]
+    } else {
+        &[100]
+    };
+    let mut rows = Vec::new();
+    for &sessions in session_counts {
+        let mix = serving::zipf_session_mix(&profiles, sessions, 10, 1.1, 42);
+        let unbatched = || serving::serve_unbatched_sessions(db, &cache, &mix, 4);
+        let batched = || serving::serve_batched_sessions(db, &cache, &mix, Parallelism::threads(4));
+        let (batched_total, stats) = batched();
+        assert_eq!(
+            unbatched(),
+            batched_total,
+            "batched and unbatched serving must agree before timing"
+        );
+        let unbatched_ns = measure(unbatched);
+        let batched_ns = measure(|| batched().0);
+        rows.push(
+            Row::new("batched_serving", "zipf", c.papers)
+                .count("sessions", sessions as u128)
+                .count("profiles", profiles.len() as u128)
+                .count("groups", stats.groups as u128)
+                .count("shared", stats.shared as u128)
+                .count("unbatched_ns", unbatched_ns)
+                .count("batched_ns", batched_ns)
+                .ratio("speedup", unbatched_ns, batched_ns),
+        );
+    }
+    rows
+}
+
+fn graph_workload(c: &Corpus) -> Vec<Row> {
+    use dblp_workload::graph::PaperGraph;
+    let (n, dataset) = (c.papers, &c.fx.dataset);
+    let (build_ns, mut pg) =
+        time_once(|| PaperGraph::build(dataset).expect("corpus loads into the graph"));
+    let mut rows = vec![Row::new("graph_workload", "build_graph", n)
+        .count("ns", build_ns)
+        .count("nodes", pg.graph.node_count() as u128)
+        .count("edges", pg.graph.edge_count() as u128)];
+    let (derive_ns, (co_report, venue_report)) =
+        time_once(|| pg.derive_preference_edges(4).expect("derivation succeeds"));
+    rows.push(
+        Row::new("graph_workload", "derive_edges", n)
+            .count("ns", derive_ns)
+            .count("coauthor_pairs", co_report.pairs as u128)
+            .count("venue_pairs", venue_report.pairs as u128),
+    );
+    let catalog = pg.derived_catalog(dataset);
+    let author = dataset
+        .authors
+        .iter()
+        .max_by_key(|a| pg.coauthor_aids(a.aid).len())
+        .expect("corpus has authors");
+    let venue = dataset
+        .venues()
+        .into_iter()
+        .max_by_key(|v| pg.co_venues(v).len())
+        .expect("corpus has venues");
+    let source = format!(
+        "PROFILE bench OVER dblp {{
+            COAUTHOR_OF('{author_name}') @ 0.8;
+            SAME_VENUE_AS('{venue_name}') @ 0.5;
+            COAUTHOR_OF('{author_name}') PRIOR @ 0.6 year < 2005;
+        }}",
+        author_name = author.full_name.replace('\'', "''"),
+        venue_name = venue.replace('\'', "''"),
+    );
+    let compile = || {
+        parse_profile(&source)
+            .expect("bench profile parses")
+            .compile(UserId(999), &catalog)
+            .expect("bench profile compiles")
+            .atoms()
+            .expect("atoms build")
+    };
+    let compile_ns = measure(|| compile().len());
+    let g_atoms = compile();
+    rows.push(
+        Row::new("graph_workload", "dsl_compile", n)
+            .count("ns", compile_ns)
+            .count("atoms", g_atoms.len() as u128),
+    );
+    let g_exec = c.fx.executor();
+    let g_pairs = PairwiseCache::build(&g_atoms, &g_exec).expect("pairwise over derived atoms");
+    let g_peps = Peps::new(&g_atoms, &g_exec, &g_pairs, PepsVariant::Complete);
+    let topk_ns = measure(|| g_peps.top_k(10).expect("top-k over derived atoms").len());
+    rows.push(
+        Row::new("graph_workload", "graph_top_k", n)
+            .count("ns", topk_ns)
+            .count("k", 10),
+    );
+    rows
+}
+
+/// Multi-core scaling curves. Results are byte-identical at every worker
+/// count (`tests/parallel_equivalence.rs`), so the curves measure pure
+/// scheduling. Each phase is timed with the median harness, then run once
+/// more with the work-stealing counters drained so the row carries that
+/// run's tasks, steals and idle probes (zeros for a phase that never
+/// enters the pool).
+fn scaling(c: &Corpus) -> Vec<Row> {
+    if !c.scaling {
+        return Vec::new();
+    }
+    let (profiles, cache) = zipf_pool(c);
+    let mix = serving::zipf_session_mix(&profiles, 100, 10, 1.1, 42);
+    let peps = Peps::new(c.atoms, c.exec, c.pairs, PepsVariant::Complete);
+    let mut one_worker_ns = [0u128; 3];
+    let mut rows = Vec::new();
+    for threads in SCALING_THREADS {
+        let workers = Parallelism::threads(threads);
+        let pairwise = || {
+            PairwiseCache::build_with(c.atoms, c.exec, workers)
+                .unwrap()
+                .applicable_count()
+        };
+        let top_k = || {
+            c.exec.set_parallelism(workers);
+            let len = peps.top_k(100).unwrap().len();
+            c.exec.set_parallelism(Parallelism::Sequential);
+            len
+        };
+        let serve = || serving::serve_batched_sessions(&c.fx.db, &cache, &mix, workers).0;
+        let phases: [(&'static str, &dyn Fn() -> usize); 3] = [
+            ("pairwise_build", &pairwise),
+            ("peps_top_k", &top_k),
+            ("batched_serving", &serve),
+        ];
+        for (i, (phase, run)) in phases.into_iter().enumerate() {
+            let ns = measure(run);
+            let _ = take_cumulative_stats();
+            run();
+            let (tasks, steals, idle_probes) = take_cumulative_stats()
+                .iter()
+                .fold((0, 0, 0), |(t, s, p), w| {
+                    (t + w.tasks, s + w.steals, p + w.idle_probes)
+                });
+            if threads == 1 {
+                one_worker_ns[i] = ns;
+            }
+            rows.push(
+                Row::new("scaling", phase, c.papers)
+                    .count("threads", threads as u128)
+                    .count("ns", ns)
+                    .ratio("speedup_vs_1", one_worker_ns[i], ns)
+                    .count("tasks", tasks as u128)
+                    .count("steals", steals as u128)
+                    .count("idle_probes", idle_probes as u128),
+            );
+        }
+    }
+    rows
+}
+
+/// Micro-ops over the densest operand pair (bitmap containers) and the
+/// sparsest non-empty pair (array containers), with each operand's bytes
+/// in `memory`.
+fn set_algebra(c: &Corpus) -> Vec<Row> {
+    let (n, atoms, exec) = (c.papers, c.atoms, c.exec);
+    let counts: Vec<u64> = atoms
+        .iter()
+        .map(|a| exec.count(&a.predicate).unwrap())
+        .collect();
+    let mut idx: Vec<usize> = (0..atoms.len()).filter(|&i| counts[i] > 0).collect();
+    idx.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
+    let mut regimes = Vec::new();
+    if idx.len() >= 2 {
+        regimes.push(("set_algebra", idx[0], idx[1]));
+    } else {
+        eprintln!("  fewer than two non-empty tuple sets; skipping set_algebra sections");
+    }
+    if idx.len() >= 4 {
+        // Distinct from the dense pair, or the "sparse" rows would
+        // just re-measure the dense operands under a new label.
+        regimes.push(("set_algebra_sparse", idx[idx.len() - 1], idx[idx.len() - 2]));
+    } else if idx.len() >= 2 {
+        eprintln!("  profile too small for a distinct sparse pair; skipping set_algebra_sparse");
+    }
+    let mut rows = Vec::new();
+    for (section, i, j) in regimes {
+        let (pa, pb) = (&atoms[i].predicate, &atoms[j].predicate);
+        let (aa, ab) = (exec.tuple_set(pa).unwrap(), exec.tuple_set(pb).unwrap());
+        let (ba, bb) = (
+            c.bitset.tuple_set(pa).unwrap(),
+            c.bitset.tuple_set(pb).unwrap(),
+        );
+        let (ha, hb) = (
+            c.hashset.tuple_set(pa).unwrap(),
+            c.hashset.tuple_set(pb).unwrap(),
+        );
+        for (set_name, a_set, b_set) in [("a", &aa, &ba), ("b", &ab, &bb)] {
+            rows.push(
+                Row::new(
+                    "memory",
+                    format!("{section}/{set_name}:{}", a_set.container()),
+                    n,
+                )
+                .count("cardinality", a_set.count() as u128)
+                .count("adaptive_bytes", a_set.heap_bytes() as u128)
+                .count("bitset_bytes", b_set.heap_bytes() as u128),
+            );
+        }
+        rows.push(engines(
+            section,
+            "and_count",
+            n,
+            measure(|| aa.and_count(&ab)),
+            measure(|| ba.and_count(&bb)),
+            measure(|| ha.iter().filter(|v| hb.contains(*v)).count()),
+        ));
+        rows.push(engines(
+            section,
+            "or",
+            n,
+            measure(|| aa.or(&ab).count()),
+            measure(|| ba.or(&bb).count()),
+            measure(|| ha.union(&hb).count()),
+        ));
+        rows.push(engines(
+            section,
+            "and_not",
+            n,
+            measure(|| aa.and_not(&ab).count()),
+            measure(|| ba.and_not(&bb).count()),
+            measure(|| ha.difference(&hb).count()),
+        ));
+    }
+    rows
+}
+
+/// Two design choices measured against their alternatives: the
+/// dissertation's exponential intensity model (Eq. 4.1/4.2) against the
+/// linear one §4.4 allows, by graph load time; and the §5.5 pairwise
+/// cache (a cold build: one query per atom, then set intersections)
+/// against one `count_distinct` query per atom pair, as a direct reading
+/// of §5.5 against a SQL engine would run it.
+fn ablation(c: &Corpus) -> Vec<Row> {
+    if !c.smallest {
+        return Vec::new();
+    }
+    let (n, atoms, workload) = (c.papers, c.atoms, &c.fx.workload);
+    let load_ns = |model| {
+        measure(|| {
+            let mut graph = HypreGraph::with_config(model, DefaultValueStrategy::default());
+            graph
+                .load(&workload.quantitative, &workload.qualitative)
+                .unwrap();
+            graph.node_count()
+        })
+    };
+    let cache_ns = measure(|| {
+        PairwiseCache::build(atoms, &c.fx.executor())
+            .unwrap()
+            .applicable_count()
+    });
+    let base = BaseQuery::dblp();
+    let pid = ColRef::parse("dblp.pid");
+    // Seconds per run even at the smallest corpus: timed once.
+    let (per_pair_sql_ns, _) = time_once(|| {
+        let mut applicable = 0usize;
+        for (i, a) in atoms.iter().enumerate() {
+            for b in &atoms[i + 1..] {
+                let both = a.predicate.clone().and(b.predicate.clone());
+                if base
+                    .select_for(&both)
+                    .count_distinct(&c.fx.db, &pid)
+                    .unwrap()
+                    > 0
+                {
+                    applicable += 1;
+                }
+            }
+        }
+        applicable
+    });
+    vec![
+        Row::new("ablation", "intensity_model", n)
+            .count("exponential_ns", load_ns(IntensityModel::Exponential))
+            .count("linear_ns", load_ns(IntensityModel::Linear)),
+        Row::new("ablation", "pairwise_cache", n)
+            .count(
+                "pairs",
+                (atoms.len() * atoms.len().saturating_sub(1) / 2) as u128,
+            )
+            .count("cache_build_ns", cache_ns)
+            .count("per_pair_sql_ns", per_pair_sql_ns)
+            .ratio("speedup", per_pair_sql_ns, cache_ns),
+    ]
+}
+
+/// The million-paper gate (`--bench-1m`): streams the corpus straight
+/// into columnar segments, warms a fixed synthetic profile (preference
+/// extraction needs a materialised dataset, which streaming avoids), and
+/// records single-shot end-to-end timings for each serving phase.
+fn million_gate() -> Vec<Row> {
+    let m_papers: usize = std::env::var("BENCH_1M_PAPERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(1_000_000);
+    eprintln!("streaming {m_papers}-paper corpus (--bench-1m)…");
+    let config = dblp_workload::GeneratorConfig {
+        papers: m_papers,
+        authors: (m_papers * 2 / 5).max(50),
+        venues: (m_papers / 65).clamp(8, 120),
+        ..dblp_workload::GeneratorConfig::default()
+    };
+    let (build_ns, db) =
+        time_once(|| dblp_workload::load_streamed(&config).expect("streamed load succeeds"));
+    let n = db.table("dblp").expect("dblp loaded").len();
+    let link_rows = db.table("dblp_author").expect("links loaded").len();
+    let phase = |name: &'static str, ns: u128| Row::new("storage_1m", name, n).count("ns", ns);
+    let mut rows = vec![phase("load_streamed", build_ns).count("link_rows", link_rows as u128)];
+
+    let atoms = sparse_profile();
+    let predicates: Vec<&relstore::Predicate> = atoms.iter().map(|a| &a.predicate).collect();
+    let (warm_ns, cache) = time_once(|| {
+        ProfileCache::warm(&db, BaseQuery::dblp(), predicates).expect("million-paper warm succeeds")
+    });
+    rows.push(phase("profile_warm", warm_ns).count("sets", cache.len() as u128));
+
+    let cache = Arc::new(cache);
+    let session = Executor::with_cache(&db, Arc::clone(&cache)).expect("cached executor");
+    let (pair_ns, pairs) =
+        time_once(|| PairwiseCache::build(&atoms, &session).expect("pairwise build succeeds"));
+    rows.push(
+        phase("pairwise_build", pair_ns).count("applicable", pairs.applicable_count() as u128),
+    );
+
+    let peps = Peps::new(&atoms, &session, &pairs, PepsVariant::Complete);
+    let (topk_ns, top) = time_once(|| peps.top_k(10).expect("top-k succeeds"));
+    rows.push(phase("peps_top_k_k10", topk_ns).count("returned", top.len() as u128));
+
+    // Snapshot at scale: save + load once each; the re-warm comparison is
+    // the single-shot warm above over the same corpus and predicates.
+    let snap_path =
+        std::env::temp_dir().join(format!("hypre_bench_1m_{}.hyprsnap", std::process::id()));
+    let (save_ns, _) = time_once(|| {
+        cache
+            .save_to(&snap_path, Some(&pairs))
+            .expect("snapshot save")
+    });
+    let snapshot_bytes = std::fs::metadata(&snap_path)
+        .expect("snapshot written")
+        .len();
+    let (load_ns, loaded) =
+        time_once(|| ProfileCache::load_from(&snap_path, &db).expect("snapshot load"));
+    let _ = std::fs::remove_file(&snap_path);
+    rows.push(snapshot_row(
+        n,
+        loaded.0.len(),
+        snapshot_bytes,
+        save_ns,
+        load_ns,
+        warm_ns,
+    ));
+
+    let scan_q = scan_query();
+    let (columnar_ns, fast) = time_once(|| scan_q.distinct_row_set(&db).expect("columnar scan"));
+    let (rowwise_ns, slow) =
+        time_once(|| scan_q.distinct_row_set_rowwise(&db).expect("rowwise scan"));
+    assert_eq!(fast, slow, "columnar and rowwise plans must agree at 1M");
+    rows.push(
+        Row::new("storage_1m", "scan_or_filter", n)
+            .count("rows_out", fast.len() as u128)
+            .count("columnar_ns", columnar_ns)
+            .count("rowwise_ns", rowwise_ns)
+            .ratio("speedup", rowwise_ns, columnar_ns),
+    );
+    rows
+}
+
 /// The numeric suffix of a `BENCH_PR<n>.json` file name.
 fn bench_file_number(name: &str) -> Option<u32> {
     name.strip_prefix("BENCH_PR")?
@@ -316,13 +883,12 @@ fn bench_file_number(name: &str) -> Option<u32> {
         .ok()
 }
 
-/// Every `BENCH_PR*.json` in the current directory, newest (highest
-/// number) first. Note this sees the working tree, not the git index —
-/// `scripts/ci.sh` resolves the *checked-in* baseline via
-/// `git ls-files` and passes both names explicitly; this listing is the
-/// fallback for direct invocations.
-fn bench_files_newest_first() -> Vec<(u32, String)> {
-    let mut files: Vec<(u32, String)> = std::fs::read_dir(".")
+/// Every `BENCH_PR*.json` in `dir`, newest (highest number) first. Note
+/// this sees the working tree, not the git index — `scripts/ci.sh`
+/// resolves the *checked-in* baseline via `git ls-files` and passes both
+/// names explicitly; this listing is the fallback for direct invocations.
+fn bench_files_newest_first(dir: &Path) -> Vec<(u32, String)> {
+    let mut files: Vec<(u32, String)> = std::fs::read_dir(dir)
         .into_iter()
         .flatten()
         .flatten()
@@ -333,6 +899,26 @@ fn bench_files_newest_first() -> Vec<(u32, String)> {
         .collect();
     files.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
     files
+}
+
+/// The whole JSON report: a header, then one row object per line.
+fn render_report(
+    bench: &str,
+    sizes: &[usize],
+    cores: usize,
+    scaling: &str,
+    rows: &[Row],
+) -> String {
+    let mut json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"sizes\": {sizes:?},\n  \
+         \"available_parallelism\": {cores},\n  \"scaling\": \"{scaling}\",\n  \"rows\": [\n"
+    );
+    for (i, row) in rows.iter().enumerate() {
+        let sep = if i + 1 == rows.len() { "" } else { "," };
+        let _ = writeln!(json, "    {}{sep}", row.to_json());
+    }
+    json.push_str("  ]\n}\n");
+    json
 }
 
 fn main() {
@@ -351,7 +937,7 @@ fn main() {
         }
     }
     let mut args = positional.into_iter();
-    let known = bench_files_newest_first();
+    let known = bench_files_newest_first(Path::new("."));
     let out_path = args
         .next()
         .unwrap_or_else(|| format!("BENCH_PR{}.json", known.first().map_or(1, |(n, _)| n + 1)));
@@ -374,20 +960,7 @@ fn main() {
         eprintln!("BENCH_SIZES contained no usable sizes; using 2000,20000");
         sizes = vec![2_000, 20_000];
     }
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut mem: Vec<MemRow> = Vec::new();
-    let mut parallel: Vec<ParallelRow> = Vec::new();
-    let mut containers: Vec<ContainerRow> = Vec::new();
-    let mut multi: Vec<MultiSessionRow> = Vec::new();
-    let mut live: Vec<LiveIngestRow> = Vec::new();
-    let mut batched: Vec<BatchedServingRow> = Vec::new();
-    let mut graph_rows: Vec<GraphWorkloadRow> = Vec::new();
-    let mut scaling: Vec<ScalingRow> = Vec::new();
-    let mut storage_scans: Vec<StorageScanRow> = Vec::new();
-    let mut storage_snaps: Vec<StorageSnapRow> = Vec::new();
-    let mut storage_million: Vec<StorageMillionRow> = Vec::new();
-    let mut extra = String::new();
+    let smallest = sizes.iter().copied().min();
 
     let cores = Parallelism::Auto.workers();
     // The scaling curves only mean something with real cores behind
@@ -396,972 +969,62 @@ fn main() {
     // the headline guard never sees a core-count artifact.
     let measure_scaling = scaling_requested && cores > 1;
 
+    let mut rows: Vec<Row> = Vec::new();
     for &n in &sizes {
         eprintln!("building {n}-paper fixture…");
         let fx = Fixture::papers(n);
         let atoms = fx.graph.positive_profile(fx.rich_user);
         eprintln!("  profile: {} preferences", atoms.len());
-
-        // Cold adaptive build (includes the n SQL queries).
-        let cold_ns = measure(|| {
-            let fresh = fx.executor();
-            PairwiseCache::build(&atoms, &fresh)
-                .unwrap()
-                .applicable_count()
-        });
-        let _ = write!(
-            extra,
-            "{}{{\"section\":\"pairwise_build_cold\",\"papers\":{n},\"adaptive_ns\":{cold_ns}}}",
-            if extra.is_empty() { "" } else { ",\n    " },
-        );
-
-        // Warm engines: the comparison isolates set algebra.
         let exec = fx.executor();
-        let hashset = HashSetAlgebra::new(&exec);
+        let pairs = PairwiseCache::build(&atoms, &exec).expect("pairwise build succeeds");
         let bitset = BitsetAlgebra::new(&exec);
-        hashset.warm(&atoms).unwrap();
-        bitset.warm(&atoms).unwrap();
-        let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
-
-        rows.push(Row {
-            section: "pairwise_build",
-            name: "warm".to_owned(),
+        let hashset = HashSetAlgebra::new(&exec);
+        bitset.warm(&atoms).expect("bitset warm-up succeeds");
+        hashset.warm(&atoms).expect("hash-set warm-up succeeds");
+        let corpus = Corpus {
             papers: n,
-            adaptive_ns: measure(|| {
-                PairwiseCache::build(&atoms, &exec)
-                    .unwrap()
-                    .applicable_count()
-            }),
-            bitset_ns: measure(|| bitset.pairwise_counts(&atoms).unwrap().len()),
-            hashset_ns: measure(|| hashset.pairwise_counts(&atoms).unwrap().len()),
-        });
-
-        // PR 3: the same warm triangular pass, sharded (cost-weighted
-        // chunks since PR 4).
-        for threads in [1usize, 2, 4] {
-            parallel.push(ParallelRow {
-                section: "pairwise_build_parallel",
-                papers: n,
-                threads,
-                ns: measure(|| {
-                    PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads))
-                        .unwrap()
-                        .applicable_count()
-                }),
-            });
-        }
-
-        let peps = Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete);
-        let dense_peps = BitsetPeps::new(&atoms, &bitset, &pairs, PepsVariant::Complete);
-        let seed_peps = SeedPeps::new(&atoms, &hashset, &pairs, PepsVariant::Complete);
-        for k in [10usize, 100] {
-            rows.push(Row {
-                section: "peps_top_k",
-                name: format!("complete_k{k}"),
-                papers: n,
-                adaptive_ns: measure(|| peps.top_k(k).unwrap().len()),
-                bitset_ns: measure(|| dense_peps.top_k(k).unwrap().len()),
-                hashset_ns: measure(|| seed_peps.top_k(k).unwrap().len()),
-            });
-        }
-
-        // PR 4: the same top_k with the round expansions sharded across
-        // the executor's Parallelism workers.
-        for threads in [1usize, 2, 4] {
-            exec.set_parallelism(Parallelism::threads(threads));
-            parallel.push(ParallelRow {
-                section: "peps_parallel",
-                papers: n,
-                threads,
-                ns: measure(|| peps.top_k(100).unwrap().len()),
-            });
-        }
-        exec.set_parallelism(Parallelism::Sequential);
-
-        // PR 4: a sparse/range-heavy profile — year windows interning to
-        // contiguous id runs plus single-author long-tail atoms — the
-        // regime the run container and clone-free COW expansion target.
-        // A headline row: the guard covers it from this PR on.
-        let sparse_atoms = sparse_profile();
-        hashset.warm(&sparse_atoms).unwrap();
-        bitset.warm(&sparse_atoms).unwrap();
-        let sparse_pairs = PairwiseCache::build(&sparse_atoms, &exec).unwrap();
-        let sparse_peps = Peps::new(&sparse_atoms, &exec, &sparse_pairs, PepsVariant::Complete);
-        let sparse_dense =
-            BitsetPeps::new(&sparse_atoms, &bitset, &sparse_pairs, PepsVariant::Complete);
-        let sparse_seed = SeedPeps::new(
-            &sparse_atoms,
-            &hashset,
-            &sparse_pairs,
-            PepsVariant::Complete,
-        );
-        rows.push(Row {
-            section: "peps_top_k",
-            name: "sparse_k10".to_owned(),
-            papers: n,
-            adaptive_ns: measure(|| sparse_peps.top_k(10).unwrap().len()),
-            bitset_ns: measure(|| sparse_dense.top_k(10).unwrap().len()),
-            hashset_ns: measure(|| sparse_seed.top_k(10).unwrap().len()),
-        });
-
-        // PR 4: container census of the rich profile's tuple sets.
-        for kind in ["array", "runs", "bitmap"] {
-            let mut row = ContainerRow {
-                papers: n,
-                container: kind,
-                sets: 0,
-                adaptive_bytes: 0,
-                bitset_bytes: 0,
-            };
-            for a in &atoms {
-                let set = exec.tuple_set(&a.predicate).unwrap();
-                if set.container() == kind {
-                    row.sets += 1;
-                    row.adaptive_bytes += set.heap_bytes();
-                    row.bitset_bytes += bitset.tuple_set(&a.predicate).unwrap().heap_bytes();
-                }
-            }
-            containers.push(row);
-        }
-
-        // PR 3: multi-session serving — N sessions over one shared
-        // snapshot versus N cold executors re-running every query. Both
-        // shapes run their sessions concurrently (hypre_bench::serving),
-        // so the delta isolates what the snapshot buys rather than
-        // conflating it with thread-level parallelism.
-        const SESSIONS: usize = 4;
-        let warm_build_ns = measure(|| {
-            let warm = fx.executor();
-            let built = PairwiseCache::build(&atoms, &warm).unwrap().entries().len();
-            (ProfileCache::snapshot(&warm).len(), built)
-        });
-        let cache = Arc::new(ProfileCache::snapshot(&exec));
-        let base = BaseQuery::dblp();
-        multi.push(MultiSessionRow {
-            papers: n,
-            sessions: SESSIONS,
-            cold_ns: measure(|| {
-                serving::serve_cold_concurrent(&fx.db, &base, &atoms, SESSIONS, 10)
-            }),
-            shared_ns: measure(|| {
-                serving::serve_shared_concurrent(&fx.db, &cache, &atoms, SESSIONS, 10)
-            }),
-            warm_build_ns,
-        });
-
-        // PR 6: live ingest — warm once on a 95 % base corpus, then
-        // append the remaining 5 % as an append-only delta. The
-        // incremental path re-scores only the predicates the delta
-        // touches; the alternative is a cold full re-warm.
-        let split = hypre_bench::ingest::split_corpus(&fx.dataset, 0.95);
-        let predicates: Vec<&relstore::Predicate> = atoms.iter().map(|a| &a.predicate).collect();
-        let base_cache = ProfileCache::warm(&split.base, BaseQuery::dblp(), predicates.clone())
-            .expect("base warm-up succeeds");
-        let (_, report) = base_cache
-            .ingest_delta(&split.full)
-            .expect("append-only delta ingests");
-        live.push(LiveIngestRow {
-            papers: n,
-            delta_rows: split.delta_papers + split.delta_links,
-            changed_predicates: report.changed.len(),
-            ingest_ns: measure(|| base_cache.ingest_delta(&split.full).unwrap().1.new_tuples),
-            rewarm_ns: measure(|| {
-                ProfileCache::warm(&split.full, BaseQuery::dblp(), predicates.clone())
-                    .unwrap()
-                    .len()
-            }),
-        });
-
-        // PR 9: columnar segment storage. Two query shapes where the
-        // columnar plan and the row-materialising reference do the same
-        // logical work: an OR-of-ranges scan (no usable index seed, so
-        // both paths walk every driving row) and a joined filter (the
-        // plan membership-tests typed key segments; the reference
-        // builds the generic hash-join pipeline).
-        let scan_q = relstore::SelectQuery::from("dblp").filter(
-            relstore::parse_predicate("dblp.year>=2005 OR dblp.year<1995")
-                .expect("static predicate parses"),
-        );
-        let join_q = relstore::SelectQuery::from("dblp")
-            .join(
-                "dblp_author",
-                relstore::ColRef::parse("dblp.pid"),
-                relstore::ColRef::parse("dblp_author.pid"),
-            )
-            .filter(
-                relstore::parse_predicate("dblp_author.aid<=25").expect("static predicate parses"),
-            );
-        for (name, q) in [("scan_or_filter", &scan_q), ("joined_filter", &join_q)] {
-            let fast = q.distinct_row_set(&fx.db).unwrap();
-            let slow = q.distinct_row_set_rowwise(&fx.db).unwrap();
-            assert_eq!(fast, slow, "columnar and rowwise plans must agree ({name})");
-            storage_scans.push(StorageScanRow {
-                papers: n,
-                name,
-                rows_out: fast.len(),
-                columnar_ns: measure(|| q.distinct_row_set(&fx.db).unwrap().len()),
-                rowwise_ns: measure(|| q.distinct_row_set_rowwise(&fx.db).unwrap().len()),
-            });
-        }
-
-        // PR 9: warm-snapshot persistence — save the warmed profile
-        // cache to the versioned binary format, load it back, and
-        // compare the load against what it replaces: a cold SQL
-        // re-warm of the same predicates.
-        let snap_path =
-            std::env::temp_dir().join(format!("hypre_bench_{n}_{}.hyprsnap", std::process::id()));
-        let warm_cache = ProfileCache::warm(&fx.db, BaseQuery::dblp(), predicates.clone())
-            .expect("profile warm-up succeeds");
-        let save_ns = measure(|| warm_cache.save_to(&snap_path, None).unwrap());
-        let snapshot_bytes = std::fs::metadata(&snap_path)
-            .expect("snapshot written")
-            .len();
-        storage_snaps.push(StorageSnapRow {
-            papers: n,
-            sets: warm_cache.len(),
-            snapshot_bytes,
-            save_ns,
-            load_ns: measure(|| ProfileCache::load_from(&snap_path, &fx.db).unwrap().0.len()),
-            rewarm_ns: measure(|| {
-                ProfileCache::warm(&fx.db, BaseQuery::dblp(), predicates.clone())
-                    .unwrap()
-                    .len()
-            }),
-        });
-        let _ = std::fs::remove_file(&snap_path);
-
-        // PR 7: batched cross-session serving. Sessions draw their
-        // profile Zipf-popularly from the variant pool (overlapping
-        // slices of the two study users' profiles), so a real mix of
-        // hot and long-tail identities reaches the scheduler. The
-        // unbatched baseline runs every session's own PEPS rounds over
-        // 4 OS threads; the batched shape evaluates each distinct
-        // profile identity once and demultiplexes.
-        let modest_atoms = fx.graph.positive_profile(fx.modest_user);
-        let profiles = hypre_bench::profile_variants(&atoms, &modest_atoms);
-        let zipf_cache = {
-            let warm = fx.executor();
-            for profile in &profiles {
-                for atom in profile {
-                    warm.tuple_set(&atom.predicate).expect("variant predicate");
-                }
-            }
-            Arc::new(ProfileCache::snapshot(&warm))
+            fx: &fx,
+            atoms: &atoms,
+            exec: &exec,
+            pairs: &pairs,
+            bitset: &bitset,
+            hashset: &hashset,
+            scaling: measure_scaling,
+            smallest: Some(n) == smallest,
         };
-        let session_counts: &[usize] = if n < 10_000 { &[100, 400] } else { &[100] };
-        for &sessions in session_counts {
-            let mix = serving::zipf_session_mix(&profiles, sessions, 10, 1.1, 42);
-            let unbatched_total = serving::serve_unbatched_sessions(&fx.db, &zipf_cache, &mix, 4);
-            let (batched_total, stats) =
-                serving::serve_batched_sessions(&fx.db, &zipf_cache, &mix, Parallelism::threads(4));
-            assert_eq!(
-                unbatched_total, batched_total,
-                "batched and unbatched serving must agree before timing"
-            );
-            batched.push(BatchedServingRow {
-                papers: n,
-                sessions,
-                profiles: profiles.len(),
-                groups: stats.groups,
-                shared: stats.shared,
-                unbatched_ns: measure(|| {
-                    serving::serve_unbatched_sessions(&fx.db, &zipf_cache, &mix, 4)
-                }),
-                batched_ns: measure(|| {
-                    serving::serve_batched_sessions(
-                        &fx.db,
-                        &zipf_cache,
-                        &mix,
-                        Parallelism::threads(4),
-                    )
-                    .0
-                }),
-            });
-        }
-
-        // PR 10: the graph-derived workload family — corpus into the
-        // property graph, co-occurrence derivation, a DSL profile naming
-        // the derived atoms, and PEPS top-k over them. Non-headline
-        // (`stage` field, no `name`), so the guard never sees it.
-        {
-            use dblp_workload::graph::PaperGraph;
-            let (build_ns, mut pg) =
-                time_once(|| PaperGraph::build(&fx.dataset).expect("corpus loads into the graph"));
-            graph_rows.push(GraphWorkloadRow {
-                papers: n,
-                stage: "build_graph",
-                ns: build_ns,
-                detail: format!(
-                    "{} nodes, {} edges",
-                    pg.graph.node_count(),
-                    pg.graph.edge_count()
-                ),
-            });
-            let (derive_ns, (co_report, venue_report)) =
-                time_once(|| pg.derive_preference_edges(4).expect("derivation succeeds"));
-            graph_rows.push(GraphWorkloadRow {
-                papers: n,
-                stage: "derive_edges",
-                ns: derive_ns,
-                detail: format!(
-                    "{} coauthor + {} venue pairs",
-                    co_report.pairs, venue_report.pairs
-                ),
-            });
-            let catalog = pg.derived_catalog(&fx.dataset);
-            let author = fx
-                .dataset
-                .authors
-                .iter()
-                .max_by_key(|a| pg.coauthor_aids(a.aid).len())
-                .expect("corpus has authors");
-            let venue = fx
-                .dataset
-                .venues()
-                .into_iter()
-                .map(String::from)
-                .max_by_key(|v| pg.co_venues(v).len())
-                .expect("corpus has venues");
-            let source = format!(
-                "PROFILE bench OVER dblp {{
-                    COAUTHOR_OF('{author_name}') @ 0.8;
-                    SAME_VENUE_AS('{venue_name}') @ 0.5;
-                    COAUTHOR_OF('{author_name}') PRIOR @ 0.6 year < 2005;
-                }}",
-                author_name = author.full_name.replace('\'', "''"),
-                venue_name = venue.replace('\'', "''"),
-            );
-            let compile_ns = measure(|| {
-                parse_profile(&source)
-                    .expect("bench profile parses")
-                    .compile(UserId(999), &catalog)
-                    .expect("bench profile compiles")
-                    .atoms()
-                    .expect("atoms build")
-                    .len()
-            });
-            let g_atoms = parse_profile(&source)
-                .expect("bench profile parses")
-                .compile(UserId(999), &catalog)
-                .expect("bench profile compiles")
-                .atoms()
-                .expect("atoms build");
-            graph_rows.push(GraphWorkloadRow {
-                papers: n,
-                stage: "dsl_compile",
-                ns: compile_ns,
-                detail: format!("{} positive atoms", g_atoms.len()),
-            });
-            let g_exec = fx.executor();
-            let g_pairs =
-                PairwiseCache::build(&g_atoms, &g_exec).expect("pairwise over derived atoms");
-            let g_peps = Peps::new(&g_atoms, &g_exec, &g_pairs, PepsVariant::Complete);
-            let topk_ns = measure(|| g_peps.top_k(10).expect("top-k over derived atoms").len());
-            graph_rows.push(GraphWorkloadRow {
-                papers: n,
-                stage: "graph_top_k",
-                ns: topk_ns,
-                detail: "k=10".to_owned(),
-            });
-        }
-
-        // PR 8: multi-core scaling curves (only with --scaling, and
-        // only when the host actually has cores to scale over). Three
-        // phases per thread count: the cost-weighted work-stealing
-        // pairwise build, PEPS top-k with work-stealing rounds, and
-        // batched Zipf serving through the scheduler. Results are
-        // byte-identical at every count (tests/parallel_equivalence.rs
-        // pins this), so the curves measure pure scheduling.
-        if measure_scaling {
-            // Each phase is timed with the median harness, then run
-            // once more with the cumulative steal counters drained so
-            // the row carries the per-run work-stealing profile.
-            let scaling_mix = serving::zipf_session_mix(&profiles, 100, 10, 1.1, 42);
-            for threads in SCALING_THREADS {
-                let ns = measure(|| {
-                    PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads))
-                        .unwrap()
-                        .applicable_count()
-                });
-                let _ = take_cumulative_stats();
-                PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads))
-                    .unwrap()
-                    .applicable_count();
-                let (tasks, steals, idle_probes) = steal_totals();
-                scaling.push(ScalingRow {
-                    phase: "pairwise_build",
-                    papers: n,
-                    threads,
-                    ns,
-                    tasks,
-                    steals,
-                    idle_probes,
-                });
-                exec.set_parallelism(Parallelism::threads(threads));
-                let ns = measure(|| peps.top_k(100).unwrap().len());
-                let _ = take_cumulative_stats();
-                peps.top_k(100).unwrap();
-                let (tasks, steals, idle_probes) = steal_totals();
-                scaling.push(ScalingRow {
-                    phase: "peps_top_k",
-                    papers: n,
-                    threads,
-                    ns,
-                    tasks,
-                    steals,
-                    idle_probes,
-                });
-                exec.set_parallelism(Parallelism::Sequential);
-                let ns = measure(|| {
-                    serving::serve_batched_sessions(
-                        &fx.db,
-                        &zipf_cache,
-                        &scaling_mix,
-                        Parallelism::threads(threads),
-                    )
-                    .0
-                });
-                let _ = take_cumulative_stats();
-                serving::serve_batched_sessions(
-                    &fx.db,
-                    &zipf_cache,
-                    &scaling_mix,
-                    Parallelism::threads(threads),
-                );
-                let (tasks, steals, idle_probes) = steal_totals();
-                scaling.push(ScalingRow {
-                    phase: "batched_serving",
-                    papers: n,
-                    threads,
-                    ns,
-                    tasks,
-                    steals,
-                    idle_probes,
-                });
-            }
-        }
-
-        // Operand picks: densest pair (bitmap containers) and sparsest
-        // non-empty pair (array containers).
-        let counts: Vec<u64> = atoms
-            .iter()
-            .map(|a| exec.count(&a.predicate).unwrap())
-            .collect();
-        let mut idx: Vec<usize> = (0..atoms.len()).filter(|&i| counts[i] > 0).collect();
-        idx.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
-        let mut regimes = Vec::new();
-        if idx.len() >= 2 {
-            regimes.push(("set_algebra", idx[0], idx[1]));
-        } else {
-            eprintln!("  fewer than two non-empty tuple sets; skipping set_algebra sections");
-        }
-        if idx.len() >= 4 {
-            // Distinct from the dense pair, or the "sparse" rows would
-            // just re-measure the dense operands under a new label.
-            regimes.push(("set_algebra_sparse", idx[idx.len() - 1], idx[idx.len() - 2]));
-        } else if idx.len() >= 2 {
-            eprintln!(
-                "  profile too small for a distinct sparse pair; skipping set_algebra_sparse"
-            );
-        }
-        for (section, i, j) in regimes {
-            let (pa, pb) = (&atoms[i].predicate, &atoms[j].predicate);
-            let (aa, ab) = (exec.tuple_set(pa).unwrap(), exec.tuple_set(pb).unwrap());
-            let (ba, bb) = (bitset.tuple_set(pa).unwrap(), bitset.tuple_set(pb).unwrap());
-            let (ha, hb) = (
-                hashset.tuple_set(pa).unwrap(),
-                hashset.tuple_set(pb).unwrap(),
-            );
-            eprintln!(
-                "  {section}: operand sets of {} and {} tuples ({} / {} containers)",
-                aa.count(),
-                ab.count(),
-                aa.container(),
-                ab.container(),
-            );
-            for (set_name, a_set, b_set) in [("a", &aa, &ba), ("b", &ab, &bb)] {
-                mem.push(MemRow {
-                    papers: n,
-                    name: format!("{section}/{set_name}"),
-                    container: a_set.container(),
-                    cardinality: a_set.count(),
-                    adaptive_bytes: a_set.heap_bytes(),
-                    bitset_bytes: b_set.heap_bytes(),
-                });
-            }
-
-            rows.push(Row {
-                section,
-                name: "and_count".to_owned(),
-                papers: n,
-                adaptive_ns: measure(|| aa.and_count(&ab)),
-                bitset_ns: measure(|| ba.and_count(&bb)),
-                hashset_ns: measure(|| ha.iter().filter(|v| hb.contains(*v)).count()),
-            });
-            rows.push(Row {
-                section,
-                name: "or".to_owned(),
-                papers: n,
-                adaptive_ns: measure(|| aa.or(&ab).count()),
-                bitset_ns: measure(|| ba.or(&bb).count()),
-                hashset_ns: measure(|| ha.union(&hb).count()),
-            });
-            rows.push(Row {
-                section,
-                name: "and_not".to_owned(),
-                papers: n,
-                adaptive_ns: measure(|| aa.and_not(&ab).count()),
-                bitset_ns: measure(|| ba.and_not(&bb).count()),
-                hashset_ns: measure(|| ha.difference(&hb).count()),
-            });
+        for section in SECTIONS {
+            rows.extend(section(&corpus));
         }
     }
-
-    // PR 9: the million-paper gate. Streams the corpus straight into
-    // columnar segments (`load_streamed` — no materialised dataset on
-    // the way in), warms a fixed synthetic profile (preference
-    // extraction needs a materialised dataset, which is exactly what
-    // streaming avoids), and records single-shot end-to-end timings
-    // for each serving phase at scale.
     if bench_1m {
-        let m_papers: usize = std::env::var("BENCH_1M_PAPERS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1_000_000);
-        eprintln!("streaming {m_papers}-paper corpus (--bench-1m)…");
-        let config = dblp_workload::GeneratorConfig {
-            papers: m_papers,
-            authors: (m_papers * 2 / 5).max(50),
-            venues: (m_papers / 65).clamp(8, 120),
-            ..dblp_workload::GeneratorConfig::default()
-        };
-        let (build_ns, db) =
-            time_once(|| dblp_workload::load_streamed(&config).expect("streamed load succeeds"));
-        let paper_rows = db.table("dblp").expect("dblp loaded").len();
-        let link_rows = db.table("dblp_author").expect("links loaded").len();
-        storage_million.push(StorageMillionRow {
-            papers: paper_rows,
-            phase: "load_streamed",
-            ns: build_ns,
-            detail: format!("paper_rows={paper_rows} link_rows={link_rows}"),
-        });
-
-        let atoms = sparse_profile();
-        let predicates: Vec<&relstore::Predicate> = atoms.iter().map(|a| &a.predicate).collect();
-        let (warm_ns, cache) = time_once(|| {
-            ProfileCache::warm(&db, BaseQuery::dblp(), predicates.clone())
-                .expect("million-paper warm succeeds")
-        });
-        storage_million.push(StorageMillionRow {
-            papers: paper_rows,
-            phase: "profile_warm",
-            ns: warm_ns,
-            detail: format!("sets={}", cache.len()),
-        });
-
-        let cache = Arc::new(cache);
-        let session = Executor::with_cache(&db, Arc::clone(&cache)).expect("cached executor");
-        let (pair_ns, pairs) =
-            time_once(|| PairwiseCache::build(&atoms, &session).expect("pairwise build succeeds"));
-        storage_million.push(StorageMillionRow {
-            papers: paper_rows,
-            phase: "pairwise_build",
-            ns: pair_ns,
-            detail: format!("applicable={}", pairs.applicable_count()),
-        });
-
-        let peps = Peps::new(&atoms, &session, &pairs, PepsVariant::Complete);
-        let (topk_ns, top) = time_once(|| peps.top_k(10).expect("top-k succeeds"));
-        storage_million.push(StorageMillionRow {
-            papers: paper_rows,
-            phase: "peps_top_k_k10",
-            ns: topk_ns,
-            detail: format!("returned={}", top.len()),
-        });
-
-        // Snapshot at scale: save + load once each; the re-warm
-        // comparison is the single-shot warm measured above over the
-        // same corpus and predicates.
-        let snap_path =
-            std::env::temp_dir().join(format!("hypre_bench_1m_{}.hyprsnap", std::process::id()));
-        let (save_ns, _) = time_once(|| {
-            cache
-                .save_to(&snap_path, Some(&pairs))
-                .expect("snapshot save")
-        });
-        let snapshot_bytes = std::fs::metadata(&snap_path)
-            .expect("snapshot written")
-            .len();
-        let (load_ns, loaded) =
-            time_once(|| ProfileCache::load_from(&snap_path, &db).expect("snapshot load"));
-        let _ = std::fs::remove_file(&snap_path);
-        storage_snaps.push(StorageSnapRow {
-            papers: paper_rows,
-            sets: loaded.0.len(),
-            snapshot_bytes,
-            save_ns,
-            load_ns,
-            rewarm_ns: warm_ns,
-        });
-
-        let scan_q = relstore::SelectQuery::from("dblp").filter(
-            relstore::parse_predicate("dblp.year>=2005 OR dblp.year<1995")
-                .expect("static predicate parses"),
-        );
-        let (columnar_ns, fast) =
-            time_once(|| scan_q.distinct_row_set(&db).expect("columnar scan"));
-        let (rowwise_ns, slow) =
-            time_once(|| scan_q.distinct_row_set_rowwise(&db).expect("rowwise scan"));
-        assert_eq!(fast, slow, "columnar and rowwise plans must agree at 1M");
-        storage_scans.push(StorageScanRow {
-            papers: paper_rows,
-            name: "scan_or_filter",
-            rows_out: fast.len(),
-            columnar_ns,
-            rowwise_ns,
-        });
+        rows.extend(million_gate());
     }
 
-    let mut json = String::from("{\n");
-    let _ = write!(
-        json,
-        "  \"bench\": \"{}\",\n  \"sizes\": {:?},\n  \"available_parallelism\": {cores},\n  \"cold\": [\n    {extra}\n  ],\n  \"results\": [\n",
-        out_path.trim_end_matches(".json"),
-        sizes
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"{}\",\"name\":\"{}\",\"papers\":{},\"adaptive_ns\":{},\"bitset_ns\":{},\"hashset_ns\":{},\"vs_bitset\":{:.2},\"vs_hashset\":{:.2}}}{}",
-            r.section,
-            r.name,
-            r.papers,
-            r.adaptive_ns,
-            r.bitset_ns,
-            r.hashset_ns,
-            r.vs_bitset(),
-            r.vs_hashset(),
-            if i + 1 == rows.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"parallel\": [\n");
-    for (i, p) in parallel.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"{}\",\"papers\":{},\"threads\":{},\"ns\":{}}}{}",
-            p.section,
-            p.papers,
-            p.threads,
-            p.ns,
-            if i + 1 == parallel.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"containers\": [\n");
-    for (i, c) in containers.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"container\":\"{}\",\"sets\":{},\"adaptive_bytes\":{},\"bitset_bytes\":{}}}{}",
-            c.papers,
-            c.container,
-            c.sets,
-            c.adaptive_bytes,
-            c.bitset_bytes,
-            if i + 1 == containers.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"multi_session\": [\n");
-    for (i, m) in multi.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"sessions\":{},\"cold_ns\":{},\"shared_ns\":{},\"warm_build_ns\":{},\"speedup\":{:.2}}}{}",
-            m.papers,
-            m.sessions,
-            m.cold_ns,
-            m.shared_ns,
-            m.warm_build_ns,
-            m.cold_ns as f64 / m.shared_ns.max(1) as f64,
-            if i + 1 == multi.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"live_ingest\": [\n");
-    for (i, l) in live.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"delta_rows\":{},\"changed_predicates\":{},\"ingest_ns\":{},\"rewarm_ns\":{},\"speedup\":{:.2}}}{}",
-            l.papers,
-            l.delta_rows,
-            l.changed_predicates,
-            l.ingest_ns,
-            l.rewarm_ns,
-            l.rewarm_ns as f64 / l.ingest_ns.max(1) as f64,
-            if i + 1 == live.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"batched_serving\": [\n");
-    for (i, b) in batched.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"sessions\":{},\"profiles\":{},\"groups\":{},\"shared\":{},\"unbatched_ns\":{},\"batched_ns\":{},\"speedup\":{:.2}}}{}",
-            b.papers,
-            b.sessions,
-            b.profiles,
-            b.groups,
-            b.shared,
-            b.unbatched_ns,
-            b.batched_ns,
-            b.unbatched_ns as f64 / b.batched_ns.max(1) as f64,
-            if i + 1 == batched.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ],\n  \"graph_workload\": [\n");
-    for (i, g) in graph_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"graph_workload\",\"papers\":{},\"stage\":\"{}\",\"ns\":{},\"detail\":\"{}\"}}{}",
-            g.papers,
-            g.stage,
-            g.ns,
-            g.detail,
-            if i + 1 == graph_rows.len() { "" } else { "," },
-        );
-    }
-    // PR 9 storage rows: three shapes share the section, told apart by
-    // their `kind` field. Custom field names (no `name`/`adaptive_ns`)
-    // keep every row out of the regression guard and the delta printer.
-    json.push_str("  ],\n  \"storage_1m\": [\n");
-    let storage_total = storage_scans.len() + storage_snaps.len() + storage_million.len();
-    let mut storage_emitted = 0usize;
-    let storage_sep = |emitted: &mut usize| {
-        *emitted += 1;
-        if *emitted == storage_total {
-            ""
-        } else {
-            ","
-        }
-    };
-    for s in &storage_scans {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"storage_1m\",\"kind\":\"distinct_row_set\",\"query\":\"{}\",\"papers\":{},\"rows_out\":{},\"columnar_ns\":{},\"rowwise_ns\":{},\"speedup\":{:.2}}}{}",
-            s.name,
-            s.papers,
-            s.rows_out,
-            s.columnar_ns,
-            s.rowwise_ns,
-            s.rowwise_ns as f64 / s.columnar_ns.max(1) as f64,
-            storage_sep(&mut storage_emitted),
-        );
-    }
-    for s in &storage_snaps {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"storage_1m\",\"kind\":\"snapshot\",\"papers\":{},\"sets\":{},\"snapshot_bytes\":{},\"save_ns\":{},\"load_ns\":{},\"rewarm_ns\":{},\"speedup\":{:.2}}}{}",
-            s.papers,
-            s.sets,
-            s.snapshot_bytes,
-            s.save_ns,
-            s.load_ns,
-            s.rewarm_ns,
-            s.rewarm_ns as f64 / s.load_ns.max(1) as f64,
-            storage_sep(&mut storage_emitted),
-        );
-    }
-    for s in &storage_million {
-        let _ = writeln!(
-            json,
-            "    {{\"section\":\"storage_1m\",\"kind\":\"million_gate\",\"phase\":\"{}\",\"papers\":{},\"ns\":{},\"detail\":\"{}\"}}{}",
-            s.phase,
-            s.papers,
-            s.ns,
-            s.detail,
-            storage_sep(&mut storage_emitted),
-        );
-    }
-    // The scaling section is always present so downstream parsers see a
-    // stable schema: either measured rows or an explicit skip marker
-    // (1-core hosts would measure spawn overhead, not scaling).
-    json.push_str("  ],\n  \"scaling\": ");
-    if measure_scaling {
-        let _ = writeln!(json, "{{\"threads\": {SCALING_THREADS:?}, \"rows\": [");
-        for (i, s) in scaling.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{\"section\":\"scaling\",\"phase\":\"{}\",\"papers\":{},\"threads\":{},\"ns\":{},\"speedup_vs_1\":{:.2},\"tasks\":{},\"steals\":{},\"idle_probes\":{}}}{}",
-                s.phase,
-                s.papers,
-                s.threads,
-                s.ns,
-                scaling_speedup(&scaling, s),
-                s.tasks,
-                s.steals,
-                s.idle_probes,
-                if i + 1 == scaling.len() { "" } else { "," },
-            );
-        }
-        json.push_str("  ]},\n  \"memory\": [\n");
-    } else {
-        let reason = if scaling_requested {
-            "available_parallelism=1"
-        } else {
-            "not_requested"
-        };
-        let _ = write!(json, "{{\"skipped\": \"{reason}\"}},\n  \"memory\": [\n");
-    }
-    for (i, m) in mem.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"papers\":{},\"set\":\"{}\",\"container\":\"{}\",\"cardinality\":{},\"adaptive_bytes\":{},\"bitset_bytes\":{}}}{}",
-            m.papers,
-            m.name,
-            m.container,
-            m.cardinality,
-            m.adaptive_bytes,
-            m.bitset_bytes,
-            if i + 1 == mem.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("{json}");
-    for r in &rows {
-        println!(
-            "{:>18} {:<14} n={:<6} adaptive {:>10} ns  bitset {:>10} ns  hashset {:>12} ns  vs-bitset {:>6.1}x  vs-hashset {:>7.1}x",
-            r.section,
-            r.name,
-            r.papers,
-            r.adaptive_ns,
-            r.bitset_ns,
-            r.hashset_ns,
-            r.vs_bitset(),
-            r.vs_hashset(),
-        );
-    }
-    for p in &parallel {
-        println!(
-            "{:>22} threads={:<7} n={:<6} {:>10} ns  ({cores} cores available)",
-            p.section, p.threads, p.papers, p.ns
-        );
-    }
-    for c in &containers {
-        println!(
-            "{:>18} {:<8} n={:<6} sets={:<4} adaptive {:>9} B  bitset {:>9} B",
-            "containers", c.container, c.papers, c.sets, c.adaptive_bytes, c.bitset_bytes
-        );
-    }
-    for m in &multi {
-        println!(
-            "{:>18} {} sessions    n={:<6} cold {:>12} ns  shared {:>12} ns  ({:.1}x, warm build {} ns)",
-            "multi_session",
-            m.sessions,
-            m.papers,
-            m.cold_ns,
-            m.shared_ns,
-            m.cold_ns as f64 / m.shared_ns.max(1) as f64,
-            m.warm_build_ns,
-        );
-    }
-    for l in &live {
-        println!(
-            "{:>18} delta={:<6} n={:<6} changed={:<4} ingest {:>12} ns  full re-warm {:>12} ns  ({:.1}x)",
-            "live_ingest",
-            l.delta_rows,
-            l.papers,
-            l.changed_predicates,
-            l.ingest_ns,
-            l.rewarm_ns,
-            l.rewarm_ns as f64 / l.ingest_ns.max(1) as f64,
-        );
-    }
-    for b in &batched {
-        println!(
-            "{:>18} {} sessions  n={:<6} {} profiles → {} groups ({} shared)  unbatched {:>12} ns  batched {:>12} ns  ({:.1}x)",
-            "batched_serving",
-            b.sessions,
-            b.papers,
-            b.profiles,
-            b.groups,
-            b.shared,
-            b.unbatched_ns,
-            b.batched_ns,
-            b.unbatched_ns as f64 / b.batched_ns.max(1) as f64,
-        );
-    }
-    for g in &graph_rows {
-        println!(
-            "{:>18} {:<16} n={:<8} {:>12} ns  ({})",
-            "graph_workload", g.stage, g.papers, g.ns, g.detail,
-        );
-    }
-    for s in &storage_scans {
-        println!(
-            "{:>18} {:<16} n={:<8} |out|={:<7} columnar {:>12} ns  rowwise {:>12} ns  ({:.1}x)",
-            "storage_1m",
-            s.name,
-            s.papers,
-            s.rows_out,
-            s.columnar_ns,
-            s.rowwise_ns,
-            s.rowwise_ns as f64 / s.columnar_ns.max(1) as f64,
-        );
-    }
-    for s in &storage_snaps {
-        println!(
-            "{:>18} {:<16} n={:<8} sets={:<4} {:>9} B  save {:>11} ns  load {:>11} ns  re-warm {:>12} ns  ({:.1}x)",
-            "storage_1m",
-            "snapshot",
-            s.papers,
-            s.sets,
-            s.snapshot_bytes,
-            s.save_ns,
-            s.load_ns,
-            s.rewarm_ns,
-            s.rewarm_ns as f64 / s.load_ns.max(1) as f64,
-        );
-    }
-    for s in &storage_million {
-        println!(
-            "{:>18} {:<16} n={:<8} {:>12} ns  ({})",
-            "storage_1m", s.phase, s.papers, s.ns, s.detail,
-        );
-    }
-    if measure_scaling {
-        for s in &scaling {
-            println!(
-                "{:>18} {:<16} threads={:<3} n={:<6} {:>12} ns  ({:.2}x vs 1 worker, {cores} cores; tasks={} steals={} probes={})",
-                "scaling",
-                s.phase,
-                s.threads,
-                s.papers,
-                s.ns,
-                scaling_speedup(&scaling, s),
-                s.tasks,
-                s.steals,
-                s.idle_probes,
-            );
-        }
+    let scaling_status = if measure_scaling {
+        "measured"
     } else if scaling_requested {
-        println!(
-            "{:>18} skipped: available_parallelism=1 (spawn overhead is not a scaling curve)",
-            "scaling"
-        );
+        "skipped: available_parallelism=1"
+    } else {
+        "skipped: not_requested"
+    };
+    let json = render_report(
+        out_path.trim_end_matches(".json"),
+        &sizes,
+        cores,
+        scaling_status,
+        &rows,
+    );
+    std::fs::write(&out_path, json).expect("write report");
+    for row in &rows {
+        println!("{}", row.to_text());
     }
-    for m in &mem {
-        println!(
-            "{:>18} {:<22} n={:<6} |set|={:<6} [{:<6}] adaptive {:>8} B  bitset {:>8} B",
-            "memory",
-            m.name,
-            m.papers,
-            m.cardinality,
-            m.container,
-            m.adaptive_bytes,
-            m.bitset_bytes
-        );
-    }
+    println!(
+        "{:>19} {scaling_status} ({cores} cores available)",
+        "scaling"
+    );
     eprintln!("wrote {out_path}");
 
-    let ingest_ok = ingest_guard(&live);
+    let ingest_ok = ingest_guard(&rows);
     let headline_ok = baseline_guard(&out_path, baseline_path, &rows);
     if !(ingest_ok && headline_ok) {
         std::process::exit(1);
@@ -1371,18 +1034,24 @@ fn main() {
 /// Delta ingest must stay faster than the cold re-warm it replaces:
 /// fails when any `live_ingest` row has `ingest_ns ≥ rewarm_ns`, so the
 /// ratio cannot silently invert.
-fn ingest_guard(live: &[LiveIngestRow]) -> bool {
+fn ingest_guard(rows: &[Row]) -> bool {
     println!("\n== ingest guard (live_ingest: ingest must beat a full re-warm) ==");
     let mut ok = true;
-    for l in live {
-        let pass = l.ingest_ns < l.rewarm_ns;
+    for row in rows.iter().filter(|r| r.section == "live_ingest") {
+        let ingest = row
+            .get("ingest_ns")
+            .expect("live_ingest rows carry ingest_ns");
+        let rewarm = row
+            .get("rewarm_ns")
+            .expect("live_ingest rows carry rewarm_ns");
+        let pass = ingest < rewarm;
         println!(
             "  {} n={:<6} ingest {:>12} ns  full re-warm {:>12} ns  ({:.2}x)",
             if pass { "ok  " } else { "FAIL" },
-            l.papers,
-            l.ingest_ns,
-            l.rewarm_ns,
-            l.rewarm_ns as f64 / l.ingest_ns.max(1) as f64,
+            row.papers,
+            ingest,
+            rewarm,
+            rewarm as f64 / ingest.max(1) as f64,
         );
         ok &= pass;
     }
@@ -1390,7 +1059,8 @@ fn ingest_guard(live: &[LiveIngestRow]) -> bool {
 }
 
 /// Prints the delta against the baseline report and runs the headline
-/// regression guard; `true` when it passes or there is no baseline.
+/// regression guard. `true` when it passes or no baseline was found;
+/// `false` when the baseline is the output itself or cannot be read.
 fn baseline_guard(out_path: &str, baseline_path: Option<String>, rows: &[Row]) -> bool {
     let Some(baseline_path) = baseline_path else {
         println!("\n(no baseline BENCH_PR*.json found — skipping delta and regression guard)");
@@ -1403,52 +1073,54 @@ fn baseline_guard(out_path: &str, baseline_path: Option<String>, rows: &[Row]) -
         );
         return false;
     }
-    let Ok(contents) = std::fs::read_to_string(&baseline_path) else {
-        println!("\n(no {baseline_path} found — skipping delta and regression guard)");
-        return true;
+    let contents = match std::fs::read_to_string(&baseline_path) {
+        Ok(contents) => contents,
+        Err(e) => {
+            eprintln!("cannot read baseline {baseline_path}: {e} — the regression guard fails");
+            return false;
+        }
     };
-    let baseline_rows: Vec<BaselineRow> = contents.lines().filter_map(parse_result_row).collect();
-    print_delta(&baseline_path, &baseline_rows, rows);
-    regression_guard(&baseline_path, &baseline_rows, rows)
+    let baseline: Vec<ParsedRow> = contents.lines().filter_map(parse_row).collect();
+    let current: Vec<ParsedRow> = rows
+        .iter()
+        .filter_map(|r| parse_row(&r.to_json()))
+        .collect();
+    print_delta(&baseline_path, &baseline, &current);
+    regression_guard(&baseline_path, &baseline, &current)
 }
 
-/// Speedup of a scaling row over the 1-worker run of the same phase and
-/// corpus size.
-fn scaling_speedup(rows: &[ScalingRow], row: &ScalingRow) -> f64 {
-    rows.iter()
-        .find(|r| r.phase == row.phase && r.papers == row.papers && r.threads == 1)
-        .map_or(1.0, |base| base.ns as f64 / row.ns.max(1) as f64)
-}
-
-/// One parsed baseline result row: `(section, name, papers, engine_ns,
-/// control_ns)`. `engine_ns` is the baseline's engine-under-test time
+/// One report row as the guard reads it: `(section, name, papers,
+/// engine_ns, control_ns)`. `engine_ns` is the engine-under-test time
 /// (`adaptive_ns`, or `bitset_ns` for PR 1-era files); `control_ns` is
-/// the frozen PR 1 bitset engine's time in that same baseline run, when
-/// the file recorded both.
-type BaselineRow = (String, String, usize, u128, Option<u128>);
+/// the frozen PR 1 bitset engine's time in that same run, when the row
+/// recorded both.
+type ParsedRow = (String, String, usize, u128, Option<u128>);
+
+/// Finds this run's row for a baseline row's `(section, name, papers)`.
+fn find<'r>(rows: &'r [ParsedRow], key: &ParsedRow) -> Option<&'r ParsedRow> {
+    rows.iter()
+        .find(|r| r.0 == key.0 && r.1 == key.1 && r.2 == key.2)
+}
 
 /// Prints a side-by-side delta of this run against the baseline report:
 /// for every `(section, name, papers)` row the baseline measured,
 /// compare its engine time with today's adaptive engine.
-fn print_delta(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[Row]) {
+fn print_delta(baseline_path: &str, baseline: &[ParsedRow], current: &[ParsedRow]) {
     println!("\n== delta vs {baseline_path} (baseline engine → this run's adaptive engine) ==");
     let mut matched = 0usize;
-    for (section, name, papers, base_ns, _) in baseline_rows {
-        let Some(row) = rows
-            .iter()
-            .find(|r| r.section == section && r.name == *name && r.papers == *papers)
-        else {
+    for base in baseline {
+        let Some(now) = find(current, base) else {
             continue;
         };
         matched += 1;
-        let ratio = *base_ns as f64 / row.adaptive_ns.max(1) as f64;
+        let ratio = base.3 as f64 / now.3.max(1) as f64;
         println!(
-            "{:>16} {:<14} n={:<6} base {:>12} ns → now {:>12} ns  ({:>5.2}x {})",
-            section,
-            name,
-            papers,
-            base_ns,
-            row.adaptive_ns,
+            "{:>19} {:<14} n={:<6} base {:>12} ns → now {:>12} ns  ({:>5.2}x {})",
+            base.0,
+            base.1,
+            base.2,
+            base.3,
+            now.3,
             if ratio >= 1.0 { ratio } else { 1.0 / ratio },
             if ratio >= 1.0 { "faster" } else { "slower" },
         );
@@ -1474,7 +1146,7 @@ fn print_delta(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[Row])
 /// wall-clock comparison would misreport as a code regression. For
 /// PR 1-era baselines without a recorded control, raw wall-clock is the
 /// fallback.
-fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[Row]) -> bool {
+fn regression_guard(baseline_path: &str, baseline: &[ParsedRow], current: &[ParsedRow]) -> bool {
     println!(
         "\n== regression guard vs {baseline_path} (headline rows, {:.0}% budget, \
          control-normalised where possible) ==",
@@ -1483,18 +1155,16 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
     // A partial run (BENCH_SIZES override) only guards the sizes it
     // measured; within a measured size, every baseline headline row
     // must match.
-    let measured_sizes: std::collections::HashSet<usize> = rows.iter().map(|r| r.papers).collect();
+    let measured_sizes: std::collections::HashSet<usize> = current.iter().map(|r| r.2).collect();
     let mut checked = 0usize;
     let mut ok = true;
-    for (section, name, papers, base_ns, base_control_ns) in baseline_rows {
+    for base in baseline {
+        let (section, name, papers, base_ns, base_control_ns) = base;
         if !HEADLINE_SECTIONS.contains(&section.as_str()) || !measured_sizes.contains(papers) {
             continue;
         }
         checked += 1;
-        let Some(row) = rows
-            .iter()
-            .find(|r| r.section == section && r.name == *name && r.papers == *papers)
-        else {
+        let Some((_, _, _, now_ns, now_control_ns)) = find(current, base) else {
             println!(
                 "  MISS {:<16} {:<14} n={:<6} baseline row has no counterpart in this run",
                 section, name, papers
@@ -1502,12 +1172,12 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
             ok = false;
             continue;
         };
-        let raw = row.adaptive_ns.max(1) as f64 / (*base_ns).max(1) as f64;
-        let (ratio, how) = match base_control_ns {
-            Some(control) if *control > 0 && row.bitset_ns > 0 => {
-                let current = row.adaptive_ns.max(1) as f64 / row.bitset_ns as f64;
-                let baseline = (*base_ns).max(1) as f64 / *control as f64;
-                (current / baseline, "vs-control")
+        let raw = (*now_ns).max(1) as f64 / (*base_ns).max(1) as f64;
+        let (ratio, how) = match (base_control_ns, now_control_ns) {
+            (Some(base_control), Some(now_control)) if *base_control > 0 && *now_control > 0 => {
+                let now = (*now_ns).max(1) as f64 / *now_control as f64;
+                let then = (*base_ns).max(1) as f64 / *base_control as f64;
+                (now / then, "vs-control")
             }
             _ => (raw, "raw"),
         };
@@ -1518,7 +1188,7 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
             section,
             name,
             papers,
-            row.adaptive_ns,
+            now_ns,
             base_ns,
             ratio,
             raw,
@@ -1535,13 +1205,14 @@ fn regression_guard(baseline_path: &str, baseline_rows: &[BaselineRow], rows: &[
     ok
 }
 
-/// Extracts one [`BaselineRow`] from a baseline result line — a flat
-/// JSON object per line, parsed without a JSON dependency. The engine
-/// time is `adaptive_ns` (PR 2+ reports), falling back to `bitset_ns`
-/// for PR 1-era files; the control time is `bitset_ns` only when the
-/// line records it *alongside* `adaptive_ns` (in a PR 1 file `bitset_ns`
-/// *is* the engine, not a control).
-fn parse_result_row(line: &str) -> Option<BaselineRow> {
+/// Extracts one [`ParsedRow`] from a report line — a flat JSON object
+/// per line, parsed without a JSON dependency. The engine time is
+/// `adaptive_ns` (PR 2+ reports), falling back to `bitset_ns` for PR
+/// 1-era files; the control time is `bitset_ns` only when the line
+/// records it *alongside* `adaptive_ns` (in a PR 1 file `bitset_ns`
+/// *is* the engine, not a control). Lines without an engine time are
+/// not guard rows.
+fn parse_row(line: &str) -> Option<ParsedRow> {
     let section = json_str_field(line, "section")?;
     let name = json_str_field(line, "name")?;
     let papers = json_num_field(line, "papers")?;
@@ -1567,4 +1238,84 @@ fn json_num_field(line: &str, key: &str) -> Option<u128> {
         .take_while(|c| c.is_ascii_digit())
         .collect();
     digits.parse().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_checked_in_report_parses_as_a_baseline() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = bench_files_newest_first(&root);
+        assert!(
+            files.len() >= 8,
+            "expected the checked-in reports, found {files:?}"
+        );
+        for (number, file) in files {
+            let contents = std::fs::read_to_string(root.join(&file)).expect("report is readable");
+            let headline: Vec<ParsedRow> = contents
+                .lines()
+                .filter_map(parse_row)
+                .filter(|r| HEADLINE_SECTIONS.contains(&r.0.as_str()))
+                .collect();
+            // PR 1–3 guarded warm pairwise + complete k10/k100 at two
+            // sizes; PR 4 added `sparse_k10`.
+            let expected = if number <= 3 { 6 } else { 8 };
+            assert_eq!(headline.len(), expected, "{file}");
+            for row in &headline {
+                // PR 1 recorded the bitset engine as the engine under
+                // test, with no control beside it.
+                assert_eq!(row.4.is_some(), number > 1, "{file}: {row:?}");
+                assert!(row.3 > 0, "{file}: {row:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_round_trip_through_the_writer_and_the_guard_parser() {
+        let rows = [
+            engines("peps_top_k", "sparse_k10", 2_000, 1_234, 2_345, 99_999),
+            engines("set_algebra", "and_count", 20_000, 7, 0, 50),
+            Row::new("pairwise_build_cold", "cold", 20_000).count("adaptive_ns", 777),
+            Row::new("live_ingest", "delta_5pct", 2_000)
+                .count("ingest_ns", 5)
+                .count("rewarm_ns", 9)
+                .ratio("speedup", 9, 5),
+            Row::new("containers", "bitmap", 2_000)
+                .count("adaptive_bytes", 64)
+                .count("bitset_bytes", 128),
+        ];
+        let report = render_report("BENCH_TEST", &[2_000, 20_000], 2, "measured", &rows);
+        let parsed: Vec<ParsedRow> = report.lines().filter_map(parse_row).collect();
+        let key = |s: &str, n: &str, p, ns, control| (s.to_owned(), n.to_owned(), p, ns, control);
+        assert_eq!(
+            parsed,
+            [
+                key("peps_top_k", "sparse_k10", 2_000, 1_234, Some(2_345)),
+                key("set_algebra", "and_count", 20_000, 7, Some(0)),
+                key("pairwise_build_cold", "cold", 20_000, 777, None),
+            ]
+        );
+        for row in &rows {
+            let line = row.to_json();
+            assert!(report.contains(&line), "{line}");
+            assert_eq!(
+                json_str_field(&line, "section").as_deref(),
+                Some(row.section)
+            );
+            assert_eq!(json_str_field(&line, "name"), Some(row.name.clone()));
+            assert_eq!(json_num_field(&line, "papers"), Some(row.papers as u128));
+        }
+    }
+
+    #[test]
+    fn an_unreadable_named_baseline_fails_the_guard() {
+        assert!(!baseline_guard(
+            "BENCH_TEST_OUT.json",
+            Some("no_such_baseline.json".to_owned()),
+            &[]
+        ));
+        assert!(baseline_guard("BENCH_TEST_OUT.json", None, &[]));
+    }
 }

@@ -1,6 +1,6 @@
 //! One function per table/figure of the evaluation chapter. The
-//! `experiments` binary prints these; integration tests assert on their
-//! shapes; Criterion benches time their hot paths.
+//! `experiments` binary prints these and integration tests assert on
+//! their shapes.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

@@ -2,26 +2,27 @@
 //!
 //! Shared infrastructure for the `experiments` binary (which regenerates
 //! every table and figure of the dissertation's evaluation chapter) and
-//! the Criterion micro-benches:
+//! the `bench_report` binary (the perf snapshot and its regression
+//! guard):
 //!
 //! * [`fixture`] — the seeded standard corpus + graph + study users;
 //! * [`ta_glue`] — building the §7.6.1 graded lists for the TA baseline;
 //! * [`report`] — paper-style text tables and series;
 //! * [`experiments`] — one function per table/figure, returning printable
-//!   structures so the binary, tests and benches share one implementation;
+//!   structures so the binary and tests share one implementation;
 //! * [`baseline`] — the pre-interning `HashSet<Value>` set algebra (the
 //!   seed generation), kept for three-way comparisons;
 //! * [`bitset_baseline`] — the pure-bitmap `BitSet` algebra and PEPS (the
-//!   PR 1 generation), kept so adaptive-vs-bitset-vs-hashset benches and
-//!   equivalence tests can measure all three generations;
-//! * [`timing`] — wall-clock helpers for the `bench_report` binary;
+//!   PR 1 generation), kept so `bench_report` and the equivalence tests
+//!   can measure all three generations;
+//! * [`timing`] — the median wall-clock helper `bench_report` times with;
 //! * [`serving`] — the concurrent multi-session harness (cold executors
 //!   vs one shared `ProfileCache` snapshot, plus the PR 7 Zipf
 //!   session mixes served unbatched vs through the batch scheduler)
-//!   shared by `bench_report` and the `parallel` bench;
+//!   timed by `bench_report`;
 //! * [`ingest`] — append-only corpus splits (base + delta) for the
-//!   live-ingest equivalence tests and the `ingest_delta` vs
-//!   `full_rewarm` bench rows.
+//!   live-ingest equivalence tests and the `live_ingest` rows of
+//!   `bench_report`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,5 +1,4 @@
-//! The multi-session serving harness shared by `bench_report`, the
-//! `parallel` criterion bench and the determinism tests: N concurrent
+//! The multi-session serving harness `bench_report` times: N concurrent
 //! sessions answering PEPS top-k, either **cold** (each session is a
 //! fresh [`Executor`] that re-interns the corpus and re-runs every
 //! profile query) or **shared** (each session reads one frozen

@@ -1,6 +1,4 @@
-//! Minimal wall-clock measurement helpers shared by the `experiments`
-//! and `bench_report` binaries (which cannot use the dev-only criterion
-//! harness).
+//! The median wall-clock helper `bench_report` times its rows with.
 
 use std::time::{Duration, Instant};
 
@@ -34,11 +32,6 @@ pub fn median_time<R>(
         .collect();
     times.sort();
     times[times.len() / 2]
-}
-
-/// `median_time` with the default 100 ms calibration budget and 5 samples.
-pub fn quick_median<R>(routine: impl FnMut() -> R) -> Duration {
-    median_time(5, Duration::from_millis(100), routine)
 }
 
 #[cfg(test)]

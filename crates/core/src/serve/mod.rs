@@ -28,6 +28,10 @@
 //!   requests beyond that are rejected immediately with
 //!   [`wire::ErrorCode::Overloaded`] and the connection stays open.
 //!
+//! Server state is bounded too: per-tenant counters are kept for at most
+//! 4 096 client-chosen tenant ids; later ids count in the server-wide
+//! totals only.
+//!
 //! Malformed-but-framed payloads (bad opcode, truncated body, garbage
 //! UTF-8) get their own typed error frame and the connection keeps
 //! serving — protocol robustness is pinned by `tests/server_protocol.rs`.
@@ -149,6 +153,12 @@ pub struct StatsSnapshot {
     pub connections: u64,
 }
 
+/// How many tenants the server keeps counters for. Tenant ids are chosen
+/// by clients, so the table must not grow with them: requests from a
+/// tenant first seen once the table is full count in the server-wide
+/// totals only, and its [`TenantStats`] read as zero.
+const MAX_TENANTS: usize = 4096;
+
 /// One tenant's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
@@ -189,27 +199,36 @@ struct SharedState {
     config: ServeConfig,
     stop: std::sync::atomic::AtomicBool,
     counters: Counters,
-    tenants: Mutex<HashMap<u64, TenantStats>>,
+    tenants: TenantTable,
 }
 
 impl SharedState {
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Relaxed)
     }
+}
 
-    fn tenant(&self, tenant: u64) -> TenantStats {
+/// Per-tenant counters for at most [`MAX_TENANTS`] tenants.
+#[derive(Default)]
+struct TenantTable(Mutex<HashMap<u64, TenantStats>>);
+
+impl TenantTable {
+    fn get(&self, tenant: u64) -> TenantStats {
         let map = self
-            .tenants
+            .0
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         map.get(&tenant).copied().unwrap_or_default()
     }
 
-    fn record_tenant(&self, tenant: u64, errored: bool) {
+    fn record(&self, tenant: u64, errored: bool) {
         let mut map = self
-            .tenants
+            .0
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if map.len() >= MAX_TENANTS && !map.contains_key(&tenant) {
+            return;
+        }
         let entry = map.entry(tenant).or_default();
         entry.requests += 1;
         if errored {
@@ -253,7 +272,7 @@ impl Server {
             config,
             stop: std::sync::atomic::AtomicBool::new(false),
             counters: Counters::default(),
-            tenants: Mutex::new(HashMap::new()),
+            tenants: TenantTable::default(),
         });
         let mut threads = Vec::with_capacity(shards + 1);
         let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(shards);
@@ -290,9 +309,10 @@ impl Server {
         self.shared.counters.snapshot()
     }
 
-    /// One tenant's counters.
+    /// One tenant's counters (zero for a tenant past the tracked-tenant
+    /// cap).
     pub fn tenant_stats(&self, tenant: u64) -> TenantStats {
-        self.shared.tenant(tenant)
+        self.shared.tenants.get(tenant)
     }
 
     /// Stops accepting, drains the threads and returns once they have
@@ -493,7 +513,7 @@ fn handle_payload(
         Ok(Request::Ping) => reply(&mut conns[idx], &Response::Pong),
         Ok(Request::Stats { tenant }) => {
             let snap = state.counters.snapshot();
-            let per_tenant = state.tenant(tenant);
+            let per_tenant = state.tenants.get(tenant);
             reply(
                 &mut conns[idx],
                 &Response::Stats(StatsReply {
@@ -520,7 +540,7 @@ fn handle_payload(
                     .counters
                     .total_requests
                     .fetch_add(1, Ordering::Relaxed);
-                state.record_tenant(tenant, true);
+                state.tenants.record(tenant, true);
                 reply(
                     &mut conns[idx],
                     &Response::Error {
@@ -544,7 +564,7 @@ fn handle_payload(
                         .counters
                         .total_requests
                         .fetch_add(1, Ordering::Relaxed);
-                    state.record_tenant(tenant, true);
+                    state.tenants.record(tenant, true);
                     reply(
                         &mut conns[idx],
                         &Response::Error {
@@ -619,7 +639,7 @@ fn finish_top_k(
         .counters
         .total_requests
         .fetch_add(1, Ordering::Relaxed);
-    state.record_tenant(p.tenant, errored);
+    state.tenants.record(p.tenant, errored);
     reply(&mut conns[p.conn], response);
 }
 
@@ -650,5 +670,34 @@ fn reply(conn: &mut Conn, response: &Response) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tenant_table_stops_growing_at_the_cap() {
+        let table = TenantTable::default();
+        for tenant in 0..(MAX_TENANTS as u64 + 100) {
+            table.record(tenant, false);
+        }
+        let tracked = |table: &TenantTable| table.0.lock().expect("not poisoned").len();
+        assert_eq!(tracked(&table), MAX_TENANTS);
+        let untracked = MAX_TENANTS as u64 + 50;
+        assert_eq!(table.get(untracked), TenantStats::default());
+
+        table.record(7, true);
+        table.record(untracked, true);
+        assert_eq!(tracked(&table), MAX_TENANTS);
+        assert_eq!(
+            table.get(7),
+            TenantStats {
+                requests: 2,
+                errors: 1
+            }
+        );
+        assert_eq!(table.get(untracked), TenantStats::default());
     }
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the HYPRE reproduction workspace:
 #   fmt check → clippy (warnings are errors) → build (all targets) →
-#   tests → rustdoc (warnings are errors) → compile-and-run every
-#   example (doc rot and broken examples fail CI).
+#   tests → perfbench self-tests → rustdoc (warnings are errors) →
+#   compile-and-run every example (doc rot and broken examples fail CI).
 #
 # Usage: scripts/ci.sh [--release-bench] [--scaling] [--bench-1m]
 #   --release-bench  additionally regenerates the bench report and runs
@@ -15,7 +15,8 @@
 #                    PEPS top-k) regressing by more than 25% exits
 #                    non-zero, and so does any live_ingest row whose
 #                    delta ingest is no faster than a full re-warm
-#                    (ingest_ns >= rewarm_ns).
+#                    (ingest_ns >= rewarm_ns), and so does a baseline
+#                    file that cannot be read.
 #   --scaling        pass --scaling through to bench_report so the
 #                    report includes 1/2/4/8-worker scaling curves for
 #                    the pairwise build, PEPS top-k and batched serving.
@@ -72,6 +73,11 @@ cargo build --release
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+# perfbench/ is a workspace of its own (the repo benchmark), so the
+# workspace run above never reaches its tests.
+echo "==> cargo test (perfbench)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
