@@ -83,21 +83,6 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `Some(count)` if the set holds at most `limit` ids, `None`
-    /// otherwise — an early-exit popcount so dense sets answer in a few
-    /// words instead of a full scan (the adaptive container's demotion
-    /// check).
-    pub fn count_at_most(&self, limit: usize) -> Option<usize> {
-        let mut n = 0usize;
-        for w in &self.words {
-            n += w.count_ones() as usize;
-            if n > limit {
-                return None;
-            }
-        }
-        Some(n)
-    }
-
     /// Whether no bit is set.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)

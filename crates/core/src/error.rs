@@ -36,6 +36,13 @@ pub enum HypreError {
         /// Row count observed now (`None` = table is absent).
         current: Option<usize>,
     },
+    /// A base query whose key column, or a join's driver-side column, is
+    /// not on the driving table — the one shape the executor and delta
+    /// ingest support.
+    UnsupportedBaseQuery {
+        /// The offending column and the driving table.
+        detail: String,
+    },
     /// The dense `u32` tuple-id space is exhausted — the corpus grew past
     /// `u32::MAX` distinct driver keys. Ingest degrades into this error
     /// instead of aborting the process.
@@ -109,6 +116,9 @@ impl fmt::Display for HypreError {
                     show(warmed),
                     show(current)
                 )
+            }
+            HypreError::UnsupportedBaseQuery { detail } => {
+                write!(f, "unsupported base query: {detail}")
             }
             HypreError::IdSpaceExhausted => {
                 write!(

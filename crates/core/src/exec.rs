@@ -97,10 +97,10 @@
 //! restart. [`EpochCache`] holds an atomically-swappable **current
 //! epoch** (an epoch number plus an `Arc<ProfileCache>`):
 //!
-//! 1. **Open** — a session ([`EpochSession::open`]) *pins* the current
-//!    epoch; the pin is a counted guard ([`EpochPin`]) that keeps the
-//!    epoch's snapshot alive however many publishes happen later.
-//! 2. **Serve** — the session opens executors over its pinned snapshot
+//! 1. **Open** — a session ([`EpochSession::open`]) holds the current
+//!    epoch's `Arc`, which keeps the epoch's snapshot alive however many
+//!    publishes happen later.
+//! 2. **Serve** — the session opens executors over its held snapshot
 //!    with [`Executor::with_cache_pinned`], which tolerates append-only
 //!    growth of the underlying tables: cached predicates answer exactly
 //!    as warmed while the corpus grows underneath.
@@ -111,11 +111,13 @@
 //!    new epoch. Nothing blocks: old-epoch sessions keep answering
 //!    throughout.
 //! 4. **Drain** — at its next `top_k` boundary a session calls
-//!    [`EpochSession::drain`], atomically re-pinning to the newest
-//!    epoch. [`PairwiseCache::refresh_for`] then re-scores only the
-//!    pairs whose atoms gained tuples ([`DeltaReport::changed_flags`]).
-//! 5. **Evict** — a retired epoch is dropped once its pin count reaches
-//!    zero (lazily, on the next `EpochCache` access).
+//!    [`EpochSession::drain`], atomically swapping its handle for the
+//!    newest epoch's. [`PairwiseCache::refresh_for`] then re-scores only
+//!    the pairs whose atoms gained tuples ([`DeltaReport::changed_flags`]).
+//! 5. **Evict** — a retired epoch is freed the moment its last holder (a
+//!    session or an [`EpochCache::current`] handle) lets go, and its
+//!    snapshot with it once no executor still reads it; the cache keeps
+//!    only a `Weak` to count it.
 //!
 //! **Failure atomicity:** warm-up and ingest build a complete new
 //! snapshot *before* anything is published — a mid-build failure (SQL
@@ -125,14 +127,17 @@
 //! wrappers ([`ProfileCache::warm_with_retry`], [`EpochCache::ingest`])
 //! retry whole attempts, never resume half-built state. A corpus change
 //! appends cannot explain (a table shrank or vanished) is
-//! [`HypreError::StaleSnapshot`] — never a panic. The fault-injection
-//! harness (`relstore::FailSchedule`) and `tests/live_corpus.rs` pin
-//! this contract at every injection point.
+//! [`HypreError::StaleSnapshot`] — never a panic. Every base query has
+//! one shape — the key column on the driving table, every join anchored
+//! on a driver column — which is what makes ingest incremental; a base
+//! query of another shape is [`HypreError::UnsupportedBaseQuery`] on
+//! first use, never a silent fallback. The fault-injection harness
+//! (`relstore::FailSchedule`) and `tests/live_corpus.rs` pin this
+//! contract at every injection point.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use relstore::{ColRef, Database, Predicate, RowId, SelectQuery, Table, Value};
 
@@ -195,13 +200,46 @@ impl BaseQuery {
         q.filter(filter.clone())
     }
 
-    /// Whether `key` is a column of the driving table — the precondition
-    /// for the interner's zero-clone `distinct_row_set` feed.
-    fn key_on_driver(&self) -> bool {
-        match &self.key.table {
-            Some(t) => *t == self.table,
-            None => true, // unqualified keys resolve on the driver in practice
+    /// The driving table, then each joined table, in join order — the
+    /// tables a [`ProfileCache`] fingerprints.
+    fn tables(&self) -> impl Iterator<Item = &String> {
+        std::iter::once(&self.table).chain(self.joins.iter().map(|(table, _, _)| table))
+    }
+
+    /// Checks the one base-query shape the executor supports: the key
+    /// column is on the driving table and every join is anchored on a
+    /// driver column (unqualified columns resolve on the driver). The
+    /// interner reads keys straight from the driver's key segment, and
+    /// delta ingest maps joined rows back to driver rows, on that shape.
+    ///
+    /// # Errors
+    /// [`HypreError::UnsupportedBaseQuery`] naming the offending column.
+    fn check_shape(&self) -> Result<()> {
+        let on_driver = |col: &ColRef| col.table.as_ref().is_none_or(|t| *t == self.table);
+        let offending = std::iter::once(&self.key)
+            .chain(self.joins.iter().map(|(_, left, _)| left))
+            .find(|col| !on_driver(col));
+        match offending {
+            None => Ok(()),
+            Some(col) => Err(HypreError::UnsupportedBaseQuery {
+                detail: format!("column {col} is not on the driving table '{}'", self.table),
+            }),
         }
+    }
+
+    /// The driving table and its key column's index, once the shape is
+    /// checked.
+    ///
+    /// # Errors
+    /// [`HypreError::UnsupportedBaseQuery`] for another shape; a
+    /// relational error when the driver or its key column is missing.
+    fn driver_key<'db>(&self, db: &'db Database) -> Result<(&'db Table, usize)> {
+        self.check_shape()?;
+        let driver = db.table(&self.table)?;
+        let key_idx = driver
+            .schema()
+            .require(Some(&self.table), &self.key.column)?;
+        Ok((driver, key_idx))
     }
 }
 
@@ -452,15 +490,15 @@ impl<'db> Executor<'db> {
     /// sets beside fresh SQL against a different corpus) into an
     /// immediate typed error instead of a silently wrong ranking.
     pub fn with_cache(db: &'db Database, cache: Arc<ProfileCache>) -> Result<Self> {
-        Executor::open_session(db, cache, false)
+        Executor::open_session(db, cache, CorpusCheck::Exact)
     }
 
     /// Like [`Executor::with_cache`], but tolerant of *append-only
     /// growth*: the session opens as long as every base-query table is at
-    /// least as long as it was at warm time. This is how sessions pinned
-    /// to a retired [`EpochCache`] epoch keep answering while the live
+    /// least as long as it was at warm time. This is how sessions on a
+    /// retired [`EpochCache`] epoch keep answering while the live
     /// corpus grows underneath them — cached predicates resolve from the
-    /// pinned snapshot exactly as warmed; only predicates the snapshot
+    /// held snapshot exactly as warmed; only predicates the snapshot
     /// never materialised fall through to SQL and would observe the
     /// grown corpus.
     ///
@@ -468,35 +506,15 @@ impl<'db> Executor<'db> {
     /// [`HypreError::StaleSnapshot`] when a table shrank, disappeared or
     /// appeared — changes an append-only corpus cannot produce.
     pub fn with_cache_pinned(db: &'db Database, cache: Arc<ProfileCache>) -> Result<Self> {
-        Executor::open_session(db, cache, true)
+        Executor::open_session(db, cache, CorpusCheck::AppendOnly)
     }
 
     fn open_session(
         db: &'db Database,
         cache: Arc<ProfileCache>,
-        allow_growth: bool,
+        check: CorpusCheck,
     ) -> Result<Self> {
-        let current = corpus_fingerprint(db, &cache.base);
-        for ((table, warmed), (_, now)) in cache.fingerprint.iter().zip(&current) {
-            let ok = match (warmed, now) {
-                (None, None) => true,
-                (Some(w), Some(c)) => {
-                    if allow_growth {
-                        c >= w
-                    } else {
-                        c == w
-                    }
-                }
-                _ => false,
-            };
-            if !ok {
-                return Err(HypreError::StaleSnapshot {
-                    table: table.clone(),
-                    warmed: *warmed,
-                    current: *now,
-                });
-            }
-        }
+        cache.check_corpus(db, check)?;
         Ok(Executor {
             db,
             base: cache.base.clone(),
@@ -602,33 +620,19 @@ impl<'db> Executor<'db> {
         Ok(set)
     }
 
-    /// Runs the unit's enhanced query and interns its distinct keys. Ids
-    /// are collected first and handed to [`TupleSet::from_unsorted`], which
-    /// sorts once and picks the right container for the final cardinality.
+    /// Runs the unit's enhanced query and interns its distinct keys: the
+    /// distinct driving rows (no `Value` hashed or cloned per joined
+    /// row), then one interner probe per row, fed straight from the
+    /// driver's typed key segment. Ids are collected first and handed to
+    /// [`TupleSet::from_unsorted`], which sorts once and picks the right
+    /// container for the final cardinality.
     fn run_and_intern(&self, unit: &Predicate) -> Result<TupleSet> {
-        let q = self.base.select_for(unit);
-        if self.base.key_on_driver() {
-            // Fast path: distinct driving rows (no Value hashed or cloned
-            // per joined row), then one interner probe per distinct row —
-            // fed straight from the driver's typed key segment, so no row
-            // is ever materialised.
-            let driver = self.db.table(&self.base.table)?;
-            if let Some(key_idx) = driver.schema().index_of(&self.base.key.column) {
-                let rids = q.distinct_row_set(self.db)?;
-                let ids = self
-                    .interner
-                    .borrow_mut()
-                    .intern_keys(driver, key_idx, &rids)?;
-                return Ok(TupleSet::from_unsorted(ids));
-            }
-        }
-        // General path: the key lives on a joined table; fall back to
-        // value-level deduplication.
-        let mut interner = self.interner.borrow_mut();
-        let mut ids: Vec<u32> = Vec::new();
-        for v in q.distinct_values(self.db, &self.base.key)? {
-            ids.push(interner.intern(&v)?);
-        }
+        let (driver, key_idx) = self.base.driver_key(self.db)?;
+        let rids = self.base.select_for(unit).distinct_row_set(self.db)?;
+        let ids = self
+            .interner
+            .borrow_mut()
+            .intern_keys(driver, key_idx, &rids)?;
         Ok(TupleSet::from_unsorted(ids))
     }
 
@@ -770,19 +774,72 @@ pub struct ProfileCache {
     /// `sets`) — what delta ingest re-evaluates over changed rows
     /// without re-parsing canonical text.
     preds: HashMap<String, Predicate>,
-    /// Row counts of the base query's tables at snapshot time — the
-    /// cheap corpus identity [`Executor::with_cache`] checks so a
-    /// snapshot is never silently served against a different database.
+    /// Row counts of the base query's tables at snapshot time, named in
+    /// [`BaseQuery::tables`] order — the cheap corpus identity
+    /// [`ProfileCache::check_corpus`] compares so a snapshot is never
+    /// silently served against a different database.
     fingerprint: Vec<(String, Option<usize>)>,
 }
 
 /// Row counts of the base query's driver and joined tables (`None` for a
 /// missing table) — the corpus identity a [`ProfileCache`] pins.
 fn corpus_fingerprint(db: &Database, base: &BaseQuery) -> Vec<(String, Option<usize>)> {
-    std::iter::once(&base.table)
-        .chain(base.joins.iter().map(|(table, _, _)| table))
-        .map(|t| (t.clone(), db.table(t).map(|tab| tab.len()).ok()))
+    base.tables()
+        .map(|t| (t.clone(), db.table(t).map(Table::len).ok()))
         .collect()
+}
+
+/// Checks that a fingerprint names exactly the base query's tables, in
+/// order. Only a snapshot file can break this, so a mismatch is
+/// [`HypreError::SnapshotCorrupt`].
+fn check_fingerprint_tables(
+    fingerprint: &[(String, Option<usize>)],
+    base: &BaseQuery,
+) -> Result<()> {
+    if fingerprint.iter().map(|(table, _)| table).eq(base.tables()) {
+        Ok(())
+    } else {
+        Err(HypreError::SnapshotCorrupt {
+            detail: "fingerprint does not name exactly the base query's tables".into(),
+        })
+    }
+}
+
+/// How far the live corpus may have moved from a snapshot's fingerprint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CorpusCheck {
+    /// Every table has exactly its warm-time row count.
+    Exact,
+    /// Tables may have grown by appends; none shrank, appeared or vanished.
+    AppendOnly,
+}
+
+/// `(warm-time, current)` row counts of one base-query table; `None` for
+/// a table absent both then and now.
+type TableSpan = Option<(usize, usize)>;
+
+/// Runs `attempt` once plus up to `retries` more times until it
+/// succeeds. Attempts build from scratch, so a failed one leaves nothing
+/// behind to resume.
+///
+/// # Errors
+/// [`HypreError::WarmUpFailed`] wrapping the final attempt's error once
+/// the budget is exhausted.
+fn with_retries<T>(retries: usize, mut attempt: impl FnMut() -> Result<T>) -> Result<T> {
+    let mut attempts = 0usize;
+    loop {
+        attempts += 1;
+        match attempt() {
+            Ok(out) => return Ok(out),
+            Err(e) if attempts > retries => {
+                return Err(HypreError::WarmUpFailed {
+                    attempts,
+                    last: Box::new(e),
+                });
+            }
+            Err(_) => {}
+        }
+    }
 }
 
 impl ProfileCache {
@@ -885,20 +942,38 @@ impl ProfileCache {
         retries: usize,
     ) -> Result<Self> {
         let preds: Vec<&Predicate> = predicates.into_iter().collect();
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            match ProfileCache::warm(db, base.clone(), preds.iter().copied()) {
-                Ok(cache) => return Ok(cache),
-                Err(e) if attempts > retries => {
-                    return Err(HypreError::WarmUpFailed {
-                        attempts,
-                        last: Box::new(e),
-                    });
+        with_retries(retries, || {
+            ProfileCache::warm(db, base.clone(), preds.iter().copied())
+        })
+    }
+
+    /// The one corpus-identity check: `db`'s base-query tables against
+    /// the warm-time fingerprint, which must name exactly those tables.
+    /// Returns each table's span in [`BaseQuery::tables`] order.
+    ///
+    /// # Errors
+    /// [`HypreError::SnapshotCorrupt`] when the fingerprint names other
+    /// tables; [`HypreError::StaleSnapshot`] when a row count moved in a
+    /// way `check` does not allow.
+    fn check_corpus(&self, db: &Database, check: CorpusCheck) -> Result<Vec<TableSpan>> {
+        check_fingerprint_tables(&self.fingerprint, &self.base)?;
+        self.fingerprint
+            .iter()
+            .map(|(table, warmed)| {
+                let now = db.table(table).map(Table::len).ok();
+                match (*warmed, now) {
+                    (None, None) => Ok(None),
+                    (Some(w), Some(c)) if c == w || (c > w && check == CorpusCheck::AppendOnly) => {
+                        Ok(Some((w, c)))
+                    }
+                    _ => Err(HypreError::StaleSnapshot {
+                        table: table.clone(),
+                        warmed: *warmed,
+                        current: now,
+                    }),
                 }
-                Err(_) => {}
-            }
-        }
+            })
+            .collect()
     }
 
     /// Absorbs an *append-only* corpus delta into a new snapshot without
@@ -923,77 +998,36 @@ impl ProfileCache {
     /// builds on. If no table grew, the snapshot is returned unchanged
     /// (a cheap no-op) with an empty report.
     ///
-    /// Base queries whose key column lives off the driving table (or
-    /// with joins not anchored on the driver) fall back to a full
-    /// re-warm against `db` — still atomic, just not incremental.
-    ///
     /// # Errors
     /// [`HypreError::StaleSnapshot`] when the corpus changed in a way
     /// appends cannot produce (a table shrank, appeared or disappeared);
-    /// any error from the underlying queries (e.g. injected faults).
+    /// [`HypreError::UnsupportedBaseQuery`] for a base query with its key
+    /// or a join column off the driving table; any error from the
+    /// underlying queries (e.g. injected faults).
     pub fn ingest_delta(&self, db: &Database) -> Result<(ProfileCache, DeltaReport)> {
-        let current = corpus_fingerprint(db, &self.base);
-        let mut appended: Vec<(String, usize)> = Vec::new();
-        let mut spans: HashMap<&str, (usize, usize)> = HashMap::new();
-        for ((table, warmed), (_, now)) in self.fingerprint.iter().zip(&current) {
-            match (warmed, now) {
-                (None, None) => {}
-                (Some(w), Some(c)) if c >= w => {
-                    if c > w {
-                        appended.push((table.clone(), c - w));
-                    }
-                    spans.insert(table.as_str(), (*w, *c));
-                }
-                _ => {
-                    return Err(HypreError::StaleSnapshot {
-                        table: table.clone(),
-                        warmed: *warmed,
-                        current: *now,
-                    });
-                }
-            }
-        }
+        let spans = self.check_corpus(db, CorpusCheck::AppendOnly)?;
+        let appended: Vec<(String, usize)> = self
+            .base
+            .tables()
+            .zip(&spans)
+            .filter_map(|(table, span)| match *span {
+                Some((old, now)) if now > old => Some((table.clone(), now - old)),
+                _ => None,
+            })
+            .collect();
         if appended.is_empty() {
             return Ok((self.clone(), DeltaReport::default()));
         }
-
-        // Incremental maintenance needs the interner's zero-clone feed:
-        // key on the driver, every join anchored on a driver column.
-        let driver_anchored = self.base.key_on_driver()
-            && self
-                .base
-                .joins
-                .iter()
-                .all(|(_, left, _)| left.table.as_deref() == Some(self.base.table.as_str()));
-        let driver = db.table(&self.base.table)?;
-        let key_idx = driver.schema().index_of(&self.base.key.column);
-        let (Some(key_idx), true) = (key_idx, driver_anchored) else {
-            let cache = ProfileCache::warm(db, self.base.clone(), self.predicates())?;
-            let mut changed: Vec<String> = self.preds.keys().cloned().collect();
-            changed.sort();
-            let new_tuples = cache.tuple_universe().saturating_sub(self.tuple_universe());
-            return Ok((
-                cache,
-                DeltaReport {
-                    appended,
-                    changed,
-                    new_tuples,
-                },
-            ));
-        };
-
-        let (driver_old, driver_now) = spans
-            .get(self.base.table.as_str())
-            .copied()
-            .unwrap_or((driver.len(), driver.len()));
+        let (driver, key_idx) = self.base.driver_key(db)?;
+        let (driver_old, driver_now) = spans[0].unwrap_or((driver.len(), driver.len()));
 
         // Per joined table that grew: the driver rows its delta rows reach
         // through the join key — sought key by key through the driver's
         // index on the join column when it has one, else found in one
         // pass over that column.
         let mut joined_candidates: HashMap<&str, Vec<RowId>> = HashMap::new();
-        for (table, left, right) in &self.base.joins {
-            let Some(&(old, now)) = spans.get(table.as_str()) else {
+        for ((table, left, right), span) in self.base.joins.iter().zip(&spans[1..]) {
+            let Some((old, now)) = *span else {
                 continue;
             };
             if now == old {
@@ -1081,7 +1115,7 @@ impl ProfileCache {
                 interner: Arc::new(interner),
                 sets,
                 preds: self.preds.clone(),
-                fingerprint: current,
+                fingerprint: corpus_fingerprint(db, &self.base),
             },
             DeltaReport {
                 appended,
@@ -1125,14 +1159,14 @@ impl DeltaReport {
     }
 }
 
-/// An epoch: one published [`ProfileCache`] snapshot plus the count of
-/// sessions still pinned to it. Epoch numbers start at 1 and increase by
-/// one per publish.
+/// An epoch: one published [`ProfileCache`] snapshot. Every `Arc<Epoch>`
+/// — a session's, or an [`EpochCache::current`] handle — keeps it
+/// alive; once the epoch is retired, the last one to drop frees its
+/// snapshot. Epoch numbers start at 1 and increase by one per publish.
 #[derive(Debug)]
 pub struct Epoch {
     number: u64,
     cache: Arc<ProfileCache>,
-    pins: AtomicUsize,
 }
 
 impl Epoch {
@@ -1145,17 +1179,12 @@ impl Epoch {
     pub fn cache(&self) -> &Arc<ProfileCache> {
         &self.cache
     }
-
-    /// Sessions currently pinned to this epoch.
-    pub fn pin_count(&self) -> usize {
-        self.pins.load(Ordering::Acquire)
-    }
 }
 
 /// The epoch-versioned cache layer: an atomically-swappable *current*
-/// snapshot plus the retired epochs still pinned by live sessions — the
-/// live-corpus serving shape with no stop-the-world. See the module docs
-/// for the lifecycle and the failure-atomicity contract.
+/// snapshot plus a `Weak` to every retired epoch still held elsewhere —
+/// the live-corpus serving shape with no stop-the-world. See the module
+/// docs for the lifecycle and the failure-atomicity contract.
 #[derive(Debug)]
 pub struct EpochCache {
     state: Mutex<EpochState>,
@@ -1164,8 +1193,16 @@ pub struct EpochCache {
 #[derive(Debug)]
 struct EpochState {
     current: Arc<Epoch>,
-    retired: Vec<Arc<Epoch>>,
-    evicted: u64,
+    /// Retired epochs, possibly already freed. Epochs `1..current` are
+    /// exactly the retired ones, so the freed ones need no record:
+    /// publishing prunes them.
+    retired: Vec<Weak<Epoch>>,
+}
+
+impl EpochState {
+    fn retired_alive(&self) -> usize {
+        self.retired.iter().filter(|e| e.strong_count() > 0).count()
+    }
 }
 
 impl EpochCache {
@@ -1176,10 +1213,8 @@ impl EpochCache {
                 current: Arc::new(Epoch {
                     number: 1,
                     cache: Arc::new(cache),
-                    pins: AtomicUsize::new(0),
                 }),
                 retired: Vec::new(),
-                evicted: 0,
             }),
         }
     }
@@ -1190,12 +1225,10 @@ impl EpochCache {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The current epoch (unpinned peek — for a serving handle use
-    /// [`EpochCache::pin`]).
+    /// The current epoch. The handle keeps the epoch and its snapshot
+    /// alive until dropped, even after a publish retires it.
     pub fn current(&self) -> Arc<Epoch> {
-        let mut st = self.lock();
-        evict_unpinned(&mut st);
-        Arc::clone(&st.current)
+        Arc::clone(&self.lock().current)
     }
 
     /// The current epoch number.
@@ -1203,20 +1236,9 @@ impl EpochCache {
         self.lock().current.number
     }
 
-    /// Pins the current epoch: the returned guard keeps its snapshot
-    /// alive (never evicted) until dropped.
-    pub fn pin(&self) -> EpochPin {
-        let mut st = self.lock();
-        evict_unpinned(&mut st);
-        st.current.pins.fetch_add(1, Ordering::AcqRel);
-        EpochPin {
-            epoch: Arc::clone(&st.current),
-        }
-    }
-
     /// Publishes a fully-built snapshot as the new current epoch,
     /// retiring the old one; returns the new epoch number. Sessions
-    /// pinned to the retired epoch keep serving from it until they
+    /// holding the retired epoch keep serving from it until they
     /// [`EpochSession::drain`].
     pub fn publish(&self, cache: ProfileCache) -> u64 {
         let mut st = self.lock();
@@ -1224,11 +1246,10 @@ impl EpochCache {
         let next = Arc::new(Epoch {
             number,
             cache: Arc::new(cache),
-            pins: AtomicUsize::new(0),
         });
         let old = std::mem::replace(&mut st.current, next);
-        st.retired.push(old);
-        evict_unpinned(&mut st);
+        st.retired.retain(|e| e.strong_count() > 0);
+        st.retired.push(Arc::downgrade(&old));
         number
     }
 
@@ -1243,161 +1264,101 @@ impl EpochCache {
     /// [`HypreError::WarmUpFailed`] wrapping the final attempt's error
     /// once the budget (first try + `retries`) is exhausted.
     pub fn ingest(&self, db: &Database, retries: usize) -> Result<DeltaReport> {
-        let snapshot = { Arc::clone(&self.lock().current) };
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            match snapshot.cache.ingest_delta(db) {
-                Ok((cache, report)) => {
-                    if !report.is_noop() {
-                        self.publish(cache);
-                    }
-                    return Ok(report);
-                }
-                Err(e) if attempts > retries => {
-                    return Err(HypreError::WarmUpFailed {
-                        attempts,
-                        last: Box::new(e),
-                    });
-                }
-                Err(_) => {}
-            }
+        let snapshot = self.current();
+        let (cache, report) = with_retries(retries, || snapshot.cache.ingest_delta(db))?;
+        if !report.is_noop() {
+            self.publish(cache);
         }
+        Ok(report)
     }
 
-    /// Retired epochs still held for pinned sessions (after evicting the
-    /// unpinned ones).
+    /// Retired epochs still held by a session or an
+    /// [`EpochCache::current`] handle.
     pub fn retired_count(&self) -> usize {
-        let mut st = self.lock();
-        evict_unpinned(&mut st);
-        st.retired.len()
+        self.lock().retired_alive()
     }
 
-    /// Retired epochs evicted so far (pin count reached zero).
+    /// Retired epochs freed so far (their last holder dropped).
     pub fn evicted_count(&self) -> u64 {
-        let mut st = self.lock();
-        evict_unpinned(&mut st);
-        st.evicted
+        let st = self.lock();
+        st.current.number - 1 - st.retired_alive() as u64
     }
 }
 
-/// Drops retired epochs whose pin count reached zero. Eviction is lazy:
-/// it runs on every state access rather than from `EpochPin::drop`
-/// (which cannot reach the cache), so a retired epoch lingers at most
-/// until the next `EpochCache` call after its last unpin.
-fn evict_unpinned(st: &mut EpochState) {
-    let before = st.retired.len();
-    st.retired.retain(|e| e.pins.load(Ordering::Acquire) > 0);
-    st.evicted += (before - st.retired.len()) as u64;
-}
-
-/// A pin on one epoch: keeps the snapshot alive and opens executors over
-/// it. Dropping the pin releases the epoch for eviction.
+/// A serving session in the epoch lifecycle: holds the epoch it opened
+/// on, answers from it for as long as it likes, and drains onto the
+/// newest epoch at a query boundary of its choosing (conventionally
+/// after a `top_k` completes).
 #[derive(Debug)]
-pub struct EpochPin {
+pub struct EpochSession {
     epoch: Arc<Epoch>,
 }
 
-impl EpochPin {
-    /// The pinned epoch number.
+impl EpochSession {
+    /// Opens a session on the current epoch.
+    pub fn open(epochs: &EpochCache) -> Self {
+        EpochSession {
+            epoch: epochs.current(),
+        }
+    }
+
+    /// The epoch this session holds.
     pub fn epoch(&self) -> u64 {
         self.epoch.number
     }
 
-    /// The pinned snapshot.
+    /// The held snapshot.
     pub fn cache(&self) -> Arc<ProfileCache> {
         Arc::clone(&self.epoch.cache)
     }
 
-    /// Opens a session executor over the pinned snapshot, tolerant of
+    /// Opens a session executor over the held snapshot, tolerant of
     /// append-only growth ([`Executor::with_cache_pinned`]) — the whole
-    /// point of pinning is serving while the corpus moves on.
+    /// point of holding an epoch is serving while the corpus moves on.
     ///
     /// # Errors
     /// [`HypreError::StaleSnapshot`] if `db` diverged non-monotonically.
     pub fn executor<'db>(&self, db: &'db Database) -> Result<Executor<'db>> {
         Executor::with_cache_pinned(db, self.cache())
     }
-}
 
-impl Drop for EpochPin {
-    fn drop(&mut self) {
-        self.epoch.pins.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// A serving session in the epoch lifecycle: pins the epoch it opened
-/// on, answers from it for as long as it likes, and drains onto the
-/// newest epoch at a query boundary of its choosing (conventionally
-/// after a `top_k` completes).
-#[derive(Debug)]
-pub struct EpochSession {
-    pin: EpochPin,
-}
-
-impl EpochSession {
-    /// Opens a session pinned to the current epoch.
-    pub fn open(epochs: &EpochCache) -> Self {
-        EpochSession { pin: epochs.pin() }
-    }
-
-    /// The epoch this session is pinned to.
-    pub fn epoch(&self) -> u64 {
-        self.pin.epoch()
-    }
-
-    /// The pinned snapshot.
-    pub fn cache(&self) -> Arc<ProfileCache> {
-        self.pin.cache()
-    }
-
-    /// Opens an executor over the pinned snapshot (see
-    /// [`EpochPin::executor`]).
-    ///
-    /// # Errors
-    /// [`HypreError::StaleSnapshot`] if `db` diverged non-monotonically.
-    pub fn executor<'db>(&self, db: &'db Database) -> Result<Executor<'db>> {
-        self.pin.executor(db)
-    }
-
-    /// Re-pins to the newest epoch if one was published since this
-    /// session pinned; returns whether the session moved. Call at a
-    /// `top_k` boundary — mid-query the old pin keeps answers
-    /// consistent.
+    /// Moves onto the newest epoch if one was published since this
+    /// session opened or last drained; returns whether the session
+    /// moved. Call at a `top_k` boundary — mid-query the held epoch
+    /// keeps answers consistent. Dropping the old handle frees the old
+    /// epoch here if nothing else holds it.
     pub fn drain(&mut self, epochs: &EpochCache) -> bool {
-        if epochs.current_epoch() == self.pin.epoch() {
+        let current = epochs.current();
+        if current.number == self.epoch.number {
             return false;
         }
-        self.pin = epochs.pin();
+        self.epoch = current;
         true
     }
 }
 
-/// Fills one contiguous chunk of the pairwise table: `slice` receives
-/// the entries at linearised triangular indexes `start ..
-/// start + slice.len()` over an `n`-preference profile. Pure compute —
-/// this is the unit of work each build worker runs.
-fn fill_pair_chunk(
-    slice: &mut [PairEntry],
+/// The entries of the pairwise table at linearised triangular indexes
+/// `start..end` over an `n`-preference profile. Pure compute — the
+/// sequential build runs it over the whole triangle, each parallel
+/// build worker over one block.
+fn pair_chunk(
     start: usize,
+    end: usize,
     n: usize,
     sets: &[SharedTupleSet],
     intensities: &[f64],
-) {
+) -> Vec<PairEntry> {
     let (mut i, mut j) = unrank_pair(start, n);
-    for e in slice {
-        *e = PairEntry {
-            i,
-            j,
-            intensity: f_and(intensities[i], intensities[j]),
-            count: sets[i].and_count(&sets[j]) as u64,
-        };
+    let mut out = Vec::with_capacity(end - start);
+    for _ in start..end {
+        out.push(PairEntry::score(i, j, sets, intensities));
         j += 1;
         if j == n {
             i += 1;
             j = i + 1;
         }
     }
+    out
 }
 
 /// Chunk boundaries for the sharded pairwise pass: `workers + 1` fence
@@ -1509,6 +1470,16 @@ pub struct PairEntry {
 }
 
 impl PairEntry {
+    /// Scores the pair `(i, j)` of a profile's tuple sets and intensities.
+    fn score(i: usize, j: usize, sets: &[SharedTupleSet], intensities: &[f64]) -> Self {
+        PairEntry {
+            i,
+            j,
+            intensity: f_and(intensities[i], intensities[j]),
+            count: sets[i].and_count(&sets[j]) as u64,
+        }
+    }
+
     /// Whether the pair is applicable (returns tuples).
     pub fn applicable(&self) -> bool {
         self.count > 0
@@ -1566,20 +1537,7 @@ impl PairwiseCache {
             parallelism.workers().min(total)
         };
         let entries = if workers <= 1 {
-            // Sequential: push straight into the table, no placeholder
-            // pass — this is the single-core and small-profile fast path.
-            let mut entries = Vec::with_capacity(total);
-            for i in 0..n {
-                for j in i + 1..n {
-                    entries.push(PairEntry {
-                        i,
-                        j,
-                        intensity: f_and(intensities[i], intensities[j]),
-                        count: sets[i].and_count(&sets[j]) as u64,
-                    });
-                }
-            }
-            entries
+            pair_chunk(0, total, n, &sets, &intensities)
         } else {
             // Partition the linearised triangular index into contiguous
             // *cost-weighted* blocks: a pair's AND-popcount pass costs
@@ -1603,17 +1561,7 @@ impl PairwiseCache {
                 Vec::new,
                 |acc: &mut Vec<(usize, Vec<PairEntry>)>, b| {
                     let (start, end) = (block_bounds[b], block_bounds[b + 1]);
-                    let mut part = vec![
-                        PairEntry {
-                            i: 0,
-                            j: 0,
-                            intensity: 0.0,
-                            count: 0,
-                        };
-                        end - start
-                    ];
-                    fill_pair_chunk(&mut part, start, n, &sets, &intensities);
-                    acc.push((b, part));
+                    acc.push((b, pair_chunk(start, end, n, &sets, &intensities)));
                 },
             );
             let mut blocks: Vec<(usize, Vec<PairEntry>)> =
@@ -1663,12 +1611,7 @@ impl PairwiseCache {
         for i in 0..self.n {
             for j in i + 1..self.n {
                 if changed[i] || changed[j] {
-                    entries[idx] = PairEntry {
-                        i,
-                        j,
-                        intensity: f_and(intensities[i], intensities[j]),
-                        count: sets[i].and_count(&sets[j]) as u64,
-                    };
+                    entries[idx] = PairEntry::score(i, j, &sets, &intensities);
                 }
                 idx += 1;
             }
@@ -1942,7 +1885,6 @@ mod tests {
         check::<Parallelism>();
         check::<Epoch>();
         check::<EpochCache>();
-        check::<EpochPin>();
         check::<EpochSession>();
         check::<DeltaReport>();
     }
@@ -2250,21 +2192,81 @@ mod tests {
         assert_eq!(session.epoch(), 1);
         assert!(!session.drain(&epochs), "nothing newer to drain onto");
 
-        // Publish while the session is pinned: epoch 1 is retired but
-        // kept alive for the pin.
+        // Publish while the session holds epoch 1: it is retired but
+        // kept alive by the session.
         assert_eq!(epochs.publish(cache.clone()), 2);
         assert_eq!(epochs.current_epoch(), 2);
         assert_eq!(epochs.retired_count(), 1);
         assert_eq!(session.epoch(), 1, "session stays on its pinned epoch");
 
-        // Drain: the session re-pins onto epoch 2 and the unpinned
-        // retired epoch is evicted.
+        // Drain: the session moves onto epoch 2 and the retired epoch,
+        // held by nothing else, is evicted.
         assert!(session.drain(&epochs));
         assert_eq!(session.epoch(), 2);
         assert_eq!(epochs.retired_count(), 0);
         assert_eq!(epochs.evicted_count(), 1);
+
+        // A session still on epoch 2 keeps it alive past the next
+        // publish; it is evicted when the session drops.
+        assert_eq!(epochs.publish(cache), 3);
+        assert_eq!(epochs.retired_count(), 1);
+        assert_eq!(epochs.evicted_count(), 1);
         drop(session);
-        assert_eq!(epochs.current().pin_count(), 0);
+        assert_eq!(epochs.retired_count(), 0);
+        assert_eq!(epochs.evicted_count(), 2);
+    }
+
+    #[test]
+    fn retired_epochs_live_exactly_as_long_as_their_holders() {
+        let db = db();
+        let cache = ProfileCache::warm(&db, BaseQuery::dblp(), [&p("dblp.venue='VLDB'")]).unwrap();
+        let epochs = EpochCache::new(cache.clone());
+
+        // A bare `current()` handle holds its epoch like a session does.
+        let handle = epochs.current();
+        epochs.publish(cache.clone());
+        assert_eq!(handle.number(), 1);
+        assert_eq!(epochs.retired_count(), 1, "held by the handle");
+        assert_eq!(epochs.evicted_count(), 0);
+        drop(handle);
+        assert_eq!(epochs.retired_count(), 0);
+        assert_eq!(epochs.evicted_count(), 1);
+
+        // Draining frees the old epoch's snapshot at once, with no
+        // further call into the epoch cache.
+        let mut session = EpochSession::open(&epochs);
+        let old_cache = Arc::downgrade(&session.cache());
+        epochs.publish(cache);
+        assert!(old_cache.upgrade().is_some(), "the session holds epoch 2");
+        assert!(session.drain(&epochs));
+        assert!(old_cache.upgrade().is_none(), "epoch 2's snapshot is freed");
+    }
+
+    #[test]
+    fn base_queries_off_the_driver_are_typed_errors() {
+        let db = db();
+        let vldb = p("dblp.venue='VLDB'");
+        let key_on_join = BaseQuery::single("dblp", ColRef::parse("dblp_author.pid")).join(
+            "dblp_author",
+            ColRef::parse("dblp.pid"),
+            ColRef::parse("dblp_author.pid"),
+        );
+        let join_off_driver = BaseQuery::single("dblp", ColRef::parse("dblp.pid")).join(
+            "dblp_author",
+            ColRef::parse("dblp_author.pid"),
+            ColRef::parse("dblp.pid"),
+        );
+        for base in [key_on_join, join_off_driver] {
+            let exec = Executor::new(&db, base.clone());
+            assert!(matches!(
+                exec.tuple_set(&vldb),
+                Err(HypreError::UnsupportedBaseQuery { .. })
+            ));
+            assert!(matches!(
+                ProfileCache::warm(&db, base, [&vldb]),
+                Err(HypreError::UnsupportedBaseQuery { .. })
+            ));
+        }
     }
 
     #[test]

@@ -45,9 +45,12 @@
 //! panic or an over-allocation. Container payloads are re-validated
 //! against the [`TupleSet`] invariants (sorted arrays, disjoint
 //! ascending runs) and every tuple id must resolve inside the interner's
-//! id space. Loading also re-fingerprints the live corpus: a snapshot
-//! warmed on different table shapes is [`HypreError::StaleSnapshot`],
-//! exactly like the in-process staleness check.
+//! id space. The base query must have the one shape the executor
+//! supports, and the fingerprint must name exactly its tables, in order;
+//! either failing is [`HypreError::SnapshotCorrupt`]. Loading also
+//! re-fingerprints the live corpus through the in-process staleness
+//! check: a snapshot warmed on different table shapes is
+//! [`HypreError::StaleSnapshot`].
 //!
 //! Writes go to a sibling temp file first and are published with an
 //! atomic rename, so a crash mid-save never leaves a torn snapshot at
@@ -63,8 +66,8 @@ use crate::error::{HypreError, Result};
 use crate::tupleset::{ContainerDump, TupleSet};
 
 use super::{
-    corpus_fingerprint, index_by_first, unrank_pair, BaseQuery, PairEntry, PairwiseCache,
-    ProfileCache, SharedTupleSet, TupleInterner,
+    check_fingerprint_tables, index_by_first, unrank_pair, BaseQuery, CorpusCheck, PairEntry,
+    PairwiseCache, ProfileCache, SharedTupleSet, TupleInterner,
 };
 
 /// File magic: identifies a HYPRE profile snapshot.
@@ -418,16 +421,7 @@ impl ProfileCache {
             detail: format!("read {}: {e}", path.display()),
         })?;
         let (cache, pairs) = ProfileCache::from_bytes(&bytes)?;
-        let current = corpus_fingerprint(db, &cache.base);
-        for ((table, warmed), (_, now)) in cache.fingerprint.iter().zip(&current) {
-            if warmed != now {
-                return Err(HypreError::StaleSnapshot {
-                    table: table.clone(),
-                    warmed: *warmed,
-                    current: *now,
-                });
-            }
-        }
+        cache.check_corpus(db, CorpusCheck::Exact)?;
         Ok((cache, pairs))
     }
 
@@ -476,6 +470,9 @@ impl ProfileCache {
             joins,
             key,
         };
+        base.check_shape()
+            .map_err(|e| r.corrupt(&format!("base query: {e}")))?;
+        check_fingerprint_tables(&fingerprint, &base)?;
 
         let raw_vals = r.r_u64("interner count")?;
         let n_vals = r.checked_count(raw_vals, 1, "interner count")?;
@@ -688,6 +685,36 @@ mod tests {
         let (cache, _) = warmed(&db);
         let mut bytes = cache.to_bytes(None).unwrap();
         bytes.push(0xFF);
+        let err = ProfileCache::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, HypreError::SnapshotCorrupt { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn fingerprint_must_name_exactly_the_base_query_tables() {
+        let db = tiny_dblp();
+        let (cache, _) = warmed(&db);
+        let mut empty = cache.clone();
+        empty.fingerprint.clear();
+        let mut renamed = cache.clone();
+        renamed.fingerprint[1].0 = "other_table".into();
+        for tampered in [empty, renamed] {
+            let bytes = tampered.to_bytes(None).unwrap();
+            let err = ProfileCache::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, HypreError::SnapshotCorrupt { .. }), "{err:?}");
+            // The in-process check refuses the same cache.
+            assert!(matches!(
+                tampered.ingest_delta(&db),
+                Err(HypreError::SnapshotCorrupt { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn base_query_off_the_driver_is_corrupt() {
+        let db = tiny_dblp();
+        let (mut cache, _) = warmed(&db);
+        cache.base.key = ColRef::parse("dblp_author.pid");
+        let bytes = cache.to_bytes(None).unwrap();
         let err = ProfileCache::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, HypreError::SnapshotCorrupt { .. }), "{err:?}");
     }

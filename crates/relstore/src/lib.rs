@@ -52,7 +52,7 @@ pub use fault::{FailSchedule, FailingDriver};
 pub use index::{Index, IndexKind};
 pub use parser::parse_predicate;
 pub use predicate::{CmpOp, ColRef, ColumnResolver, Predicate};
-pub use query::{JoinCond, ResultSet, SelectQuery};
+pub use query::{JoinCond, SelectQuery};
 pub use schema::{Column, Schema};
 pub use table::{RowId, StrDict, Table};
 pub use value::{DataType, Value};

@@ -118,12 +118,6 @@ impl SelectQuery {
         self
     }
 
-    /// Conjoins another predicate onto the current filter.
-    pub fn and_filter(mut self, predicate: Predicate) -> Self {
-        self.filter = std::mem::replace(&mut self.filter, Predicate::True).and(predicate);
-        self
-    }
-
     /// The tables in the FROM list, in join order.
     pub fn tables(&self) -> &[String] {
         &self.from
@@ -132,17 +126,6 @@ impl SelectQuery {
     /// The current filter predicate.
     pub fn predicate(&self) -> &Predicate {
         &self.filter
-    }
-
-    /// Runs the query, materialising all joined rows that pass the filter.
-    pub fn run(&self, db: &Database) -> Result<ResultSet> {
-        let bound = self.bind(db)?;
-        let mut out = ResultSet::new(&bound);
-        self.execute(db, &bound, None, |_, joined| {
-            out.rows.push(joined.concat_values());
-            Ok(true)
-        })?;
-        Ok(out)
     }
 
     /// `SELECT COUNT(*)` — the number of joined rows passing the filter.
@@ -1042,66 +1025,12 @@ impl<'a> JoinedRow<'a, '_> {
     fn value_at(&self, loc: Located) -> &'a Value {
         &self.rows[loc.table_idx][loc.col_idx]
     }
-
-    fn concat_values(&self) -> Vec<Value> {
-        let total: usize = self.rows.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        for r in self.rows {
-            out.extend_from_slice(r);
-        }
-        out
-    }
 }
 
 impl ColumnResolver for JoinedRow<'_, '_> {
     fn resolve(&self, col: &ColRef) -> Result<&Value> {
         let loc = self.bound.locate(col)?;
         Ok(&self.rows[loc.table_idx][loc.col_idx])
-    }
-}
-
-/// Materialised query output: qualified column names plus row values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultSet {
-    /// Qualified output column names, `table.column`, in FROM order.
-    pub columns: Vec<String>,
-    /// Row values, one `Vec<Value>` per joined row, aligned with `columns`.
-    pub rows: Vec<Vec<Value>>,
-}
-
-impl ResultSet {
-    fn new(bound: &BoundQuery<'_>) -> Self {
-        let mut columns = Vec::new();
-        for (name, table) in bound.names.iter().zip(&bound.tables) {
-            for c in table.schema().columns() {
-                columns.push(format!("{name}.{}", c.name()));
-            }
-        }
-        ResultSet {
-            columns,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Number of rows returned.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the result is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Index of a qualified output column.
-    pub fn column_index(&self, qualified: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == qualified)
-    }
-
-    /// The values of one output column across all rows.
-    pub fn column_values(&self, qualified: &str) -> Option<Vec<&Value>> {
-        let i = self.column_index(qualified)?;
-        Some(self.rows.iter().map(|r| &r[i]).collect())
     }
 }
 
@@ -1158,12 +1087,26 @@ mod tests {
         db
     }
 
+    /// One driver column read off the rows the reference pipeline
+    /// returns, in row order.
+    fn driver_column(db: &Database, q: &SelectQuery, column: &str) -> Vec<Value> {
+        let driver = db.table(&q.tables()[0]).unwrap();
+        let col = driver.schema().index_of(column).unwrap();
+        q.distinct_row_set_rowwise(db)
+            .unwrap()
+            .iter()
+            .map(|r| driver.value_at(r.0, col).unwrap())
+            .collect()
+    }
+
     #[test]
     fn single_table_filter() {
         let db = mini_dblp();
         let q = SelectQuery::from("dblp").filter(parse_predicate("dblp.venue='PVLDB'").unwrap());
-        let rs = q.run(&db).unwrap();
-        assert_eq!(rs.len(), 2);
+        assert_eq!(
+            driver_column(&db, &q, "pid"),
+            vec![Value::Int(3), Value::Int(4)]
+        );
         assert_eq!(q.count(&db).unwrap(), 2);
     }
 
@@ -1458,17 +1401,15 @@ mod tests {
             .create_index("year", IndexKind::BTree)
             .unwrap();
         let ge = SelectQuery::from("dblp").filter(parse_predicate("dblp.year>=2008.0").unwrap());
-        let rows = ge.run(&db).unwrap();
-        let years = rows.column_values("dblp.year").unwrap();
-        assert!(years.contains(&&Value::Int(2008)), "boundary row kept");
-        assert_eq!(rows.len(), 4);
+        let years = driver_column(&db, &ge, "year");
+        assert!(years.contains(&Value::Int(2008)), "boundary row kept");
+        assert_eq!(years.len(), 4);
+        assert_eq!(ge.count(&db).unwrap(), 4);
         let gt = SelectQuery::from("dblp").filter(parse_predicate("dblp.year>2008.0").unwrap());
-        let rows = gt.run(&db).unwrap();
-        assert!(!rows
-            .column_values("dblp.year")
-            .unwrap()
-            .contains(&&Value::Int(2008)));
-        assert_eq!(rows.len(), 3);
+        let years = driver_column(&db, &gt, "year");
+        assert!(!years.contains(&Value::Int(2008)));
+        assert_eq!(years.len(), 3);
+        assert_eq!(gt.count(&db).unwrap(), 3);
     }
 
     #[test]
@@ -1786,21 +1727,23 @@ mod tests {
     }
 
     #[test]
-    fn result_set_columns_are_qualified() {
+    fn join_rows_resolve_qualified_columns() {
         let db = mini_dblp();
-        let rs = SelectQuery::from("dblp")
-            .join(
-                "dblp_author",
-                ColRef::parse("dblp.pid"),
-                ColRef::parse("dblp_author.pid"),
-            )
-            .run(&db)
-            .unwrap();
-        assert!(rs.columns.contains(&"dblp.title".to_owned()));
-        assert!(rs.columns.contains(&"dblp_author.aid".to_owned()));
-        let idx = rs.column_index("dblp.pid").unwrap();
-        assert_eq!(idx, 0);
-        assert!(rs.column_values("dblp.venue").is_some());
+        let join = SelectQuery::from("dblp").join(
+            "dblp_author",
+            ColRef::parse("dblp.pid"),
+            ColRef::parse("dblp_author.pid"),
+        );
+        // Every link row joins; paper 6 has no author and drops out.
+        assert_eq!(join.count(&db).unwrap(), 7);
+        assert_eq!(
+            driver_column(&db, &join, "pid"),
+            (1..=5).map(Value::Int).collect::<Vec<_>>()
+        );
+        // Qualified columns of both sides resolve in the filter.
+        let q =
+            join.filter(parse_predicate("dblp.title='Keymantic' AND dblp_author.aid=102").unwrap());
+        assert_eq!(driver_column(&db, &q, "venue"), vec![Value::str("PVLDB")]);
     }
 
     #[test]

@@ -68,8 +68,8 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace --all-targets"
+cargo build --release --workspace --all-targets
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
