@@ -1,12 +1,10 @@
 //! The HYPRE graph: the unified preference store (Definition 14) and its
 //! maintenance algorithms.
 //!
-//! Every node is a `(user, predicate, intensity?)` triple stored as a
-//! property-graph node labeled `uidIndex` (the dissertation indexes nodes
-//! by the `uid` property under that label, §4.3). A quantitative preference
-//! is a node with an intensity; a qualitative preference is a directed edge
-//! `left → right` whose `intensity` property is the edge strength. Edges
-//! carry one of three labels:
+//! Every node is a `(user, predicate, intensity?)` triple. A quantitative
+//! preference is a node with an intensity; a qualitative preference is a
+//! directed edge `left → right` whose strength is its intensity. Edges are
+//! of one of three kinds:
 //!
 //! * `PREFERS` — a live qualitative preference, traversed by ranking;
 //! * `CYCLE`   — the edge would have closed a cycle in the PREFERS
@@ -14,6 +12,40 @@
 //! * `DISCARD` — the edge contradicts the endpoints' intensities
 //!   (`intensity(left) < intensity(right)`) and neither endpoint could be
 //!   recomputed without propagating the conflict.
+//!
+//! ## Layout
+//!
+//! The store is typed columns, keyed for deduplication:
+//!
+//! * node `i` holds its uid, its [`Predicate`] and the predicate's
+//!   canonical text, `Option<(intensity, Provenance)>`, and the ids of its
+//!   outgoing and incoming edges;
+//! * edge `j` holds its endpoints, its [`EdgeKind`] and its strength;
+//! * each user maps to its nodes in creation order and to a
+//!   `canonical text → node` table — the `createOrReturnNodeId` lookup
+//!   the dissertation serves from the Neo4j `uidIndex` plus a predicate
+//!   filter (§4.3).
+//!
+//! Reads ([`HypreGraph::node_intensity`], [`HypreGraph::profile`],
+//! [`HypreGraph::positive_profile`], [`HypreGraph::users`]) look up no
+//! string-keyed property and parse nothing: a profile clones the stored
+//! `Predicate`s. Each insert canonicalises a predicate once per lookup,
+//! and the PREFERS cycle guard walks the typed adjacency with reusable
+//! scratch, so it allocates nothing per insert.
+//!
+//! ## Property-graph export
+//!
+//! [`HypreGraph::to_property_graph`] renders the store as the Neo4j-style
+//! [`PropertyGraph`] of §4.3, for [`graphstore::NodeQuery`] and
+//! [`graphstore::traverse`]. Its contract:
+//!
+//! * node `i` is `NodeId(i)`, labelled [`NODE_LABEL`] (`uidIndex`), with
+//!   an index on `(uidIndex, uid)`. Its properties are `uid` (`Int`),
+//!   `predicate` (the canonical text) and, once scored, `intensity`
+//!   (`Float`) and `provenance` (`"user"`, `"computed"` or `"default"`);
+//! * edge `j` is `EdgeId(j)`, labelled `PREFERS`, `CYCLE` or `DISCARD`
+//!   ([`EdgeKind::label`]), with its strength as the `intensity` (`Float`)
+//!   property.
 //!
 //! ## Reconciling the dissertation's pseudocode
 //!
@@ -44,18 +76,20 @@
 //! PREFERS subgraph is acyclic.** [`HypreGraph::check_invariants`] asserts
 //! both (used by tests and property tests).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphstore::{EdgeId, NodeId, PropValue, PropertyGraph};
-use relstore::{parse_predicate, Predicate};
+use graphstore::{EdgeId, GraphError, NodeId, PropValue, PropertyGraph};
+use relstore::Predicate;
 
 use crate::combine::PrefAtom;
 use crate::error::{HypreError, Result};
 use crate::intensity::{DefaultValueStrategy, Intensity, IntensityModel, Position, QualIntensity};
 use crate::preference::{Provenance, QualitativePref, QuantitativePref, UserId};
 
-/// The label every preference node carries (and the index scope).
+/// The label every preference node carries in the property-graph export
+/// (and the index scope).
 pub const NODE_LABEL: &str = "uidIndex";
 
 /// Edge classification (the dissertation's PREFERS / CYCLE / DISCARD).
@@ -70,22 +104,12 @@ pub enum EdgeKind {
 }
 
 impl EdgeKind {
-    /// The graph edge label.
+    /// The edge label in the property-graph export.
     pub fn label(self) -> &'static str {
         match self {
             EdgeKind::Prefers => "PREFERS",
             EdgeKind::Cycle => "CYCLE",
             EdgeKind::Discard => "DISCARD",
-        }
-    }
-
-    /// Decodes a graph edge label.
-    pub fn parse(label: &str) -> Option<Self> {
-        match label {
-            "PREFERS" => Some(EdgeKind::Prefers),
-            "CYCLE" => Some(EdgeKind::Cycle),
-            "DISCARD" => Some(EdgeKind::Discard),
-            _ => None,
         }
     }
 }
@@ -136,16 +160,89 @@ pub struct IngestReport {
     pub discard_edges: usize,
 }
 
-/// The HYPRE preference graph: all users' profiles in one property graph.
+/// One preference node.
+struct Node {
+    uid: u64,
+    predicate: Predicate,
+    canonical: Arc<str>,
+    score: Option<(f64, Provenance)>,
+    out_edges: Vec<usize>,
+    in_edges: Vec<usize>,
+}
+
+/// One qualitative edge.
+#[derive(Clone, Copy)]
+struct Edge {
+    from: usize,
+    to: usize,
+    kind: EdgeKind,
+    strength: f64,
+}
+
+/// One user's nodes: creation order, and the `(uid, predicate)` dedup
+/// table on canonical text.
+#[derive(Default)]
+struct UserNodes {
+    nodes: Vec<usize>,
+    by_predicate: HashMap<Arc<str>, usize>,
+}
+
+/// Reusable scratch for the PREFERS reachability walk: a visit stamp per
+/// node and a DFS stack, both kept between walks.
+#[derive(Default)]
+struct Walk {
+    stamp: Vec<u32>,
+    generation: u32,
+    stack: Vec<usize>,
+}
+
+impl Walk {
+    /// Whether `from` reaches `to` along PREFERS edges.
+    fn reaches(&mut self, nodes: &[Node], edges: &[Edge], from: usize, to: usize) -> bool {
+        self.stamp.resize(nodes.len(), 0);
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        self.stack.clear();
+        self.stack.push(from);
+        self.stamp[from] = self.generation;
+        while let Some(n) = self.stack.pop() {
+            for &e in &nodes[n].out_edges {
+                let edge = edges[e];
+                if edge.kind != EdgeKind::Prefers {
+                    continue;
+                }
+                if edge.to == to {
+                    return true;
+                }
+                if self.stamp[edge.to] != self.generation {
+                    self.stamp[edge.to] = self.generation;
+                    self.stack.push(edge.to);
+                }
+            }
+        }
+        false
+    }
+}
+
+fn node_id(i: usize) -> NodeId {
+    NodeId(i as u64)
+}
+
+fn edge_id(j: usize) -> EdgeId {
+    EdgeId(j as u64)
+}
+
+/// The HYPRE preference graph: all users' profiles in one store.
 pub struct HypreGraph {
-    graph: PropertyGraph,
+    nodes: Vec<Node>,
+    edges: Vec<Edge>,
+    users: BTreeMap<u64, UserNodes>,
     model: IntensityModel,
     default_strategy: DefaultValueStrategy,
-    /// `(uid, canonical predicate) → node` — the `createOrReturnNodeId`
-    /// lookup. The dissertation serves this from the Neo4j `uidIndex`
-    /// followed by a predicate filter; a dedicated map gives the same
-    /// result in O(1).
-    node_by_pred: HashMap<(u64, String), NodeId>,
+    walk: Walk,
 }
 
 impl Default for HypreGraph {
@@ -163,21 +260,45 @@ impl HypreGraph {
 
     /// Creates an empty graph with explicit propagation and seeding policy.
     pub fn with_config(model: IntensityModel, default_strategy: DefaultValueStrategy) -> Self {
-        let mut graph = PropertyGraph::new();
-        graph
-            .create_index(NODE_LABEL, "uid")
-            .unwrap_or_else(|e| unreachable!("fresh graph has no indexes: {e}"));
         HypreGraph {
-            graph,
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            users: BTreeMap::new(),
             model,
             default_strategy,
-            node_by_pred: HashMap::new(),
+            walk: Walk::default(),
         }
     }
 
-    /// The underlying property graph (read-only).
-    pub fn graph(&self) -> &PropertyGraph {
-        &self.graph
+    /// The store as a Neo4j-style property graph (the mapping is in the
+    /// module docs): node `i` is `NodeId(i)` and edge `j` is `EdgeId(j)`.
+    pub fn to_property_graph(&self) -> PropertyGraph {
+        let mut graph = PropertyGraph::with_capacity(self.nodes.len());
+        graph
+            .create_index(NODE_LABEL, "uid")
+            .unwrap_or_else(|e| unreachable!("fresh graph has no indexes: {e}"));
+        for n in &self.nodes {
+            let mut props = vec![
+                ("uid", PropValue::Int(n.uid as i64)),
+                ("predicate", PropValue::str(&*n.canonical)),
+            ];
+            if let Some((intensity, provenance)) = n.score {
+                props.push(("intensity", PropValue::Float(intensity)));
+                props.push(("provenance", PropValue::str(provenance.as_str())));
+            }
+            graph.create_node([NODE_LABEL], props);
+        }
+        for e in &self.edges {
+            graph
+                .create_edge(
+                    node_id(e.from),
+                    node_id(e.to),
+                    e.kind.label(),
+                    [("intensity", e.strength)],
+                )
+                .unwrap_or_else(|e| unreachable!("endpoints exist: {e}"));
+        }
+        graph
     }
 
     /// The configured propagation model.
@@ -192,12 +313,12 @@ impl HypreGraph {
 
     /// Number of preference nodes.
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.nodes.len()
     }
 
     /// Number of qualitative edges (all kinds).
     pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
+        self.edges.len()
     }
 
     // ------------------------------------------------------------------
@@ -210,64 +331,58 @@ impl HypreGraph {
     /// updated: averaged with the new value when one was already present,
     /// set otherwise. Either way the stored value is marked user-provided.
     pub fn add_quantitative(&mut self, pref: &QuantitativePref) -> NodeId {
-        let (node, _created) = self.create_or_get_node(pref.user, &pref.predicate);
-        let new_value = match self.node_intensity(node) {
+        let node = self.create_or_get_node(pref.user, &pref.predicate, pref.predicate.canonical());
+        let new_value = match self.nodes[node].score {
             Some((old, Provenance::UserProvided)) => (old + pref.intensity.value()) / 2.0,
             _ => pref.intensity.value(),
         };
         self.set_intensity(node, new_value, Provenance::UserProvided);
-        node
+        node_id(node)
     }
 
     /// Inserts a qualitative preference (Algorithm 1 reconciled with
     /// §4.4/§6.3 — see the module docs for the exact case analysis).
+    ///
+    /// # Errors
+    /// [`HypreError::SelfPreference`] when both sides have the same
+    /// canonical text; the graph is left unchanged.
     pub fn add_qualitative(&mut self, pref: &QualitativePref) -> Result<QualInsertOutcome> {
-        let (left, _) = self.create_or_get_node(pref.user, &pref.left);
-        let (right, _) = self.create_or_get_node(pref.user, &pref.right);
-        if left == right {
-            return Err(HypreError::SelfPreference(pref.left.canonical()));
+        let left_text = pref.left.canonical();
+        let right_text = pref.right.canonical();
+        if left_text == right_text {
+            return Err(HypreError::SelfPreference(left_text));
         }
+        let left = self.create_or_get_node(pref.user, &pref.left, left_text);
+        let right = self.create_or_get_node(pref.user, &pref.right, right_text);
         let ql = pref.intensity;
+        let outcome =
+            |edge: usize, kind: EdgeKind, recomputed: Vec<(NodeId, f64)>| QualInsertOutcome {
+                edge: edge_id(edge),
+                kind,
+                left: node_id(left),
+                right: node_id(right),
+                recomputed,
+            };
 
         // Duplicate edge: refresh the strength instead of stacking edges.
-        if let Some(existing) = self
-            .graph
-            .find_edge(left, right, Some(EdgeKind::Prefers.label()))
+        let edges = &self.edges;
+        if let Some(&existing) = self.nodes[left]
+            .out_edges
+            .iter()
+            .find(|&&e| edges[e].to == right && edges[e].kind == EdgeKind::Prefers)
         {
-            let id = existing.id();
-            self.graph
-                .set_edge_prop(id, "intensity", ql.value())
-                .unwrap_or_else(|e| unreachable!("edge exists: {e}"));
-            return Ok(QualInsertOutcome {
-                edge: id,
-                kind: EdgeKind::Prefers,
-                left,
-                right,
-                recomputed: Vec::new(),
-            });
+            self.edges[existing].strength = ql.value();
+            return Ok(outcome(existing, EdgeKind::Prefers, Vec::new()));
         }
 
         // Conflicting behaviour: the edge would close a PREFERS cycle.
-        if graphstore::traverse::would_create_cycle(
-            &self.graph,
-            left,
-            right,
-            Some(EdgeKind::Prefers.label()),
-        ) {
+        if self.closes_cycle(left, right) {
             let edge = self.insert_edge(left, right, EdgeKind::Cycle, ql);
-            return Ok(QualInsertOutcome {
-                edge,
-                kind: EdgeKind::Cycle,
-                left,
-                right,
-                recomputed: Vec::new(),
-            });
+            return Ok(outcome(edge, EdgeKind::Cycle, Vec::new()));
         }
 
-        let li = self.node_intensity(left);
-        let ri = self.node_intensity(right);
         let mut recomputed = Vec::new();
-        let kind = match (li, ri) {
+        let kind = match (self.nodes[left].score, self.nodes[right].score) {
             (None, None) => {
                 // Scenario 3: seed the right node, grow the left from it.
                 let seed = self
@@ -276,8 +391,8 @@ impl HypreGraph {
                 self.set_intensity(right, seed.value(), Provenance::DefaultSeed);
                 let l = self.model.propagate(Position::Left, ql, seed);
                 self.set_intensity(left, l.value(), Provenance::SystemComputed);
-                recomputed.push((right, seed.value()));
-                recomputed.push((left, l.value()));
+                recomputed.push((node_id(right), seed.value()));
+                recomputed.push((node_id(left), l.value()));
                 EdgeKind::Prefers
             }
             (None, Some((r, _))) => {
@@ -286,7 +401,7 @@ impl HypreGraph {
                     .model
                     .propagate(Position::Left, ql, Intensity::saturating(r));
                 self.set_intensity(left, l.value(), Provenance::SystemComputed);
-                recomputed.push((left, l.value()));
+                recomputed.push((node_id(left), l.value()));
                 EdgeKind::Prefers
             }
             (Some((l, _)), None) => {
@@ -295,7 +410,7 @@ impl HypreGraph {
                     .model
                     .propagate(Position::Right, ql, Intensity::saturating(l));
                 self.set_intensity(right, r.value(), Provenance::SystemComputed);
-                recomputed.push((right, r.value()));
+                recomputed.push((node_id(right), r.value()));
                 EdgeKind::Prefers
             }
             (Some((l, _)), Some((r, _))) => {
@@ -304,20 +419,19 @@ impl HypreGraph {
                 } else {
                     // Incompatible intensities. Repair through a free
                     // endpoint (no other PREFERS connection), else discard.
-                    let prefers = Some(EdgeKind::Prefers.label());
-                    if self.graph.degree(left, prefers) == 0 {
+                    if !self.has_prefers_edge(left) {
                         let new_l =
                             self.model
                                 .propagate(Position::Left, ql, Intensity::saturating(r));
                         self.set_intensity(left, new_l.value(), Provenance::SystemComputed);
-                        recomputed.push((left, new_l.value()));
+                        recomputed.push((node_id(left), new_l.value()));
                         EdgeKind::Prefers
-                    } else if self.graph.degree(right, prefers) == 0 {
+                    } else if !self.has_prefers_edge(right) {
                         let new_r =
                             self.model
                                 .propagate(Position::Right, ql, Intensity::saturating(l));
                         self.set_intensity(right, new_r.value(), Provenance::SystemComputed);
-                        recomputed.push((right, new_r.value()));
+                        recomputed.push((node_id(right), new_r.value()));
                         EdgeKind::Prefers
                     } else {
                         EdgeKind::Discard
@@ -326,13 +440,7 @@ impl HypreGraph {
             }
         };
         let edge = self.insert_edge(left, right, kind, ql);
-        Ok(QualInsertOutcome {
-            edge,
-            kind,
-            left,
-            right,
-            recomputed,
-        })
+        Ok(outcome(edge, kind, recomputed))
     }
 
     /// Algorithm 7 verbatim: `FALSE` (no conflict) only when the left
@@ -381,67 +489,51 @@ impl HypreGraph {
 
     /// Finds the node for `(user, predicate)` if present.
     pub fn find_node(&self, user: UserId, predicate: &Predicate) -> Option<NodeId> {
-        self.node_by_pred
-            .get(&(user.0, predicate.canonical()))
-            .copied()
+        self.users
+            .get(&user.0)?
+            .by_predicate
+            .get(predicate.canonical().as_str())
+            .map(|&i| node_id(i))
     }
 
     /// The stored intensity and provenance of a node, if assigned.
     pub fn node_intensity(&self, node: NodeId) -> Option<(f64, Provenance)> {
-        let n = self.graph.node(node).ok()?;
-        let intensity = n.prop("intensity")?.as_f64()?;
-        let provenance = n
-            .prop("provenance")
-            .and_then(PropValue::as_str)
-            .and_then(Provenance::parse)
-            .unwrap_or(Provenance::UserProvided);
-        Some((intensity, provenance))
+        self.nodes.get(node.0 as usize)?.score
     }
 
     /// Reads a node back as a [`StoredPreference`].
+    ///
+    /// # Errors
+    /// [`HypreError::Graph`] when the node does not exist.
     pub fn stored_preference(&self, node: NodeId) -> Result<StoredPreference> {
-        let n = self.graph.node(node)?;
-        let predicate = n
-            .prop("predicate")
-            .and_then(PropValue::as_str)
-            .map(parse_predicate)
-            .transpose()?
-            .unwrap_or(Predicate::True);
-        let ip = self.node_intensity(node);
+        let n = self
+            .nodes
+            .get(node.0 as usize)
+            .ok_or(GraphError::NodeNotFound(node.0))?;
         Ok(StoredPreference {
             node,
-            predicate,
-            intensity: ip.map(|(v, _)| v),
-            provenance: ip.map(|(_, p)| p),
+            predicate: n.predicate.clone(),
+            intensity: n.score.map(|(v, _)| v),
+            provenance: n.score.map(|(_, p)| p),
         })
     }
 
     /// All user ids with at least one node, ascending.
     pub fn users(&self) -> Vec<UserId> {
-        let mut uids: Vec<u64> = self
-            .graph
-            .nodes()
-            .filter_map(|n| n.prop("uid").and_then(PropValue::as_i64))
-            .map(|v| v as u64)
-            .collect();
-        uids.sort_unstable();
-        uids.dedup();
-        uids.into_iter().map(UserId).collect()
+        self.users.keys().map(|&uid| UserId(uid)).collect()
     }
 
     /// All nodes belonging to a user, in node-id order.
     pub fn user_nodes(&self, user: UserId) -> Vec<NodeId> {
-        self.graph
-            .index_lookup(NODE_LABEL, "uid", &PropValue::Int(user.0 as i64))
-            .unwrap_or_default()
+        self.nodes_of(user).iter().map(|&i| node_id(i)).collect()
     }
 
     /// All intensity values currently stored for a user (any provenance) —
     /// the input to [`DefaultValueStrategy::seed`].
     pub fn user_intensities(&self, user: UserId) -> Vec<f64> {
-        self.user_nodes(user)
-            .into_iter()
-            .filter_map(|n| self.node_intensity(n).map(|(v, _)| v))
+        self.nodes_of(user)
+            .iter()
+            .filter_map(|&i| self.nodes[i].score.map(|(v, _)| v))
             .collect()
     }
 
@@ -454,9 +546,9 @@ impl HypreGraph {
     /// by node id.
     pub fn profile(&self, user: UserId) -> Vec<StoredPreference> {
         let mut prefs: Vec<StoredPreference> = self
-            .user_nodes(user)
-            .into_iter()
-            .filter_map(|n| self.stored_preference(n).ok())
+            .nodes_of(user)
+            .iter()
+            .filter_map(|&i| self.stored_preference(node_id(i)).ok())
             .collect();
         prefs.sort_by(|a, b| {
             match (a.intensity, b.intensity) {
@@ -473,14 +565,21 @@ impl HypreGraph {
     /// The combination-ready profile: strictly positive intensities only
     /// (negative preferences filter *out* of enhancement, §4.3, and a zero
     /// intensity is indifference), as [`PrefAtom`]s indexed 0.. in
-    /// descending-intensity order.
+    /// descending-intensity order — the [`HypreGraph::profile`] order.
     pub fn positive_profile(&self, user: UserId) -> Vec<PrefAtom> {
-        self.profile(user)
+        let mut positive: Vec<(usize, f64)> = self
+            .nodes_of(user)
+            .iter()
+            .filter_map(|&i| match self.nodes[i].score {
+                Some((v, _)) if v > 0.0 => Some((i, v)),
+                _ => None,
+            })
+            .collect();
+        positive.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        positive
             .into_iter()
-            .filter_map(|p| p.intensity.map(|v| (p, v)))
-            .filter(|&(_, v)| v > 0.0)
             .enumerate()
-            .map(|(i, (p, v))| PrefAtom::new(i, p.predicate, v))
+            .map(|(index, (i, v))| PrefAtom::new(index, self.nodes[i].predicate.clone(), v))
             .collect()
     }
 
@@ -499,8 +598,8 @@ impl HypreGraph {
     pub fn quantitative_counts(&self, user: UserId) -> (usize, usize) {
         let mut user_provided = 0usize;
         let mut scored = 0usize;
-        for n in self.user_nodes(user) {
-            if let Some((_, prov)) = self.node_intensity(n) {
+        for &i in self.nodes_of(user) {
+            if let Some((_, prov)) = self.nodes[i].score {
                 scored += 1;
                 if prov == Provenance::UserProvided {
                     user_provided += 1;
@@ -513,11 +612,9 @@ impl HypreGraph {
     /// Per-kind edge counts for a user's subgraph.
     pub fn edge_kind_counts(&self, user: UserId) -> HashMap<EdgeKind, usize> {
         let mut out = HashMap::new();
-        for n in self.user_nodes(user) {
-            for e in self.graph.out_edges(n, None) {
-                if let Some(kind) = EdgeKind::parse(e.label()) {
-                    *out.entry(kind).or_insert(0) += 1;
-                }
+        for &i in self.nodes_of(user) {
+            for &e in &self.nodes[i].out_edges {
+                *out.entry(self.edges[e].kind).or_insert(0) += 1;
             }
         }
         out
@@ -533,16 +630,24 @@ impl HypreGraph {
     /// 2. every PREFERS edge has `intensity(left) ≥ intensity(right)`
     ///    (when both are defined), with all intensities in `[-1, 1]`.
     ///
-    /// Returns a human-readable violation description, or `Ok(())`.
+    /// Acyclicity is checked by [`graphstore::traverse::topo_sort`] on
+    /// the [`HypreGraph::to_property_graph`] export, independently of the
+    /// insert-time cycle guard. Returns a human-readable violation
+    /// description, or `Ok(())`.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        let prefers = EdgeKind::Prefers.label();
         // edge monotonicity + range
-        for e in self.graph.edges().filter(|e| e.label() == prefers) {
-            let li = self.node_intensity(e.from()).map(|(v, _)| v);
-            let ri = self.node_intensity(e.to()).map(|(v, _)| v);
+        for (j, e) in self.edges.iter().enumerate() {
+            if e.kind != EdgeKind::Prefers {
+                continue;
+            }
+            let li = self.nodes[e.from].score.map(|(v, _)| v);
+            let ri = self.nodes[e.to].score.map(|(v, _)| v);
             if let (Some(l), Some(r)) = (li, ri) {
                 if l < r - 1e-12 {
-                    return Err(format!("PREFERS edge {} has left {l} < right {r}", e.id()));
+                    return Err(format!(
+                        "PREFERS edge {} has left {l} < right {r}",
+                        edge_id(j)
+                    ));
                 }
             }
             for v in [li, ri].into_iter().flatten() {
@@ -552,8 +657,9 @@ impl HypreGraph {
             }
         }
         // acyclicity, checked per weakly-meaningful scope (all nodes)
-        let scope: Vec<NodeId> = self.graph.nodes().map(|n| n.id()).collect();
-        graphstore::traverse::topo_sort(&self.graph, &scope, Some(prefers))
+        let graph = self.to_property_graph();
+        let scope: Vec<NodeId> = graph.nodes().map(|n| n.id()).collect();
+        graphstore::traverse::topo_sort(&graph, &scope, Some(EdgeKind::Prefers.label()))
             .map(|_| ())
             .map_err(|_| "PREFERS subgraph contains a cycle".to_owned())
     }
@@ -562,93 +668,115 @@ impl HypreGraph {
     // internals
     // ------------------------------------------------------------------
 
-    fn create_or_get_node(&mut self, user: UserId, predicate: &Predicate) -> (NodeId, bool) {
-        let key = (user.0, predicate.canonical());
-        if let Some(&node) = self.node_by_pred.get(&key) {
-            return (node, false);
-        }
-        let node = self.graph.create_node(
-            [NODE_LABEL],
-            [
-                ("uid", PropValue::Int(user.0 as i64)),
-                ("predicate", PropValue::str(predicate.canonical())),
-            ],
-        );
-        self.node_by_pred.insert(key, node);
-        (node, true)
+    fn nodes_of(&self, user: UserId) -> &[usize] {
+        self.users.get(&user.0).map_or(&[], |u| u.nodes.as_slice())
     }
 
-    fn set_intensity(&mut self, node: NodeId, value: f64, provenance: Provenance) {
-        self.graph
-            .set_node_prop(node, "intensity", value)
-            .unwrap_or_else(|e| unreachable!("node exists: {e}"));
-        self.graph
-            .set_node_prop(node, "provenance", provenance.as_str())
-            .unwrap_or_else(|e| unreachable!("node exists: {e}"));
+    /// `createOrReturnNodeId`: the node for `(user, canonical)`, created
+    /// with `predicate` when absent.
+    fn create_or_get_node(
+        &mut self,
+        user: UserId,
+        predicate: &Predicate,
+        canonical: String,
+    ) -> usize {
+        let entry = self.users.entry(user.0).or_default();
+        if let Some(&i) = entry.by_predicate.get(canonical.as_str()) {
+            return i;
+        }
+        let i = self.nodes.len();
+        let canonical: Arc<str> = canonical.into();
+        entry.nodes.push(i);
+        entry.by_predicate.insert(Arc::clone(&canonical), i);
+        self.nodes.push(Node {
+            uid: user.0,
+            predicate: predicate.clone(),
+            canonical,
+            score: None,
+            out_edges: Vec::new(),
+            in_edges: Vec::new(),
+        });
+        i
+    }
+
+    /// Whether the node has any PREFERS edge, in or out (Algorithm 1's
+    /// `degree(n, PREFERS) > 0`).
+    fn has_prefers_edge(&self, node: usize) -> bool {
+        let n = &self.nodes[node];
+        n.out_edges
+            .iter()
+            .chain(&n.in_edges)
+            .any(|&e| self.edges[e].kind == EdgeKind::Prefers)
+    }
+
+    /// Whether a PREFERS edge `left → right` would close a cycle, i.e.
+    /// `right` already reaches `left` (Algorithm 1 line 6).
+    fn closes_cycle(&mut self, left: usize, right: usize) -> bool {
+        left == right || self.walk.reaches(&self.nodes, &self.edges, right, left)
+    }
+
+    fn set_intensity(&mut self, node: usize, value: f64, provenance: Provenance) {
+        self.nodes[node].score = Some((value, provenance));
         self.revalidate_incident_edges(node);
     }
 
     /// Re-validates the edges touching a node after its intensity changed
     /// (§6.2.3: an edge "can be relabeled, and used later, if the
-    /// preference intensities of the two involved nodes change"):
+    /// preference intensities of the two involved nodes change"), outgoing
+    /// edges first, each list in insertion order:
     ///
     /// * a `PREFERS` edge whose endpoints now satisfy `left < right` is
     ///   demoted to `DISCARD`;
     /// * a `DISCARD` edge whose endpoints now satisfy `left ≥ right` is
     ///   promoted back to `PREFERS` — unless doing so would close a cycle
     ///   in the current PREFERS subgraph.
-    fn revalidate_incident_edges(&mut self, node: NodeId) {
-        let incident: Vec<(EdgeId, NodeId, NodeId, EdgeKind)> = self
-            .graph
-            .out_edges(node, None)
-            .chain(self.graph.in_edges(node, None))
-            .filter_map(|e| EdgeKind::parse(e.label()).map(|k| (e.id(), e.from(), e.to(), k)))
-            .collect();
-        for (id, from, to, kind) in incident {
-            let (Some((l, _)), Some((r, _))) = (self.node_intensity(from), self.node_intensity(to))
-            else {
-                continue;
-            };
-            match kind {
-                EdgeKind::Prefers if l < r => {
-                    self.graph
-                        .set_edge_label(id, EdgeKind::Discard.label())
-                        .unwrap_or_else(|e| unreachable!("edge exists: {e}"));
-                }
-                EdgeKind::Discard
-                    if l >= r
-                        && !graphstore::traverse::would_create_cycle(
-                            &self.graph,
-                            from,
-                            to,
-                            Some(EdgeKind::Prefers.label()),
-                        ) =>
-                {
-                    self.graph
-                        .set_edge_label(id, EdgeKind::Prefers.label())
-                        .unwrap_or_else(|e| unreachable!("edge exists: {e}"));
-                }
-                _ => {}
+    fn revalidate_incident_edges(&mut self, node: usize) {
+        for k in 0..self.nodes[node].out_edges.len() {
+            self.revalidate_edge(self.nodes[node].out_edges[k]);
+        }
+        for k in 0..self.nodes[node].in_edges.len() {
+            self.revalidate_edge(self.nodes[node].in_edges[k]);
+        }
+    }
+
+    fn revalidate_edge(&mut self, edge: usize) {
+        let Edge { from, to, kind, .. } = self.edges[edge];
+        let (Some((l, _)), Some((r, _))) = (self.nodes[from].score, self.nodes[to].score) else {
+            return;
+        };
+        match kind {
+            EdgeKind::Prefers if l < r => self.edges[edge].kind = EdgeKind::Discard,
+            EdgeKind::Discard if l >= r && !self.closes_cycle(from, to) => {
+                self.edges[edge].kind = EdgeKind::Prefers;
             }
+            _ => {}
         }
     }
 
     fn insert_edge(
         &mut self,
-        left: NodeId,
-        right: NodeId,
+        left: usize,
+        right: usize,
         kind: EdgeKind,
         ql: QualIntensity,
-    ) -> EdgeId {
-        self.graph
-            .create_edge(left, right, kind.label(), [("intensity", ql.value())])
-            .unwrap_or_else(|e| unreachable!("endpoints exist: {e}"))
+    ) -> usize {
+        let edge = self.edges.len();
+        self.edges.push(Edge {
+            from: left,
+            to: right,
+            kind,
+            strength: ql.value(),
+        });
+        self.nodes[left].out_edges.push(edge);
+        self.nodes[right].in_edges.push(edge);
+        edge
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relstore::parse_predicate;
 
     fn qt(uid: u64, pred: &str, intensity: f64) -> QuantitativePref {
         QuantitativePref::new(
@@ -834,8 +962,67 @@ mod tests {
         let second = g.add_qualitative(&ql(1, "a=1", "b=2", 0.9)).unwrap();
         assert_eq!(first.edge, second.edge);
         assert_eq!(g.edge_count(), 1);
-        let e = g.graph().edge(first.edge).unwrap();
+        let export = g.to_property_graph();
+        let e = export.edge(first.edge).unwrap();
         assert_eq!(e.prop("intensity").unwrap().as_f64(), Some(0.9));
+    }
+
+    #[test]
+    fn rejected_self_preference_leaves_the_graph_unchanged() {
+        // Built by struct literal: `QualitativePref::new` would refuse it.
+        let pref = QualitativePref {
+            user: UserId(1),
+            left: parse_predicate("a=1").unwrap(),
+            right: parse_predicate("a = 1").unwrap(),
+            intensity: QualIntensity::new(0.5).unwrap(),
+        };
+        let mut g = HypreGraph::new();
+        assert!(matches!(
+            g.add_qualitative(&pref),
+            Err(HypreError::SelfPreference(_))
+        ));
+        assert_eq!(g.node_count(), 0);
+        assert!(g.users().is_empty());
+    }
+
+    #[test]
+    fn export_maps_nodes_and_edges_by_index() {
+        let mut g = section33_graph();
+        let out = g
+            .add_qualitative(&ql(1, "venue='VLDB'", "year>=2009", 0.2))
+            .unwrap();
+        let export = g.to_property_graph();
+        assert_eq!(export.node_count(), g.node_count());
+        assert_eq!(export.edge_count(), g.edge_count());
+        for n in g.user_nodes(UserId(1)) {
+            let node = export.node(n).unwrap();
+            let stored = g.stored_preference(n).unwrap();
+            assert!(node.has_label(NODE_LABEL));
+            assert_eq!(node.prop("uid"), Some(&PropValue::Int(1)));
+            assert_eq!(
+                node.prop("predicate").and_then(PropValue::as_str),
+                Some(stored.predicate.canonical().as_str())
+            );
+            assert_eq!(
+                node.prop("intensity").and_then(PropValue::as_f64),
+                stored.intensity
+            );
+            assert_eq!(
+                node.prop("provenance").and_then(PropValue::as_str),
+                stored.provenance.map(Provenance::as_str)
+            );
+        }
+        let edge = export.edge(out.edge).unwrap();
+        assert_eq!((edge.from(), edge.to()), (out.left, out.right));
+        assert_eq!(edge.label(), EdgeKind::Prefers.label());
+        assert_eq!(
+            edge.prop("intensity").and_then(PropValue::as_f64),
+            Some(0.2)
+        );
+        assert_eq!(
+            export.index_lookup(NODE_LABEL, "uid", &PropValue::Int(1)),
+            Some(g.user_nodes(UserId(1)))
+        );
     }
 
     #[test]
@@ -914,7 +1101,8 @@ mod tests {
         // both endpoints sit at the default seed (0.5); now the user says
         // b is actually a 0.9
         g.add_quantitative(&qt(1, "b=2", 0.9));
-        let edge = g.graph().edge(out.edge).unwrap();
+        let export = g.to_property_graph();
+        let edge = export.edge(out.edge).unwrap();
         assert_eq!(edge.label(), EdgeKind::Discard.label());
         g.check_invariants().unwrap();
     }
@@ -926,7 +1114,8 @@ mod tests {
         g.add_quantitative(&qt(1, "b=2", 0.9)); // demotes to DISCARD
                                                 // the user then upgrades `a` past `b`: the edge becomes valid again
         g.add_quantitative(&qt(1, "a=1", 0.95));
-        let edge = g.graph().edge(out.edge).unwrap();
+        let export = g.to_property_graph();
+        let edge = export.edge(out.edge).unwrap();
         assert_eq!(edge.label(), EdgeKind::Prefers.label());
         g.check_invariants().unwrap();
     }
@@ -954,7 +1143,7 @@ mod tests {
         g.add_quantitative(&qt(1, "a=1", 1.0));
         g.check_invariants().unwrap();
         assert_eq!(
-            g.graph().edge(down.edge).unwrap().label(),
+            g.to_property_graph().edge(down.edge).unwrap().label(),
             EdgeKind::Discard.label(),
         );
     }

@@ -30,22 +30,12 @@ pub enum Provenance {
 }
 
 impl Provenance {
-    /// Graph-property encoding.
+    /// The `provenance` property value in the property-graph export.
     pub(crate) fn as_str(self) -> &'static str {
         match self {
             Provenance::UserProvided => "user",
             Provenance::SystemComputed => "computed",
             Provenance::DefaultSeed => "default",
-        }
-    }
-
-    /// Decodes the graph-property encoding.
-    pub(crate) fn parse(s: &str) -> Option<Self> {
-        match s {
-            "user" => Some(Provenance::UserProvided),
-            "computed" => Some(Provenance::SystemComputed),
-            "default" => Some(Provenance::DefaultSeed),
-            _ => None,
         }
     }
 }

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # CI gate for the HYPRE reproduction workspace:
 #   fmt check → clippy (warnings are errors) → build (all targets) →
-#   tests → perfbench self-tests → rustdoc (warnings are errors) →
-#   compile-and-run every example (doc rot and broken examples fail CI).
+#   tests → perfbench fmt check, clippy (warnings are errors) and
+#   self-tests → rustdoc (warnings are errors) → compile-and-run every
+#   example (doc rot and broken examples fail CI). perfbench is its own
+#   workspace, so the workspace-wide fmt and clippy never reach it; its
+#   own steps make an API change that breaks the benchmark fail CI.
 #
 # Usage: scripts/ci.sh [--release-bench] [--scaling] [--bench-1m]
 #   --release-bench  additionally regenerates the bench report and runs
@@ -75,7 +78,13 @@ echo "==> cargo test --workspace"
 cargo test --workspace -q
 
 # perfbench/ is a workspace of its own (the repo benchmark), so the
-# workspace run above never reaches its tests.
+# workspace fmt, clippy and test runs above never reach it.
+echo "==> cargo fmt --check (perfbench)"
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+
+echo "==> cargo clippy --all-targets -- -D warnings (perfbench)"
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo test (perfbench)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 

@@ -6,9 +6,9 @@
 //!
 //! | Module | Crate | Role |
 //! |---|---|---|
-//! | [`core`] | `hypre-core` | The HYPRE preference graph, intensity propagation, combination algorithms (incl. PEPS) and metrics |
+//! | [`core`] | `hypre-core` | The HYPRE preference graph (typed node and edge columns), intensity propagation, combination algorithms (incl. PEPS) and metrics |
 //! | [`relstore`] | `relstore` | Embedded relational engine (the MySQL substitute) |
-//! | [`graphstore`] | `graphstore` | Embedded property-graph engine (the Neo4j substitute) |
+//! | [`graphstore`] | `graphstore` | Embedded property-graph engine (the Neo4j substitute): the target of `HypreGraph::to_property_graph`, and the substrate of graph-derived DSL atoms |
 //! | [`topk`] | `hypre-topk` | Fagin's TA and NRA Top-K baselines |
 //! | [`dblp`] | `dblp-workload` | Synthetic DBLP corpus + §6.2 preference extraction |
 //!

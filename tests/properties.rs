@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use hypre_repro::core::dsl::{AtomAst, AtomKind, Pos, PrefExpr, ProfileAst};
+use hypre_repro::graphstore::traverse::would_create_cycle;
 use hypre_repro::prelude::*;
 use hypre_repro::relstore::{
     parse_predicate, CmpOp, ColRef, DataType, Database, IndexKind, Predicate, RowId, Schema,
@@ -142,7 +143,9 @@ proptest! {
 
     /// Any interleaving of preference insertions keeps the two structural
     /// invariants: acyclic PREFERS subgraph and left ≥ right on every
-    /// PREFERS edge.
+    /// PREFERS edge. Each qualitative insert is classified `CYCLE` exactly
+    /// when graphstore's own guard, run on the property-graph export taken
+    /// just before the insert, says the edge would close a PREFERS cycle.
     #[test]
     fn prop_graph_invariants_under_random_streams(
         events in prop::collection::vec(event(), 1..40)
@@ -158,10 +161,20 @@ proptest! {
                 }
                 Event::Qual(l, r, s) => {
                     if l.canonical() != r.canonical() {
+                        // An endpoint that does not exist yet has no edges,
+                        // so it cannot close a cycle.
+                        let export = graph.to_property_graph();
+                        let expect_cycle = match (graph.find_node(user, &l), graph.find_node(user, &r)) {
+                            (Some(left), Some(right)) => would_create_cycle(
+                                &export, left, right, Some(EdgeKind::Prefers.label()),
+                            ),
+                            _ => false,
+                        };
                         let pref = QualitativePref::new(
                             user, l, r, QualIntensity::new(s).unwrap(),
                         ).unwrap();
-                        graph.add_qualitative(&pref).unwrap();
+                        let out = graph.add_qualitative(&pref).unwrap();
+                        prop_assert_eq!(out.kind == EdgeKind::Cycle, expect_cycle);
                     }
                 }
             }

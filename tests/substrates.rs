@@ -89,7 +89,7 @@ fn late_index_creation_matches_preloaded_indexes() {
 
 #[test]
 fn hypre_graph_is_queryable_through_graphstore_directly() {
-    // The HYPRE graph is an ordinary property graph underneath: the
+    // The HYPRE graph exports to an ordinary property graph: the
     // Cypher-style layer must see exactly what the typed API sees.
     let dataset = gen::generate(&gen::GeneratorConfig::tiny(21));
     let workload = extract::extract(&dataset, &extract::ExtractionConfig::default());
@@ -98,9 +98,10 @@ fn hypre_graph_is_queryable_through_graphstore_directly() {
         .load(&workload.quantitative, &workload.qualitative)
         .unwrap();
     let user = *graph.users().first().unwrap();
+    let export = graph.to_property_graph();
 
     let via_api = graph.user_nodes(user).len();
-    let via_query = NodeQuery::new(graph.graph())
+    let via_query = NodeQuery::new(&export)
         .label(NODE_LABEL)
         .prop_eq("uid", PropValue::Int(user.0 as i64))
         .count();
@@ -108,7 +109,7 @@ fn hypre_graph_is_queryable_through_graphstore_directly() {
 
     // intensity-descending scan matches the typed profile order
     let profile = graph.profile(user);
-    let scored: Vec<_> = NodeQuery::new(graph.graph())
+    let scored: Vec<_> = NodeQuery::new(&export)
         .label(NODE_LABEL)
         .prop_eq("uid", PropValue::Int(user.0 as i64))
         .has_prop("intensity")
