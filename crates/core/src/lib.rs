@@ -32,10 +32,12 @@
 //!   `top_k` calls grouped by profile-atom identity so each distinct
 //!   round expansion is evaluated once and demultiplexed, byte-identical
 //!   to per-session execution.
-//! * **[`serve`]** — a std-only, thread-per-core sharded TCP serving
-//!   loop over the batch scheduler: hand-rolled length-prefixed framing,
-//!   bounded-queue admission control with typed overload rejection,
-//!   per-tenant stats and epoch-session draining.
+//! * **[`serve`]** — a std-only TCP serving loop over the batch
+//!   scheduler, one blocking thread per connection with a bound on
+//!   concurrent batch evaluations: hand-rolled length-prefixed framing,
+//!   replies in request order, bounded admission with typed overload
+//!   rejection, a connection bound, per-tenant stats, and each batch on
+//!   the current epoch.
 //! * **[`metrics`]** — utility, coverage, similarity and overlap.
 //! * **[`skyline`]** — the attribute-based preference extension (§1.4,
 //!   §8.2) with block-nested-loop skyline evaluation.

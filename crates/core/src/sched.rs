@@ -46,12 +46,13 @@
 //!
 //! A scheduler holds no corpus state: each [`BatchScheduler::run`] call
 //! takes the database and the `Arc<ProfileCache>` snapshot to serve
-//! from, so a serving loop drives it with
-//! [`EpochSession::cache`](crate::exec::EpochSession::cache) and drains
-//! the session **between** batches — in-flight batches keep answering
-//! on the epoch they started on, drained sessions pick up the next
-//! published epoch (`tests/batched_equivalence.rs` pins that lifecycle
-//! too).
+//! from. A serving loop either takes
+//! [`EpochCache::current`](crate::exec::EpochCache::current) afresh for
+//! every batch, as [`crate::serve`] does, or drains an
+//! [`EpochSession`](crate::exec::EpochSession) **between** batches.
+//! Either way, in-flight batches keep answering on the epoch they
+//! started on, and the next batch picks up the newest published epoch
+//! (`tests/batched_equivalence.rs` pins that lifecycle too).
 
 use std::collections::HashMap;
 use std::sync::Arc;

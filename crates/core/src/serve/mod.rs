@@ -1,32 +1,38 @@
-//! A std-only TCP serving loop over the batch scheduler: thread-per-core
-//! sharded, length-prefix framed, admission-controlled.
+//! A std-only TCP serving loop over the batch scheduler: one blocking
+//! thread per connection, length-prefix framed, admission-controlled.
 //!
 //! # Architecture
 //!
-//! One acceptor thread hands incoming connections round-robin to `N`
-//! shard threads (`N` defaults to the core count). Each shard owns its
-//! connections outright — no cross-shard locking on the hot path — and
-//! runs a sweep loop: drain every socket (non-blocking), reassemble
-//! frames ([`wire::FrameBuffer`]), answer `Ping`/`Stats` inline, queue
-//! `TopK` requests, then hand the queued requests to one
-//! [`BatchScheduler`] run so concurrent
-//! sessions with the same profile identity share a single round
-//! evaluation. Answers are byte-identical to solo execution — batching
+//! An acceptor thread spawns one thread per connection. That thread
+//! loops: one blocking `read`, reassembled into frames
+//! ([`wire::FrameBuffer`]); the `TopK` requests of every frame that read
+//! completed go to one [`BatchScheduler`] run, so requests with the same
+//! profile identity share a single round evaluation; the replies are
+//! built in request order into one buffer and sent with one blocking
+//! `write_all`. Answers are byte-identical to solo execution — batching
 //! changes wall-clock, never results (see [`crate::sched`]).
+//!
+//! A client that stops reading blocks only its own thread, and TCP flow
+//! control then stops it from sending. [`Server::shutdown`] shuts every
+//! socket down, which wakes a blocked read or write, and joins the
+//! threads. [`ServeConfig::shards`] bounds how many connections evaluate
+//! a batch at once; a connection leaves that gate before it writes.
 //!
 //! # Admission control
 //!
-//! Two typed bounds, no panics (the crate denies `unwrap`/`expect`):
+//! Typed bounds, no panics (the crate denies `unwrap`/`expect`):
 //!
 //! * **frame size** — a frame whose *declared* length exceeds
 //!   [`ServeConfig::max_frame_bytes`] is rejected with
 //!   [`wire::ErrorCode::FrameTooLarge`] before any payload is buffered,
 //!   and the connection is closed (a lying length prefix cannot be
 //!   resynced). The server itself keeps serving.
-//! * **queue depth** — each shard holds at most
-//!   [`ServeConfig::queue_capacity`] pending Top-K requests per sweep;
-//!   requests beyond that are rejected immediately with
-//!   [`wire::ErrorCode::Overloaded`] and the connection stays open.
+//! * **queue depth** — one read admits at most
+//!   [`ServeConfig::queue_capacity`] Top-K requests into its batch; the
+//!   rest are rejected with [`wire::ErrorCode::Overloaded`] and the
+//!   connection stays open.
+//! * **connections** — a connection accepted while [`MAX_CONNECTIONS`]
+//!   are served is closed.
 //!
 //! Server state is bounded too: per-tenant counters are kept for at most
 //! 4 096 client-chosen tenant ids; later ids count in the server-wide
@@ -38,9 +44,8 @@
 //!
 //! # Epochs
 //!
-//! Each shard serves through an [`EpochSession`]: in-flight batches
-//! answer on the epoch they started on, and the session drains at the
-//! next batch boundary, so an [`EpochCache::ingest`] never blocks
+//! Each batch holds the epoch current when it starts
+//! ([`EpochCache::current`]), so an [`EpochCache::ingest`] never blocks
 //! serving and never tears a batch.
 
 pub mod wire;
@@ -48,18 +53,16 @@ pub mod wire;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use relstore::{parse_predicate, Database};
 
 use crate::combine::PrefAtom;
 use crate::error::HypreError;
-use crate::exec::{EpochCache, EpochSession, Parallelism};
+use crate::exec::EpochCache;
 use crate::sched::{BatchRequest, BatchScheduler};
 
 use wire::{ErrorCode, FrameBuffer, Request, Response, StatsReply, WireError};
@@ -69,17 +72,14 @@ use wire::{ErrorCode, FrameBuffer, Request, Response, StatsReply, WireError};
 pub struct ServeConfig {
     /// Address to bind; `127.0.0.1:0` picks a free port.
     pub addr: String,
-    /// Shard (worker thread) count; `0` means one per core.
+    /// Most connections evaluating a batch at once; `0` means one per
+    /// core.
     pub shards: usize,
-    /// Per-shard bound on Top-K requests admitted per sweep; the rest
-    /// get a typed [`ErrorCode::Overloaded`] rejection.
+    /// Bound on the Top-K requests one read admits into its batch; the
+    /// rest get a typed [`ErrorCode::Overloaded`] rejection.
     pub queue_capacity: usize,
-    /// Most requests one scheduler batch evaluates together.
-    pub batch_max: usize,
     /// Frame-size admission bound (declared payload length).
     pub max_frame_bytes: usize,
-    /// The [`Parallelism`] knob each shard's round expansions run under.
-    pub parallelism: Parallelism,
 }
 
 impl Default for ServeConfig {
@@ -88,27 +88,35 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             shards: 0,
             queue_capacity: 256,
-            batch_max: 64,
             max_frame_bytes: wire::MAX_FRAME_BYTES,
-            parallelism: Parallelism::Sequential,
         }
     }
 }
+
+/// How many connections the server serves at once. Each one holds a
+/// thread and a 256 KiB read buffer, so their number must not grow
+/// with the clients: a connection accepted while this many are open is
+/// closed at once, and its client reads EOF.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// The most one blocking read takes off a connection. Each read's Top-K
+/// requests become one scheduler batch, so the buffer must take a
+/// pipelining client's whole backlog at once, or its batches shrink: at
+/// 16 KiB, a pipelined Zipf workload with live ingest served about a
+/// quarter fewer requests per second.
+const READ_BYTES: usize = 256 * 1024;
 
 /// Why the server could not start or stopped serving.
 #[derive(Debug)]
 pub enum ServeError {
     /// A socket or thread-spawn failure.
     Io(io::Error),
-    /// The preference engine refused the configuration.
-    Engine(HypreError),
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "serving I/O: {e}"),
-            ServeError::Engine(e) => write!(f, "serving engine: {e}"),
         }
     }
 }
@@ -117,7 +125,6 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::Io(e) => Some(e),
-            ServeError::Engine(e) => Some(e),
         }
     }
 }
@@ -125,12 +132,6 @@ impl std::error::Error for ServeError {
 impl From<io::Error> for ServeError {
     fn from(e: io::Error) -> Self {
         ServeError::Io(e)
-    }
-}
-
-impl From<HypreError> for ServeError {
-    fn from(e: HypreError) -> Self {
-        ServeError::Engine(e)
     }
 }
 
@@ -197,15 +198,33 @@ struct SharedState {
     db: Arc<Database>,
     epochs: Arc<EpochCache>,
     config: ServeConfig,
-    stop: std::sync::atomic::AtomicBool,
+    stop: AtomicBool,
     counters: Counters,
     tenants: TenantTable,
+    gate: Gate,
 }
 
 impl SharedState {
-    fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+    /// Counts one answered Top-K request.
+    fn record_top_k(&self, tenant: u64, errored: bool) {
+        self.counters.total_requests.fetch_add(1, Ordering::Relaxed);
+        self.tenants.record(tenant, errored);
     }
+
+    /// Counts a frame that failed to decode, and answers it with a typed
+    /// error.
+    fn protocol_error(&self, code: ErrorCode, detail: String) -> Slot {
+        self.counters
+            .protocol_errors
+            .fetch_add(1, Ordering::Relaxed);
+        Slot::Reply(Response::Error { code, detail })
+    }
+}
+
+/// Locks a mutex, recovering from poisoning: every value guarded here is
+/// a counter, updated in one step.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-tenant counters for at most [`MAX_TENANTS`] tenants.
@@ -214,18 +233,11 @@ struct TenantTable(Mutex<HashMap<u64, TenantStats>>);
 
 impl TenantTable {
     fn get(&self, tenant: u64) -> TenantStats {
-        let map = self
-            .0
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        map.get(&tenant).copied().unwrap_or_default()
+        lock(&self.0).get(&tenant).copied().unwrap_or_default()
     }
 
     fn record(&self, tenant: u64, errored: bool) {
-        let mut map = self
-            .0
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut map = lock(&self.0);
         if map.len() >= MAX_TENANTS && !map.contains_key(&tenant) {
             return;
         }
@@ -237,18 +249,51 @@ impl TenantTable {
     }
 }
 
-/// The running server: a handle that owns the acceptor and shard
-/// threads. Dropping it (or calling [`Server::shutdown`]) stops
-/// accepting, wakes every thread and joins them.
+/// Lets at most `limit` connections evaluate a batch at once
+/// ([`ServeConfig::shards`]).
+struct Gate {
+    limit: usize,
+    held: Mutex<usize>,
+    freed: Condvar,
+}
+
+impl Gate {
+    /// Waits for a free place; the place is held until the permit drops.
+    fn enter(&self) -> Permit<'_> {
+        let held = self
+            .freed
+            .wait_while(lock(&self.held), |held| *held >= self.limit);
+        *held.unwrap_or_else(PoisonError::into_inner) += 1;
+        Permit(self)
+    }
+}
+
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.held) -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// A connection's thread, and a second handle on its socket to wake it
+/// with at shutdown.
+type Connection = (TcpStream, JoinHandle<()>);
+
+/// The running server: a handle that owns the acceptor thread, which
+/// owns the connection threads. Dropping it (or calling
+/// [`Server::shutdown`]) stops accepting, wakes every thread and joins
+/// them.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<SharedState>,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<Vec<Connection>>>,
 }
 
 impl Server {
-    /// Binds, spawns the shard and acceptor threads, and returns once
-    /// the server is accepting.
+    /// Binds, spawns the acceptor thread, and returns once the server is
+    /// accepting.
     ///
     /// # Errors
     /// [`ServeError::Io`] when binding or spawning fails.
@@ -259,7 +304,7 @@ impl Server {
     ) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shards = if config.shards == 0 {
+        let limit = if config.shards == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -270,32 +315,23 @@ impl Server {
             db,
             epochs,
             config,
-            stop: std::sync::atomic::AtomicBool::new(false),
+            stop: AtomicBool::new(false),
             counters: Counters::default(),
             tenants: TenantTable::default(),
+            gate: Gate {
+                limit,
+                held: Mutex::new(0),
+                freed: Condvar::new(),
+            },
         });
-        let mut threads = Vec::with_capacity(shards + 1);
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(shards);
-        for shard_id in 0..shards {
-            let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-            senders.push(tx);
-            let state = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("hypre-shard-{shard_id}"))
-                    .spawn(move || shard_loop(&state, &rx))?,
-            );
-        }
         let state = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("hypre-accept".into())
-                .spawn(move || accept_loop(&state, &listener, &senders))?,
-        );
+        let acceptor = std::thread::Builder::new()
+            .name("hypre-accept".into())
+            .spawn(move || accept_loop(&state, &listener))?;
         Ok(Server {
             addr,
             shared,
-            threads,
+            acceptor: Some(acceptor),
         })
     }
 
@@ -315,18 +351,26 @@ impl Server {
         self.shared.tenants.get(tenant)
     }
 
-    /// Stops accepting, drains the threads and returns once they have
-    /// all exited.
+    /// Stops accepting, wakes and joins every thread, and returns once
+    /// they have all exited.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
         self.shared.stop.store(true, Ordering::Relaxed);
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+        let connections = acceptor.join().unwrap_or_default();
+        // Wake each connection thread from a blocked read or write.
+        for (stream, _) in &connections {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for (_, thread) in connections {
+            let _ = thread.join();
         }
     }
 }
@@ -337,260 +381,154 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(state: &SharedState, listener: &TcpListener, senders: &[Sender<TcpStream>]) {
-    let mut next = 0usize;
+/// Spawns a thread per accepted connection until the server stops, and
+/// returns the connections that may still be running.
+fn accept_loop(state: &Arc<SharedState>, listener: &TcpListener) -> Vec<Connection> {
+    let mut connections: Vec<Connection> = Vec::new();
     for stream in listener.incoming() {
-        if state.stopping() {
+        if state.stop.load(Ordering::Relaxed) {
             break;
         }
         let Ok(stream) = stream else { continue };
         state.counters.connections.fetch_add(1, Ordering::Relaxed);
-        if stream.set_nonblocking(true).is_err() {
-            continue;
+        for (_, thread) in connections.extract_if(.., |(_, thread)| thread.is_finished()) {
+            let _ = thread.join();
         }
-        if senders.is_empty() || senders[next % senders.len()].send(stream).is_err() {
+        if connections.len() >= MAX_CONNECTIONS {
+            continue; // dropping the only handle closes the socket
+        }
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        let conn_state = Arc::clone(state);
+        let spawned = std::thread::Builder::new()
+            .name("hypre-conn".into())
+            .spawn(move || serve_connection(&conn_state, stream));
+        if let Ok(thread) = spawned {
+            connections.push((handle, thread));
+        }
+    }
+    connections
+}
+
+/// One connection's loop: a blocking read, then one blocking write of
+/// the replies to every frame it completed. Ends when the client hangs
+/// up, a frame cannot be resynced or a socket call fails, which
+/// [`Server::shutdown`] forces.
+fn serve_connection(state: &SharedState, mut stream: TcpStream) {
+    let mut frames = FrameBuffer::new(state.config.max_frame_bytes);
+    let mut buf = vec![0u8; READ_BYTES];
+    let mut out = Vec::new();
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => frames.extend(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+        out.clear();
+        let open = answer(state, &mut frames, &mut out);
+        if stream.write_all(&out).is_err() || !open {
             break;
         }
-        next += 1;
     }
+    // The acceptor holds another handle on this socket, so dropping this
+    // one would not close it.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// One shard-owned connection.
-struct Conn {
-    stream: TcpStream,
-    frames: FrameBuffer,
-    closed: bool,
+/// One decoded request's place in the reply stream.
+enum Slot {
+    /// A reply fixed when the frame was decoded.
+    Reply(Response),
+    /// A `Stats` request, answered in turn so that it counts every
+    /// request before it.
+    Stats(u64),
+    /// A Top-K request admitted to the batch: its answer is the batch's
+    /// next one.
+    Admitted(u64),
+    /// A Top-K request (tenant, code, detail) refused before evaluation.
+    Refused(u64, ErrorCode, String),
 }
 
-/// A Top-K request admitted into the current sweep's batch.
-struct Pending {
-    conn: usize,
-    tenant: u64,
-    request: BatchRequest,
-}
-
-fn shard_loop(state: &SharedState, rx: &Receiver<TcpStream>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut session = EpochSession::open(&state.epochs);
-    let scheduler = BatchScheduler::new(state.config.parallelism);
-    let mut scratch = vec![0u8; 16 * 1024];
-    while !state.stopping() {
-        // Adopt newly accepted connections.
-        loop {
-            match rx.try_recv() {
-                Ok(stream) => conns.push(Conn {
-                    stream,
-                    frames: FrameBuffer::new(state.config.max_frame_bytes),
-                    closed: false,
-                }),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
+/// Decodes every complete frame in `frames`, evaluates the admitted
+/// Top-K requests as one batch, and appends the replies to `out` in
+/// request order. Returns `false` when the connection must close.
+fn answer(state: &SharedState, frames: &mut FrameBuffer, out: &mut Vec<u8>) -> bool {
+    let mut slots = Vec::new();
+    let mut batch = Vec::new();
+    let open = loop {
+        match frames.next_frame() {
+            Ok(Some(payload)) => slots.push(decode(state, &payload, &mut batch)),
+            Ok(None) => break true,
+            // Only `TooLarge` can surface here: the stream cannot be
+            // resynced after a lying length prefix, so send the typed
+            // rejection and close.
+            Err(too_large) => {
+                let detail = too_large.to_string();
+                slots.push(state.protocol_error(ErrorCode::FrameTooLarge, detail));
+                break false;
             }
         }
-
-        // Sweep: drain sockets, reassemble frames, answer what can be
-        // answered inline, queue Top-K work under the admission bound.
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut any_activity = false;
-        for idx in 0..conns.len() {
-            if conns[idx].closed {
-                continue;
+    };
+    let mut answers = evaluate(state, &batch).into_iter();
+    for slot in slots {
+        let response = match slot {
+            Slot::Reply(response) => response,
+            Slot::Stats(tenant) => stats_reply(state, tenant),
+            Slot::Admitted(tenant) => {
+                let Some(response) = answers.next() else {
+                    unreachable!("evaluate answers every admitted request")
+                };
+                state.record_top_k(tenant, matches!(response, Response::Error { .. }));
+                response
             }
-            let mut eof = false;
-            loop {
-                match conns[idx].stream.read(&mut scratch) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        any_activity = true;
-                        conns[idx].frames.extend(&scratch[..n]);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        eof = true;
-                        break;
-                    }
+            Slot::Refused(tenant, code, detail) => {
+                if code == ErrorCode::Overloaded {
+                    state.counters.overloads.fetch_add(1, Ordering::Relaxed);
                 }
+                state.record_top_k(tenant, true);
+                Response::Error { code, detail }
             }
-            loop {
-                match conns[idx].frames.next_frame() {
-                    Ok(Some(payload)) => {
-                        handle_payload(state, &mut conns, idx, &payload, &mut pending);
-                        if conns[idx].closed {
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(too_large) => {
-                        // Only `TooLarge` can surface here: the stream
-                        // cannot be resynced after a lying length
-                        // prefix, so send the typed rejection and close.
-                        state
-                            .counters
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        reply(
-                            &mut conns[idx],
-                            &Response::Error {
-                                code: ErrorCode::FrameTooLarge,
-                                detail: too_large.to_string(),
-                            },
-                        );
-                        conns[idx].closed = true;
-                        break;
-                    }
-                }
-            }
-            if eof {
-                conns[idx].closed = true;
-            }
-        }
-
-        // Evaluate the admitted batch: drain the epoch session first, so
-        // this batch serves the newest published epoch while the one
-        // already in flight (previous iteration) finished on its own.
-        if !pending.is_empty() {
-            session.drain(&state.epochs);
-            let cache = session.cache();
-            for chunk in pending.chunks(state.config.batch_max) {
-                let requests: Vec<BatchRequest> = chunk.iter().map(|p| p.request.clone()).collect();
-                state.counters.batches.fetch_add(1, Ordering::Relaxed);
-                match scheduler.run(&state.db, &cache, &requests) {
-                    Ok(outcome) => {
-                        state
-                            .counters
-                            .groups
-                            .fetch_add(outcome.stats.groups as u64, Ordering::Relaxed);
-                        state
-                            .counters
-                            .shared
-                            .fetch_add(outcome.stats.shared as u64, Ordering::Relaxed);
-                        for (p, result) in chunk.iter().zip(outcome.results) {
-                            let (response, errored) = match result {
-                                Ok(ranked) => (Response::TopK(ranked), false),
-                                Err(e) => (
-                                    Response::Error {
-                                        code: ErrorCode::Engine,
-                                        detail: e.to_string(),
-                                    },
-                                    true,
-                                ),
-                            };
-                            finish_top_k(state, &mut conns, p, &response, errored);
-                        }
-                    }
-                    Err(e) => {
-                        let response = Response::Error {
-                            code: ErrorCode::Engine,
-                            detail: e.to_string(),
-                        };
-                        for p in chunk {
-                            finish_top_k(state, &mut conns, p, &response, true);
-                        }
-                    }
-                }
-            }
-        } else if !any_activity {
-            std::thread::sleep(Duration::from_micros(300));
-        }
-
-        conns.retain(|c| !c.closed);
+        };
+        let payload = wire::encode_response(&response);
+        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        out.extend_from_slice(&payload);
     }
+    open
 }
 
-/// Answers or queues one decoded frame.
-fn handle_payload(
-    state: &SharedState,
-    conns: &mut [Conn],
-    idx: usize,
-    payload: &[u8],
-    pending: &mut Vec<Pending>,
-) {
+/// Decodes one frame, admitting a valid Top-K request into `batch` while
+/// it has room.
+fn decode(state: &SharedState, payload: &[u8], batch: &mut Vec<BatchRequest>) -> Slot {
     match wire::decode_request(payload) {
-        Ok(Request::Ping) => reply(&mut conns[idx], &Response::Pong),
-        Ok(Request::Stats { tenant }) => {
-            let snap = state.counters.snapshot();
-            let per_tenant = state.tenants.get(tenant);
-            reply(
-                &mut conns[idx],
-                &Response::Stats(StatsReply {
-                    tenant,
-                    tenant_requests: per_tenant.requests,
-                    tenant_errors: per_tenant.errors,
-                    total_requests: snap.total_requests,
-                    batches: snap.batches,
-                    groups: snap.groups,
-                    shared: snap.shared,
-                    overloads: snap.overloads,
-                }),
-            );
-        }
+        Ok(Request::Ping) => Slot::Reply(Response::Pong),
+        Ok(Request::Stats { tenant }) => Slot::Stats(tenant),
         Ok(Request::TopK {
             tenant,
             k,
             variant,
             atoms,
         }) => {
-            if pending.len() >= state.config.queue_capacity {
-                state.counters.overloads.fetch_add(1, Ordering::Relaxed);
-                state
-                    .counters
-                    .total_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                state.tenants.record(tenant, true);
-                reply(
-                    &mut conns[idx],
-                    &Response::Error {
-                        code: ErrorCode::Overloaded,
-                        detail: format!(
-                            "admission queue full ({} pending)",
-                            state.config.queue_capacity
-                        ),
-                    },
-                );
-                return;
+            let capacity = state.config.queue_capacity;
+            if batch.len() >= capacity {
+                let detail = format!("admission queue full ({capacity} pending)");
+                return Slot::Refused(tenant, ErrorCode::Overloaded, detail);
             }
             match admit_top_k(k, &atoms, variant) {
-                Ok(request) => pending.push(Pending {
-                    conn: idx,
-                    tenant,
-                    request,
-                }),
-                Err(detail) => {
-                    state
-                        .counters
-                        .total_requests
-                        .fetch_add(1, Ordering::Relaxed);
-                    state.tenants.record(tenant, true);
-                    reply(
-                        &mut conns[idx],
-                        &Response::Error {
-                            code: ErrorCode::BadRequest,
-                            detail,
-                        },
-                    );
+                Ok(request) => {
+                    batch.push(request);
+                    Slot::Admitted(tenant)
                 }
+                Err(detail) => Slot::Refused(tenant, ErrorCode::BadRequest, detail),
             }
         }
         Err(e) => {
-            state
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
             let code = match e {
                 WireError::UnknownOpcode(_) => ErrorCode::UnknownOpcode,
                 _ => ErrorCode::Malformed,
             };
-            reply(
-                &mut conns[idx],
-                &Response::Error {
-                    code,
-                    detail: e.to_string(),
-                },
-            );
+            state.protocol_error(code, e.to_string())
         }
     }
 }
@@ -627,50 +565,58 @@ fn admit_top_k(
     Ok(BatchRequest::new(profile, k as usize).with_variant(variant))
 }
 
-/// Records counters and writes one batched Top-K answer.
-fn finish_top_k(
-    state: &SharedState,
-    conns: &mut [Conn],
-    p: &Pending,
-    response: &Response,
-    errored: bool,
-) {
-    state
-        .counters
-        .total_requests
-        .fetch_add(1, Ordering::Relaxed);
-    state.tenants.record(p.tenant, errored);
-    reply(&mut conns[p.conn], response);
+/// Runs the admitted requests as one batch on the current epoch, inside
+/// the [`Gate`]; one response per request, in order.
+fn evaluate(state: &SharedState, batch: &[BatchRequest]) -> Vec<Response> {
+    if batch.is_empty() {
+        return Vec::new();
+    }
+    let outcome = {
+        let _permit = state.gate.enter();
+        let epoch = state.epochs.current();
+        BatchScheduler::sequential().run(&state.db, epoch.cache(), batch)
+    };
+    state.counters.batches.fetch_add(1, Ordering::Relaxed);
+    let engine_error = |e: &HypreError| Response::Error {
+        code: ErrorCode::Engine,
+        detail: e.to_string(),
+    };
+    match outcome {
+        Ok(outcome) => {
+            let counters = &state.counters;
+            counters
+                .groups
+                .fetch_add(outcome.stats.groups as u64, Ordering::Relaxed);
+            counters
+                .shared
+                .fetch_add(outcome.stats.shared as u64, Ordering::Relaxed);
+            outcome
+                .results
+                .into_iter()
+                .map(|result| match result {
+                    Ok(ranked) => Response::TopK(ranked),
+                    Err(e) => engine_error(&e),
+                })
+                .collect()
+        }
+        Err(e) => batch.iter().map(|_| engine_error(&e)).collect(),
+    }
 }
 
-/// Encodes and writes one frame to a (non-blocking) connection,
-/// retrying short writes; a hard write error closes the connection.
-fn reply(conn: &mut Conn, response: &Response) {
-    if conn.closed {
-        return;
-    }
-    let payload = wire::encode_response(response);
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    framed.extend_from_slice(&payload);
-    let mut off = 0usize;
-    while off < framed.len() {
-        match conn.stream.write(&framed[off..]) {
-            Ok(0) => {
-                conn.closed = true;
-                return;
-            }
-            Ok(n) => off += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.closed = true;
-                return;
-            }
-        }
-    }
+/// The `Stats` reply for `tenant`, from the counters as they stand.
+fn stats_reply(state: &SharedState, tenant: u64) -> Response {
+    let snap = state.counters.snapshot();
+    let per_tenant = state.tenants.get(tenant);
+    Response::Stats(StatsReply {
+        tenant,
+        tenant_requests: per_tenant.requests,
+        tenant_errors: per_tenant.errors,
+        total_requests: snap.total_requests,
+        batches: snap.batches,
+        groups: snap.groups,
+        shared: snap.shared,
+        overloads: snap.overloads,
+    })
 }
 
 #[cfg(test)]

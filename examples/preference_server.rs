@@ -1,5 +1,5 @@
-//! The HYPRE engine behind a socket: a thread-per-core TCP server
-//! batching concurrent Top-K sessions over one epoch-versioned
+//! The HYPRE engine behind a socket: a thread-per-connection TCP server
+//! batching pipelined Top-K sessions over one epoch-versioned
 //! `ProfileCache`. A scripted client pings, pipelines preference
 //! queries for two tenants (answers verified byte-for-byte against
 //! direct `Peps` runs), sends a garbage frame and keeps its connection,
@@ -49,7 +49,8 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Warm both profiles on the base corpus, publish as epoch 1, and
-    //    put the scheduler behind a 2-shard TCP server. The server owns
+    //    put the scheduler behind a TCP server that lets at most 2
+    //    connections evaluate a batch at once. The server owns
     //    the full (append-only grown) corpus; pinned epoch-1 sessions
     //    still answer base-corpus results because every tuple set comes
     //    from the epoch snapshot, not from SQL.
@@ -77,8 +78,9 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     send(&mut client, &Request::Ping)?;
     assert_eq!(recv(&mut client)?, Response::Pong);
 
-    // 5. Pipelined Top-K for both tenants in one write; the shard
-    //    batches them, evaluates each distinct profile once, and the
+    // 5. Pipelined Top-K for both tenants in one write; the
+    //    connection's thread reads them as one batch, evaluates each
+    //    distinct profile once, and replies in request order. The
     //    answers are byte-identical to direct in-process PEPS runs over
     //    the base corpus (the pinned epoch).
     let mut burst = Vec::new();
@@ -112,8 +114,8 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     assert_eq!(recv(&mut client)?, Response::Pong, "connection survives");
 
     // 7. The delta goes live mid-serving: epoch 2 is published and the
-    //    serving loop drains to it at the next batch boundary. The very
-    //    next answers match a cold executor over the full corpus.
+    //    next batch runs on it. The very next answers match a cold
+    //    executor over the full corpus.
     let report = epochs.ingest(&split.full, 0)?;
     println!(
         "ingested delta: {} new tuples, {} predicates re-scored, now epoch {}",
@@ -125,11 +127,11 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let want_new = solo_top_k(&split.full, &rich, 10)?;
     match recv(&mut client)? {
         Response::TopK(ranked) => {
-            assert_eq!(ranked, want_new, "drained batches serve the new epoch");
+            assert_eq!(ranked, want_new, "the next batch serves the new epoch");
         }
         other => panic!("expected a TopK reply, got {other:?}"),
     }
-    println!("epoch 2: drained without a restart, answers match a cold executor");
+    println!("epoch 2: served without a restart, answers match a cold executor");
 
     // 8. Per-tenant accounting straight off the wire.
     send(&mut client, &Request::Stats { tenant: 1 })?;
@@ -151,7 +153,8 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
         other => panic!("expected a Stats reply, got {other:?}"),
     }
 
-    // 9. Clean shutdown: stop flag, acceptor woken, shards joined.
+    // 9. Clean shutdown: stop flag, acceptor woken, every connection's
+    //    socket shut down and its thread joined.
     drop(client);
     server.shutdown();
     println!("server drained and shut down cleanly");

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # CI gate for the HYPRE reproduction workspace:
 #   fmt check → clippy (warnings are errors) → build (all targets) →
-#   tests → perfbench fmt check, clippy (warnings are errors) and
-#   self-tests → rustdoc (warnings are errors) → compile-and-run every
-#   example (doc rot and broken examples fail CI). perfbench is its own
-#   workspace, so the workspace-wide fmt and clippy never reach it; its
-#   own steps make an API change that breaks the benchmark fail CI.
+#   tests → perfbench fmt check, clippy (warnings are errors),
+#   self-tests and a one-second smoke run of each workload → rustdoc
+#   (warnings are errors) → compile-and-run every example (doc rot and
+#   broken examples fail CI). perfbench is its own workspace, so the
+#   workspace-wide fmt and clippy never reach it; its own steps make an
+#   API change that breaks the benchmark fail CI, and the smoke runs
+#   fail CI when the server answers wrongly or fails requests.
 #
 # Usage: scripts/ci.sh [--release-bench] [--scaling] [--bench-1m]
 #   --release-bench  additionally regenerates the bench report and runs
@@ -87,6 +89,19 @@ cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D 
 
 echo "==> cargo test (perfbench)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+# One short untraced run per workload (~40 s for all three): the last
+# line of output is the result, which must report every checked answer
+# correct and no failed request.
+for workload in hot_zipf adhoc_cold live_ingest; do
+    echo "==> perfbench smoke run: ${workload}"
+    result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "${workload}" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    if [[ "${result}" != *'"correct": true'* || "${result}" != *'"failed": 0,'* ]]; then
+        echo "perfbench ${workload} smoke run failed: ${result}" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -1,19 +1,21 @@
 //! Protocol robustness for the TCP serving loop: every frame type
 //! round-trips over a real socket, malformed input maps to typed error
 //! frames without killing the connection loop, a lying length prefix is
-//! rejected at the admission bound, and the bounded queue sheds load
-//! with typed `Overloaded` rejections — no panics, no hangs.
+//! rejected at the admission bound, the bounded queue sheds load with
+//! typed `Overloaded` rejections, pipelined replies keep request order,
+//! a client that never reads blocks only itself, and connections past
+//! the bound are closed — no panics, no hangs.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 use hypre_bench::Fixture;
 use hypre_repro::core::serve::wire::{
     self, ErrorCode, Request, Response, WireAtom, MAX_FRAME_BYTES,
 };
-use hypre_repro::core::serve::{ServeConfig, Server};
+use hypre_repro::core::serve::{ServeConfig, Server, MAX_CONNECTIONS};
 use hypre_repro::prelude::*;
 use hypre_repro::relstore::{Database, Predicate};
 
@@ -53,6 +55,17 @@ fn send(stream: &mut TcpStream, req: &Request) {
 fn recv(stream: &mut TcpStream) -> Response {
     let payload = wire::read_frame(stream, MAX_FRAME_BYTES).unwrap();
     wire::decode_response(&payload).unwrap()
+}
+
+/// Requests as one buffer of frames, for a single pipelined write.
+fn frames(reqs: &[Request]) -> Vec<u8> {
+    let mut burst = Vec::new();
+    for req in reqs {
+        let payload = wire::encode_request(req);
+        burst.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        burst.extend_from_slice(&payload);
+    }
+    burst
 }
 
 fn top_k_request(tenant: u64, k: u32) -> Request {
@@ -308,5 +321,126 @@ fn the_bounded_queue_sheds_load_with_typed_overload_rejections() {
     assert!(served >= 2, "admitted requests are served, not dropped");
     assert!(shed >= 1, "the bound must reject the burst's tail");
     assert_eq!(server.stats().overloads, shed as u64);
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_replies_come_back_in_request_order() {
+    let (server, db) = start_server(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    });
+    let mut stream = connect(&server);
+    let k_zero = Request::TopK {
+        tenant: 4,
+        k: 0,
+        variant: PepsVariant::Complete,
+        atoms: vec![],
+    };
+    let burst = frames(&[
+        top_k_request(4, 10),
+        Request::Ping,
+        k_zero,
+        Request::Stats { tenant: 4 },
+    ]);
+    stream.write_all(&burst).unwrap();
+
+    match recv(&mut stream) {
+        Response::TopK(ranked) => assert_eq!(ranked, solo_top_k(&db, 10)),
+        other => panic!("expected the TopK reply first, got {other:?}"),
+    }
+    assert_eq!(recv(&mut stream), Response::Pong);
+    match recv(&mut stream) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected the k = 0 rejection third, got {other:?}"),
+    }
+    match recv(&mut stream) {
+        Response::Stats(stats) => {
+            // The Stats request counts both Top-K requests sent before it.
+            assert_eq!(stats.tenant_requests, 2);
+            assert_eq!(stats.tenant_errors, 1);
+            assert_eq!(stats.total_requests, 2);
+        }
+        other => panic!("expected the Stats reply last, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_never_reads_blocks_only_itself() {
+    let (server, db) = start_server(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    });
+
+    // Pipeline Top-K requests and never read a reply, until the server
+    // stops taking them and this client's own write times out.
+    let mut hog = connect(&server);
+    hog.set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let burst = frames(&vec![top_k_request(6, 10); 64]);
+    while hog.write_all(&burst).is_ok() {}
+
+    // A well-behaved client is still answered promptly and correctly.
+    let mut fresh = connect(&server);
+    fresh
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    send(&mut fresh, &top_k_request(7, 10));
+    match recv(&mut fresh) {
+        Response::TopK(ranked) => assert_eq!(ranked, solo_top_k(&db, 10)),
+        other => panic!("expected a TopK reply, got {other:?}"),
+    }
+
+    // Shutdown wakes the connection blocked writing to the hog.
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "shutdown must return while the never-reading client is connected"
+    );
+    drop(hog);
+}
+
+#[test]
+fn connections_past_the_bound_are_closed() {
+    let (server, db) = start_server(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    });
+    let mut open: Vec<TcpStream> = (0..MAX_CONNECTIONS).map(|_| connect(&server)).collect();
+
+    // The server closes the connection past the bound without a reply.
+    let mut extra = connect(&server);
+    let mut byte = [0u8; 1];
+    assert_eq!(extra.read(&mut byte).unwrap(), 0, "expected EOF");
+
+    // The connections within the bound are still served.
+    let want = solo_top_k(&db, 10);
+    for i in [0, MAX_CONNECTIONS - 1] {
+        send(&mut open[i], &top_k_request(1, 10));
+        match recv(&mut open[i]) {
+            Response::TopK(ranked) => assert_eq!(ranked, want),
+            other => panic!("expected a TopK reply, got {other:?}"),
+        }
+    }
+
+    // The bound counts open connections: once one closes, a new one is
+    // served.
+    drop(open.remove(0));
+    let served = (0..250).any(|_| {
+        let mut stream = connect(&server);
+        let answered = wire::write_frame(&mut stream, &wire::encode_request(&Request::Ping))
+            .and_then(|()| wire::read_frame(&mut stream, MAX_FRAME_BYTES))
+            .is_ok_and(|reply| wire::decode_response(&reply) == Ok(Response::Pong));
+        if !answered {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        answered
+    });
+    assert!(served, "a connection under the bound must be served");
     server.shutdown();
 }
