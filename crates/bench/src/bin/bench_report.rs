@@ -497,7 +497,10 @@ fn zipf_pool(c: &Corpus) -> (Vec<Vec<PrefAtom>>, Arc<ProfileCache>) {
 
 /// The unbatched baseline runs every session's own PEPS rounds over 4 OS
 /// threads; the batched shape evaluates each distinct profile identity
-/// once and demultiplexes.
+/// once and demultiplexes. The untimed checksum run fills the
+/// snapshot's pairwise memo, so every timed batched run reuses its
+/// tables, as a server's repeated batches on one epoch do; the unbatched
+/// sessions build their own.
 fn batched_serving(c: &Corpus) -> Vec<Row> {
     let (profiles, cache) = zipf_pool(c);
     let db = &c.fx.db;

@@ -27,9 +27,13 @@
 //! that set is always represented — this is what makes Complete PEPS agree
 //! exactly with Fagin's TA on quantitative-only profiles (§7.6.3).
 //!
-//! Rounds stop early once `k` tuples are ranked and the `k`-th best score
-//! is at least the current threshold: every future combination is capped
-//! by that threshold, so the Top-K set can no longer change.
+//! Rounds stop early once `k` tuples score at least the current
+//! threshold: every future combination is capped by that threshold, so
+//! the Top-K *scores* can no longer change, nor can the tuples scoring
+//! strictly above the `k`-th score. A later round can still score more
+//! tuples exactly *at* the threshold, so when the `k`-th score equals
+//! it, which of the tied tuples are returned may differ from a full
+//! ranking's (see [`Peps::top_k`]).
 //!
 //! ## Hot-path mechanics (PR 4)
 //!
@@ -181,6 +185,14 @@ impl<'a, 'db> Peps<'a, 'db> {
     /// Returns the Top-K tuples by combined intensity (descending; ties by
     /// ascending tuple value for determinism).
     ///
+    /// Against the full ranking (every tuple any preference matches,
+    /// ordered the same way) the answer has the same `k` scores and the
+    /// same tuples strictly above the `k`-th score. The tuples tied at
+    /// the `k`-th score are the smallest among those scored by the round
+    /// at which PEPS stopped; when that round's threshold equals the
+    /// `k`-th score, a later round could have scored smaller tied ones.
+    /// Answers are deterministic either way.
+    ///
     /// Scores accumulate in a dense `Vec<f64>` indexed by interned tuple
     /// id, written the moment each combination is emitted — no per-tuple
     /// hashing, no `Value` cloning and no retained tuple sets inside the
@@ -226,11 +238,14 @@ impl<'a, 'db> Peps<'a, 'db> {
             self.run_round(s, &sets, &mut emitted, &mut sink);
             // Early termination, per requested k: every combination a
             // later round can emit is capped by this round's threshold,
-            // so a k whose k-th best score has reached it is final — its
-            // ranking is snapshotted here, before any further rounds run.
+            // so a k with k scores at or above it is final — its ranking
+            // is snapshotted here, before any further rounds run.
             let threshold = self.atoms[s].intensity;
             for (slot, &k) in results.iter_mut().zip(ks) {
-                if slot.is_none() && sink.n_ranked >= k && kth_best(&sink.ranked, k) >= threshold {
+                if slot.is_none()
+                    && sink.n_ranked >= k
+                    && has_k_at_least(&sink.ranked, k, threshold)
+                {
                     *slot = Some(self.finalize_top_k(&sink.ranked, k));
                     pending -= 1;
                 }
@@ -243,12 +258,15 @@ impl<'a, 'db> Peps<'a, 'db> {
             .collect())
     }
 
-    /// Materialises the Top-K slice from the dense score array: select
-    /// the k-th best score first (linear time), keep every candidate at
-    /// or above it (ties included), and clone `Value`s for just those —
-    /// not for every tuple the rounds ever scored. The tie-break by
-    /// ascending tuple value runs over the candidate set, so the result
-    /// is identical to fully sorting the whole ranking.
+    /// Materialises the Top-K slice of the dense score array: exactly
+    /// the first `k` of the array's tuples ordered by (score descending,
+    /// tuple value ascending). Whether that matches the full ranking is
+    /// up to when the rounds stopped (see [`Peps::top_k`]).
+    ///
+    /// Selects the `k`-th best score first (linear time) and keeps the
+    /// scores strictly above it. Among the tuples tied at it, only the
+    /// `k − above` smallest values are kept, selected by comparing the
+    /// interned values in place. Only the `k` returned values are cloned.
     fn finalize_top_k(&self, ranked: &[f64], k: usize) -> Vec<RankedTuple> {
         let mut scored: Vec<(u32, f64)> = ranked
             .iter()
@@ -256,18 +274,29 @@ impl<'a, 'db> Peps<'a, 'db> {
             .filter(|(_, &score)| score > f64::NEG_INFINITY)
             .map(|(id, &score)| (id as u32, score))
             .collect();
+        let interner = self.exec.interner();
+        let by_value =
+            |a: &(u32, f64), b: &(u32, f64)| interner.value(a.0).cmp(interner.value(b.0));
         if scored.len() > k {
             scored.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
             let pivot = scored[k - 1].1;
-            scored.retain(|&(_, score)| score >= pivot);
+            let (mut top, mut ties): (Vec<_>, Vec<_>) = scored
+                .into_iter()
+                .filter(|c| c.1.total_cmp(&pivot).is_ge())
+                .partition(|c| c.1.total_cmp(&pivot).is_gt());
+            let need = k - top.len();
+            if ties.len() > need {
+                ties.select_nth_unstable_by(need - 1, by_value);
+                ties.truncate(need);
+            }
+            top.append(&mut ties);
+            scored = top;
         }
-        let mut out: Vec<RankedTuple> = scored
+        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| by_value(a, b)));
+        scored
             .into_iter()
-            .map(|(id, score)| (self.exec.tuple_value(id), score))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
+            .map(|(id, score)| (interner.value(id).clone(), score))
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -509,8 +538,9 @@ impl Expander<'_> {
 /// The packed seed-dedup set: one bit per possible pair (`i·n + j`) and
 /// singleton (`n² + s`) member set, over the crate's word-packed
 /// [`BitSet`](crate::bitset::BitSet) — membership is a single word
-/// probe, with no per-candidate `Vec` allocation or hashing. (Profile
-/// sizes are small, so `n² + n` always fits the `u32` key space.)
+/// probe, with no per-candidate `Vec` allocation or hashing. (`n² + n`
+/// fits the `u32` key space up to 65,535 atoms; the server admits at
+/// most [`MAX_PROFILE_ATOMS`](crate::serve::MAX_PROFILE_ATOMS).)
 struct EmittedSet {
     bits: crate::bitset::BitSet,
     n: usize,
@@ -658,19 +688,11 @@ fn sort_order(order: &mut [RoundCombo]) {
     });
 }
 
-/// The `k`-th best finite score in the dense ranking array (linear-time
-/// selection, no full sort).
-fn kth_best(ranked: &[f64], k: usize) -> f64 {
-    let mut scores: Vec<f64> = ranked
-        .iter()
-        .copied()
-        .filter(|&s| s > f64::NEG_INFINITY)
-        .collect();
-    if scores.len() < k {
-        return f64::NEG_INFINITY;
-    }
-    let (_, kth, _) = scores.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
-    *kth
+/// Whether at least `k` scores in the dense ranking array reach
+/// `threshold` — the same test as "the `k`-th best score is at least
+/// `threshold`", without allocating, and stopping at the `k`-th hit.
+fn has_k_at_least(ranked: &[f64], k: usize, threshold: f64) -> bool {
+    ranked.iter().filter(|&&s| s >= threshold).take(k).count() == k
 }
 
 #[cfg(test)]
@@ -911,6 +933,58 @@ mod tests {
         // pair and singleton key spaces never collide
         assert!(emitted.contains(emitted.pair_key(0, 1)));
         assert!(!emitted.contains(emitted.pair_key(2, 3)));
+    }
+
+    #[test]
+    fn finalize_top_k_equals_a_truncated_full_sort_on_tie_heavy_arrays() {
+        use rand::{Rng, SeedableRng};
+        // 40 papers whose pids run out of id order, so the value
+        // tie-break is not the id order.
+        let mut db = Database::new();
+        let papers = db
+            .create_table("dblp", Schema::of(&[("pid", DataType::Int)]))
+            .unwrap();
+        for i in 0..40i64 {
+            papers.insert(vec![((i * 17) % 40).into()]).unwrap();
+        }
+        let exec = Executor::new(&db, BaseQuery::single("dblp", ColRef::parse("dblp.pid")));
+        exec.tuple_set(&parse_predicate("dblp.pid>=0").unwrap())
+            .unwrap();
+        let pairs = PairwiseCache::default();
+        let peps = Peps::new(&[], &exec, &pairs, PepsVariant::Complete);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for _ in 0..200 {
+            let len = rng.gen_range(1..41usize);
+            let ranked: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0..4usize) {
+                    0 => f64::NEG_INFINITY,
+                    v => [0.3, 0.5, 0.8][v - 1],
+                })
+                .collect();
+            let mut full: Vec<RankedTuple> = ranked
+                .iter()
+                .enumerate()
+                .filter(|(_, &score)| score > f64::NEG_INFINITY)
+                .map(|(id, &score)| (exec.tuple_value(id as u32), score))
+                .collect();
+            full.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            for k in 1..=len + 1 {
+                let want = &full[..k.min(full.len())];
+                assert_eq!(peps.finalize_top_k(&ranked, k), want, "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn at_least_k_scores_reach_the_threshold() {
+        let ranked = [0.5, f64::NEG_INFINITY, 0.8, 0.3, 0.5];
+        assert!(has_k_at_least(&ranked, 3, 0.5));
+        assert!(!has_k_at_least(&ranked, 4, 0.5));
+        assert!(has_k_at_least(&ranked, 4, 0.3));
+        assert!(
+            !has_k_at_least(&ranked, 5, 0.0),
+            "unscored slots never count"
+        );
     }
 
     #[test]

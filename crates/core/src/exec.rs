@@ -82,11 +82,12 @@
 //!   the snapshot has not seen fall through to the session's private
 //!   memo and intern *new* ids in a local overlay **above** the frozen
 //!   snapshot ids — base ids stay stable, so tuple sets from the
-//!   snapshot and session-local sets share one id space. Writes happen
-//!   only during the build phase (warm an executor, then
-//!   [`ProfileCache::snapshot`]); reads are immutable thereafter, which
-//!   is the whole thread-safety contract: share `Arc<ProfileCache>`
-//!   freely, keep each `Executor` on one thread.
+//!   snapshot and session-local sets share one id space. Sets are
+//!   written only during the build phase (warm an executor, then
+//!   [`ProfileCache::snapshot`]) and are immutable thereafter; the only
+//!   later write is the snapshot's bounded, mutex-guarded memo of
+//!   pairwise tables. That is the whole thread-safety contract: share
+//!   `Arc<ProfileCache>` freely, keep each `Executor` on one thread.
 //!
 //! PEPS stays sequential *per session*; sessions run concurrently (see
 //! `examples/multi_user_serving.rs` and the multi-session bench rows).
@@ -114,6 +115,9 @@
 //!    [`EpochSession::drain`], atomically swapping its handle for the
 //!    newest epoch's. [`PairwiseCache::refresh_for`] then re-scores only
 //!    the pairs whose atoms gained tuples ([`DeltaReport::changed_flags`]).
+//!    The new epoch's pairwise memo starts empty, so a
+//!    [`BatchScheduler`](crate::sched::BatchScheduler) rebuilds each
+//!    profile's table on its first batch there.
 //! 5. **Evict** — a retired epoch is freed the moment its last holder (a
 //!    session or an [`EpochCache::current`] handle) lets go, and its
 //!    snapshot with it once no executor still reads it; the cache keeps
@@ -136,6 +140,7 @@
 //! contract at every injection point.
 
 use std::cell::{Cell, Ref, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
@@ -601,23 +606,30 @@ impl<'db> Executor<'db> {
     /// already materialised (those resolve lock-free, without touching
     /// the session's own memo).
     pub fn tuple_set(&self, unit: &Predicate) -> Result<SharedTupleSet> {
+        self.resolve(unit).map(|(set, _)| set)
+    }
+
+    /// [`tuple_set`](Self::tuple_set), also saying whether the set came
+    /// from the shared [`ProfileCache`] snapshot (`true`) rather than the
+    /// session's own memo or SQL.
+    pub(crate) fn resolve(&self, unit: &Predicate) -> Result<(SharedTupleSet, bool)> {
         let key = unit.canonical();
         if let Some(cache) = &self.shared {
             if let Some(set) = cache.get(&key) {
                 self.shared_hits.set(self.shared_hits.get() + 1);
-                return Ok(set);
+                return Ok((set, true));
             }
         }
         if let Some((_, set)) = self.atom_cache.borrow().get(&key) {
             self.cache_hits.set(self.cache_hits.get() + 1);
-            return Ok(Arc::clone(set));
+            return Ok((Arc::clone(set), false));
         }
         self.queries_run.set(self.queries_run.get() + 1);
         let set: SharedTupleSet = Arc::new(self.run_and_intern(unit)?);
         self.atom_cache
             .borrow_mut()
             .insert(key, (unit.clone(), Arc::clone(&set)));
-        Ok(set)
+        Ok((set, false))
     }
 
     /// Runs the unit's enhanced query and interns its distinct keys: the
@@ -762,9 +774,21 @@ impl<'db> Executor<'db> {
 ///
 /// Writes go through a *build phase* — warm any executor (run the
 /// profile predicates through it), then freeze with
-/// [`ProfileCache::snapshot`]. The snapshot is immutable thereafter; to
-/// absorb new predicates, snapshot a session that ran them and swap the
-/// `Arc` (readers keep their old snapshot until they re-open).
+/// [`ProfileCache::snapshot`]. The interner and the tuple sets are
+/// immutable thereafter; to absorb new predicates, snapshot a session
+/// that ran them and swap the `Arc` (readers keep their old snapshot
+/// until they re-open).
+///
+/// The one thing that still changes is a bounded memo of pairwise
+/// tables (§5.5's per-profile list, "updated when the preference graph
+/// is updated"). [`BatchScheduler`](crate::sched::BatchScheduler) fills
+/// it lazily, one [`PairwiseCache`] per profile identity whose every
+/// atom set this snapshot holds, and stops adding tables once they hold
+/// [`PAIRWISE_MEMO_ENTRIES`]. A table is a pure function of the sets
+/// and intensities it is keyed by, so the memo changes wall-clock,
+/// never an answer. Every new snapshot — [`ProfileCache::snapshot`],
+/// a delta ingest that changed something, a loaded file — starts with
+/// an empty memo; a clone copies it.
 #[derive(Debug, Clone)]
 pub struct ProfileCache {
     base: BaseQuery,
@@ -779,6 +803,48 @@ pub struct ProfileCache {
     /// [`ProfileCache::check_corpus`] compares so a snapshot is never
     /// silently served against a different database.
     fingerprint: Vec<(String, Option<usize>)>,
+    /// Pairwise tables of the profiles served from this snapshot.
+    pairwise: PairwiseMemo,
+}
+
+/// The most pairwise entries a [`ProfileCache`]'s memo holds, counting
+/// one more per table for its key. At 32 bytes per [`PairEntry`] that is
+/// about 32 MiB.
+pub const PAIRWISE_MEMO_ENTRIES: usize = 1 << 20;
+
+/// A profile's identity: each atom's tuple-set `Arc` pointer and
+/// intensity bits, in profile order. The pairwise table is a pure
+/// function of it while the sets behind the pointers stay alive.
+pub(crate) type ProfileKey = Vec<(usize, u64)>;
+
+/// A snapshot's memo of pairwise tables, keyed by [`ProfileKey`]. Only
+/// keys whose pointers all name sets the snapshot itself holds may
+/// enter: the snapshot keeps those `Arc`s alive as long as the memo, so
+/// no pointer in a key can be reused for another set.
+#[derive(Debug, Default)]
+struct PairwiseMemo(Mutex<MemoTables>);
+
+#[derive(Debug, Default, Clone)]
+struct MemoTables {
+    tables: HashMap<ProfileKey, Arc<PairwiseCache>>,
+    /// Entries held, plus one per table.
+    entries: usize,
+}
+
+impl PairwiseMemo {
+    /// Locks the tables, recovering from a poisoned mutex (a table is
+    /// inserted in one step, never half-written).
+    fn lock(&self) -> MutexGuard<'_, MemoTables> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl Clone for PairwiseMemo {
+    /// A clone of a snapshot holds the same set `Arc`s, so the memoised
+    /// keys stay valid for it.
+    fn clone(&self) -> Self {
+        PairwiseMemo(Mutex::new(self.lock().clone()))
+    }
 }
 
 /// Row counts of the base query's driver and joined tables (`None` for a
@@ -870,6 +936,7 @@ impl ProfileCache {
             sets,
             preds,
             fingerprint: corpus_fingerprint(exec.db, &exec.base),
+            pairwise: PairwiseMemo::default(),
         }
     }
 
@@ -916,6 +983,41 @@ impl ProfileCache {
     /// Size of the frozen tuple-id space.
     pub fn tuple_universe(&self) -> usize {
         self.interner.len()
+    }
+
+    /// The pairwise table for a profile whose every atom set came from
+    /// this snapshot: the memoised one (`true`), or else `build`'s,
+    /// memoised while the memo has room (`false`). The lock is never
+    /// held while `build` runs, so two batches may build the same table
+    /// at once; the first to finish keeps its copy.
+    ///
+    /// # Errors
+    /// Whatever `build` returns.
+    pub(crate) fn memoised_pairwise(
+        &self,
+        key: &[(usize, u64)],
+        build: impl FnOnce() -> Result<PairwiseCache>,
+    ) -> Result<(Arc<PairwiseCache>, bool)> {
+        if let Some(pairs) = self.pairwise.lock().tables.get(key) {
+            return Ok((Arc::clone(pairs), true));
+        }
+        let pairs = Arc::new(build()?);
+        let cost = pairs.entries.len() + 1;
+        let mut memo = self.pairwise.lock();
+        let memo = &mut *memo;
+        if memo.entries + cost <= PAIRWISE_MEMO_ENTRIES {
+            if let Entry::Vacant(slot) = memo.tables.entry(key.to_vec()) {
+                slot.insert(Arc::clone(&pairs));
+                memo.entries += cost;
+            }
+        }
+        Ok((pairs, false))
+    }
+
+    /// Pairwise entries the memo holds, plus one per table — never more
+    /// than [`PAIRWISE_MEMO_ENTRIES`].
+    pub fn pairwise_memo_entries(&self) -> usize {
+        self.pairwise.lock().entries
     }
 
     /// The predicates behind the materialised sets, in canonical-key
@@ -1116,6 +1218,7 @@ impl ProfileCache {
                 sets,
                 preds: self.preds.clone(),
                 fingerprint: corpus_fingerprint(db, &self.base),
+                pairwise: PairwiseMemo::default(),
             },
             DeltaReport {
                 appended,

@@ -67,7 +67,7 @@ use crate::tupleset::{ContainerDump, TupleSet};
 
 use super::{
     check_fingerprint_tables, index_by_first, unrank_pair, BaseQuery, CorpusCheck, PairEntry,
-    PairwiseCache, ProfileCache, SharedTupleSet, TupleInterner,
+    PairwiseCache, PairwiseMemo, ProfileCache, SharedTupleSet, TupleInterner,
 };
 
 /// File magic: identifies a HYPRE profile snapshot.
@@ -547,6 +547,7 @@ impl ProfileCache {
             sets,
             preds,
             fingerprint,
+            pairwise: PairwiseMemo::default(),
         };
         Ok((cache, pairs))
     }

@@ -42,6 +42,19 @@
 //! sequential executor — the contract `tests/batched_equivalence.rs`
 //! pins.
 //!
+//! # Pairwise memo
+//!
+//! A group's PEPS rounds read its profile's pairwise table (§5.5). The
+//! paper computes that table once per profile; here the snapshot keeps
+//! it. A group whose every atom set came from the snapshot itself looks
+//! its table up in the snapshot's memo by the grouping key's atom list
+//! (set pointers plus intensity bits), and builds it only on a miss
+//! (see [`ProfileCache`] for the bound and the lifetime). A group with
+//! an atom from the batch memo or SQL bypasses the memo: its set
+//! pointers die with the batch. The table is a pure function of the key,
+//! so a memoised table is the table the group would have built, and the
+//! determinism contract below is unchanged.
+//!
 //! # Epoch integration
 //!
 //! A scheduler holds no corpus state: each [`BatchScheduler::run`] call
@@ -62,7 +75,7 @@ use relstore::Database;
 use crate::algo::peps::{Peps, PepsVariant, RankedTuple};
 use crate::combine::PrefAtom;
 use crate::error::{HypreError, Result};
-use crate::exec::{Executor, PairwiseCache, Parallelism, ProfileCache};
+use crate::exec::{Executor, PairwiseCache, Parallelism, ProfileCache, ProfileKey};
 
 /// One session's Top-K call, queued for batched evaluation.
 #[derive(Debug, Clone)]
@@ -109,6 +122,9 @@ pub struct BatchStats {
     /// SQL queries the batch executor ran — `0` when every predicate
     /// was served from the warmed cache.
     pub queries_run: usize,
+    /// Groups whose pairwise table came from the snapshot's memo
+    /// instead of a fresh build.
+    pub pairwise_reused: usize,
 }
 
 /// A completed batch: one answer slot per request, in request order.
@@ -135,13 +151,16 @@ pub struct BatchScheduler {
 /// [`Arc::ptr_eq`] exactly when they came from the same cache or memo
 /// entry, i.e. the same canonical predicate), intensity is compared by
 /// bit pattern.
-type GroupKey = (u8, Vec<(usize, u64)>);
+type GroupKey = (u8, ProfileKey);
 
 /// One distinct evaluation: the first member's atoms stand in for the
 /// whole group (the key guarantees every member's rounds are identical).
 struct Group {
     atoms: Vec<PrefAtom>,
     variant: PepsVariant,
+    /// The atom list of the grouping key when every atom set came from
+    /// the snapshot, so the pairwise table may be memoised there.
+    memo_key: Option<ProfileKey>,
     /// Distinct requested `k`s, ascending.
     ks: Vec<usize>,
     /// `(request index, k)` per member.
@@ -172,7 +191,8 @@ impl BatchScheduler {
     /// still serves — the epoch-session path), resolves every request's
     /// atom sets through it (pointer-identical for identical canonical
     /// predicates, cached or batch-memoised), groups, evaluates each
-    /// group once, and demultiplexes.
+    /// group once with its pairwise table from `cache`'s memo where it
+    /// may, and demultiplexes.
     ///
     /// # Errors
     /// Fails as a whole only when the session executor cannot open
@@ -208,11 +228,13 @@ impl BatchScheduler {
                 continue;
             }
             let mut key_atoms = Vec::with_capacity(req.atoms.len());
+            let mut all_cached = true;
             let mut resolve_err = None;
             for atom in &req.atoms {
-                match exec.tuple_set(&atom.predicate) {
-                    Ok(set) => {
+                match exec.resolve(&atom.predicate) {
+                    Ok((set, cached)) => {
                         key_atoms.push((Arc::as_ptr(&set) as usize, atom.intensity.to_bits()));
+                        all_cached &= cached;
                     }
                     Err(e) => {
                         resolve_err = Some(e);
@@ -225,10 +247,11 @@ impl BatchScheduler {
                 continue;
             }
             let key: GroupKey = (variant_tag(req.variant), key_atoms);
-            let g = *index.entry(key).or_insert_with(|| {
+            let g = *index.entry(key).or_insert_with_key(|(_, atoms)| {
                 groups.push(Group {
                     atoms: req.atoms.clone(),
                     variant: req.variant,
+                    memo_key: all_cached.then(|| atoms.clone()),
                     ks: Vec::new(),
                     members: Vec::new(),
                 });
@@ -243,7 +266,15 @@ impl BatchScheduler {
         // Evaluate each distinct round expansion once; demultiplex.
         stats.groups = groups.len();
         for group in &groups {
-            let per_k = PairwiseCache::build(&group.atoms, &exec).and_then(|pairs| {
+            let build = || PairwiseCache::build(&group.atoms, &exec);
+            let pairs = match &group.memo_key {
+                Some(key) => cache.memoised_pairwise(key, build).map(|(pairs, reused)| {
+                    stats.pairwise_reused += usize::from(reused);
+                    pairs
+                }),
+                None => build().map(Arc::new),
+            };
+            let per_k = pairs.and_then(|pairs| {
                 Peps::new(&group.atoms, &exec, &pairs, group.variant).top_k_multi(&group.ks)
             });
             match per_k {
@@ -430,6 +461,51 @@ mod tests {
         let out = BatchScheduler::sequential().run(&db, &cache, &[]).unwrap();
         assert!(out.results.is_empty());
         assert_eq!(out.stats, BatchStats::default());
+    }
+
+    #[test]
+    fn warmed_groups_reuse_the_snapshots_pairwise_table() {
+        // The table does not depend on the variant, so the Approximate
+        // group reuses the table the Complete group built, and a second
+        // batch reuses both.
+        let db = db();
+        let cache = warmed(&db);
+        let reqs = vec![
+            BatchRequest::new(rich(), 3),
+            BatchRequest::new(rich(), 4).with_variant(PepsVariant::Approximate),
+        ];
+        let scheduler = BatchScheduler::sequential();
+        let first = scheduler.run(&db, &cache, &reqs).unwrap();
+        assert_eq!((first.stats.groups, first.stats.pairwise_reused), (2, 1));
+        assert_eq!(cache.pairwise_memo_entries(), 4 * 3 / 2 + 1);
+        let second = scheduler.run(&db, &cache, &reqs).unwrap();
+        assert_eq!(second.stats.pairwise_reused, 2);
+        for ((a, b), req) in first.results.iter().zip(&second.results).zip(&reqs) {
+            assert_eq!(a.as_ref().unwrap(), &solo(&db, req));
+            assert_eq!(b.as_ref().unwrap(), &solo(&db, req));
+        }
+    }
+
+    #[test]
+    fn a_group_with_an_uncached_atom_bypasses_the_memo() {
+        let db = db();
+        let cache = warmed(&db);
+        let mut mixed = rich();
+        mixed.push(PrefAtom::new(
+            4,
+            parse_predicate("dblp.venue='ICDE'").unwrap(),
+            0.1,
+        ));
+        let reqs = vec![BatchRequest::new(mixed, 3)];
+        for _ in 0..2 {
+            let out = BatchScheduler::sequential()
+                .run(&db, &cache, &reqs)
+                .unwrap();
+            assert_eq!(out.stats.queries_run, 1, "the ICDE atom is not warmed");
+            assert_eq!(out.stats.pairwise_reused, 0);
+            assert_eq!(out.results[0].as_ref().unwrap(), &solo(&db, &reqs[0]));
+        }
+        assert_eq!(cache.pairwise_memo_entries(), 0, "the memo stays empty");
     }
 
     #[test]

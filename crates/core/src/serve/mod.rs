@@ -33,6 +33,10 @@
 //!   connection stays open.
 //! * **connections** — a connection accepted while [`MAX_CONNECTIONS`]
 //!   are served is closed.
+//! * **profile size** — a Top-K request with more than
+//!   [`MAX_PROFILE_ATOMS`] atoms is rejected with
+//!   [`wire::ErrorCode::BadRequest`] before any work, and the connection
+//!   stays open.
 //!
 //! Server state is bounded too: per-tenant counters are kept for at most
 //! 4 096 client-chosen tenant ids; later ids count in the server-wide
@@ -99,6 +103,13 @@ impl Default for ServeConfig {
 /// closed at once, and its client reads EOF.
 pub const MAX_CONNECTIONS: usize = 256;
 
+/// The most atoms a Top-K request's profile may have. A profile of `n`
+/// atoms builds a pairwise table of `n(n−1)/2` entries, 32 bytes each,
+/// while it holds an evaluation place: at this bound that is about
+/// 16 MiB, where the ~47k atoms a 1 MiB frame can carry would ask for
+/// ~35 GB.
+pub const MAX_PROFILE_ATOMS: usize = 1024;
+
 /// The most one blocking read takes off a connection. Each read's Top-K
 /// requests become one scheduler batch, so the buffer must take a
 /// pipelining client's whole backlog at once, or its batches shrink: at
@@ -146,6 +157,8 @@ pub struct StatsSnapshot {
     pub groups: u64,
     /// Requests answered off another session's evaluation.
     pub shared: u64,
+    /// Groups whose pairwise table came from the snapshot's memo.
+    pub pairwise_reused: u64,
     /// Requests rejected by the bounded admission queue.
     pub overloads: u64,
     /// Frames that failed to decode (typed error frames sent).
@@ -175,6 +188,7 @@ struct Counters {
     batches: AtomicU64,
     groups: AtomicU64,
     shared: AtomicU64,
+    pairwise_reused: AtomicU64,
     overloads: AtomicU64,
     protocol_errors: AtomicU64,
     connections: AtomicU64,
@@ -187,6 +201,7 @@ impl Counters {
             batches: self.batches.load(Ordering::Relaxed),
             groups: self.groups.load(Ordering::Relaxed),
             shared: self.shared.load(Ordering::Relaxed),
+            pairwise_reused: self.pairwise_reused.load(Ordering::Relaxed),
             overloads: self.overloads.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
@@ -534,8 +549,9 @@ fn decode(state: &SharedState, payload: &[u8], batch: &mut Vec<BatchRequest>) ->
 }
 
 /// Validates and normalises a Top-K request into a [`BatchRequest`]:
-/// predicates parsed, intensities bounds-checked, atoms ordered by
-/// descending intensity (the invariant the PEPS rounds rely on).
+/// profile size bounded, predicates parsed, intensities bounds-checked,
+/// atoms ordered by descending intensity (the invariant the PEPS rounds
+/// rely on).
 fn admit_top_k(
     k: u32,
     atoms: &[wire::WireAtom],
@@ -543,6 +559,12 @@ fn admit_top_k(
 ) -> Result<BatchRequest, String> {
     if k == 0 {
         return Err("top-k requires k >= 1".into());
+    }
+    if atoms.len() > MAX_PROFILE_ATOMS {
+        return Err(format!(
+            "profile has {} atoms; at most {MAX_PROFILE_ATOMS} are served",
+            atoms.len()
+        ));
     }
     let mut parsed = Vec::with_capacity(atoms.len());
     for atom in atoms {
@@ -590,6 +612,9 @@ fn evaluate(state: &SharedState, batch: &[BatchRequest]) -> Vec<Response> {
             counters
                 .shared
                 .fetch_add(outcome.stats.shared as u64, Ordering::Relaxed);
+            counters
+                .pairwise_reused
+                .fetch_add(outcome.stats.pairwise_reused as u64, Ordering::Relaxed);
             outcome
                 .results
                 .into_iter()

@@ -122,8 +122,8 @@ pub struct StatsReply {
 /// Typed rejection codes carried by [`Response::Error`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// The shard's bounded admission queue was full; retry later. The
-    /// connection stays open.
+    /// The read's batch already held the bounded number of admitted
+    /// Top-K requests; retry later. The connection stays open.
     Overloaded,
     /// The frame's declared length exceeded the admission bound; the
     /// server closes the connection (the stream cannot be resynced).

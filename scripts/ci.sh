@@ -92,11 +92,18 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 # One short untraced run per workload (~40 s for all three): the last
 # line of output is the result, which must report every checked answer
-# correct and no failed request.
+# correct and no failed request. Its max_rate_rps and setup_s are
+# printed for the log; they do not decide the outcome.
 for workload in hot_zipf adhoc_cold live_ingest; do
     echo "==> perfbench smoke run: ${workload}"
     result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "${workload}" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    for metric in max_rate_rps setup_s; do
+        pattern="\"${metric}\": [{]\"value\": ([^,]+)"
+        if [[ "${result}" =~ ${pattern} ]]; then
+            echo "    ${metric} = ${BASH_REMATCH[1]}"
+        fi
+    done
     if [[ "${result}" != *'"correct": true'* || "${result}" != *'"failed": 0,'* ]]; then
         echo "perfbench ${workload} smoke run failed: ${result}" >&2
         exit 1

@@ -6,11 +6,15 @@
 //! lifecycle: a batch in flight across an `EpochCache::ingest` answers
 //! on its pinned epoch, a drained session answers on the new one, both
 //! verified against cold executors (the `tests/live_corpus.rs` shape).
+//! The snapshot's pairwise memo is held to the same contract: a batch
+//! served from memoised tables, on a freshly ingested epoch, or past the
+//! memo's bound answers exactly as a fresh executor does.
 
 use std::sync::{Arc, OnceLock};
 
 use hypre_bench::ingest::split_corpus;
 use hypre_bench::{profile_variants, Fixture};
+use hypre_repro::core::exec::PAIRWISE_MEMO_ENTRIES;
 use hypre_repro::prelude::*;
 use hypre_repro::relstore::{Database, Predicate};
 use rand::rngs::StdRng;
@@ -263,4 +267,124 @@ fn in_flight_batches_pin_their_epoch_and_drained_sessions_pick_up_the_new_one() 
         after.stats.queries_run, 0,
         "the ingested epoch serves SQL-free"
     );
+}
+
+#[test]
+fn a_second_run_served_from_the_memo_matches_solo_execution() {
+    let fx = fixture();
+    let cache = warmed_cache();
+    let mix = random_mix(5, 16);
+    let want: Vec<Vec<RankedTuple>> = mix.iter().map(|req| solo(&fx.db, req)).collect();
+    let scheduler = BatchScheduler::sequential();
+    let first = scheduler.run(&fx.db, &cache, &mix).unwrap();
+    assert!(
+        cache.pairwise_memo_entries() > 0,
+        "the first run fills the memo"
+    );
+    let second = scheduler.run(&fx.db, &cache, &mix).unwrap();
+    assert_eq!(
+        second.stats.pairwise_reused, second.stats.groups,
+        "every group of the second run reuses a memoised table"
+    );
+    for (i, want) in want.iter().enumerate() {
+        assert_eq!(
+            first.results[i].as_ref().unwrap(),
+            want,
+            "request {i}, first run"
+        );
+        assert_eq!(
+            second.results[i].as_ref().unwrap(),
+            want,
+            "request {i}, from the memo"
+        );
+    }
+}
+
+#[test]
+fn an_ingested_epoch_starts_an_empty_memo_and_matches_the_grown_corpus() {
+    let fx = fixture();
+    let split = split_corpus(&fx.dataset, 0.6);
+    let profiles = variants();
+    let predicates: Vec<&Predicate> = profiles
+        .iter()
+        .flat_map(|p| p.iter().map(|a| &a.predicate))
+        .collect();
+    let cache = ProfileCache::warm(&split.base, BaseQuery::dblp(), predicates).unwrap();
+    let epochs = EpochCache::new(cache);
+    let mix: Vec<BatchRequest> = profiles
+        .iter()
+        .map(|p| BatchRequest::new(p.clone(), 20))
+        .collect();
+    let scheduler = BatchScheduler::sequential();
+    scheduler
+        .run(&split.full, epochs.current().cache(), &mix)
+        .unwrap();
+    assert!(epochs.current().cache().pairwise_memo_entries() > 0);
+
+    epochs.ingest(&split.full, 0).unwrap();
+    let epoch = epochs.current();
+    assert_eq!(epoch.number(), 2);
+    assert_eq!(
+        epoch.cache().pairwise_memo_entries(),
+        0,
+        "a new epoch starts empty"
+    );
+    let want: Vec<Vec<RankedTuple>> = mix.iter().map(|r| solo(&split.full, r)).collect();
+    for round in 0..2 {
+        let out = scheduler.run(&split.full, epoch.cache(), &mix).unwrap();
+        let reused = if round == 0 { 0 } else { out.stats.groups };
+        assert_eq!(out.stats.pairwise_reused, reused, "round {round}");
+        for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
+            assert_eq!(got.as_ref().unwrap(), want, "request {i}, round {round}");
+        }
+    }
+}
+
+#[test]
+fn past_the_memo_bound_answers_are_unchanged_and_the_memo_stays_bounded() {
+    // 60 profiles of 200 pairwise-disjoint atoms, told apart only by
+    // their intensities: 60 tables of 19,900 entries, more than the
+    // memo holds.
+    let fx = fixture();
+    let atoms = 200usize;
+    let predicates: Vec<Predicate> = (1..=atoms)
+        .map(|pid| hypre_repro::relstore::parse_predicate(&format!("dblp.pid={pid}")).unwrap())
+        .collect();
+    let cache = Arc::new(ProfileCache::warm(&fx.db, BaseQuery::dblp(), &predicates).unwrap());
+    let mix: Vec<BatchRequest> = (0..60)
+        .map(|v| {
+            let profile = predicates
+                .iter()
+                .enumerate()
+                .map(|(i, p)| PrefAtom::new(i, p.clone(), 0.9 - 0.004 * i as f64 + v as f64 * 1e-6))
+                .collect();
+            BatchRequest::new(profile, 1 + v % 3)
+        })
+        .collect();
+    let cost = atoms * (atoms - 1) / 2 + 1;
+    let fits = PAIRWISE_MEMO_ENTRIES / cost;
+    assert!(fits < mix.len(), "the mix must overflow the memo");
+
+    let fresh = Executor::new(&fx.db, BaseQuery::dblp());
+    let want: Vec<Vec<RankedTuple>> = mix
+        .iter()
+        .map(|req| {
+            let pairs = PairwiseCache::build(&req.atoms, &fresh).unwrap();
+            Peps::new(&req.atoms, &fresh, &pairs, req.variant)
+                .top_k(req.k)
+                .unwrap()
+        })
+        .collect();
+    let scheduler = BatchScheduler::sequential();
+    for round in 0..2 {
+        let out = scheduler.run(&fx.db, &cache, &mix).unwrap();
+        assert_eq!(out.stats.groups, mix.len());
+        let reused = if round == 0 { 0 } else { fits };
+        assert_eq!(out.stats.pairwise_reused, reused, "round {round}");
+        assert_eq!(cache.pairwise_memo_entries(), fits * cost);
+        assert!(cache.pairwise_memo_entries() <= PAIRWISE_MEMO_ENTRIES);
+        for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
+            assert_eq!(got.as_ref().unwrap(), want, "request {i}, round {round}");
+        }
+    }
 }

@@ -290,6 +290,56 @@ proptest! {
     }
 }
 
+/// Intensities drawn from three values, so equal scores are common.
+fn tied_intensity() -> impl Strategy<Value = f64> {
+    (0usize..3).prop_map(|i| [0.3, 0.5, 0.8][i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Top-K truncation on tie-heavy profiles, for every k: the scores
+    /// are the full ranking's first k bit for bit, the tuples strictly
+    /// above the k-th score are the full ranking's, and the answer is
+    /// ordered by (score desc, value asc). Which tuples tied at the k-th
+    /// score come back may differ from the full ranking when PEPS stops
+    /// at a round whose threshold equals that score.
+    #[test]
+    fn prop_peps_top_k_truncates_like_the_full_ranking(
+        venues in prop::collection::vec(0u8..5, 3..12),
+        authors in prop::collection::vec((0u8..12, 0u8..8), 1..20),
+        prefs in prop::collection::vec((atom_predicate(), tied_intensity()), 1..6),
+    ) {
+        let db = micro_db(&venues, &authors);
+        let exec = Executor::new(&db, BaseQuery::dblp());
+        let mut atoms: Vec<PrefAtom> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for (p, v) in prefs {
+            if seen.insert(p.canonical()) {
+                atoms.push(PrefAtom::new(atoms.len(), p, v));
+            }
+        }
+        atoms.sort_by(|a, b| b.intensity.total_cmp(&a.intensity));
+        for (i, a) in atoms.iter_mut().enumerate() { a.index = i; }
+
+        let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
+        let peps = Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete);
+        let full = peps.top_k(venues.len() + 1).unwrap();
+        for k in 1..=full.len() {
+            let got = peps.top_k(k).unwrap();
+            prop_assert_eq!(got.len(), k);
+            let bits = |r: &[RankedTuple]| r.iter().map(|t| t.1.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&full[..k]));
+            let kth = got[k - 1].1;
+            let above = |r: &[RankedTuple]| {
+                r.iter().filter(|t| t.1 > kth).cloned().collect::<Vec<_>>()
+            };
+            prop_assert_eq!(above(&got), above(&full));
+            prop_assert!(got.windows(2).all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // TA vs brute force on random graded lists
 // ---------------------------------------------------------------------

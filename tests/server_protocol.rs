@@ -2,9 +2,10 @@
 //! round-trips over a real socket, malformed input maps to typed error
 //! frames without killing the connection loop, a lying length prefix is
 //! rejected at the admission bound, the bounded queue sheds load with
-//! typed `Overloaded` rejections, pipelined replies keep request order,
-//! a client that never reads blocks only itself, and connections past
-//! the bound are closed — no panics, no hangs.
+//! typed `Overloaded` rejections, an oversized profile is a typed
+//! `BadRequest`, pipelined replies keep request order, a client that
+//! never reads blocks only itself, and connections past the bound are
+//! closed — no panics, no hangs.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,7 +16,7 @@ use hypre_bench::Fixture;
 use hypre_repro::core::serve::wire::{
     self, ErrorCode, Request, Response, WireAtom, MAX_FRAME_BYTES,
 };
-use hypre_repro::core::serve::{ServeConfig, Server, MAX_CONNECTIONS};
+use hypre_repro::core::serve::{ServeConfig, Server, MAX_CONNECTIONS, MAX_PROFILE_ATOMS};
 use hypre_repro::prelude::*;
 use hypre_repro::relstore::{Database, Predicate};
 
@@ -321,6 +322,40 @@ fn the_bounded_queue_sheds_load_with_typed_overload_rejections() {
     assert!(served >= 2, "admitted requests are served, not dropped");
     assert!(shed >= 1, "the bound must reject the burst's tail");
     assert_eq!(server.stats().overloads, shed as u64);
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_profile_is_a_typed_bad_request_and_the_connection_keeps_serving() {
+    let (server, db) = start_server(ServeConfig::default());
+    let mut stream = connect(&server);
+
+    // Pairwise-disjoint atoms, one past the bound.
+    let oversized = Request::TopK {
+        tenant: 9,
+        k: 10,
+        variant: PepsVariant::Complete,
+        atoms: (1..=MAX_PROFILE_ATOMS + 1)
+            .map(|pid| WireAtom {
+                predicate: format!("dblp.pid={pid}"),
+                intensity: 0.5,
+            })
+            .collect(),
+    };
+    send(&mut stream, &oversized);
+    match recv(&mut stream) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected a BadRequest error, got {other:?}"),
+    }
+
+    // A normal profile is still served, and its second batch reuses the
+    // pairwise table its first one memoised.
+    for _ in 0..2 {
+        send(&mut stream, &top_k_request(9, 10));
+        assert_eq!(recv(&mut stream), Response::TopK(solo_top_k(&db, 10)));
+    }
+    assert_eq!(server.tenant_stats(9).errors, 1);
+    assert_eq!(server.stats().pairwise_reused, 1);
     server.shutdown();
 }
 
