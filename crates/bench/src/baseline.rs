@@ -12,8 +12,8 @@
 //! own memo cache, so it never touches the executor's interner. Like the
 //! PR 1 bitmap generation ([`crate::bitset_baseline`]), it is frozen:
 //! the PR 4 hot-path work (run containers, SIMD-width kernels, COW
-//! expansion, sharded rounds) lands only in the adaptive engine, and the
-//! three-way equivalence suites pin all generations byte-identical.
+//! expansion) lands only in the adaptive engine, and the three-way
+//! equivalence suites pin all generations byte-identical.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};

@@ -11,7 +11,7 @@
 //!
 //! Every measurement is one [`Row`]: `section`, `name`, `papers`, then
 //! its named metrics. The JSON report holds a short header (`bench`,
-//! `sizes`, `available_parallelism`, `scaling`) and a `rows` array with
+//! `sizes`, `available_parallelism`) and a `rows` array with
 //! one flat object per line:
 //!
 //! ```text
@@ -54,15 +54,11 @@
 //!   save/load and the scan at scale;
 //! * `batched_serving` — 100–400 sessions drawing profiles
 //!   Zipf-popularly, served unbatched over 4 OS threads versus one
-//!   `BatchScheduler` run; both shapes are checksum-verified equal first;
+//!   `BatchScheduler` run on one thread, as the server runs a batch;
+//!   both shapes are checksum-verified equal first;
 //! * `graph_workload` — property-graph build, co-occurrence derivation,
 //!   DSL compile of `COAUTHOR_OF`/`SAME_VENUE_AS` atoms, and PEPS top-k
 //!   over them;
-//! * `scaling` (only with `--scaling`) — 1/2/4/8-worker curves for the
-//!   pairwise build, PEPS top-k and batched serving, each with its
-//!   speedup over 1 worker and its work-stealing counters. A 1-core host
-//!   records `"scaling": "skipped: available_parallelism=1"` instead, and
-//!   a run without the flag `"skipped: not_requested"`;
 //! * `set_algebra` / `set_algebra_sparse` — `and_count`/`or`/`and_not`
 //!   over the densest and the sparsest operand pair, with each operand's
 //!   bytes in `memory`;
@@ -78,7 +74,7 @@
 //! back to raw wall-clock.
 //!
 //! Usage: `cargo run --release -p hypre-bench --bin bench_report
-//! [--scaling] [--bench-1m] [out.json [baseline.json]]` — with no positional
+//! [--bench-1m] [out.json [baseline.json]]` — with no positional
 //! arguments the output name is derived as `BENCH_PR{n+1}.json` from
 //! the newest checked-in `BENCH_PR{n}.json`, which doubles as the
 //! baseline.
@@ -103,11 +99,8 @@ const GUARD_MAX_REGRESSION: f64 = 1.25;
 /// Sections the regression guard watches.
 const HEADLINE_SECTIONS: [&str; 2] = ["pairwise_build", "peps_top_k"];
 
-/// Worker counts the `--scaling` curves sweep.
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
 /// The per-corpus sections, in run order.
-const SECTIONS: [fn(&Corpus) -> Vec<Row>; 10] = [
+const SECTIONS: [fn(&Corpus) -> Vec<Row>; 9] = [
     headline,
     containers,
     multi_session,
@@ -115,7 +108,6 @@ const SECTIONS: [fn(&Corpus) -> Vec<Row>; 10] = [
     storage,
     batched_serving,
     graph_workload,
-    scaling,
     set_algebra,
     ablation,
 ];
@@ -228,8 +220,6 @@ struct Corpus<'a, 'db> {
     pairs: &'a PairwiseCache,
     bitset: &'a BitsetAlgebra<'a, 'db>,
     hashset: &'a HashSetAlgebra<'a, 'db>,
-    /// Whether the `--scaling` curves run (requested, and cores > 1).
-    scaling: bool,
     /// Whether this is the smallest corpus (the `ablation` section's).
     smallest: bool,
 }
@@ -482,9 +472,16 @@ fn snapshot_row(
         .ratio("speedup", rewarm_ns, load_ns)
 }
 
-/// The Zipf serving workload: profile variants (overlapping slices of the
-/// two study users' profiles) and one snapshot warmed with all of them.
-fn zipf_pool(c: &Corpus) -> (Vec<Vec<PrefAtom>>, Arc<ProfileCache>) {
+/// The Zipf serving workload draws from profile variants (overlapping
+/// slices of the two study users' profiles) over one snapshot warmed
+/// with all of them. The unbatched baseline runs every session's own
+/// PEPS rounds over 4 OS threads; the batched shape evaluates each
+/// distinct profile identity once on one thread, as the server does,
+/// and demultiplexes. The untimed checksum run fills the snapshot's
+/// pairwise memo, so every timed batched run reuses its tables, as a
+/// server's repeated batches on one epoch do; the unbatched sessions
+/// build their own.
+fn batched_serving(c: &Corpus) -> Vec<Row> {
     let modest = c.fx.graph.positive_profile(c.fx.modest_user);
     let profiles = hypre_bench::profile_variants(c.atoms, &modest);
     let warm = c.fx.executor();
@@ -492,17 +489,6 @@ fn zipf_pool(c: &Corpus) -> (Vec<Vec<PrefAtom>>, Arc<ProfileCache>) {
         warm.tuple_set(&atom.predicate).expect("variant predicate");
     }
     let cache = Arc::new(ProfileCache::snapshot(&warm));
-    (profiles, cache)
-}
-
-/// The unbatched baseline runs every session's own PEPS rounds over 4 OS
-/// threads; the batched shape evaluates each distinct profile identity
-/// once and demultiplexes. The untimed checksum run fills the
-/// snapshot's pairwise memo, so every timed batched run reuses its
-/// tables, as a server's repeated batches on one epoch do; the unbatched
-/// sessions build their own.
-fn batched_serving(c: &Corpus) -> Vec<Row> {
-    let (profiles, cache) = zipf_pool(c);
     let db = &c.fx.db;
     let session_counts: &[usize] = if c.papers < 10_000 {
         &[100, 400]
@@ -513,7 +499,7 @@ fn batched_serving(c: &Corpus) -> Vec<Row> {
     for &sessions in session_counts {
         let mix = serving::zipf_session_mix(&profiles, sessions, 10, 1.1, 42);
         let unbatched = || serving::serve_unbatched_sessions(db, &cache, &mix, 4);
-        let batched = || serving::serve_batched_sessions(db, &cache, &mix, Parallelism::threads(4));
+        let batched = || serving::serve_batched_sessions(db, &cache, &mix);
         let (batched_total, stats) = batched();
         assert_eq!(
             unbatched(),
@@ -597,66 +583,6 @@ fn graph_workload(c: &Corpus) -> Vec<Row> {
             .count("ns", topk_ns)
             .count("k", 10),
     );
-    rows
-}
-
-/// Multi-core scaling curves. Results are byte-identical at every worker
-/// count (`tests/parallel_equivalence.rs`), so the curves measure pure
-/// scheduling. Each phase is timed with the median harness, then run once
-/// more with the work-stealing counters drained so the row carries that
-/// run's tasks, steals and idle probes (zeros for a phase that never
-/// enters the pool).
-fn scaling(c: &Corpus) -> Vec<Row> {
-    if !c.scaling {
-        return Vec::new();
-    }
-    let (profiles, cache) = zipf_pool(c);
-    let mix = serving::zipf_session_mix(&profiles, 100, 10, 1.1, 42);
-    let peps = Peps::new(c.atoms, c.exec, c.pairs, PepsVariant::Complete);
-    let mut one_worker_ns = [0u128; 3];
-    let mut rows = Vec::new();
-    for threads in SCALING_THREADS {
-        let workers = Parallelism::threads(threads);
-        let pairwise = || {
-            PairwiseCache::build_with(c.atoms, c.exec, workers)
-                .unwrap()
-                .applicable_count()
-        };
-        let top_k = || {
-            c.exec.set_parallelism(workers);
-            let len = peps.top_k(100).unwrap().len();
-            c.exec.set_parallelism(Parallelism::Sequential);
-            len
-        };
-        let serve = || serving::serve_batched_sessions(&c.fx.db, &cache, &mix, workers).0;
-        let phases: [(&'static str, &dyn Fn() -> usize); 3] = [
-            ("pairwise_build", &pairwise),
-            ("peps_top_k", &top_k),
-            ("batched_serving", &serve),
-        ];
-        for (i, (phase, run)) in phases.into_iter().enumerate() {
-            let ns = measure(run);
-            let _ = take_cumulative_stats();
-            run();
-            let (tasks, steals, idle_probes) = take_cumulative_stats()
-                .iter()
-                .fold((0, 0, 0), |(t, s, p), w| {
-                    (t + w.tasks, s + w.steals, p + w.idle_probes)
-                });
-            if threads == 1 {
-                one_worker_ns[i] = ns;
-            }
-            rows.push(
-                Row::new("scaling", phase, c.papers)
-                    .count("threads", threads as u128)
-                    .count("ns", ns)
-                    .ratio("speedup_vs_1", one_worker_ns[i], ns)
-                    .count("tasks", tasks as u128)
-                    .count("steals", steals as u128)
-                    .count("idle_probes", idle_probes as u128),
-            );
-        }
-    }
     rows
 }
 
@@ -905,16 +831,10 @@ fn bench_files_newest_first(dir: &Path) -> Vec<(u32, String)> {
 }
 
 /// The whole JSON report: a header, then one row object per line.
-fn render_report(
-    bench: &str,
-    sizes: &[usize],
-    cores: usize,
-    scaling: &str,
-    rows: &[Row],
-) -> String {
+fn render_report(bench: &str, sizes: &[usize], cores: usize, rows: &[Row]) -> String {
     let mut json = format!(
         "{{\n  \"bench\": \"{bench}\",\n  \"sizes\": {sizes:?},\n  \
-         \"available_parallelism\": {cores},\n  \"scaling\": \"{scaling}\",\n  \"rows\": [\n"
+         \"available_parallelism\": {cores},\n  \"rows\": [\n"
     );
     for (i, row) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
@@ -925,15 +845,13 @@ fn render_report(
 }
 
 fn main() {
-    let mut scaling_requested = false;
     let mut bench_1m = false;
     let mut positional: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--scaling" => scaling_requested = true,
             "--bench-1m" => bench_1m = true,
             other if other.starts_with("--") => {
-                eprintln!("unknown flag: {other} (supported: --scaling, --bench-1m)");
+                eprintln!("unknown flag: {other} (supported: --bench-1m)");
                 std::process::exit(2);
             }
             _ => positional.push(arg),
@@ -965,12 +883,7 @@ fn main() {
     }
     let smallest = sizes.iter().copied().min();
 
-    let cores = Parallelism::Auto.workers();
-    // The scaling curves only mean something with real cores behind
-    // them: a 1-core host would measure thread-spawn overhead, not
-    // scaling, so the section is skipped with an explicit marker and
-    // the headline guard never sees a core-count artifact.
-    let measure_scaling = scaling_requested && cores > 1;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows: Vec<Row> = Vec::new();
     for &n in &sizes {
@@ -992,7 +905,6 @@ fn main() {
             pairs: &pairs,
             bitset: &bitset,
             hashset: &hashset,
-            scaling: measure_scaling,
             smallest: Some(n) == smallest,
         };
         for section in SECTIONS {
@@ -1003,28 +915,11 @@ fn main() {
         rows.extend(million_gate());
     }
 
-    let scaling_status = if measure_scaling {
-        "measured"
-    } else if scaling_requested {
-        "skipped: available_parallelism=1"
-    } else {
-        "skipped: not_requested"
-    };
-    let json = render_report(
-        out_path.trim_end_matches(".json"),
-        &sizes,
-        cores,
-        scaling_status,
-        &rows,
-    );
+    let json = render_report(out_path.trim_end_matches(".json"), &sizes, cores, &rows);
     std::fs::write(&out_path, json).expect("write report");
     for row in &rows {
         println!("{}", row.to_text());
     }
-    println!(
-        "{:>19} {scaling_status} ({cores} cores available)",
-        "scaling"
-    );
     eprintln!("wrote {out_path}");
 
     let ingest_ok = ingest_guard(&rows);
@@ -1289,7 +1184,7 @@ mod tests {
                 .count("adaptive_bytes", 64)
                 .count("bitset_bytes", 128),
         ];
-        let report = render_report("BENCH_TEST", &[2_000, 20_000], 2, "measured", &rows);
+        let report = render_report("BENCH_TEST", &[2_000, 20_000], 2, &rows);
         let parsed: Vec<ParsedRow> = report.lines().filter_map(parse_row).collect();
         let key = |s: &str, n: &str, p, ns, control| (s.to_owned(), n.to_owned(), p, ns, control);
         assert_eq!(

@@ -12,10 +12,12 @@
 //! PR 7 adds the **batched** serving shape: `sessions` Top-K requests
 //! drawn from a Zipf profile-popularity distribution (the realistic
 //! many-users shape: a few hot profiles dominate), answered either
-//! unbatched (every session runs its own rounds, fanned over a worker
-//! pool) or through one [`BatchScheduler`] run that evaluates each
-//! distinct profile identity once — the shared-expansion saving the
-//! `batched_serving` rows of `bench_report` record.
+//! unbatched (every session runs its own rounds, the sessions chunked
+//! over a few threads) or through one [`BatchScheduler`] run on the
+//! calling thread that evaluates each distinct profile identity once —
+//! what the server does with one connection's batch, and the
+//! shared-expansion saving the `batched_serving` rows of `bench_report`
+//! record.
 
 use std::sync::Arc;
 
@@ -159,16 +161,16 @@ pub fn serve_unbatched_sessions(
     })
 }
 
-/// The batched shape: one [`BatchScheduler`] run evaluates each
-/// distinct profile identity once and demultiplexes. Returns the
-/// summed result lengths plus the batch's sharing stats.
+/// The batched shape: one [`BatchScheduler`] run on the calling
+/// thread evaluates each distinct profile identity once and
+/// demultiplexes. Returns the summed result lengths plus the batch's
+/// sharing stats.
 pub fn serve_batched_sessions(
     db: &Database,
     cache: &Arc<ProfileCache>,
     requests: &[BatchRequest],
-    parallelism: Parallelism,
 ) -> (usize, BatchStats) {
-    let outcome = BatchScheduler::new(parallelism)
+    let outcome = BatchScheduler::sequential()
         .run(db, cache, requests)
         .expect("batched serving");
     let total = outcome
@@ -227,8 +229,7 @@ mod tests {
         let cache = Arc::new(ProfileCache::snapshot(&warm));
         let mix = zipf_session_mix(&profiles, 120, 10, 1.1, 7);
         let unbatched = serve_unbatched_sessions(&fx.db, &cache, &mix, 4);
-        let (batched, stats) =
-            serve_batched_sessions(&fx.db, &cache, &mix, Parallelism::Sequential);
+        let (batched, stats) = serve_batched_sessions(&fx.db, &cache, &mix);
         assert_eq!(unbatched, batched, "same answers either way");
         assert_eq!(stats.requests, 120);
         assert!(

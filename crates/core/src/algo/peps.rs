@@ -53,25 +53,15 @@
 //! bit-key set (pair `(i, j)` → bit `i·n + j`, singleton `s` → bit
 //! `n² + s`) instead of hashing a `Vec<usize>` per candidate.
 //!
-//! ## Parallelism and determinism
+//! ## Determinism
 //!
-//! Within a round, the admitted seed pairs expand independently: the
-//! dedup set is consulted and updated **sequentially, in pairwise-list
-//! order, before any expansion runs** (claim order is fixed), after
-//! which the seed list fans out over a **work-stealing deque**
-//! (`crate::steal`, PR 8): each [`std::thread::scope`] worker (the
-//! executor's [`Parallelism`](crate::exec::Parallelism) knob) starts
-//! with a contiguous range of the claim-ordered list, pops its own
-//! head, and steals whole seed subtrees from the tail of the
-//! most-loaded victim once idle — so one dominant expansion subtree no
-//! longer idles the rest of the pool behind the round barrier. Only
-//! *execution placement* floats: each worker scores into a private
-//! dense array (or collects private combination records) and the
-//! results merge order-insensitively; because ranking takes a per-tuple
-//! *maximum* over emitted combinations and the ORDER list is globally
-//! sorted by a total order, `top_k` and `ordered_combinations` are
-//! **byte-identical at every worker count** — the contract
-//! `tests/parallel_equivalence.rs` pins at 1, 2 and 8 threads.
+//! A round runs on the caller's thread, like the rest of a session. Its
+//! admitted seed pairs are claimed in the dedup set and expanded one
+//! after another, in pairwise-list order. Ranking keeps a per-tuple
+//! *maximum* over emitted combinations and the ORDER list is sorted by
+//! a total order, so `top_k` and `ordered_combinations` depend only on
+//! the profile, its tuple sets and the pairwise table — not on emission
+//! order.
 
 use std::sync::Arc;
 
@@ -114,17 +104,6 @@ pub type RankedTuple = (Value, f64);
 
 /// The PEPS engine, borrowing a profile, an executor and the pairwise
 /// cache.
-///
-/// # Determinism contract
-///
-/// The executor's [`Parallelism`](crate::exec::Parallelism) knob only
-/// changes *wall-clock*: round expansions fan out across scoped worker
-/// threads with work stealing, but seed admission and deduplication
-/// happen sequentially in pairwise-list order before the fan-out,
-/// per-tuple scores merge as order-independent maxima, and the ORDER
-/// list is sorted by a total order — so [`Peps::top_k`] and
-/// [`Peps::ordered_combinations`] return byte-identical results at
-/// every worker count.
 pub struct Peps<'a, 'db> {
     atoms: &'a [PrefAtom],
     exec: &'a Executor<'db>,
@@ -301,13 +280,9 @@ impl<'a, 'db> Peps<'a, 'db> {
 
     // ------------------------------------------------------------------
 
-    /// Runs one round: admits pairs at threshold `τ_s`, claims them in
-    /// the dedup set (sequentially, in pairwise-list order — claim
-    /// order stays fixed at every worker count), expands them
-    /// depth-first — fanned over the executor's
-    /// [`Parallelism`](crate::exec::Parallelism) workers with
-    /// tail-stealing of whole seed subtrees — and emits the seed's
-    /// singleton combination.
+    /// Runs one round: admits pairs at threshold `τ_s`, claims each in
+    /// the dedup set and expands it depth-first, in pairwise-list order,
+    /// then emits the seed's singleton combination.
     fn run_round<S: RoundSink>(
         &self,
         s: usize,
@@ -319,47 +294,13 @@ impl<'a, 'db> Peps<'a, 'db> {
         // Expansion chains are strictly ascending (seeds have `i < j`,
         // extensions only append `m > last`), so every member set has
         // exactly one generation path: deduplication is needed only here
-        // at the seed level, across rounds — which is also what makes the
-        // seed expansions below mutually independent and safe to fan out.
-        let mut seeds: Vec<(usize, usize, f64, u64)> = Vec::new();
+        // at the seed level, across rounds.
         for e in self.pairs.entries() {
             if e.applicable()
                 && self.admits(e.i, e.j, e.intensity, threshold)
                 && emitted.insert(emitted.pair_key(e.i, e.j))
             {
-                seeds.push((e.i, e.j, e.intensity, e.count));
-            }
-        }
-        let exp = Expander {
-            atoms: self.atoms,
-            pairs: self.pairs,
-        };
-        let workers = self.exec.parallelism().workers().min(seeds.len());
-        if workers <= 1 {
-            for &(i, j, intensity, count) in &seeds {
-                exp.expand_seed(i, j, intensity, count, sets, sink);
-            }
-        } else {
-            // Work-stealing fan-out: each worker starts with a
-            // contiguous range of the claim-ordered seed list, pops its
-            // own head and steals whole seed subtrees from the tail of
-            // the most-loaded victim once idle — so one dominant
-            // subtree no longer idles the other workers behind the
-            // round barrier. Which worker expands which seed is
-            // timing-dependent; byte-identical output only needs the
-            // sink merge to be order-insensitive (per-tuple maxima /
-            // totally-ordered ORDER list — see `RoundSink`).
-            let bounds = crate::steal::even_bounds(seeds.len(), workers);
-            let locals = crate::steal::run_stealing(
-                &bounds,
-                || sink.fork(),
-                |local, idx| {
-                    let (i, j, intensity, count) = seeds[idx];
-                    exp.expand_seed(i, j, intensity, count, sets, local);
-                },
-            );
-            for local in locals {
-                sink.absorb(local);
+                self.expand_seed(e.i, e.j, e.intensity, e.count, sets, sink);
             }
         }
         // The seed preference by itself (the fallback that guarantees k
@@ -407,18 +348,7 @@ impl<'a, 'db> Peps<'a, 'db> {
             .map(|a| self.exec.tuple_set(&a.predicate))
             .collect()
     }
-}
 
-/// The pure-compute slice of the engine a round expansion needs — shared
-/// immutably across worker threads (unlike [`Peps`], which also borrows
-/// the `Send`-free [`Executor`]).
-#[derive(Clone, Copy)]
-struct Expander<'x> {
-    atoms: &'x [PrefAtom],
-    pairs: &'x PairwiseCache,
-}
-
-impl Expander<'_> {
     /// Expands one admitted seed pair. The pair's tuple set is built
     /// copy-on-write from the profile sets: the pairwise cache already
     /// knows the intersection's cardinality, so a pair that does not
@@ -573,22 +503,10 @@ impl EmittedSet {
     }
 }
 
-/// Where a round's emitted combinations go. With work-stealing rounds
-/// (PR 8) the seed-to-worker assignment is timing-dependent, so
-/// implementations must be **merge-order-insensitive, period** — a
-/// commutative [`absorb`](RoundSink::absorb) (the score sink's
-/// per-tuple maximum) or a final total-order sort over everything
-/// emitted (the ORDER list) — which is what keeps the stolen expansion
-/// byte-identical to the sequential one. (`Sync` because workers fork
-/// their local sinks from the shared parent on their own threads.)
-trait RoundSink: Send + Sync {
-    /// A fresh, empty sink for a worker thread.
-    fn fork(&self) -> Self;
+/// Where a round's emitted combinations go.
+trait RoundSink {
     /// Records one emitted combination.
     fn emit(&mut self, members: &[usize], intensity: f64, tuples: u64, set: &TupleSet);
-    /// Merges a worker's sink back (workers absorb in worker-index
-    /// order, but the merge must not depend on it).
-    fn absorb(&mut self, other: Self);
 }
 
 /// Top-K sink: scores each combination's tuples into the dense ranking
@@ -602,10 +520,6 @@ struct ScoreSink {
 }
 
 impl RoundSink for ScoreSink {
-    fn fork(&self) -> Self {
-        ScoreSink::default()
-    }
-
     fn emit(&mut self, _members: &[usize], intensity: f64, _tuples: u64, set: &TupleSet) {
         // Range-walk scoring: a run container's combination scores as a
         // handful of contiguous slice sweeps, not per-id iteration.
@@ -624,23 +538,6 @@ impl RoundSink for ScoreSink {
             }
         });
     }
-
-    fn absorb(&mut self, other: Self) {
-        if other.ranked.len() > self.ranked.len() {
-            self.ranked.resize(other.ranked.len(), f64::NEG_INFINITY);
-        }
-        for (idx, &score) in other.ranked.iter().enumerate() {
-            if score == f64::NEG_INFINITY {
-                continue;
-            }
-            if self.ranked[idx] == f64::NEG_INFINITY {
-                self.n_ranked += 1;
-                self.ranked[idx] = score;
-            } else if score > self.ranked[idx] {
-                self.ranked[idx] = score;
-            }
-        }
-    }
 }
 
 /// ORDER-list sink: records `(members, intensity, count)` per emitted
@@ -653,20 +550,12 @@ struct OrderSink {
 }
 
 impl RoundSink for OrderSink {
-    fn fork(&self) -> Self {
-        OrderSink::default()
-    }
-
     fn emit(&mut self, members: &[usize], intensity: f64, tuples: u64, _set: &TupleSet) {
         self.combos.push(RoundCombo {
             members: members.to_vec(),
             intensity,
             tuples,
         });
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.combos.extend(other.combos);
     }
 }
 
@@ -892,30 +781,6 @@ mod tests {
         assert_eq!(top[0].0, Value::Int(1));
         let expect = crate::combine::f_and_all([0.6, 0.5, 0.2]);
         assert!((top[0].1 - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn round_expansion_is_byte_identical_at_every_worker_count() {
-        let db = db();
-        let (exec, atoms) = setup(&db);
-        let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
-        for variant in [PepsVariant::Complete, PepsVariant::Approximate] {
-            let reference = Peps::new(&atoms, &exec, &pairs, variant);
-            exec.set_parallelism(crate::exec::Parallelism::Sequential);
-            let want_top = reference.top_k(10).unwrap();
-            let want_order = reference.ordered_combinations().unwrap();
-            for workers in [1usize, 2, 3, 8] {
-                exec.set_parallelism(crate::exec::Parallelism::threads(workers));
-                let peps = Peps::new(&atoms, &exec, &pairs, variant);
-                assert_eq!(peps.top_k(10).unwrap(), want_top, "{workers} workers");
-                assert_eq!(
-                    peps.ordered_combinations().unwrap(),
-                    want_order,
-                    "{workers} workers"
-                );
-            }
-            exec.set_parallelism(crate::exec::Parallelism::Sequential);
-        }
     }
 
     #[test]

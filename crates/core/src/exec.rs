@@ -53,44 +53,31 @@
 //!
 //! The executor itself is a **single-session** object: its memo tables
 //! use `RefCell`/`Cell` interior mutability, so it is `Send`-free and
-//! never crosses threads. Concurrency enters at two seams instead:
+//! never crosses threads. Everything one session computes — the
+//! [`PairwiseCache`] build of §5.5 (`n` tuple-set fetches, then one
+//! walk of the `(i, j)` triangle of AND-popcounts) and every PEPS round
+//! — runs on the thread that owns the executor. Concurrency enters only
+//! *between* sessions, through **shared profile snapshots**.
 //!
-//! * **Parallel pairwise build.** [`PairwiseCache::build`] front-loads
-//!   the `n(n−1)/2` AND-popcount pass of §5.5. After the `n` tuple-set
-//!   fetches (sequential — they go through the executor's memo), the
-//!   triangular `(i, j)` space is partitioned into contiguous
-//!   **cost-weighted** chunks of the linearised triangular index —
-//!   boundaries sit at equal quantiles of the cumulative per-pair cost
-//!   (one sweep of the cheaper operand's container), so a worker owning
-//!   the dense rows gets proportionally fewer pairs — and filled by
-//!   [`std::thread::scope`] workers. Each [`PairEntry`] is a pure
-//!   function of `(i, j)` over immutable inputs (`Arc`'d tuple sets and
-//!   plain intensities), so the result is **byte-identical at every
-//!   worker count** — `tests/parallel_equivalence.rs` proves it at 1, 2
-//!   and 8 threads. The worker count comes from the [`Parallelism`] knob
-//!   threaded through the executor (or passed explicitly to
-//!   [`PairwiseCache::build_with`]). PEPS round expansions shard the
-//!   same way per session (see [`crate::algo::peps`]).
-//!
-//! * **Shared profile snapshots.** A [`ProfileCache`] is an immutable,
-//!   `Send + Sync` snapshot of a warmed executor: the interner (frozen,
-//!   behind `Arc`) plus the memoised predicate→tuple-set map
-//!   (`Arc`'d sets, shared structurally). N concurrent user sessions
-//!   against the same corpus each open a cheap session executor with
-//!   [`Executor::with_cache`]; cached predicates resolve **lock-free**
-//!   from the snapshot (no `RefCell` borrow, no SQL), while predicates
-//!   the snapshot has not seen fall through to the session's private
-//!   memo and intern *new* ids in a local overlay **above** the frozen
-//!   snapshot ids — base ids stay stable, so tuple sets from the
-//!   snapshot and session-local sets share one id space. Sets are
-//!   written only during the build phase (warm an executor, then
-//!   [`ProfileCache::snapshot`]) and are immutable thereafter; the only
-//!   later write is the snapshot's bounded, mutex-guarded memo of
-//!   pairwise tables. That is the whole thread-safety contract: share
-//!   `Arc<ProfileCache>` freely, keep each `Executor` on one thread.
-//!
-//! PEPS stays sequential *per session*; sessions run concurrently (see
-//! `examples/multi_user_serving.rs` and the multi-session bench rows).
+//! A [`ProfileCache`] is an immutable, `Send + Sync` snapshot of a
+//! warmed executor: the interner (frozen, behind `Arc`) plus the
+//! memoised predicate→tuple-set map (`Arc`'d sets, shared
+//! structurally). N concurrent user sessions against the same corpus
+//! each open a cheap session executor with [`Executor::with_cache`];
+//! cached predicates resolve **lock-free** from the snapshot (no
+//! `RefCell` borrow, no SQL), while predicates the snapshot has not
+//! seen fall through to the session's private memo and intern *new* ids
+//! in a local overlay **above** the frozen snapshot ids — base ids stay
+//! stable, so tuple sets from the snapshot and session-local sets share
+//! one id space. Sets are written only during the build phase (warm an
+//! executor, then [`ProfileCache::snapshot`]) and are immutable
+//! thereafter; the only later write is the snapshot's bounded,
+//! mutex-guarded memo of pairwise tables. That is the whole
+//! thread-safety contract: share `Arc<ProfileCache>` freely, keep each
+//! `Executor` on one thread. Sessions run concurrently, one thread each
+//! (see `examples/multi_user_serving.rs`, the multi-session bench rows
+//! and [`crate::serve`], which evaluates each batch on the connection
+//! thread that read it).
 //!
 //! ## Epoch lifecycle: live corpora without stop-the-world
 //!
@@ -405,42 +392,9 @@ fn next_id(len: usize) -> Result<u32> {
 
 /// A shared, immutable tuple set: an adaptive compressed set
 /// ([`TupleSet`]) over interned tuple ids. `Arc`-backed so materialised
-/// sets flow across threads — into the sharded pairwise build and out of
-/// a [`ProfileCache`] shared by concurrent sessions.
+/// sets are shared without copying — down PEPS expansion paths and out
+/// of a [`ProfileCache`] shared by concurrent sessions.
 pub type SharedTupleSet = Arc<TupleSet>;
-
-/// How many worker threads the parallel phases (today: the pairwise
-/// build's triangular pass) may use. The knob is advisory — every
-/// setting produces byte-identical results; only wall-clock changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Single-threaded (the default): no worker threads are spawned.
-    #[default]
-    Sequential,
-    /// Exactly this many workers (values below 2 behave like
-    /// [`Parallelism::Sequential`]).
-    Fixed(usize),
-    /// One worker per available core
-    /// ([`std::thread::available_parallelism`]).
-    Auto,
-}
-
-impl Parallelism {
-    /// A fixed worker count (`threads(0)` and `threads(1)` are
-    /// sequential).
-    pub fn threads(n: usize) -> Self {
-        Parallelism::Fixed(n.max(1))
-    }
-
-    /// The effective worker count (always at least 1).
-    pub fn workers(self) -> usize {
-        match self {
-            Parallelism::Sequential => 1,
-            Parallelism::Fixed(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    }
-}
 
 /// Runs preference-enhanced queries with per-preference tuple-set
 /// memoisation and query accounting (the combination algorithms are
@@ -448,15 +402,13 @@ impl Parallelism {
 ///
 /// An executor is a **session**: single-threaded by construction
 /// (interior mutability in its memo tables), optionally reading through
-/// a shared [`ProfileCache`] snapshot and optionally fanning the
-/// pairwise build out to [`Parallelism`] workers.
+/// a shared [`ProfileCache`] snapshot.
 pub struct Executor<'db> {
     db: &'db Database,
     base: BaseQuery,
     interner: RefCell<TupleInterner>,
     atom_cache: RefCell<HashMap<String, (Predicate, SharedTupleSet)>>,
     shared: Option<Arc<ProfileCache>>,
-    parallelism: Cell<Parallelism>,
     queries_run: Cell<usize>,
     cache_hits: Cell<usize>,
     shared_hits: Cell<usize>,
@@ -471,7 +423,6 @@ impl<'db> Executor<'db> {
             interner: RefCell::new(TupleInterner::default()),
             atom_cache: RefCell::new(HashMap::new()),
             shared: None,
-            parallelism: Cell::new(Parallelism::Sequential),
             queries_run: Cell::new(0),
             cache_hits: Cell::new(0),
             shared_hits: Cell::new(0),
@@ -526,27 +477,10 @@ impl<'db> Executor<'db> {
             interner: RefCell::new(TupleInterner::layered(Arc::clone(&cache.interner))),
             atom_cache: RefCell::new(HashMap::new()),
             shared: Some(cache),
-            parallelism: Cell::new(Parallelism::Sequential),
             queries_run: Cell::new(0),
             cache_hits: Cell::new(0),
             shared_hits: Cell::new(0),
         })
-    }
-
-    /// Sets the parallelism knob (builder form).
-    pub fn with_parallelism(self, parallelism: Parallelism) -> Self {
-        self.parallelism.set(parallelism);
-        self
-    }
-
-    /// Sets the parallelism knob for subsequent parallel phases.
-    pub fn set_parallelism(&self, parallelism: Parallelism) {
-        self.parallelism.set(parallelism);
-    }
-
-    /// The current parallelism knob.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism.get()
     }
 
     /// The base query.
@@ -1440,84 +1374,10 @@ impl EpochSession {
     }
 }
 
-/// The entries of the pairwise table at linearised triangular indexes
-/// `start..end` over an `n`-preference profile. Pure compute — the
-/// sequential build runs it over the whole triangle, each parallel
-/// build worker over one block.
-fn pair_chunk(
-    start: usize,
-    end: usize,
-    n: usize,
-    sets: &[SharedTupleSet],
-    intensities: &[f64],
-) -> Vec<PairEntry> {
-    let (mut i, mut j) = unrank_pair(start, n);
-    let mut out = Vec::with_capacity(end - start);
-    for _ in start..end {
-        out.push(PairEntry::score(i, j, sets, intensities));
-        j += 1;
-        if j == n {
-            i += 1;
-            j = i + 1;
-        }
-    }
-    out
-}
-
-/// Chunk boundaries for the sharded pairwise pass: `workers + 1` fence
-/// posts over the linearised triangular index (from 0 to
-/// `n(n−1)/2`), placed at equal quantiles of the *cumulative per-pair
-/// cost* rather than at equal pair counts. A pair's AND-popcount costs
-/// about one sweep of its cheaper operand, so the weight of pair
-/// `(i, j)` is `min(op_cost(i), op_cost(j)) + 1`
-/// ([`TupleSet::op_cost`]: array elements / runs / bitmap words) — with
-/// container sizes spanning four orders of magnitude, equal-count chunks
-/// can hand one worker almost all the real work. Boundaries only move
-/// *where* the table is split, never what is computed, so results stay
-/// byte-identical at every worker count.
-/// Oversubscription factor for the work-stealing pairwise fill: the
-/// triangle is carved into this many cost-weighted blocks *per worker*,
-/// so that when the `op_cost` model underestimates a block, idle
-/// workers have tail blocks to steal instead of waiting out the error.
-/// Small enough that per-block overhead (one `Vec` + one claim) stays
-/// negligible against the fill itself.
-const PAIR_STEAL_BLOCKS_PER_WORKER: usize = 4;
-
-fn weighted_chunk_bounds(sets: &[SharedTupleSet], workers: usize) -> Vec<usize> {
-    let n = sets.len();
-    let costs: Vec<u64> = sets.iter().map(|s| s.op_cost() as u64).collect();
-    let total = n * n.saturating_sub(1) / 2;
-    let mut prefix: Vec<u64> = Vec::with_capacity(total + 1);
-    prefix.push(0);
-    let mut acc = 0u64;
-    for i in 0..n {
-        for j in i + 1..n {
-            acc += costs[i].min(costs[j]) + 1;
-            prefix.push(acc);
-        }
-    }
-    let mut bounds = Vec::with_capacity(workers + 1);
-    bounds.push(0usize);
-    for w in 1..workers {
-        let target = acc * w as u64 / workers as u64;
-        let cut = prefix.partition_point(|&p| p < target).min(total);
-        let prev = bounds.last().copied().unwrap_or(0);
-        bounds.push(cut.max(prev));
-    }
-    bounds.push(total);
-    bounds
-}
-
-/// Inverts the triangular linearisation: the `(i, j)` pair (with
-/// `i < j < n`) stored at linear index `t` in `(i, j)` lexicographic
-/// order. Row `i` holds `n − i − 1` entries.
-fn unrank_pair(t: usize, n: usize) -> (usize, usize) {
-    let (mut i, mut row_start) = (0usize, 0usize);
-    while i + 1 < n && row_start + (n - i - 1) <= t {
-        row_start += n - i - 1;
-        i += 1;
-    }
-    (i, i + 1 + (t - row_start))
+/// The `(i, j)` pairs of an `n`-preference profile, `i < j`, in the
+/// `(i, j)` lexicographic order the pairwise table stores them in.
+fn triangle(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)))
 }
 
 /// Builds the per-first-member retrieval index over a pairwise table:
@@ -1609,76 +1469,19 @@ pub struct PairwiseCache {
 impl PairwiseCache {
     /// Builds the cache for a profile: `n` tuple-set fetches through the
     /// executor plus `n(n−1)/2` container-adaptive intersection-count
-    /// passes — no pairwise intersection is ever materialised. The
-    /// triangular pass fans out across the executor's [`Parallelism`]
-    /// workers as cost-weighted blocks with work stealing; results are
-    /// byte-identical at every worker count.
+    /// passes — no pairwise intersection is ever materialised.
     pub fn build(atoms: &[PrefAtom], exec: &Executor<'_>) -> Result<Self> {
-        PairwiseCache::build_with(atoms, exec, exec.parallelism())
-    }
-
-    /// [`build`](Self::build) with an explicit worker count, overriding
-    /// the executor's knob.
-    pub fn build_with(
-        atoms: &[PrefAtom],
-        exec: &Executor<'_>,
-        parallelism: Parallelism,
-    ) -> Result<Self> {
-        // Tuple-set fetches stay sequential: they go through the
-        // session's memo (and possibly SQL). Everything after is pure
-        // compute over immutable Arc'd sets.
         let mut sets = Vec::with_capacity(atoms.len());
         for a in atoms {
             sets.push(exec.tuple_set(&a.predicate)?);
         }
         let intensities: Vec<f64> = atoms.iter().map(|a| a.intensity).collect();
         let n = atoms.len();
-        let total = n * n.saturating_sub(1) / 2;
-        let workers = if total == 0 {
-            1
-        } else {
-            parallelism.workers().min(total)
-        };
-        let entries = if workers <= 1 {
-            pair_chunk(0, total, n, &sets, &intensities)
-        } else {
-            // Partition the linearised triangular index into contiguous
-            // *cost-weighted* blocks: a pair's AND-popcount pass costs
-            // roughly one sweep of its cheaper operand, so equal-count
-            // blocks mislay work whenever container sizes are skewed
-            // (one dense row can outweigh hundreds of sparse ones).
-            // Boundaries are placed at equal quantiles of the cumulative
-            // per-pair cost. PR 8: the triangle is over-split into
-            // `PAIR_STEAL_BLOCKS_PER_WORKER` blocks per worker and run
-            // over the work-stealing deque — the cost model is an
-            // estimate, and stealing absorbs whatever it gets wrong
-            // instead of idling workers behind the slowest chunk. Every
-            // entry remains a pure function of (i, j) over immutable
-            // inputs and blocks are stitched back in block order, so
-            // stolen and sequential fills produce identical bytes.
-            let block_bounds = weighted_chunk_bounds(&sets, workers * PAIR_STEAL_BLOCKS_PER_WORKER);
-            let n_blocks = block_bounds.len().saturating_sub(1);
-            let worker_bounds = crate::steal::even_bounds(n_blocks, workers);
-            let per_worker = crate::steal::run_stealing(
-                &worker_bounds,
-                Vec::new,
-                |acc: &mut Vec<(usize, Vec<PairEntry>)>, b| {
-                    let (start, end) = (block_bounds[b], block_bounds[b + 1]);
-                    acc.push((b, pair_chunk(start, end, n, &sets, &intensities)));
-                },
-            );
-            let mut blocks: Vec<(usize, Vec<PairEntry>)> =
-                per_worker.into_iter().flatten().collect();
-            blocks.sort_unstable_by_key(|&(b, _)| b);
-            let mut entries = Vec::with_capacity(total);
-            for (_, part) in blocks {
-                entries.extend(part);
-            }
-            entries
-        };
+        let mut entries = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        entries.extend(triangle(n).map(|(i, j)| PairEntry::score(i, j, &sets, &intensities)));
         let by_first = index_by_first(&entries);
         Ok(PairwiseCache {
-            n: atoms.len(),
+            n,
             entries,
             by_first,
         })
@@ -1710,13 +1513,9 @@ impl PairwiseCache {
         }
         let intensities: Vec<f64> = atoms.iter().map(|a| a.intensity).collect();
         let mut entries = self.entries.clone();
-        let mut idx = 0usize;
-        for i in 0..self.n {
-            for j in i + 1..self.n {
-                if changed[i] || changed[j] {
-                    entries[idx] = PairEntry::score(i, j, &sets, &intensities);
-                }
-                idx += 1;
+        for (entry, (i, j)) in entries.iter_mut().zip(triangle(self.n)) {
+            if changed[i] || changed[j] {
+                *entry = PairEntry::score(i, j, &sets, &intensities);
             }
         }
         let by_first = index_by_first(&entries);
@@ -1985,7 +1784,6 @@ mod tests {
         check::<TupleInterner>();
         check::<ProfileCache>();
         check::<PairwiseCache>();
-        check::<Parallelism>();
         check::<Epoch>();
         check::<EpochCache>();
         check::<EpochSession>();
@@ -1993,96 +1791,13 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_worker_counts() {
-        assert_eq!(Parallelism::Sequential.workers(), 1);
-        assert_eq!(Parallelism::threads(0).workers(), 1);
-        assert_eq!(Parallelism::threads(1).workers(), 1);
-        assert_eq!(Parallelism::threads(6).workers(), 6);
-        assert!(Parallelism::Auto.workers() >= 1);
-        assert_eq!(Parallelism::default(), Parallelism::Sequential);
-    }
-
-    #[test]
-    fn unrank_pair_inverts_the_triangular_index() {
-        for n in [2usize, 3, 5, 8, 13] {
-            let mut t = 0usize;
-            for i in 0..n {
-                for j in i + 1..n {
-                    assert_eq!(unrank_pair(t, n), (i, j), "t={t} n={n}");
-                    t += 1;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_chunk_bounds_tile_the_triangle() {
-        let wide: SharedTupleSet = Arc::new((0..20_000u32).step_by(3).collect());
-        let narrow: SharedTupleSet = Arc::new([1u32, 5, 9].into_iter().collect());
-        for n in [2usize, 3, 5, 9] {
-            // alternate dense/sparse rows to skew the per-pair costs
-            let sets: Vec<SharedTupleSet> = (0..n)
-                .map(|i| {
-                    if i % 2 == 0 {
-                        Arc::clone(&wide)
-                    } else {
-                        Arc::clone(&narrow)
-                    }
-                })
-                .collect();
-            let total = n * (n - 1) / 2;
-            for workers in [1usize, 2, 3, 8, 64] {
-                let bounds = weighted_chunk_bounds(&sets, workers);
-                assert_eq!(bounds.len(), workers + 1);
-                assert_eq!(bounds[0], 0);
-                assert_eq!(*bounds.last().unwrap(), total);
-                assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "{bounds:?}");
-            }
-        }
-        // With one dominant row, the cut isolates the heavy prefix: the
-        // (0, j) pairs of a dense row 0 outweigh all sparse-sparse pairs.
-        let sets = vec![
-            Arc::clone(&wide),
-            Arc::clone(&narrow),
-            Arc::clone(&narrow),
-            Arc::clone(&narrow),
-        ];
-        let bounds = weighted_chunk_bounds(&sets, 2);
-        assert!(
-            bounds[1] <= 3,
-            "heavy row 0 (pairs 0..3) should fill the first chunk alone: {bounds:?}"
+    fn triangle_walks_pairs_in_storage_order() {
+        assert_eq!(
+            triangle(4).collect::<Vec<_>>(),
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         );
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
-        let db = db();
-        let atoms = vec![
-            atom(0, "dblp.year>=2006", 0.9),
-            atom(1, "dblp.venue='VLDB'", 0.7),
-            atom(2, "dblp_author.aid=11", 0.5),
-            atom(3, "dblp.venue='PODS'", 0.4),
-            atom(4, "dblp.year>=2010", 0.2),
-            atom(5, "dblp.venue='SIGMOD'", 0.1),
-        ];
-        let exec = Executor::new(&db, BaseQuery::dblp());
-        let reference = PairwiseCache::build_with(&atoms, &exec, Parallelism::Sequential).unwrap();
-        for workers in [2usize, 3, 8, 64] {
-            let parallel =
-                PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(workers)).unwrap();
-            assert_eq!(parallel.entries(), reference.entries(), "{workers} workers");
-            assert_eq!(parallel.applicable_count(), reference.applicable_count());
-            for i in 0..atoms.len() {
-                let seq: Vec<_> = reference.pairs_from(i).collect();
-                let par: Vec<_> = parallel.pairs_from(i).collect();
-                assert_eq!(seq, par, "pairs_from({i}) at {workers} workers");
-            }
-        }
-        // The executor-level knob routes through the same path.
-        exec.set_parallelism(Parallelism::threads(4));
-        assert_eq!(exec.parallelism(), Parallelism::threads(4));
-        let via_knob = PairwiseCache::build(&atoms, &exec).unwrap();
-        assert_eq!(via_knob.entries(), reference.entries());
+        assert_eq!(triangle(1).count(), 0);
+        assert_eq!(triangle(0).count(), 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use crate::error::{HypreError, Result};
 use crate::tupleset::{ContainerDump, TupleSet};
 
 use super::{
-    check_fingerprint_tables, index_by_first, unrank_pair, BaseQuery, CorpusCheck, PairEntry,
+    check_fingerprint_tables, index_by_first, triangle, BaseQuery, CorpusCheck, PairEntry,
     PairwiseCache, PairwiseMemo, ProfileCache, SharedTupleSet, TupleInterner,
 };
 
@@ -508,19 +508,22 @@ impl ProfileCache {
         let pairs = match r.r_u8("pairwise flag")? {
             0 => None,
             1 => {
-                let n = r.r_u64("pairwise profile size")? as usize;
+                let n = usize::try_from(r.r_u64("pairwise profile size")?)
+                    .map_err(|_| r.corrupt("pairwise profile size"))?;
                 let raw_count = r.r_u64("pairwise entry count")?;
                 let count = r.checked_count(raw_count, 32, "pairwise entry count")?;
-                if count != n * n.saturating_sub(1) / 2 {
+                // `n` is untrusted: a size whose triangle overflows is
+                // corrupt, not a wrapped count.
+                if n.checked_mul(n.saturating_sub(1)).map(|d| d / 2) != Some(count) {
                     return Err(r.corrupt("pairwise entry count is not a full triangle"));
                 }
                 let mut entries = Vec::with_capacity(count);
-                for t in 0..count {
+                for expected in triangle(n) {
                     let i = r.r_u64("pairwise entry")? as usize;
                     let j = r.r_u64("pairwise entry")? as usize;
                     let intensity = f64::from_bits(r.r_u64("pairwise entry")?);
                     let hits = r.r_u64("pairwise entry")?;
-                    if (i, j) != unrank_pair(t, n) {
+                    if (i, j) != expected {
                         return Err(r.corrupt("pairwise entries out of triangular order"));
                     }
                     entries.push(PairEntry {

@@ -89,7 +89,6 @@ pub mod preference;
 pub mod sched;
 pub mod serve;
 pub mod skyline;
-pub mod steal;
 pub mod tupleset;
 
 pub use error::{HypreError, Result};
@@ -113,7 +112,7 @@ pub mod prelude {
     pub use crate::error::{HypreError, Result};
     pub use crate::exec::{
         BaseQuery, DeltaReport, Epoch, EpochCache, EpochSession, Executor, PairEntry,
-        PairwiseCache, Parallelism, ProfileCache, SharedTupleSet, TupleInterner,
+        PairwiseCache, ProfileCache, SharedTupleSet, TupleInterner,
     };
     pub use crate::graph::{
         EdgeKind, HypreGraph, IngestReport, QualInsertOutcome, StoredPreference, NODE_LABEL,
@@ -130,6 +129,5 @@ pub mod prelude {
     };
     pub use crate::sched::{BatchOutcome, BatchRequest, BatchScheduler, BatchStats};
     pub use crate::skyline::{prioritized_skyline, skyline, AttributePref, Direction};
-    pub use crate::steal::{run_stealing_with_stats, take_cumulative_stats, WorkerStealStats};
     pub use crate::tupleset::{TupleSet, ARRAY_MAX, RUN_COST_FACTOR, RUN_MAX};
 }

@@ -15,9 +15,7 @@
 //!
 //! # Determinism contract
 //!
-//! Batching is a pure dedup of evaluations whose outputs are already
-//! pinned byte-identical by the executor's parallel-equivalence
-//! contract:
+//! Batching is a pure dedup of evaluations:
 //!
 //! * a group only forms when the inputs of the PEPS rounds (tuple sets,
 //!   intensities, variant) are identical, so the shared evaluation *is*
@@ -26,21 +24,11 @@
 //!   round where a standalone `top_k(k)` would have early-terminated,
 //!   so mixed `k`s inside a group cannot perturb each other;
 //! * groups are formed and evaluated in first-occurrence request order,
-//!   and the worker knob only shards round expansions that merge
-//!   order-independently.
+//!   one after another on the calling thread.
 //!
-//! Since PR 8 the sharding under that knob is **work-stealing**: a
-//! round's seeds start on contiguous per-worker deques and idle workers
-//! steal whole expansion subtrees from the tail of the most-loaded
-//! victim (see [`Peps`]). That floats only
-//! *where* a subtree runs, never *what* runs or how sinks merge, so the
-//! batched contract is unchanged — one skewed group member's expansion
-//! no longer idles the other workers of the shared evaluation.
-//!
-//! Hence every answer is **byte-identical at every worker count and
-//! batch composition** to running that session alone on a fresh
-//! sequential executor — the contract `tests/batched_equivalence.rs`
-//! pins.
+//! Hence every answer is **byte-identical in every batch composition**
+//! to running that session alone on a fresh executor — the contract
+//! `tests/batched_equivalence.rs` pins.
 //!
 //! # Pairwise memo
 //!
@@ -53,7 +41,7 @@
 //! an atom from the batch memo or SQL bypasses the memo: its set
 //! pointers die with the batch. The table is a pure function of the key,
 //! so a memoised table is the table the group would have built, and the
-//! determinism contract below is unchanged.
+//! determinism contract above holds for it too.
 //!
 //! # Epoch integration
 //!
@@ -75,7 +63,7 @@ use relstore::Database;
 use crate::algo::peps::{Peps, PepsVariant, RankedTuple};
 use crate::combine::PrefAtom;
 use crate::error::{HypreError, Result};
-use crate::exec::{Executor, PairwiseCache, Parallelism, ProfileCache, ProfileKey};
+use crate::exec::{Executor, PairwiseCache, ProfileCache, ProfileKey};
 
 /// One session's Top-K call, queued for batched evaluation.
 #[derive(Debug, Clone)]
@@ -138,12 +126,10 @@ pub struct BatchOutcome {
 }
 
 /// Groups concurrent Top-K calls by profile-atom identity and evaluates
-/// each distinct round expansion once (module docs spell out the
-/// determinism contract).
+/// each distinct round expansion once, on the calling thread (module
+/// docs spell out the determinism contract).
 #[derive(Debug, Clone, Copy)]
-pub struct BatchScheduler {
-    parallelism: Parallelism,
-}
+pub struct BatchScheduler;
 
 /// The grouping key: the PEPS-round inputs that must be identical for
 /// two requests to share an evaluation. Tuple-set identity is the
@@ -168,20 +154,10 @@ struct Group {
 }
 
 impl BatchScheduler {
-    /// A scheduler whose shared evaluations run round expansions under
-    /// the given [`Parallelism`] knob.
-    pub fn new(parallelism: Parallelism) -> Self {
-        BatchScheduler { parallelism }
-    }
-
-    /// A fully sequential scheduler.
+    /// A scheduler. It holds no state: every batch is evaluated by the
+    /// thread that calls [`run`](Self::run).
     pub fn sequential() -> Self {
-        BatchScheduler::new(Parallelism::Sequential)
-    }
-
-    /// The [`Parallelism`] knob shared evaluations run under.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
+        BatchScheduler
     }
 
     /// Evaluates one batch against a cache snapshot.
@@ -215,7 +191,6 @@ impl BatchScheduler {
             });
         }
         let exec = Executor::with_cache_pinned(db, Arc::clone(cache))?;
-        exec.set_parallelism(self.parallelism);
 
         // Group by profile-atom identity, in first-occurrence order.
         let mut results: Vec<Result<Vec<RankedTuple>>> =
@@ -438,20 +413,6 @@ mod tests {
         assert_eq!(out.results[1].as_ref().unwrap(), &solo(&db, &reqs[1]));
         assert!(matches!(out.results[2], Err(HypreError::Rel(_))));
         assert_eq!(out.stats.groups, 1);
-    }
-
-    #[test]
-    fn scheduler_reports_its_parallelism_knob() {
-        assert_eq!(
-            BatchScheduler::sequential().parallelism().workers(),
-            Parallelism::Sequential.workers()
-        );
-        assert_eq!(
-            BatchScheduler::new(Parallelism::threads(4))
-                .parallelism()
-                .workers(),
-            4
-        );
     }
 
     #[test]

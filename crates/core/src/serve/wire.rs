@@ -535,9 +535,10 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Incremental frame reassembly over a non-blocking stream: bytes go in
-/// as they arrive, complete payloads come out — with the max-frame
-/// admission bound enforced on the *declared* length, before buffering.
+/// Incremental frame reassembly over a stream read in chunks: bytes go
+/// in as each read returns them, complete payloads come out — with the
+/// max-frame admission bound enforced on the *declared* length, before
+/// buffering.
 #[derive(Debug)]
 pub struct FrameBuffer {
     buf: Vec<u8>,

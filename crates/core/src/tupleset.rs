@@ -35,7 +35,7 @@
 //!    `2·r ≤ n` (8 bytes per run is at most the array's `4·n`) and
 //!    `RUN_COST_FACTOR·r ≤ w` (one run-sweep step costs ~4× a bitmap
 //!    word step, so runs only where the sweep decisively beats the
-//!    word walk — the PR 8 op_cost-informed cap; it also keeps runs
+//!    word walk — the PR 8 cost-informed cap; it also keeps runs
 //!    strictly smaller than the bitmap's `8·w` bytes);
 //! 2. else **Array** iff `n ≤ ARRAY_MAX` and `n × SPAN_FACTOR ≤ w`
 //!    (the PR 2 rule: the array only where it is at most 1/8 of the
@@ -75,7 +75,8 @@ pub const RUN_MAX: usize = 512;
 /// is one AND+popcount in a 4-wide kernel, roughly a 4× gap measured
 /// on the `set_algebra` micro rows. The run container is kept only
 /// while `RUN_COST_FACTOR · r ≤ w` — i.e. only where the interval
-/// sweep decisively beats the word walk under [`TupleSet::op_cost`] —
+/// sweep decisively beats the word walk (a sweep costs one step per
+/// run, per word or per element, depending on the container) —
 /// which resolves the on-record PR 4 trade-off where dense many-run
 /// sets (`r` close to `w`) made isolated `and_count` ~6× slower at
 /// 20k ids.
@@ -308,18 +309,6 @@ impl TupleSet {
             Repr::Array(v) => v.len() * std::mem::size_of::<u32>(),
             Repr::Runs(r) => r.len() * std::mem::size_of::<Run>(),
             Repr::Bitmap(b) => b.heap_bytes(),
-        }
-    }
-
-    /// Approximate per-op work units of this container (array: elements,
-    /// runs: runs, bitmap: words) — what one sweep of a set-algebra op
-    /// costs. The cost-weighted pairwise-build chunking weighs pairs by
-    /// the cheaper operand's units.
-    pub fn op_cost(&self) -> usize {
-        match &self.repr {
-            Repr::Array(v) => v.len(),
-            Repr::Runs(r) => r.len(),
-            Repr::Bitmap(b) => b.words().len(),
         }
     }
 
@@ -1907,7 +1896,6 @@ mod tests {
         assert_eq!(range.heap_bytes(), 8);
         assert_eq!(range.to_bitset().heap_bytes(), (11_999 / 64 + 1) * 8);
         assert_eq!(TupleSet::from_bitset(range.to_bitset()), range);
-        assert_eq!(range.op_cost(), 1);
     }
 
     #[test]

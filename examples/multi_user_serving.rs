@@ -1,9 +1,9 @@
 //! Multi-user serving over one shared profile snapshot — the production
 //! shape the ROADMAP targets: a build phase warms a `ProfileCache` with
-//! every stored predicate once, then N concurrent user sessions open
-//! cheap executors over the frozen snapshot, shard their pairwise builds
-//! across worker threads, and answer personalised Top-10 queries without
-//! re-running a single profile SQL query.
+//! every stored predicate once, then N concurrent user sessions, one
+//! thread each, open cheap executors over the frozen snapshot and answer
+//! personalised Top-10 queries without re-running a single profile SQL
+//! query.
 //!
 //! ```text
 //! cargo run --release --example multi_user_serving
@@ -88,7 +88,7 @@ fn main() -> Result<()> {
     );
 
     // 5. Serving phase: one concurrent session per user, all reading the
-    //    snapshot lock-free; each session shards its own pairwise build.
+    //    snapshot lock-free; each session builds its own pairwise table.
     let serve_start = Instant::now();
     let served: Vec<(UserId, Vec<RankedTuple>, usize, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = profiles
@@ -97,9 +97,8 @@ fn main() -> Result<()> {
                 let cache = Arc::clone(&cache);
                 let db = &db;
                 scope.spawn(move || {
-                    let session = Executor::with_cache(db, cache)
-                        .expect("cache matches the corpus")
-                        .with_parallelism(Parallelism::Auto);
+                    let session =
+                        Executor::with_cache(db, cache).expect("cache matches the corpus");
                     let pairs = PairwiseCache::build(atoms, &session).expect("session build");
                     let top = Peps::new(atoms, &session, &pairs, PepsVariant::Complete)
                         .top_k(10)

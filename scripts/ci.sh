@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the HYPRE reproduction workspace:
 #   fmt check → clippy (warnings are errors) → build (all targets) →
-#   tests → perfbench fmt check, clippy (warnings are errors),
+#   tests → the untrusted-input suites again in release → perfbench fmt
+#   check, clippy (warnings are errors),
 #   self-tests and a one-second smoke run of each workload → rustdoc
 #   (warnings are errors) → compile-and-run every example (doc rot and
 #   broken examples fail CI). perfbench is its own workspace, so the
@@ -9,7 +10,7 @@
 #   API change that breaks the benchmark fail CI, and the smoke runs
 #   fail CI when the server answers wrongly or fails requests.
 #
-# Usage: scripts/ci.sh [--release-bench] [--scaling] [--bench-1m]
+# Usage: scripts/ci.sh [--release-bench] [--bench-1m]
 #   --release-bench  additionally regenerates the bench report and runs
 #                    the bench-regression guard (slow; off by default).
 #                    The output and baseline names are derived from the
@@ -22,13 +23,6 @@
 #                    delta ingest is no faster than a full re-warm
 #                    (ingest_ns >= rewarm_ns), and so does a baseline
 #                    file that cannot be read.
-#   --scaling        pass --scaling through to bench_report so the
-#                    report includes 1/2/4/8-worker scaling curves for
-#                    the pairwise build, PEPS top-k and batched serving.
-#                    Implies the bench run. On a 1-core host the report
-#                    records an explicit skip marker instead of curves;
-#                    the headline guard never keys on core count, so
-#                    this mode is safe on any runner.
 #   --bench-1m       pass --bench-1m through to bench_report: stream a
 #                    million-paper corpus (override the size with
 #                    BENCH_1M_PAPERS) and record single-shot end-to-end
@@ -47,21 +41,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 release_bench=0
-scaling=0
 bench_1m=0
 for arg in "$@"; do
     case "${arg}" in
         --release-bench) release_bench=1 ;;
-        --scaling)
-            release_bench=1
-            scaling=1
-            ;;
         --bench-1m)
             release_bench=1
             bench_1m=1
             ;;
         *)
-            echo "unknown flag: ${arg} (supported: --release-bench --scaling --bench-1m)" >&2
+            echo "unknown flag: ${arg} (supported: --release-bench --bench-1m)" >&2
             exit 2
             ;;
     esac
@@ -78,6 +67,13 @@ cargo build --release --workspace --all-targets
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+# Release builds have no overflow checks, so arithmetic on untrusted
+# sizes can wrap there instead of panicking: run the suites that feed
+# the engine untrusted bytes (snapshot files, wire frames) in release
+# too. The release test binaries were built with --all-targets above.
+echo "==> cargo test --release (untrusted-input suites)"
+cargo test --release -q --test snapshot_format --test server_protocol
 
 # perfbench/ is a workspace of its own (the repo benchmark), so the
 # workspace fmt, clippy and test runs above never reach it.
@@ -142,9 +138,6 @@ done
 if [[ "${release_bench}" -eq 1 ]]; then
     BENCH_TIMEOUT="${BENCH_TIMEOUT:-3600}"
     bench_flags=()
-    if [[ "${scaling}" -eq 1 ]]; then
-        bench_flags+=(--scaling)
-    fi
     if [[ "${bench_1m}" -eq 1 ]]; then
         bench_flags+=(--bench-1m)
     fi

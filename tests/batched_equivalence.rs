@@ -1,8 +1,8 @@
 //! The batched-scheduling determinism contract: `BatchScheduler` over
 //! randomized session mixes (overlapping and disjoint profiles, k ∈
 //! {1, 10, 100}, mixed PEPS variants) must be **byte-identical** to
-//! running each session alone on a fresh sequential executor — at every
-//! worker count and in every batch composition. Plus the epoch
+//! running each session alone on a fresh executor — in every batch
+//! composition. Plus the epoch
 //! lifecycle: a batch in flight across an `EpochCache::ingest` answers
 //! on its pinned epoch, a drained session answers on the new one, both
 //! verified against cold executors (the `tests/live_corpus.rs` shape).
@@ -81,39 +81,34 @@ fn batched_matches_solo_sequential_at_every_worker_count() {
     for seed in [11u64, 42, 2026] {
         let mix = random_mix(seed, 12);
         let want: Vec<Vec<RankedTuple>> = mix.iter().map(|req| solo(&fx.db, req)).collect();
-        for workers in [1usize, 2, 8] {
-            let out = BatchScheduler::new(Parallelism::threads(workers))
-                .run(&fx.db, &cache, &mix)
-                .unwrap();
-            for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    got.as_ref().unwrap(),
-                    want,
-                    "request {i} diverged from solo execution (seed {seed}, {workers} workers)"
-                );
-            }
-            assert_eq!(out.stats.requests, mix.len());
-            assert!(
-                out.stats.groups < mix.len(),
-                "a 12-session mix over {} profiles must share evaluations \
-                 (got {} groups)",
-                variants().len(),
-                out.stats.groups
+        let out = BatchScheduler::sequential()
+            .run(&fx.db, &cache, &mix)
+            .unwrap();
+        for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got.as_ref().unwrap(),
+                want,
+                "request {i} diverged from solo execution (seed {seed})"
             );
-            assert_eq!(out.stats.shared, mix.len() - out.stats.groups);
-            assert_eq!(out.stats.queries_run, 0, "warmed snapshot serves SQL-free");
         }
+        assert_eq!(out.stats.requests, mix.len());
+        assert!(
+            out.stats.groups < mix.len(),
+            "a 12-session mix over {} profiles must share evaluations \
+             (got {} groups)",
+            variants().len(),
+            out.stats.groups
+        );
+        assert_eq!(out.stats.shared, mix.len() - out.stats.groups);
+        assert_eq!(out.stats.queries_run, 0, "warmed snapshot serves SQL-free");
     }
 }
 
 #[test]
-fn skewed_batches_stay_byte_identical_under_work_stealing() {
-    // PR 8: shared evaluations now run their rounds with work-stealing
-    // workers. Build a deliberately skewed mix — one heavy profile
-    // repeated (one big group whose expansion dominates) next to light
-    // singletons — and sweep odd worker counts, which give the stealing
-    // scheduler uneven initial deques. Every answer must still match
-    // solo sequential execution exactly.
+fn skewed_batches_stay_byte_identical() {
+    // A deliberately skewed mix — one heavy profile repeated (one big
+    // group whose expansion dominates) next to light singletons. Every
+    // answer must still match solo execution exactly.
     let fx = fixture();
     let cache = warmed_cache();
     let profiles = variants();
@@ -129,23 +124,17 @@ fn skewed_batches_stay_byte_identical_under_work_stealing() {
         mix.push(BatchRequest::new(p.clone(), 5));
     }
     let want: Vec<Vec<RankedTuple>> = mix.iter().map(|req| solo(&fx.db, req)).collect();
-    for workers in [3usize, 5, 8] {
-        let out = BatchScheduler::new(Parallelism::threads(workers))
-            .run(&fx.db, &cache, &mix)
-            .unwrap();
-        for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
-            assert_eq!(
-                got.as_ref().unwrap(),
-                want,
-                "request {i} diverged under stealing ({workers} workers)"
-            );
-        }
-        assert_eq!(
-            out.stats.groups,
-            profiles.len(),
-            "the four heavy copies share one evaluation"
-        );
+    let out = BatchScheduler::sequential()
+        .run(&fx.db, &cache, &mix)
+        .unwrap();
+    for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
+        assert_eq!(got.as_ref().unwrap(), want, "request {i} diverged");
     }
+    assert_eq!(
+        out.stats.groups,
+        profiles.len(),
+        "the four heavy copies share one evaluation"
+    );
 }
 
 #[test]
@@ -235,7 +224,7 @@ fn in_flight_batches_pin_their_epoch_and_drained_sessions_pick_up_the_new_one() 
         "the delta must actually move the top-20"
     );
 
-    let scheduler = BatchScheduler::new(Parallelism::threads(2));
+    let scheduler = BatchScheduler::sequential();
     let before = scheduler.run(&split.full, &session.cache(), &mix).unwrap();
     for (got, want) in before.results.iter().zip(&want_old) {
         assert_eq!(got.as_ref().unwrap(), want, "epoch-1 batch");

@@ -124,9 +124,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `ordered_combinations` and `top_k` over the bitset engine are
-    /// byte-identical to the HashSet reference: same combination records
-    /// (the counts come out of hash intersections on the reference side)
-    /// and the same ranked tuples with the same scores.
+    /// byte-identical to the HashSet reference of the same PEPS variant:
+    /// same combination records (the counts come out of hash
+    /// intersections on the reference side) and the same ranked tuples
+    /// with the same scores.
     #[test]
     fn prop_peps_output_identical_to_hashset_reference(
         prefs in prop::collection::vec(
@@ -134,6 +135,7 @@ proptest! {
             2..6,
         ),
         k in 1usize..40,
+        variant in prop_oneof![Just(PepsVariant::Complete), Just(PepsVariant::Approximate)],
     ) {
         let fx = fixture();
         let exec = fx.executor();
@@ -150,8 +152,8 @@ proptest! {
             prop_assert_eq!((entry.i, entry.j, entry.count), (i, j, count));
         }
 
-        let peps = Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete);
-        let seed = SeedPeps::new(&atoms, &baseline, &pairs, PepsVariant::Complete);
+        let peps = Peps::new(&atoms, &exec, &pairs, variant);
+        let seed = SeedPeps::new(&atoms, &baseline, &pairs, variant);
 
         // ordered_combinations is byte-identical to the seed algorithm
         // (same records, same counts, same bit-exact intensities).
@@ -164,17 +166,21 @@ proptest! {
         let want = seed.top_k(k).unwrap();
         prop_assert_eq!(&got, &want);
 
-        // And it agrees with the brute-force residual scorer up to
-        // floating-point association (PEPS multiplies `1−p` factors in
-        // chain order, the scorer in profile order).
-        let brute = baseline.score_tuples(&atoms).unwrap();
-        prop_assert_eq!(got.len(), k.min(brute.len()));
-        let by_tuple: std::collections::HashMap<&Value, f64> =
-            brute.iter().map(|(t, g)| (t, *g)).collect();
-        prop_assert!(got.windows(2).all(|w| w[0].1 >= w[1].1), "descending scores");
-        for (t, g) in &got {
-            let bg = by_tuple[t];
-            prop_assert!((g - bg).abs() < 1e-9, "{t}: {g} vs {bg}");
+        // Complete PEPS also agrees with the brute-force residual scorer
+        // up to floating-point association (PEPS multiplies `1−p`
+        // factors in chain order, the scorer in profile order).
+        // Approximate PEPS may miss combinations, so only the seed
+        // reference binds it.
+        if variant == PepsVariant::Complete {
+            let brute = baseline.score_tuples(&atoms).unwrap();
+            prop_assert_eq!(got.len(), k.min(brute.len()));
+            let by_tuple: std::collections::HashMap<&Value, f64> =
+                brute.iter().map(|(t, g)| (t, *g)).collect();
+            prop_assert!(got.windows(2).all(|w| w[0].1 >= w[1].1), "descending scores");
+            for (t, g) in &got {
+                let bg = by_tuple[t];
+                prop_assert!((g - bg).abs() < 1e-9, "{t}: {g} vs {bg}");
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The DSL differential contract: every shipped example profile,
 //! rewritten in the preference DSL, must be **byte-identical** to its
 //! hand-built original — same replayed graph, same positive atoms, same
-//! rankings at 1/2/8 workers, and the same tuple-set Arcs through a
+//! rankings, and the same tuple-set Arcs through a
 //! shared executor memo, so a `BatchScheduler` groups a hand session and
 //! its DSL twin into one evaluation. The DSL is sugar over the existing
 //! model; it is never allowed to *mean* anything different.
@@ -268,8 +268,7 @@ fn car_dealership_ranking_is_identical_through_the_dsl() {
 
 // ---------------------------------------------------------------------
 // The DBLP study profiles: extraction-produced predicates round-trip
-// through the DSL and rank byte-identically at every worker count, solo
-// and batched.
+// through the DSL and rank byte-identically, solo and batched.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -295,35 +294,27 @@ fn dblp_study_profiles_rank_byte_identically_at_1_2_and_8_workers() {
             );
         }
 
-        // Byte-identical rankings and ORDER lists at every worker count,
-        // for both PEPS variants.
-        let reference_pairs =
-            PairwiseCache::build_with(&hand_atoms, &exec, Parallelism::Sequential).unwrap();
+        // Byte-identical rankings and ORDER lists for both PEPS
+        // variants.
+        let reference_pairs = PairwiseCache::build(&hand_atoms, &exec).unwrap();
         for variant in [PepsVariant::Complete, PepsVariant::Approximate] {
-            exec.set_parallelism(Parallelism::Sequential);
             let reference = Peps::new(&hand_atoms, &exec, &reference_pairs, variant);
             let want_top = reference.top_k(25).unwrap();
             let want_order = reference.ordered_combinations().unwrap();
-            for threads in [1usize, 2, 8] {
-                let pairs =
-                    PairwiseCache::build_with(&dsl_atoms, &exec, Parallelism::threads(threads))
-                        .unwrap();
-                assert_eq!(pairs.entries(), reference_pairs.entries());
-                exec.set_parallelism(Parallelism::threads(threads));
-                let peps = Peps::new(&dsl_atoms, &exec, &pairs, variant);
-                assert_eq!(
-                    peps.top_k(25).unwrap(),
-                    want_top,
-                    "{name}: top_k diverged at {threads} threads ({variant:?})"
-                );
-                assert_eq!(
-                    peps.ordered_combinations().unwrap(),
-                    want_order,
-                    "{name}: ORDER diverged at {threads} threads ({variant:?})"
-                );
-            }
+            let pairs = PairwiseCache::build(&dsl_atoms, &exec).unwrap();
+            assert_eq!(pairs.entries(), reference_pairs.entries());
+            let peps = Peps::new(&dsl_atoms, &exec, &pairs, variant);
+            assert_eq!(
+                peps.top_k(25).unwrap(),
+                want_top,
+                "{name}: top_k diverged ({variant:?})"
+            );
+            assert_eq!(
+                peps.ordered_combinations().unwrap(),
+                want_order,
+                "{name}: ORDER diverged ({variant:?})"
+            );
         }
-        exec.set_parallelism(Parallelism::Sequential);
     }
 }
 
@@ -355,32 +346,30 @@ fn hand_and_dsl_sessions_share_one_batched_evaluation() {
         mix.push(BatchRequest::new(dsl_atoms, 20));
     }
 
-    for workers in [1usize, 2, 8] {
-        let out = BatchScheduler::new(Parallelism::threads(workers))
-            .run(&fx.db, &cache, &mix)
-            .unwrap();
+    let out = BatchScheduler::sequential()
+        .run(&fx.db, &cache, &mix)
+        .unwrap();
+    assert_eq!(
+        out.stats.groups,
+        profiles.len(),
+        "each DSL twin must share its original's group"
+    );
+    assert_eq!(out.stats.shared, profiles.len());
+    assert_eq!(out.stats.queries_run, 0, "warmed snapshot serves SQL-free");
+    for pair in out.results.chunks(2) {
         assert_eq!(
-            out.stats.groups,
-            profiles.len(),
-            "each DSL twin must share its original's group ({workers} workers)"
+            pair[0].as_ref().unwrap(),
+            pair[1].as_ref().unwrap(),
+            "twin answered differently from its original"
         );
-        assert_eq!(out.stats.shared, profiles.len());
-        assert_eq!(out.stats.queries_run, 0, "warmed snapshot serves SQL-free");
-        for pair in out.results.chunks(2) {
-            assert_eq!(
-                pair[0].as_ref().unwrap(),
-                pair[1].as_ref().unwrap(),
-                "twin answered differently from its original"
-            );
-        }
-        // And both match running the hand profile alone, cold.
-        for (i, (_, hand_atoms)) in profiles.iter().enumerate() {
-            let solo_exec = Executor::new(&fx.db, BaseQuery::dblp());
-            let pairs = PairwiseCache::build(hand_atoms, &solo_exec).unwrap();
-            let want = Peps::new(hand_atoms, &solo_exec, &pairs, PepsVariant::Complete)
-                .top_k(20)
-                .unwrap();
-            assert_eq!(out.results[2 * i].as_ref().unwrap(), &want);
-        }
+    }
+    // And both match running the hand profile alone, cold.
+    for (i, (_, hand_atoms)) in profiles.iter().enumerate() {
+        let solo_exec = Executor::new(&fx.db, BaseQuery::dblp());
+        let pairs = PairwiseCache::build(hand_atoms, &solo_exec).unwrap();
+        let want = Peps::new(hand_atoms, &solo_exec, &pairs, PepsVariant::Complete)
+            .top_k(20)
+            .unwrap();
+        assert_eq!(out.results[2 * i].as_ref().unwrap(), &want);
     }
 }

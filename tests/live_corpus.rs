@@ -1,7 +1,7 @@
 //! Live-corpus equivalence and failure-atomicity over the generated
 //! DBLP corpus: an epoch-advanced snapshot (warm on the base corpus,
 //! then `ingest_delta` the appended rows) must rank byte-identically to
-//! a fresh executor over the full corpus at every worker count; stale
+//! a fresh executor over the full corpus; stale
 //! snapshots must surface as typed errors, never panics; and every
 //! injected query fault must either retry to success or leave the
 //! previous epoch intact and serving.
@@ -106,28 +106,25 @@ fn ingested_snapshot_matches_a_fresh_executor_at_every_worker_count() {
         let reference = Peps::new(&atoms, &fresh, &fresh_pairs, variant);
         let want_top = reference.top_k(25).unwrap();
         let want_order = reference.ordered_combinations().unwrap();
-        for threads in [1usize, 2, 8] {
-            let session = Executor::with_cache(&split.full, Arc::clone(&next))
-                .expect("ingested snapshot matches the grown corpus")
-                .with_parallelism(Parallelism::threads(threads));
-            let pairs = PairwiseCache::build(&atoms, &session).unwrap();
-            let peps = Peps::new(&atoms, &session, &pairs, variant);
-            assert_eq!(
-                peps.top_k(25).unwrap(),
-                want_top,
-                "top_k diverged at {threads} threads ({variant:?})"
-            );
-            assert_eq!(
-                peps.ordered_combinations().unwrap(),
-                want_order,
-                "ordered_combinations diverged at {threads} threads ({variant:?})"
-            );
-            assert_eq!(
-                session.queries_run(),
-                0,
-                "ingest re-derived nothing via SQL"
-            );
-        }
+        let session = Executor::with_cache(&split.full, Arc::clone(&next))
+            .expect("ingested snapshot matches the grown corpus");
+        let pairs = PairwiseCache::build(&atoms, &session).unwrap();
+        let peps = Peps::new(&atoms, &session, &pairs, variant);
+        assert_eq!(
+            peps.top_k(25).unwrap(),
+            want_top,
+            "top_k diverged ({variant:?})"
+        );
+        assert_eq!(
+            peps.ordered_combinations().unwrap(),
+            want_order,
+            "ordered_combinations diverged ({variant:?})"
+        );
+        assert_eq!(
+            session.queries_run(),
+            0,
+            "ingest re-derived nothing via SQL"
+        );
     }
 }
 

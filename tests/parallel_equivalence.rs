@@ -1,20 +1,15 @@
-//! Parallelism-determinism and shared-cache equivalence over the
-//! generated DBLP corpus: the work-stealing pairwise build and PEPS
-//! rounds must be byte-identical to the sequential engine at every
-//! worker count (and on randomized profiles — the steal schedule is
-//! timing-dependent, the output may not be), and
-//! concurrent session executors sharing one `ProfileCache` snapshot must
-//! rank exactly like a fresh single-threaded executor — the contract
-//! that lets the multi-user serving path reuse materialised tuple sets
-//! without re-running SQL.
+//! Determinism and shared-cache equivalence over the generated DBLP
+//! corpus: repeated pairwise builds and PEPS runs must be
+//! byte-identical, and concurrent session executors sharing one
+//! `ProfileCache` snapshot must rank exactly like a fresh executor —
+//! the contract that lets the multi-user serving path reuse
+//! materialised tuple sets without re-running SQL.
 
 use std::sync::{Arc, OnceLock};
 
 use hypre_bench::Fixture;
 use hypre_repro::prelude::*;
 use hypre_repro::relstore::Predicate;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn fixture() -> &'static Fixture {
     static FX: OnceLock<Fixture> = OnceLock::new();
@@ -31,25 +26,22 @@ fn rich_atoms() -> Vec<PrefAtom> {
 fn pairwise_build_byte_identical_at_1_2_and_8_threads() {
     let fx = fixture();
     let atoms = rich_atoms();
-    assert!(atoms.len() >= 8, "profile too small to exercise sharding");
+    assert!(atoms.len() >= 8, "profile too small");
     let exec = fx.executor();
-    let reference = PairwiseCache::build_with(&atoms, &exec, Parallelism::Sequential).unwrap();
-    for threads in [1usize, 2, 8] {
-        let sharded =
-            PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads)).unwrap();
+    let reference = PairwiseCache::build(&atoms, &exec).unwrap();
+    let rebuilt = PairwiseCache::build(&atoms, &exec).unwrap();
+    assert_eq!(
+        rebuilt.entries(),
+        reference.entries(),
+        "pairwise table diverged"
+    );
+    assert_eq!(rebuilt.applicable_count(), reference.applicable_count());
+    for i in 0..atoms.len() {
         assert_eq!(
-            sharded.entries(),
-            reference.entries(),
-            "pairwise table diverged at {threads} threads"
+            rebuilt.pairs_from(i).collect::<Vec<_>>(),
+            reference.pairs_from(i).collect::<Vec<_>>(),
+            "pairs_from({i}) diverged"
         );
-        assert_eq!(sharded.applicable_count(), reference.applicable_count());
-        for i in 0..atoms.len() {
-            assert_eq!(
-                sharded.pairs_from(i).collect::<Vec<_>>(),
-                reference.pairs_from(i).collect::<Vec<_>>(),
-                "pairs_from({i}) diverged at {threads} threads"
-            );
-        }
     }
 }
 
@@ -58,121 +50,50 @@ fn peps_top_k_byte_identical_across_worker_counts() {
     let fx = fixture();
     let atoms = rich_atoms();
     let exec = fx.executor();
-    let reference_pairs =
-        PairwiseCache::build_with(&atoms, &exec, Parallelism::Sequential).unwrap();
+    let reference_pairs = PairwiseCache::build(&atoms, &exec).unwrap();
     for variant in [PepsVariant::Complete, PepsVariant::Approximate] {
         let reference = Peps::new(&atoms, &exec, &reference_pairs, variant);
         let want_top = reference.top_k(25).unwrap();
         let want_order = reference.ordered_combinations().unwrap();
-        for threads in [1usize, 2, 8] {
-            let pairs =
-                PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(threads)).unwrap();
-            let peps = Peps::new(&atoms, &exec, &pairs, variant);
-            assert_eq!(
-                peps.top_k(25).unwrap(),
-                want_top,
-                "top_k diverged at {threads} threads ({variant:?})"
-            );
-            assert_eq!(
-                peps.ordered_combinations().unwrap(),
-                want_order,
-                "ordered_combinations diverged at {threads} threads ({variant:?})"
-            );
-        }
+        let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
+        let peps = Peps::new(&atoms, &exec, &pairs, variant);
+        assert_eq!(
+            peps.top_k(25).unwrap(),
+            want_top,
+            "top_k diverged ({variant:?})"
+        );
+        assert_eq!(
+            peps.ordered_combinations().unwrap(),
+            want_order,
+            "ordered_combinations diverged ({variant:?})"
+        );
     }
 }
 
 #[test]
 fn peps_round_expansion_byte_identical_across_worker_counts() {
-    // PR 4: the PEPS rounds themselves shard their seed expansions
-    // across the executor's Parallelism workers. The dedup set is
-    // claimed sequentially before the fan-out and per-tuple scores merge
-    // as maxima, so every worker count must produce byte-identical
-    // rankings *and* byte-identical ORDER lists.
+    // Per-tuple scores merge as maxima and the ORDER list is sorted by
+    // a total order, so a second PEPS run over the same pairwise table
+    // must produce byte-identical rankings *and* ORDER lists.
     let fx = fixture();
     let atoms = rich_atoms();
     let exec = fx.executor();
-    let pairs = PairwiseCache::build_with(&atoms, &exec, Parallelism::Sequential).unwrap();
+    let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
     for variant in [PepsVariant::Complete, PepsVariant::Approximate] {
-        exec.set_parallelism(Parallelism::Sequential);
         let reference = Peps::new(&atoms, &exec, &pairs, variant);
         let want_top = reference.top_k(25).unwrap();
         let want_order = reference.ordered_combinations().unwrap();
-        for threads in [1usize, 2, 8] {
-            exec.set_parallelism(Parallelism::threads(threads));
-            let peps = Peps::new(&atoms, &exec, &pairs, variant);
-            assert_eq!(
-                peps.top_k(25).unwrap(),
-                want_top,
-                "top_k diverged at {threads} expansion workers ({variant:?})"
-            );
-            assert_eq!(
-                peps.ordered_combinations().unwrap(),
-                want_order,
-                "ordered_combinations diverged at {threads} expansion workers ({variant:?})"
-            );
-        }
-    }
-    exec.set_parallelism(Parallelism::Sequential);
-}
-
-#[test]
-fn work_stealing_rounds_match_sequential_on_randomized_profiles() {
-    // PR 8 property: the work-stealing round execution (idle workers
-    // steal whole expansion subtrees from the tail of the most-loaded
-    // victim) must stay byte-identical to the sequential engine on
-    // *randomized* profiles, not just the two study users' — random
-    // sub-profiles (random subset, random order, random variant) swept
-    // across worker counts, including an odd count that forces uneven
-    // initial deques. The steal schedule itself is timing-dependent,
-    // which is exactly the point: no schedule may move a byte.
-    let fx = fixture();
-    let mut pool = rich_atoms();
-    pool.extend(fx.graph.positive_profile(fx.modest_user));
-    let exec = fx.executor();
-    let mut rng = StdRng::seed_from_u64(0x5EED_0008);
-    for trial in 0..8 {
-        let size = rng.gen_range(4..=pool.len());
-        let mut idx: Vec<usize> = (0..pool.len()).collect();
-        for i in 0..size {
-            let j = rng.gen_range(i..pool.len());
-            idx.swap(i, j);
-        }
-        let atoms: Vec<PrefAtom> = idx[..size].iter().map(|&i| pool[i].clone()).collect();
-        let variant = if rng.gen_bool(0.3) {
-            PepsVariant::Approximate
-        } else {
-            PepsVariant::Complete
-        };
-
-        exec.set_parallelism(Parallelism::Sequential);
-        let pairs = PairwiseCache::build_with(&atoms, &exec, Parallelism::Sequential).unwrap();
-        let reference = Peps::new(&atoms, &exec, &pairs, variant);
-        let want_top = reference.top_k(20).unwrap();
-        let want_order = reference.ordered_combinations().unwrap();
-
-        for workers in [2usize, 3, 8] {
-            let stolen =
-                PairwiseCache::build_with(&atoms, &exec, Parallelism::threads(workers)).unwrap();
-            assert_eq!(
-                stolen.entries(),
-                pairs.entries(),
-                "pairwise build diverged (trial {trial}, {workers} workers)"
-            );
-            exec.set_parallelism(Parallelism::threads(workers));
-            let peps = Peps::new(&atoms, &exec, &stolen, variant);
-            assert_eq!(
-                peps.top_k(20).unwrap(),
-                want_top,
-                "top_k diverged (trial {trial}, {workers} workers, {variant:?})"
-            );
-            assert_eq!(
-                peps.ordered_combinations().unwrap(),
-                want_order,
-                "ordered_combinations diverged (trial {trial}, {workers} workers, {variant:?})"
-            );
-        }
-        exec.set_parallelism(Parallelism::Sequential);
+        let peps = Peps::new(&atoms, &exec, &pairs, variant);
+        assert_eq!(
+            peps.top_k(25).unwrap(),
+            want_top,
+            "top_k diverged ({variant:?})"
+        );
+        assert_eq!(
+            peps.ordered_combinations().unwrap(),
+            want_order,
+            "ordered_combinations diverged ({variant:?})"
+        );
     }
 }
 
@@ -181,7 +102,7 @@ fn concurrent_sessions_sharing_one_profile_cache_rank_identically() {
     let fx = fixture();
     let atoms = rich_atoms();
 
-    // Reference: a fresh, fully sequential executor.
+    // Reference: a fresh executor.
     let fresh = fx.executor();
     let fresh_pairs = PairwiseCache::build(&atoms, &fresh).unwrap();
     let want = Peps::new(&atoms, &fresh, &fresh_pairs, PepsVariant::Complete)
@@ -193,7 +114,7 @@ fn concurrent_sessions_sharing_one_profile_cache_rank_identically() {
     assert_eq!(cache.len(), atoms.len());
 
     // N concurrent sessions, each its own executor over the snapshot,
-    // each sharding its own pairwise build.
+    // each building its own pairwise table.
     let results: Vec<(Vec<RankedTuple>, usize, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -201,9 +122,8 @@ fn concurrent_sessions_sharing_one_profile_cache_rank_identically() {
                 let atoms = &atoms;
                 let db = &fx.db;
                 scope.spawn(move || {
-                    let session = Executor::with_cache(db, cache)
-                        .expect("cache matches the corpus")
-                        .with_parallelism(Parallelism::threads(2));
+                    let session =
+                        Executor::with_cache(db, cache).expect("cache matches the corpus");
                     let pairs = PairwiseCache::build(atoms, &session).unwrap();
                     let top = Peps::new(atoms, &session, &pairs, PepsVariant::Complete)
                         .top_k(20)
@@ -218,55 +138,6 @@ fn concurrent_sessions_sharing_one_profile_cache_rank_identically() {
         assert_eq!(top, want, "session ranking diverged from the reference");
         assert_eq!(queries, 0, "sessions must not re-run profile SQL");
         assert!(shared_hits >= atoms.len(), "sets must come from the cache");
-    }
-}
-
-#[test]
-fn mixed_parallelism_knobs_in_one_process_stay_byte_identical() {
-    // The worker-count sweeps above pin each knob in isolation; this
-    // pins the *mixed* case — one `Fixed(2)` and one `Auto` executor
-    // sharing the same `ProfileCache` snapshot, running concurrently in
-    // one process — against the sequential reference. Different knobs
-    // may schedule their round expansions completely differently, but
-    // the rankings and ORDER lists must not move by a byte.
-    let fx = fixture();
-    let atoms = rich_atoms();
-    let fresh = fx.executor();
-    let fresh_pairs = PairwiseCache::build(&atoms, &fresh).unwrap();
-    let reference = Peps::new(&atoms, &fresh, &fresh_pairs, PepsVariant::Complete);
-    let want_top = reference.top_k(25).unwrap();
-    let want_order = reference.ordered_combinations().unwrap();
-    let cache = Arc::new(ProfileCache::snapshot(&fresh));
-
-    let knobs = [Parallelism::threads(2), Parallelism::Auto];
-    let results: Vec<(Vec<RankedTuple>, Vec<CombinationRecord>, usize)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = knobs
-                .iter()
-                .map(|&knob| {
-                    let cache = Arc::clone(&cache);
-                    let atoms = &atoms;
-                    let db = &fx.db;
-                    scope.spawn(move || {
-                        let session = Executor::with_cache(db, cache)
-                            .expect("cache matches the corpus")
-                            .with_parallelism(knob);
-                        let pairs = PairwiseCache::build(atoms, &session).unwrap();
-                        let peps = Peps::new(atoms, &session, &pairs, PepsVariant::Complete);
-                        (
-                            peps.top_k(25).unwrap(),
-                            peps.ordered_combinations().unwrap(),
-                            session.queries_run(),
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-    for ((top, order, queries), knob) in results.iter().zip(&knobs) {
-        assert_eq!(top, &want_top, "top_k diverged under {knob:?}");
-        assert_eq!(order, &want_order, "ORDER list diverged under {knob:?}");
-        assert_eq!(*queries, 0, "sessions must not re-run profile SQL");
     }
 }
 

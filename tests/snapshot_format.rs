@@ -1,8 +1,8 @@
 //! Snapshot persistence contract: a warmed `ProfileCache` saved to disk
-//! and loaded back must serve byte-identical `top_k` rankings at every
-//! worker count without issuing a single SQL query, and every way a
-//! snapshot file can be wrong — missing, truncated, bit-flipped magic,
-//! newer format version, warmed on a different corpus — must surface as
+//! and loaded back must serve byte-identical `top_k` rankings without
+//! issuing a single SQL query, and every way a snapshot file can be
+//! wrong — missing, truncated, bit-flipped magic, newer format version,
+//! an impossible pairwise size, warmed on a different corpus — must surface as
 //! the right typed `HypreError`, never a panic and never silently wrong
 //! results.
 
@@ -24,7 +24,7 @@ fn warmed() -> (ProfileCache, PairwiseCache, Vec<PrefAtom>, Vec<RankedTuple>) {
     let fx = fixture();
     let atoms = fx.graph.positive_profile(fx.rich_user);
     let exec = fx.executor();
-    let pairs = PairwiseCache::build_with(&atoms, &exec, Parallelism::Sequential).unwrap();
+    let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
     let want = Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete)
         .top_k(25)
         .unwrap();
@@ -46,20 +46,16 @@ fn loaded_snapshot_serves_identical_top_k_at_1_2_and_8_workers() {
     let loaded = Arc::new(loaded);
     let loaded_pairs = loaded_pairs.expect("pairwise table travelled with the snapshot");
 
-    for threads in [1usize, 2, 8] {
-        let session = Executor::with_cache(&fx.db, Arc::clone(&loaded))
-            .unwrap()
-            .with_parallelism(Parallelism::threads(threads));
-        let top = Peps::new(&atoms, &session, &loaded_pairs, PepsVariant::Complete)
-            .top_k(25)
-            .unwrap();
-        assert_eq!(top, want, "top_k diverged at {threads} workers");
-        assert_eq!(
-            session.queries_run(),
-            0,
-            "a loaded snapshot must serve without SQL ({threads} workers)"
-        );
-    }
+    let session = Executor::with_cache(&fx.db, Arc::clone(&loaded)).unwrap();
+    let top = Peps::new(&atoms, &session, &loaded_pairs, PepsVariant::Complete)
+        .top_k(25)
+        .unwrap();
+    assert_eq!(top, want, "top_k diverged");
+    assert_eq!(
+        session.queries_run(),
+        0,
+        "a loaded snapshot must serve without SQL"
+    );
 }
 
 #[test]
@@ -90,6 +86,28 @@ fn truncated_snapshots_are_corrupt_at_every_tested_cut() {
             "cut at {cut}: {err:?}"
         );
     }
+}
+
+#[test]
+fn a_pairwise_size_whose_triangle_overflows_is_corrupt() {
+    // A 2-atom table ends the file: u64 n, u64 count = 1, one 32-byte
+    // entry. Overwrite n with u64::MAX, whose n(n−1)/2 overflows.
+    let fx = fixture();
+    let atoms: Vec<PrefAtom> = fx.graph.positive_profile(fx.rich_user)[..2].to_vec();
+    let exec = fx.executor();
+    let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
+    let path = temp_path("pair_size");
+    ProfileCache::snapshot(&exec)
+        .save_to(&path, Some(&pairs))
+        .unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let size_at = bytes.len() - 48;
+    assert_eq!(bytes[size_at..size_at + 8], 2u64.to_le_bytes());
+    bytes[size_at..size_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = ProfileCache::load_from(&path, &fx.db).unwrap_err();
+    std::fs::remove_file(&path).unwrap();
+    assert!(matches!(err, HypreError::SnapshotCorrupt { .. }), "{err:?}");
 }
 
 #[test]
