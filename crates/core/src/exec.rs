@@ -83,41 +83,40 @@
 //!
 //! A frozen snapshot over a *live* corpus needs versioning, not a
 //! restart. [`EpochCache`] holds an atomically-swappable **current
-//! epoch** (an epoch number plus an `Arc<ProfileCache>`):
+//! epoch** (an epoch number plus an `Arc<ProfileCache>`); the
+//! `Arc<Epoch>` that [`EpochCache::current`] returns is the only handle
+//! on it:
 //!
-//! 1. **Open** — a session ([`EpochSession::open`]) holds the current
-//!    epoch's `Arc`, which keeps the epoch's snapshot alive however many
-//!    publishes happen later.
-//! 2. **Serve** — the session opens executors over its held snapshot
-//!    with [`Executor::with_cache_pinned`], which tolerates append-only
-//!    growth of the underlying tables: cached predicates answer exactly
-//!    as warmed while the corpus grows underneath.
-//! 3. **Ingest** — [`EpochCache::ingest`] absorbs an append-only delta
-//!    off to the side ([`ProfileCache::ingest_delta`]: delta rows →
-//!    candidate driver rows → per-predicate incremental re-evaluation →
-//!    copy-on-write container growth) and *publishes* the result as a
-//!    new epoch. Nothing blocks: old-epoch sessions keep answering
-//!    throughout.
-//! 4. **Drain** — at its next `top_k` boundary a session calls
-//!    [`EpochSession::drain`], atomically swapping its handle for the
-//!    newest epoch's. [`PairwiseCache::refresh_for`] then re-scores only
-//!    the pairs whose atoms gained tuples ([`DeltaReport::changed_flags`]).
-//!    The new epoch's pairwise memo starts empty, so a
-//!    [`BatchScheduler`](crate::sched::BatchScheduler) rebuilds each
-//!    profile's table on its first batch there.
-//! 5. **Evict** — a retired epoch is freed the moment its last holder (a
-//!    session or an [`EpochCache::current`] handle) lets go, and its
-//!    snapshot with it once no executor still reads it; the cache keeps
-//!    only a `Weak` to count it.
+//! 1. **Hold** — a caller takes `current()` and keeps the `Arc<Epoch>`,
+//!    which keeps the epoch's snapshot alive however many publishes
+//!    happen later.
+//! 2. **Serve** — executors over the held snapshot open with
+//!    [`Executor::with_cache_pinned`], which tolerates append-only
+//!    growth of the underlying tables (cached predicates answer exactly
+//!    as warmed while the corpus grows underneath), or batches run on it
+//!    through a [`BatchScheduler`](crate::sched::BatchScheduler).
+//! 3. **Ingest / publish** — [`EpochCache::ingest`] absorbs an
+//!    append-only delta off to the side ([`ProfileCache::ingest_delta`]:
+//!    delta rows → candidate driver rows → per-predicate incremental
+//!    re-evaluation → copy-on-write container growth) and publishes the
+//!    result as a new epoch ([`EpochCache::publish`]). Nothing blocks:
+//!    holders of the old epoch keep answering throughout.
+//! 4. **Next `current()`** — a caller moves on by taking `current()`
+//!    again at a boundary of its choosing; [`crate::serve`] does so for
+//!    every batch. The new epoch's pairwise memo starts empty, so each
+//!    profile's table is rebuilt on its first batch there.
+//! 5. **Evict** — a retired epoch is freed the moment its last
+//!    `Arc<Epoch>` is dropped, and its snapshot with it once no executor
+//!    still reads it; the cache keeps only a `Weak` to count it.
 //!
 //! **Failure atomicity:** warm-up and ingest build a complete new
-//! snapshot *before* anything is published — a mid-build failure (SQL
-//! error, injected fault, stale fingerprint) surfaces as a typed
-//! [`HypreError`] and leaves the current epoch untouched and serving.
-//! There is no partially-warmed epoch by construction; the bounded-retry
-//! wrappers ([`ProfileCache::warm_with_retry`], [`EpochCache::ingest`])
-//! retry whole attempts, never resume half-built state. A corpus change
-//! appends cannot explain (a table shrank or vanished) is
+//! snapshot *before* anything is returned or published — a mid-build
+//! failure (SQL error, injected fault, stale fingerprint) surfaces as a
+//! typed [`HypreError`], returns nothing, and leaves the current epoch
+//! untouched and serving. There is no partially-warmed epoch by
+//! construction; [`EpochCache::ingest`]'s bounded retry reruns whole
+//! attempts, never resumes half-built state. A corpus change appends
+//! cannot explain (a table shrank or vanished) is
 //! [`HypreError::StaleSnapshot`] — never a panic. Every base query has
 //! one shape — the key column on the driving table, every join anchored
 //! on a driver column — which is what makes ingest incremental; a base
@@ -451,7 +450,7 @@ impl<'db> Executor<'db> {
 
     /// Like [`Executor::with_cache`], but tolerant of *append-only
     /// growth*: the session opens as long as every base-query table is at
-    /// least as long as it was at warm time. This is how sessions on a
+    /// least as long as it was at warm time. This is how executors over a
     /// retired [`EpochCache`] epoch keep answering while the live
     /// corpus grows underneath them — cached predicates resolve from the
     /// held snapshot exactly as warmed; only predicates the snapshot
@@ -818,30 +817,6 @@ enum CorpusCheck {
 /// a table absent both then and now.
 type TableSpan = Option<(usize, usize)>;
 
-/// Runs `attempt` once plus up to `retries` more times until it
-/// succeeds. Attempts build from scratch, so a failed one leaves nothing
-/// behind to resume.
-///
-/// # Errors
-/// [`HypreError::WarmUpFailed`] wrapping the final attempt's error once
-/// the budget is exhausted.
-fn with_retries<T>(retries: usize, mut attempt: impl FnMut() -> Result<T>) -> Result<T> {
-    let mut attempts = 0usize;
-    loop {
-        attempts += 1;
-        match attempt() {
-            Ok(out) => return Ok(out),
-            Err(e) if attempts > retries => {
-                return Err(HypreError::WarmUpFailed {
-                    attempts,
-                    last: Box::new(e),
-                });
-            }
-            Err(_) => {}
-        }
-    }
-}
-
 impl ProfileCache {
     /// Freezes an executor's current state — interner and every
     /// memoised tuple set — into a shareable snapshot. Snapshotting a
@@ -952,35 +927,6 @@ impl ProfileCache {
     /// than [`PAIRWISE_MEMO_ENTRIES`].
     pub fn pairwise_memo_entries(&self) -> usize {
         self.pairwise.lock().entries
-    }
-
-    /// The predicates behind the materialised sets, in canonical-key
-    /// order (deterministic).
-    pub fn predicates(&self) -> Vec<&Predicate> {
-        let mut keys: Vec<&String> = self.preds.keys().collect();
-        keys.sort();
-        keys.into_iter().filter_map(|k| self.preds.get(k)).collect()
-    }
-
-    /// [`ProfileCache::warm`] with a bounded retry budget: up to
-    /// `retries` extra attempts after the first failure. Each attempt
-    /// builds a completely fresh snapshot, so a mid-warm failure (e.g. an
-    /// injected driver fault) never leaks partially-warmed state —
-    /// either a fully-warmed cache is returned, or nothing is.
-    ///
-    /// # Errors
-    /// [`HypreError::WarmUpFailed`] wrapping the final attempt's error
-    /// once the budget is exhausted.
-    pub fn warm_with_retry<'p>(
-        db: &Database,
-        base: BaseQuery,
-        predicates: impl IntoIterator<Item = &'p Predicate>,
-        retries: usize,
-    ) -> Result<Self> {
-        let preds: Vec<&Predicate> = predicates.into_iter().collect();
-        with_retries(retries, || {
-            ProfileCache::warm(db, base.clone(), preds.iter().copied())
-        })
     }
 
     /// The one corpus-identity check: `db`'s base-query tables against
@@ -1181,25 +1127,12 @@ impl DeltaReport {
     pub fn is_noop(&self) -> bool {
         self.appended.is_empty()
     }
-
-    /// Per-atom changed flags for a profile — the input
-    /// [`PairwiseCache::refresh_for`] expects: `true` where the atom's
-    /// predicate gained tuples in this ingest.
-    pub fn changed_flags(&self, atoms: &[PrefAtom]) -> Vec<bool> {
-        atoms
-            .iter()
-            .map(|a| {
-                let key = a.predicate.canonical();
-                self.changed.binary_search(&key).is_ok()
-            })
-            .collect()
-    }
 }
 
 /// An epoch: one published [`ProfileCache`] snapshot. Every `Arc<Epoch>`
-/// — a session's, or an [`EpochCache::current`] handle — keeps it
-/// alive; once the epoch is retired, the last one to drop frees its
-/// snapshot. Epoch numbers start at 1 and increase by one per publish.
+/// handle from [`EpochCache::current`] keeps it alive; once the epoch is
+/// retired, the last one to drop frees its snapshot. Epoch numbers start
+/// at 1 and increase by one per publish.
 #[derive(Debug)]
 pub struct Epoch {
     number: u64,
@@ -1274,9 +1207,9 @@ impl EpochCache {
     }
 
     /// Publishes a fully-built snapshot as the new current epoch,
-    /// retiring the old one; returns the new epoch number. Sessions
-    /// holding the retired epoch keep serving from it until they
-    /// [`EpochSession::drain`].
+    /// retiring the old one; returns the new epoch number. Holders of the
+    /// retired epoch keep serving from it until they take
+    /// [`EpochCache::current`] again.
     pub fn publish(&self, cache: ProfileCache) -> u64 {
         let mut st = self.lock();
         let number = st.current.number + 1;
@@ -1293,24 +1226,36 @@ impl EpochCache {
     /// Ingests an append-only delta from `db` into the current epoch's
     /// snapshot ([`ProfileCache::ingest_delta`]) with a bounded retry
     /// budget, publishing the result as a new epoch on success. The
-    /// build runs entirely off to the side: a failed attempt (even the
-    /// last) leaves the current epoch untouched and serving, and a
-    /// no-op delta publishes nothing.
+    /// build runs entirely off to the side: each attempt starts from the
+    /// held snapshot, a failed attempt (even the last) leaves the current
+    /// epoch untouched and serving, and a no-op delta publishes nothing.
     ///
     /// # Errors
     /// [`HypreError::WarmUpFailed`] wrapping the final attempt's error
     /// once the budget (first try + `retries`) is exhausted.
     pub fn ingest(&self, db: &Database, retries: usize) -> Result<DeltaReport> {
         let snapshot = self.current();
-        let (cache, report) = with_retries(retries, || snapshot.cache.ingest_delta(db))?;
+        let mut attempts = 0usize;
+        let (cache, report) = loop {
+            attempts += 1;
+            match snapshot.cache.ingest_delta(db) {
+                Ok(out) => break out,
+                Err(e) if attempts > retries => {
+                    return Err(HypreError::WarmUpFailed {
+                        attempts,
+                        last: Box::new(e),
+                    });
+                }
+                Err(_) => {}
+            }
+        };
         if !report.is_noop() {
             self.publish(cache);
         }
         Ok(report)
     }
 
-    /// Retired epochs still held by a session or an
-    /// [`EpochCache::current`] handle.
+    /// Retired epochs still held by an [`EpochCache::current`] handle.
     pub fn retired_count(&self) -> usize {
         self.lock().retired_alive()
     }
@@ -1319,58 +1264,6 @@ impl EpochCache {
     pub fn evicted_count(&self) -> u64 {
         let st = self.lock();
         st.current.number - 1 - st.retired_alive() as u64
-    }
-}
-
-/// A serving session in the epoch lifecycle: holds the epoch it opened
-/// on, answers from it for as long as it likes, and drains onto the
-/// newest epoch at a query boundary of its choosing (conventionally
-/// after a `top_k` completes).
-#[derive(Debug)]
-pub struct EpochSession {
-    epoch: Arc<Epoch>,
-}
-
-impl EpochSession {
-    /// Opens a session on the current epoch.
-    pub fn open(epochs: &EpochCache) -> Self {
-        EpochSession {
-            epoch: epochs.current(),
-        }
-    }
-
-    /// The epoch this session holds.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.number
-    }
-
-    /// The held snapshot.
-    pub fn cache(&self) -> Arc<ProfileCache> {
-        Arc::clone(&self.epoch.cache)
-    }
-
-    /// Opens a session executor over the held snapshot, tolerant of
-    /// append-only growth ([`Executor::with_cache_pinned`]) — the whole
-    /// point of holding an epoch is serving while the corpus moves on.
-    ///
-    /// # Errors
-    /// [`HypreError::StaleSnapshot`] if `db` diverged non-monotonically.
-    pub fn executor<'db>(&self, db: &'db Database) -> Result<Executor<'db>> {
-        Executor::with_cache_pinned(db, self.cache())
-    }
-
-    /// Moves onto the newest epoch if one was published since this
-    /// session opened or last drained; returns whether the session
-    /// moved. Call at a `top_k` boundary — mid-query the held epoch
-    /// keeps answers consistent. Dropping the old handle frees the old
-    /// epoch here if nothing else holds it.
-    pub fn drain(&mut self, epochs: &EpochCache) -> bool {
-        let current = epochs.current();
-        if current.number == self.epoch.number {
-            return false;
-        }
-        self.epoch = current;
-        true
     }
 }
 
@@ -1482,45 +1375,6 @@ impl PairwiseCache {
         let by_first = index_by_first(&entries);
         Ok(PairwiseCache {
             n,
-            entries,
-            by_first,
-        })
-    }
-
-    /// Incremental rebuild after a delta ingest: recomputes only the
-    /// entries touching an atom whose tuple set changed (`changed[i] ||
-    /// changed[j]`) and copies the rest — the PEPS re-scoring companion
-    /// of [`ProfileCache::ingest_delta`]. Falls back to a full
-    /// [`build`](Self::build) when the profile shape moved underneath
-    /// the cache; returns a structural clone when nothing changed. The
-    /// result is byte-identical to a full rebuild over the same
-    /// executor.
-    pub fn refresh_for(
-        &self,
-        atoms: &[PrefAtom],
-        exec: &Executor<'_>,
-        changed: &[bool],
-    ) -> Result<Self> {
-        if self.n != atoms.len() || changed.len() != atoms.len() {
-            return PairwiseCache::build(atoms, exec);
-        }
-        if !changed.contains(&true) {
-            return Ok(self.clone());
-        }
-        let mut sets = Vec::with_capacity(atoms.len());
-        for a in atoms {
-            sets.push(exec.tuple_set(&a.predicate)?);
-        }
-        let intensities: Vec<f64> = atoms.iter().map(|a| a.intensity).collect();
-        let mut entries = self.entries.clone();
-        for (entry, (i, j)) in entries.iter_mut().zip(triangle(self.n)) {
-            if changed[i] || changed[j] {
-                *entry = PairEntry::score(i, j, &sets, &intensities);
-            }
-        }
-        let by_first = index_by_first(&entries);
-        Ok(PairwiseCache {
-            n: self.n,
             entries,
             by_first,
         })
@@ -1786,7 +1640,7 @@ mod tests {
         check::<PairwiseCache>();
         check::<Epoch>();
         check::<EpochCache>();
-        check::<EpochSession>();
+        check::<Arc<Epoch>>();
         check::<DeltaReport>();
     }
 
@@ -2006,30 +1860,29 @@ mod tests {
         assert_eq!(epochs.current_epoch(), 1);
         assert_eq!(epochs.retired_count(), 0);
 
-        let mut session = EpochSession::open(&epochs);
-        assert_eq!(session.epoch(), 1);
-        assert!(!session.drain(&epochs), "nothing newer to drain onto");
+        let mut held = epochs.current();
+        assert_eq!(held.number(), 1);
 
-        // Publish while the session holds epoch 1: it is retired but
-        // kept alive by the session.
+        // Publish while epoch 1 is held: it is retired but kept alive by
+        // the handle.
         assert_eq!(epochs.publish(cache.clone()), 2);
         assert_eq!(epochs.current_epoch(), 2);
         assert_eq!(epochs.retired_count(), 1);
-        assert_eq!(session.epoch(), 1, "session stays on its pinned epoch");
+        assert_eq!(held.number(), 1, "the handle stays on its epoch");
 
-        // Drain: the session moves onto epoch 2 and the retired epoch,
-        // held by nothing else, is evicted.
-        assert!(session.drain(&epochs));
-        assert_eq!(session.epoch(), 2);
+        // Taking `current()` again moves onto epoch 2, and the retired
+        // epoch, held by nothing else, is evicted.
+        held = epochs.current();
+        assert_eq!(held.number(), 2);
         assert_eq!(epochs.retired_count(), 0);
         assert_eq!(epochs.evicted_count(), 1);
 
-        // A session still on epoch 2 keeps it alive past the next
-        // publish; it is evicted when the session drops.
+        // A handle on epoch 2 keeps it alive past the next publish; it is
+        // evicted when the handle drops.
         assert_eq!(epochs.publish(cache), 3);
         assert_eq!(epochs.retired_count(), 1);
         assert_eq!(epochs.evicted_count(), 1);
-        drop(session);
+        drop(held);
         assert_eq!(epochs.retired_count(), 0);
         assert_eq!(epochs.evicted_count(), 2);
     }
@@ -2040,7 +1893,6 @@ mod tests {
         let cache = ProfileCache::warm(&db, BaseQuery::dblp(), [&p("dblp.venue='VLDB'")]).unwrap();
         let epochs = EpochCache::new(cache.clone());
 
-        // A bare `current()` handle holds its epoch like a session does.
         let handle = epochs.current();
         epochs.publish(cache.clone());
         assert_eq!(handle.number(), 1);
@@ -2050,13 +1902,14 @@ mod tests {
         assert_eq!(epochs.retired_count(), 0);
         assert_eq!(epochs.evicted_count(), 1);
 
-        // Draining frees the old epoch's snapshot at once, with no
-        // further call into the epoch cache.
-        let mut session = EpochSession::open(&epochs);
-        let old_cache = Arc::downgrade(&session.cache());
+        // Moving a handle on frees the old epoch's snapshot at once, with
+        // no further call into the epoch cache.
+        let mut held = epochs.current();
+        let old_cache = Arc::downgrade(held.cache());
         epochs.publish(cache);
-        assert!(old_cache.upgrade().is_some(), "the session holds epoch 2");
-        assert!(session.drain(&epochs));
+        assert!(old_cache.upgrade().is_some(), "the handle holds epoch 2");
+        held = epochs.current();
+        assert_eq!(held.number(), 3);
         assert!(old_cache.upgrade().is_none(), "epoch 2's snapshot is freed");
     }
 
@@ -2085,54 +1938,6 @@ mod tests {
                 Err(HypreError::UnsupportedBaseQuery { .. })
             ));
         }
-    }
-
-    #[test]
-    fn refresh_for_matches_a_full_rebuild() {
-        let base_db = db();
-        let atoms = vec![
-            atom(0, "dblp.venue='VLDB'", 0.8),
-            atom(1, "dblp_author.aid=11", 0.5),
-            atom(2, "dblp.venue='SIGMOD'", 0.3),
-        ];
-        let preds: Vec<&Predicate> = atoms.iter().map(|a| &a.predicate).collect();
-        let cache = ProfileCache::warm(&base_db, BaseQuery::dblp(), preds).unwrap();
-        let exec0 = Executor::with_cache(&base_db, Arc::new(cache.clone())).unwrap();
-        let pairs0 = PairwiseCache::build(&atoms, &exec0).unwrap();
-
-        let mut grown = base_db.clone();
-        grown
-            .table_mut("dblp")
-            .unwrap()
-            .insert(vec![5.into(), "VLDB".into(), 2015.into()])
-            .unwrap();
-        grown
-            .table_mut("dblp_author")
-            .unwrap()
-            .insert(vec![5.into(), 11.into()])
-            .unwrap();
-        let (next, report) = cache.ingest_delta(&grown).unwrap();
-        let flags = report.changed_flags(&atoms);
-        assert_eq!(flags, vec![true, true, false]);
-
-        let session = Executor::with_cache(&grown, Arc::new(next)).unwrap();
-        let refreshed = pairs0.refresh_for(&atoms, &session, &flags).unwrap();
-        let rebuilt = PairwiseCache::build(&atoms, &session).unwrap();
-        assert_eq!(refreshed.entries(), rebuilt.entries());
-        for i in 0..atoms.len() {
-            assert_eq!(
-                refreshed.pairs_from(i).collect::<Vec<_>>(),
-                rebuilt.pairs_from(i).collect::<Vec<_>>()
-            );
-        }
-        // Shape mismatch falls back to a full build; no-change clones.
-        assert_eq!(
-            pairs0
-                .refresh_for(&atoms, &session, &[false, false, false])
-                .unwrap()
-                .entries(),
-            pairs0.entries()
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! optionally the pairwise table — so a restarted process gets back to
 //! serving with a single sequential file read.
 //!
-//! ## Format (version 1)
+//! ## Format (version 2)
 //!
 //! A flat length-prefixed little-endian byte stream, no external
 //! dependencies:
@@ -28,6 +28,7 @@
 //!                2 bitmap: u32 n, n × u64 word
 //! pairwise     u8 flag, [u64 n, u64 count, count × (u64 i, u64 j,
 //!              f64-bits intensity, u64 count)]
+//! checksum     u64 FNV-1a-64 of every preceding byte
 //! ```
 //!
 //! Strings are `u32` byte length + UTF-8. `colref` is a `u8` qualifier
@@ -38,11 +39,16 @@
 //!
 //! ## Integrity contract
 //!
-//! Every read is bounds-checked and every count is validated against the
-//! bytes remaining *before* allocation, so a truncated or bit-flipped
-//! file surfaces as a typed error — [`HypreError::SnapshotCorrupt`],
-//! [`HypreError::SnapshotVersion`], [`HypreError::SnapshotIo`] — never a
-//! panic or an over-allocation. Container payloads are re-validated
+//! The checksum is verified right after the magic and version (so a
+//! version skew still reports [`HypreError::SnapshotVersion`]): a changed
+//! byte, a truncation or trailing bytes is [`HypreError::SnapshotCorrupt`]
+//! before any field is parsed. It catches damage no structural check
+//! can, such as a zeroed pairwise count, which would load and re-rank.
+//! Behind it, every read is bounds-checked and every count is validated
+//! against the bytes remaining *before* allocation, so even a re-sealed
+//! file with bad fields surfaces as a typed error —
+//! [`HypreError::SnapshotCorrupt`], [`HypreError::SnapshotVersion`],
+//! [`HypreError::SnapshotIo`] — never a panic or an over-allocation. Container payloads are re-validated
 //! against the [`TupleSet`] invariants (sorted arrays, disjoint
 //! ascending runs) and every tuple id must resolve inside the interner's
 //! id space. The base query must have the one shape the executor
@@ -74,7 +80,19 @@ use super::{
 const MAGIC: &[u8; 8] = b"HYPRSNAP";
 
 /// Highest snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// Bytes of the trailing checksum.
+const CHECKSUM_LEN: usize = 8;
+
+/// FNV-1a, 64-bit: the checksum that seals a snapshot's bytes. Each step
+/// is a bijection of the running state, so changing any one byte always
+/// changes the result.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 // ----------------------------------------------------------------------
 // writing
@@ -315,7 +333,7 @@ impl<'a> Reader<'a> {
 
 impl ProfileCache {
     /// Serialises the warmed cache (and optionally a [`PairwiseCache`]
-    /// built over the same profile) to `path` in snapshot format v1.
+    /// built over the same profile) to `path` in snapshot format v2.
     ///
     /// The bytes are staged in a sibling `.tmp` file and published with
     /// an atomic rename, so readers never observe a torn snapshot and a
@@ -398,6 +416,8 @@ impl ProfileCache {
             }
             None => w_u8(&mut buf, 0),
         }
+        let checksum = fnv1a64(&buf);
+        w_u64(&mut buf, checksum);
         Ok(buf)
     }
 
@@ -407,9 +427,11 @@ impl ProfileCache {
     ///
     /// # Errors
     /// - [`HypreError::SnapshotIo`] — the file cannot be read.
-    /// - [`HypreError::SnapshotCorrupt`] — bad magic, truncation, or any
+    /// - [`HypreError::SnapshotCorrupt`] — bad magic, a checksum
+    ///   mismatch (truncation, trailing bytes, any damaged byte), or any
     ///   structural-validation failure.
-    /// - [`HypreError::SnapshotVersion`] — valid magic, newer format.
+    /// - [`HypreError::SnapshotVersion`] — valid magic, another format
+    ///   version.
     /// - [`HypreError::StaleSnapshot`] — well-formed snapshot warmed on
     ///   a corpus whose table shapes differ from `db`.
     pub fn load_from(
@@ -440,6 +462,18 @@ impl ProfileCache {
                 supported: SNAPSHOT_VERSION,
             });
         }
+        let Some(body_len) = bytes
+            .len()
+            .checked_sub(CHECKSUM_LEN)
+            .filter(|&n| n >= r.pos)
+        else {
+            return Err(r.corrupt("missing checksum"));
+        };
+        let (body, sealed) = bytes.split_at(body_len);
+        if fnv1a64(body).to_le_bytes() != sealed {
+            return Err(r.corrupt("checksum mismatch"));
+        }
+        r.buf = body;
 
         let raw_fp = r.r_u32("fingerprint count")? as u64;
         let n_fp = r.checked_count(raw_fp, 5, "fingerprint count")?;

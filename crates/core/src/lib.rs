@@ -111,8 +111,8 @@ pub mod prelude {
     pub use crate::enhance::{enhance_query, score_tuples, EnhancedQuery, ScoredTuple};
     pub use crate::error::{HypreError, Result};
     pub use crate::exec::{
-        BaseQuery, DeltaReport, Epoch, EpochCache, EpochSession, Executor, PairEntry,
-        PairwiseCache, ProfileCache, SharedTupleSet, TupleInterner,
+        BaseQuery, DeltaReport, Epoch, EpochCache, Executor, PairEntry, PairwiseCache,
+        ProfileCache, SharedTupleSet, TupleInterner,
     };
     pub use crate::graph::{
         EdgeKind, HypreGraph, IngestReport, QualInsertOutcome, StoredPreference, NODE_LABEL,

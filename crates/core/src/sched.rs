@@ -47,13 +47,13 @@
 //!
 //! A scheduler holds no corpus state: each [`BatchScheduler::run`] call
 //! takes the database and the `Arc<ProfileCache>` snapshot to serve
-//! from. A serving loop either takes
-//! [`EpochCache::current`](crate::exec::EpochCache::current) afresh for
-//! every batch, as [`crate::serve`] does, or drains an
-//! [`EpochSession`](crate::exec::EpochSession) **between** batches.
-//! Either way, in-flight batches keep answering on the epoch they
-//! started on, and the next batch picks up the newest published epoch
-//! (`tests/batched_equivalence.rs` pins that lifecycle too).
+//! from. A serving loop holds the `Arc<Epoch>` that
+//! [`EpochCache::current`](crate::exec::EpochCache::current) returns for
+//! a batch and takes it afresh for the next, as [`crate::serve`] does:
+//! an in-flight batch keeps answering on the epoch it started on, and
+//! the next batch picks up the newest published epoch, whose pairwise
+//! memo starts empty (`tests/batched_equivalence.rs` pins that lifecycle
+//! too).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -538,10 +538,14 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> io::Result<Vec<u8>> {
 /// Incremental frame reassembly over a stream read in chunks: bytes go
 /// in as each read returns them, complete payloads come out — with the
 /// max-frame admission bound enforced on the *declared* length, before
-/// buffering.
+/// buffering. Taking a frame only advances a start offset; the consumed
+/// prefix is dropped once per [`extend`](Self::extend), so a read that
+/// carries many frames costs one compaction, not one copy per frame.
 #[derive(Debug)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Where the unconsumed bytes of `buf` begin.
+    start: usize,
     max: usize,
 }
 
@@ -550,12 +554,15 @@ impl FrameBuffer {
     pub fn new(max: usize) -> Self {
         FrameBuffer {
             buf: Vec::new(),
+            start: 0,
             max,
         }
     }
 
     /// Appends bytes read off the stream.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -566,11 +573,12 @@ impl FrameBuffer {
     /// exceeds the bound — the connection cannot be resynced and should
     /// be closed after the typed rejection is sent.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buf.len() < 4 {
+        let pending = &self.buf[self.start..];
+        if pending.len() < 4 {
             return Ok(None);
         }
         let mut head = [0u8; 4];
-        head.copy_from_slice(&self.buf[..4]);
+        head.copy_from_slice(&pending[..4]);
         let len = u32::from_be_bytes(head) as usize;
         if len > self.max {
             return Err(WireError::TooLarge {
@@ -578,17 +586,17 @@ impl FrameBuffer {
                 max: self.max,
             });
         }
-        if self.buf.len() < 4 + len {
+        if pending.len() < 4 + len {
             return Ok(None);
         }
-        let payload = self.buf[4..4 + len].to_vec();
-        self.buf.drain(..4 + len);
+        let payload = pending[4..4 + len].to_vec();
+        self.start += 4 + len;
         Ok(Some(payload))
     }
 
     /// Bytes currently buffered (partial frame included).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 }
 
@@ -775,6 +783,26 @@ mod tests {
         assert_eq!(fb.next_frame().unwrap(), Some(a));
         assert_eq!(fb.next_frame().unwrap(), Some(b));
         assert_eq!(fb.next_frame().unwrap(), None);
+    }
+
+    #[test]
+    fn frame_buffer_keeps_a_partial_frame_across_the_compaction() {
+        let a = encode_request(&Request::Ping);
+        let b = encode_request(&Request::Stats { tenant: 7 });
+        let mut wirebytes = Vec::new();
+        for p in [&a, &b] {
+            wirebytes.extend_from_slice(&(p.len() as u32).to_be_bytes());
+            wirebytes.extend_from_slice(p);
+        }
+        let split = wirebytes.len() - 2;
+        let mut fb = FrameBuffer::new(MAX_FRAME_BYTES);
+        fb.extend(&wirebytes[..split]);
+        assert_eq!(fb.next_frame().unwrap(), Some(a));
+        assert_eq!(fb.next_frame().unwrap(), None, "b is still partial");
+        assert_eq!(fb.buffered(), split - 4 - 1);
+        fb.extend(&wirebytes[split..]);
+        assert_eq!(fb.next_frame().unwrap(), Some(b));
+        assert_eq!(fb.buffered(), 0);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Live corpora without stop-the-world: epoch-versioned snapshots over
 //! a growing DBLP corpus. A `ProfileCache` is warmed once on the base
-//! corpus and published as epoch 1; user sessions pin the epoch they
-//! opened on and serve lock-free; a batch of new papers is ingested as
-//! an append-only delta (`ingest_delta` re-scores only the predicates
-//! the delta touches — no SQL re-derivation of untouched sets) and
-//! published as epoch 2; pinned sessions drain at their next query
-//! boundary; and a fault-injection pass shows a failed ingest leaves
-//! the previous epoch intact and serving.
+//! corpus and published as epoch 1; a server holds the epoch it took
+//! from `EpochCache::current()` and serves lock-free; a batch of new
+//! papers is ingested as an append-only delta (`ingest_delta` re-scores
+//! only the predicates the delta touches — no SQL re-derivation of
+//! untouched sets) and published as epoch 2; the server moves on by
+//! taking `current()` again at its next query boundary; and a
+//! fault-injection pass shows a failed ingest leaves the previous epoch
+//! intact and serving.
 //!
 //! ```text
 //! cargo run --release --example live_ingest
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use hypre_bench::ingest::split_corpus;
@@ -57,19 +59,19 @@ fn main() -> Result<()> {
     );
     let epochs = EpochCache::new(cache);
 
-    // 4. A session pins epoch 1 and serves — zero SQL.
-    let serve = |session: &EpochSession, db: &Database| -> Result<Vec<RankedTuple>> {
-        let exec = session.executor(db)?;
+    // 4. Hold epoch 1 and serve from it — zero SQL.
+    let serve = |epoch: &Epoch, db: &Database| -> Result<Vec<RankedTuple>> {
+        let exec = Executor::with_cache_pinned(db, Arc::clone(epoch.cache()))?;
         let pairs = PairwiseCache::build(&atoms, &exec)?;
         let top = Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete).top_k(10)?;
-        assert_eq!(exec.queries_run(), 0, "epoch sessions never re-run SQL");
+        assert_eq!(exec.queries_run(), 0, "a held epoch never re-runs SQL");
         Ok(top)
     };
-    let mut session = EpochSession::open(&epochs);
-    let before = serve(&session, &split.base)?;
+    let mut held = epochs.current();
+    let before = serve(&held, &split.base)?;
     println!(
-        "session pinned to epoch {}: top paper {:?} (score {:.3})",
-        session.epoch(),
+        "holding epoch {}: top paper {:?} (score {:.3})",
+        held.number(),
         before[0].0,
         before[0].1
     );
@@ -86,7 +88,7 @@ fn main() -> Result<()> {
         1,
         "failed ingest left epoch 1 current"
     );
-    assert_eq!(serve(&session, &split.base)?, before);
+    assert_eq!(serve(&held, &split.base)?, before);
     println!(
         "epoch {} still serving after the fault ({} op started, {} injected)",
         epochs.current_epoch(),
@@ -109,21 +111,22 @@ fn main() -> Result<()> {
         ingest_start.elapsed().as_secs_f64() * 1e3,
     );
 
-    // 7. The pinned session still answers epoch-1 results until it
-    //    drains at its own boundary — no stop-the-world anywhere.
-    assert_eq!(session.epoch(), 1);
-    assert_eq!(serve(&session, &split.full)?, before);
-    let drained = session.drain(&epochs);
-    assert!(drained, "a newer epoch was published");
-    let after = serve(&session, &split.full)?;
+    // 7. The held epoch still answers epoch-1 results until the server
+    //    takes `current()` again at its own boundary — no stop-the-world
+    //    anywhere.
+    assert_eq!(held.number(), 1);
+    assert_eq!(serve(&held, &split.full)?, before);
+    held = epochs.current();
+    assert_eq!(held.number(), 2, "a newer epoch was published");
+    let after = serve(&held, &split.full)?;
     println!(
-        "session drained onto epoch {}: top paper {:?} (score {:.3})",
-        session.epoch(),
+        "moved onto epoch {}: top paper {:?} (score {:.3})",
+        held.number(),
         after[0].0,
         after[0].1
     );
 
-    // 8. The drained answers are byte-identical to a cold executor over
+    // 8. The epoch-2 answers are byte-identical to a cold executor over
     //    the full corpus — the epoch path is a pure optimisation.
     let fresh = Executor::new(&split.full, BaseQuery::dblp());
     let fresh_pairs = PairwiseCache::build(&atoms, &fresh)?;

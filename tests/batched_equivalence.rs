@@ -4,8 +4,9 @@
 //! running each session alone on a fresh executor — in every batch
 //! composition. Plus the epoch
 //! lifecycle: a batch in flight across an `EpochCache::ingest` answers
-//! on its pinned epoch, a drained session answers on the new one, both
-//! verified against cold executors (the `tests/live_corpus.rs` shape).
+//! on its held epoch, a batch after the next `current()` answers on the
+//! new one, both verified against cold executors (the
+//! `tests/live_corpus.rs` shape).
 //! The snapshot's pairwise memo is held to the same contract: a batch
 //! served from memoised tables, on a freshly ingested epoch, or past the
 //! memo's bound answers exactly as a fresh executor does.
@@ -75,7 +76,7 @@ fn solo(db: &Database, req: &BatchRequest) -> Vec<RankedTuple> {
 }
 
 #[test]
-fn batched_matches_solo_sequential_at_every_worker_count() {
+fn batched_matches_solo_execution_on_random_mixes() {
     let fx = fixture();
     let cache = warmed_cache();
     for seed in [11u64, 42, 2026] {
@@ -196,10 +197,10 @@ fn mixed_k_inside_one_group_matches_every_standalone_k() {
 #[test]
 fn in_flight_batches_pin_their_epoch_and_drained_sessions_pick_up_the_new_one() {
     // The live-corpus lifecycle, batched: warm on the base corpus,
-    // publish epoch 1, pin a session; ingest the delta to epoch 2 while
-    // the session is still pinned. Batches through the pinned session
-    // answer epoch-1 results (verified against a cold executor on the
-    // base corpus); after drain() the same batches answer epoch-2
+    // publish epoch 1, hold it; ingest the delta to epoch 2 while epoch 1
+    // is still held. Batches on the held epoch answer epoch-1 results
+    // (verified against a cold executor on the base corpus); once the
+    // caller takes `current()` again the same batches answer epoch-2
     // results (verified against a cold executor on the full corpus).
     let fx = fixture();
     let split = split_corpus(&fx.dataset, 0.6);
@@ -210,8 +211,8 @@ fn in_flight_batches_pin_their_epoch_and_drained_sessions_pick_up_the_new_one() 
         .collect();
     let cache = ProfileCache::warm(&split.base, BaseQuery::dblp(), predicates).unwrap();
     let epochs = EpochCache::new(cache);
-    let mut session = EpochSession::open(&epochs);
-    assert_eq!(session.epoch(), 1);
+    let mut held = epochs.current();
+    assert_eq!(held.number(), 1);
 
     let mix: Vec<BatchRequest> = profiles
         .iter()
@@ -225,18 +226,18 @@ fn in_flight_batches_pin_their_epoch_and_drained_sessions_pick_up_the_new_one() 
     );
 
     let scheduler = BatchScheduler::sequential();
-    let before = scheduler.run(&split.full, &session.cache(), &mix).unwrap();
+    let before = scheduler.run(&split.full, held.cache(), &mix).unwrap();
     for (got, want) in before.results.iter().zip(&want_old) {
         assert_eq!(got.as_ref().unwrap(), want, "epoch-1 batch");
     }
 
-    // The delta goes live mid-serving: epoch 2 published, session still
-    // pinned to epoch 1 — its batches must keep answering old results.
+    // The delta goes live mid-serving: epoch 2 published, epoch 1 still
+    // held — its batches must keep answering old results.
     let report = epochs.ingest(&split.full, 0).unwrap();
     assert!(report.new_tuples > 0);
     assert_eq!(epochs.current_epoch(), 2);
-    assert_eq!(session.epoch(), 1, "no stop-the-world: the pin holds");
-    let pinned = scheduler.run(&split.full, &session.cache(), &mix).unwrap();
+    assert_eq!(held.number(), 1, "no stop-the-world: the pin holds");
+    let pinned = scheduler.run(&split.full, held.cache(), &mix).unwrap();
     for (got, want) in pinned.results.iter().zip(&want_old) {
         assert_eq!(
             got.as_ref().unwrap(),
@@ -245,10 +246,11 @@ fn in_flight_batches_pin_their_epoch_and_drained_sessions_pick_up_the_new_one() 
         );
     }
 
-    // Drain at the batch boundary: the very next batch serves epoch 2.
-    assert!(session.drain(&epochs), "a newer epoch was published");
-    assert_eq!(session.epoch(), 2);
-    let after = scheduler.run(&split.full, &session.cache(), &mix).unwrap();
+    // Take `current()` again at the batch boundary: the very next batch
+    // serves epoch 2.
+    held = epochs.current();
+    assert_eq!(held.number(), 2, "a newer epoch was published");
+    let after = scheduler.run(&split.full, held.cache(), &mix).unwrap();
     for (got, want) in after.results.iter().zip(&want_new) {
         assert_eq!(got.as_ref().unwrap(), want, "epoch-2 batch");
     }

@@ -272,7 +272,7 @@ fn car_dealership_ranking_is_identical_through_the_dsl() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn dblp_study_profiles_rank_byte_identically_at_1_2_and_8_workers() {
+fn dblp_study_profiles_rank_byte_identically_through_the_dsl() {
     let fx = fixture();
     let exec = fx.executor();
     for (name, user) in [("rich", fx.rich_user), ("modest", fx.modest_user)] {

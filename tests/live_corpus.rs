@@ -2,8 +2,9 @@
 //! DBLP corpus: an epoch-advanced snapshot (warm on the base corpus,
 //! then `ingest_delta` the appended rows) must rank byte-identically to
 //! a fresh executor over the full corpus; stale
-//! snapshots must surface as typed errors, never panics; and every
-//! injected query fault must either retry to success or leave the
+//! snapshots must surface as typed errors, never panics; every injected
+//! warm-up fault must surface as a typed error with nothing returned; and
+//! every injected ingest fault must either retry to success or leave the
 //! previous epoch intact and serving.
 
 use std::sync::{Arc, OnceLock};
@@ -11,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 use hypre_bench::ingest::{split_corpus, CorpusSplit};
 use hypre_bench::Fixture;
 use hypre_repro::prelude::*;
-use hypre_repro::relstore::{FailSchedule, FailingDriver, Predicate};
+use hypre_repro::relstore::{Database, FailSchedule, FailingDriver, Predicate, RelError};
 
 fn fixture() -> &'static Fixture {
     static FX: OnceLock<Fixture> = OnceLock::new();
@@ -28,7 +29,7 @@ fn rich_atoms() -> Vec<PrefAtom> {
     fixture().graph.positive_profile(fixture().rich_user)
 }
 
-fn warm_on(db: &hypre_repro::relstore::Database, atoms: &[PrefAtom]) -> ProfileCache {
+fn warm_on(db: &Database, atoms: &[PrefAtom]) -> ProfileCache {
     let predicates: Vec<&Predicate> = atoms.iter().map(|a| &a.predicate).collect();
     ProfileCache::warm(db, BaseQuery::dblp(), predicates).expect("warm-up succeeds")
 }
@@ -90,7 +91,7 @@ fn a_changed_corpus_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
-fn ingested_snapshot_matches_a_fresh_executor_at_every_worker_count() {
+fn ingested_snapshot_matches_a_fresh_executor() {
     let split = split();
     let atoms = rich_atoms();
     let base_cache = warm_on(&split.base, &atoms);
@@ -129,24 +130,6 @@ fn ingested_snapshot_matches_a_fresh_executor_at_every_worker_count() {
 }
 
 #[test]
-fn pairwise_refresh_over_the_delta_matches_a_full_rebuild() {
-    let split = split();
-    let atoms = rich_atoms();
-    let base_cache = Arc::new(warm_on(&split.base, &atoms));
-    let old_session = Executor::with_cache(&split.base, Arc::clone(&base_cache)).unwrap();
-    let old_pairs = PairwiseCache::build(&atoms, &old_session).unwrap();
-
-    let (next, report) = base_cache.ingest_delta(&split.full).unwrap();
-    let flags = report.changed_flags(&atoms);
-    assert!(flags.iter().any(|&c| c), "the delta touches some atoms");
-    let session = Executor::with_cache(&split.full, Arc::new(next)).unwrap();
-    let refreshed = old_pairs.refresh_for(&atoms, &session, &flags).unwrap();
-    let rebuilt = PairwiseCache::build(&atoms, &session).unwrap();
-    assert_eq!(refreshed.entries(), rebuilt.entries());
-    assert_eq!(refreshed.applicable_count(), rebuilt.applicable_count());
-}
-
-#[test]
 fn ingest_of_an_unchanged_corpus_is_a_noop() {
     let split = split();
     let atoms = rich_atoms();
@@ -176,7 +159,7 @@ fn epoch_sessions_drain_without_stop_the_world() {
     let epochs = EpochCache::new(warm_on(&split.base, &atoms));
 
     // Reference answers over the base and the grown corpus.
-    let top_of = |db: &hypre_repro::relstore::Database| {
+    let top_of = |db: &Database| {
         let exec = Executor::new(db, BaseQuery::dblp());
         let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
         Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete)
@@ -190,15 +173,14 @@ fn epoch_sessions_drain_without_stop_the_world() {
         "the delta must actually move the ranking"
     );
 
-    // A session opens on epoch 1, the corpus grows, a new epoch is
-    // published — the pinned session keeps serving epoch-1 answers,
-    // lock-free, with zero SQL.
-    let mut session = EpochSession::open(&epochs);
-    assert_eq!(session.epoch(), 1);
-    let serve = |session: &EpochSession, db| {
-        let exec = session
-            .executor(db)
-            .expect("pinned sessions survive appends");
+    // A handle on epoch 1 is held, the corpus grows, a new epoch is
+    // published — executors over the held epoch keep serving epoch-1
+    // answers, lock-free, with zero SQL.
+    let mut held = epochs.current();
+    assert_eq!(held.number(), 1);
+    let serve = |epoch: &Epoch, db| {
+        let exec = Executor::with_cache_pinned(db, Arc::clone(epoch.cache()))
+            .expect("a held epoch survives appends");
         let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
         let top = Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete)
             .top_k(20)
@@ -206,29 +188,25 @@ fn epoch_sessions_drain_without_stop_the_world() {
         assert_eq!(exec.queries_run(), 0);
         top
     };
-    assert_eq!(serve(&session, &split.base), want_old);
+    assert_eq!(serve(&held, &split.base), want_old);
 
     let report = epochs.ingest(&split.full, 0).unwrap();
     assert!(!report.is_noop());
     assert_eq!(epochs.current_epoch(), 2);
+    assert_eq!(held.number(), 1, "publishing does not move a held epoch");
     assert_eq!(
-        session.epoch(),
-        1,
-        "publishing does not move pinned sessions"
-    );
-    assert_eq!(
-        serve(&session, &split.full),
+        serve(&held, &split.full),
         want_old,
         "the old epoch keeps serving its own answers mid-ingest"
     );
-    assert_eq!(epochs.retired_count(), 1, "epoch 1 is held for the session");
+    assert_eq!(epochs.retired_count(), 1, "epoch 1 is held by the handle");
 
-    // At its next boundary the session drains onto epoch 2 and the
-    // retired epoch is evicted.
-    assert!(session.drain(&epochs));
-    assert_eq!(session.epoch(), 2);
-    assert_eq!(serve(&session, &split.full), want_new);
-    assert!(!session.drain(&epochs), "drain is idempotent");
+    // At its next boundary the caller takes `current()` again: it moves
+    // onto epoch 2 and the retired epoch is evicted.
+    held = epochs.current();
+    assert_eq!(held.number(), 2);
+    assert_eq!(serve(&held, &split.full), want_new);
+    assert_eq!(epochs.current().number(), 2, "nothing newer to move onto");
     assert_eq!(epochs.retired_count(), 0);
     assert_eq!(epochs.evicted_count(), 1);
 }
@@ -241,41 +219,24 @@ fn every_warm_up_fault_retries_to_success_or_fails_atomically() {
 
     // Probe how many query operations one warm-up performs.
     let probe = FailingDriver::new(split.base.clone(), FailSchedule::never());
-    let clean = ProfileCache::warm(probe.database(), BaseQuery::dblp(), predicates.clone())
+    ProfileCache::warm(probe.database(), BaseQuery::dblp(), predicates.clone())
         .expect("unfaulted warm-up succeeds");
     let ops = probe.schedule().ops_started();
     assert!(ops >= predicates.len() as u64, "one query per predicate");
 
     for n in 1..=ops {
-        // Zero retries: the nth operation fails and the whole warm-up
-        // reports a typed exhaustion — no partial snapshot escapes.
+        // The nth operation fails and the whole warm-up reports it as a
+        // typed error — no partial snapshot escapes.
         let driver = FailingDriver::new(split.base.clone(), FailSchedule::nth(n));
-        let Err(err) = ProfileCache::warm_with_retry(
-            driver.database(),
-            BaseQuery::dblp(),
-            predicates.clone(),
-            0,
-        ) else {
+        let Err(err) = ProfileCache::warm(driver.database(), BaseQuery::dblp(), predicates.clone())
+        else {
             panic!("op {n}: scheduled fault must surface");
         };
         assert!(
-            matches!(err, HypreError::WarmUpFailed { attempts: 1, .. }),
+            matches!(err, HypreError::Rel(RelError::FaultInjected(op)) if op == n),
             "op {n}: got {err}"
         );
         assert_eq!(driver.schedule().injected(), 1);
-
-        // One retry: the second attempt runs on later ordinals and
-        // completes; the result is indistinguishable from a clean warm.
-        let driver = FailingDriver::new(split.base.clone(), FailSchedule::nth(n));
-        let warmed = ProfileCache::warm_with_retry(
-            driver.database(),
-            BaseQuery::dblp(),
-            predicates.clone(),
-            1,
-        )
-        .expect("retry must succeed past a one-shot fault");
-        assert_eq!(warmed.len(), clean.len());
-        assert_eq!(warmed.tuple_universe(), clean.tuple_universe());
     }
 }
 
@@ -296,8 +257,7 @@ fn every_ingest_fault_leaves_the_previous_epoch_serving() {
     assert!(ops >= 1, "the delta re-scores at least one predicate");
 
     let serve = |db| {
-        let session = EpochSession::open(&epochs);
-        let exec = session.executor(db).unwrap();
+        let exec = Executor::with_cache_pinned(db, Arc::clone(epochs.current().cache())).unwrap();
         let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
         Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete)
             .top_k(10)

@@ -23,7 +23,7 @@ fn rich_atoms() -> Vec<PrefAtom> {
 }
 
 #[test]
-fn pairwise_build_byte_identical_at_1_2_and_8_threads() {
+fn repeated_pairwise_builds_are_byte_identical() {
     let fx = fixture();
     let atoms = rich_atoms();
     assert!(atoms.len() >= 8, "profile too small");

@@ -1,10 +1,10 @@
 //! Snapshot persistence contract: a warmed `ProfileCache` saved to disk
 //! and loaded back must serve byte-identical `top_k` rankings without
 //! issuing a single SQL query, and every way a snapshot file can be
-//! wrong — missing, truncated, bit-flipped magic, newer format version,
-//! an impossible pairwise size, warmed on a different corpus — must surface as
-//! the right typed `HypreError`, never a panic and never silently wrong
-//! results.
+//! wrong — missing, truncated, any bit flipped, zeroed pairwise counts,
+//! newer format version, an impossible pairwise size, warmed on a
+//! different corpus — must surface as the right typed `HypreError`, never
+//! a panic and never silently wrong results.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -35,8 +35,31 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hypre_{name}_{}.hyprsnap", std::process::id()))
 }
 
+/// Bytes of the trailing FNV-1a-64 checksum.
+const CHECKSUM_LEN: usize = 8;
+
+/// Recomputes the trailing checksum after a test overwrote a field, so
+/// the load reaches the structural check the test is aimed at.
+fn reseal(bytes: &mut [u8]) {
+    let body_len = bytes.len() - CHECKSUM_LEN;
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &bytes[..body_len] {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    bytes[body_len..].copy_from_slice(&hash.to_le_bytes());
+}
+
+/// Writes `bytes` as a snapshot file and loads it against the fixture.
+fn load_bytes(name: &str, bytes: &[u8]) -> Result<(ProfileCache, Option<PairwiseCache>)> {
+    let path = temp_path(name);
+    std::fs::write(&path, bytes).unwrap();
+    let loaded = ProfileCache::load_from(&path, &fixture().db);
+    std::fs::remove_file(&path).unwrap();
+    loaded
+}
+
 #[test]
-fn loaded_snapshot_serves_identical_top_k_at_1_2_and_8_workers() {
+fn loaded_snapshot_serves_identical_top_k() {
     let fx = fixture();
     let (cache, pairs, atoms, want) = warmed();
     let path = temp_path("roundtrip");
@@ -90,8 +113,9 @@ fn truncated_snapshots_are_corrupt_at_every_tested_cut() {
 
 #[test]
 fn a_pairwise_size_whose_triangle_overflows_is_corrupt() {
-    // A 2-atom table ends the file: u64 n, u64 count = 1, one 32-byte
-    // entry. Overwrite n with u64::MAX, whose n(n−1)/2 overflows.
+    // A 2-atom table ends the file before the checksum: u64 n, u64
+    // count = 1, one 32-byte entry. Overwrite n with u64::MAX, whose
+    // n(n−1)/2 overflows, and re-seal so the size check is reached.
     let fx = fixture();
     let atoms: Vec<PrefAtom> = fx.graph.positive_profile(fx.rich_user)[..2].to_vec();
     let exec = fx.executor();
@@ -101,9 +125,10 @@ fn a_pairwise_size_whose_triangle_overflows_is_corrupt() {
         .save_to(&path, Some(&pairs))
         .unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
-    let size_at = bytes.len() - 48;
+    let size_at = bytes.len() - CHECKSUM_LEN - 48;
     assert_eq!(bytes[size_at..size_at + 8], 2u64.to_le_bytes());
     bytes[size_at..size_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    reseal(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
     let err = ProfileCache::load_from(&path, &fx.db).unwrap_err();
     std::fs::remove_file(&path).unwrap();
@@ -183,4 +208,65 @@ fn snapshot_of_a_different_corpus_is_stale() {
         }
         other => panic!("expected StaleSnapshot, got {other:?}"),
     }
+}
+
+#[test]
+fn flipping_one_bit_in_any_byte_is_never_ok() {
+    // A snapshot saved with its table over a 3-atom profile, small enough
+    // to load once per byte.
+    let fx = fixture();
+    let atoms: Vec<PrefAtom> = fx.graph.positive_profile(fx.rich_user)[..3].to_vec();
+    let exec = fx.executor();
+    let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
+    let path = temp_path("bit_flip");
+    ProfileCache::snapshot(&exec)
+        .save_to(&path, Some(&pairs))
+        .unwrap();
+    let good = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert!(load_bytes("bit_flip", &good).is_ok());
+    for at in 0..good.len() {
+        let mut flipped = good.clone();
+        flipped[at] ^= 1 << (at % 8);
+        let loaded = load_bytes("bit_flip", &flipped);
+        assert!(
+            matches!(
+                loaded,
+                Err(HypreError::SnapshotCorrupt { .. } | HypreError::SnapshotVersion { .. })
+            ),
+            "byte {at} of {}: {:?}",
+            good.len(),
+            loaded.map(|_| "loaded")
+        );
+    }
+}
+
+#[test]
+fn zeroed_pairwise_counts_are_corrupt() {
+    // The table ends the file before the checksum, one 32-byte entry
+    // (u64 i, u64 j, f64 intensity, u64 count) per pair. Zeroed counts
+    // are structurally valid and would re-rank every position, so only
+    // the checksum (not re-sealed here) can refuse them.
+    let (cache, pairs, _, _) = warmed();
+    let path = temp_path("zeroed");
+    cache.save_to(&path, Some(&pairs)).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let entries_at = bytes.len() - CHECKSUM_LEN - 32 * pairs.entries().len();
+    let mut zeroed = 0;
+    for (idx, entry) in pairs.entries().iter().enumerate() {
+        let count_at = entries_at + 32 * idx + 24;
+        assert_eq!(bytes[count_at..count_at + 8], entry.count.to_le_bytes());
+        if entry.applicable() {
+            bytes[count_at..count_at + 8].fill(0);
+            zeroed += 1;
+        }
+    }
+    assert!(zeroed > 0, "the rich profile has applicable pairs");
+    let loaded = load_bytes("zeroed", &bytes);
+    assert!(
+        matches!(loaded, Err(HypreError::SnapshotCorrupt { .. })),
+        "{:?}",
+        loaded.map(|_| "loaded")
+    );
 }
