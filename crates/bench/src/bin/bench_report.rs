@@ -39,8 +39,6 @@
 //! * `containers` — how the rich profile's tuple sets distribute over
 //!   the array / runs / bitmap containers, with bytes against the
 //!   pure-bitmap footprint;
-//! * `multi_session` — N sessions over one shared `ProfileCache`
-//!   snapshot versus N cold executors re-running every profile query;
 //! * `live_ingest` — warm on a 95 % base corpus, then ingest the last
 //!   5 % as an append-only delta (`ProfileCache::ingest_delta`) versus a
 //!   cold full re-warm over the grown corpus; the *ingest guard* fails
@@ -52,10 +50,6 @@
 //!   (`BENCH_1M_PAPERS` overrides the size) and records single-shot
 //!   timings for load, warm, pairwise build, PEPS top-k, snapshot
 //!   save/load and the scan at scale;
-//! * `batched_serving` — 100–400 sessions drawing profiles
-//!   Zipf-popularly, served unbatched over 4 OS threads versus one
-//!   `BatchScheduler` run on one thread, as the server runs a batch;
-//!   both shapes are checksum-verified equal first;
 //! * `graph_workload` — property-graph build, co-occurrence derivation,
 //!   DSL compile of `COAUTHOR_OF`/`SAME_VENUE_AS` atoms, and PEPS top-k
 //!   over them;
@@ -65,6 +59,10 @@
 //! * `ablation` (smallest size only) — the §4.4 exponential versus
 //!   linear intensity model (graph load time), and the §5.5 pairwise
 //!   cache versus one `count_distinct` query per atom pair.
+//!
+//! Serving — sessions sharing one snapshot, batched evaluation of
+//! repeated profiles — is not timed here: `perfbench` measures it end to
+//! end over `serve::wire` (its `hot_zipf` workload).
 //!
 //! Only the headline rows are guarded. Each is compared against the same
 //! `(section, name, papers)` row of the baseline report, **normalised by
@@ -88,7 +86,7 @@ use std::time::{Duration, Instant};
 use hypre_bench::baseline::{HashSetAlgebra, SeedPeps};
 use hypre_bench::bitset_baseline::{BitsetAlgebra, BitsetPeps};
 use hypre_bench::timing::median_time;
-use hypre_bench::{serving, Fixture};
+use hypre_bench::Fixture;
 use hypre_core::prelude::*;
 use relstore::{ColRef, SelectQuery};
 
@@ -100,13 +98,11 @@ const GUARD_MAX_REGRESSION: f64 = 1.25;
 const HEADLINE_SECTIONS: [&str; 2] = ["pairwise_build", "peps_top_k"];
 
 /// The per-corpus sections, in run order.
-const SECTIONS: [fn(&Corpus) -> Vec<Row>; 9] = [
+const SECTIONS: [fn(&Corpus) -> Vec<Row>; 7] = [
     headline,
     containers,
-    multi_session,
     live_ingest,
     storage,
-    batched_serving,
     graph_workload,
     set_algebra,
     ablation,
@@ -347,29 +343,6 @@ fn containers(c: &Corpus) -> Vec<Row> {
         .collect()
 }
 
-/// Both shapes run their sessions concurrently (`hypre_bench::serving`),
-/// so the delta isolates what the snapshot buys rather than conflating it
-/// with thread-level parallelism.
-fn multi_session(c: &Corpus) -> Vec<Row> {
-    const SESSIONS: usize = 4;
-    let (db, atoms) = (&c.fx.db, c.atoms);
-    let warm_build_ns = measure(|| {
-        let warm = c.fx.executor();
-        let built = PairwiseCache::build(atoms, &warm).unwrap().entries().len();
-        (ProfileCache::snapshot(&warm).len(), built)
-    });
-    let cache = Arc::new(ProfileCache::snapshot(c.exec));
-    let base = BaseQuery::dblp();
-    let cold_ns = measure(|| serving::serve_cold_concurrent(db, &base, atoms, SESSIONS, 10));
-    let shared_ns = measure(|| serving::serve_shared_concurrent(db, &cache, atoms, SESSIONS, 10));
-    vec![Row::new("multi_session", "shared_vs_cold", c.papers)
-        .count("sessions", SESSIONS as u128)
-        .count("cold_ns", cold_ns)
-        .count("shared_ns", shared_ns)
-        .count("warm_build_ns", warm_build_ns)
-        .ratio("speedup", cold_ns, shared_ns)]
-}
-
 /// The incremental path re-scores only the predicates the delta touches;
 /// the alternative it must beat is a cold full re-warm.
 fn live_ingest(c: &Corpus) -> Vec<Row> {
@@ -470,56 +443,6 @@ fn snapshot_row(
         .count("load_ns", load_ns)
         .count("rewarm_ns", rewarm_ns)
         .ratio("speedup", rewarm_ns, load_ns)
-}
-
-/// The Zipf serving workload draws from profile variants (overlapping
-/// slices of the two study users' profiles) over one snapshot warmed
-/// with all of them. The unbatched baseline runs every session's own
-/// PEPS rounds over 4 OS threads; the batched shape evaluates each
-/// distinct profile identity once on one thread, as the server does,
-/// and demultiplexes. The untimed checksum run fills the snapshot's
-/// pairwise memo, so every timed batched run reuses its tables, as a
-/// server's repeated batches on one epoch do; the unbatched sessions
-/// build their own.
-fn batched_serving(c: &Corpus) -> Vec<Row> {
-    let modest = c.fx.graph.positive_profile(c.fx.modest_user);
-    let profiles = hypre_bench::profile_variants(c.atoms, &modest);
-    let warm = c.fx.executor();
-    for atom in profiles.iter().flatten() {
-        warm.tuple_set(&atom.predicate).expect("variant predicate");
-    }
-    let cache = Arc::new(ProfileCache::snapshot(&warm));
-    let db = &c.fx.db;
-    let session_counts: &[usize] = if c.papers < 10_000 {
-        &[100, 400]
-    } else {
-        &[100]
-    };
-    let mut rows = Vec::new();
-    for &sessions in session_counts {
-        let mix = serving::zipf_session_mix(&profiles, sessions, 10, 1.1, 42);
-        let unbatched = || serving::serve_unbatched_sessions(db, &cache, &mix, 4);
-        let batched = || serving::serve_batched_sessions(db, &cache, &mix);
-        let (batched_total, stats) = batched();
-        assert_eq!(
-            unbatched(),
-            batched_total,
-            "batched and unbatched serving must agree before timing"
-        );
-        let unbatched_ns = measure(unbatched);
-        let batched_ns = measure(|| batched().0);
-        rows.push(
-            Row::new("batched_serving", "zipf", c.papers)
-                .count("sessions", sessions as u128)
-                .count("profiles", profiles.len() as u128)
-                .count("groups", stats.groups as u128)
-                .count("shared", stats.shared as u128)
-                .count("unbatched_ns", unbatched_ns)
-                .count("batched_ns", batched_ns)
-                .ratio("speedup", unbatched_ns, batched_ns),
-        );
-    }
-    rows
 }
 
 fn graph_workload(c: &Corpus) -> Vec<Row> {
@@ -1094,7 +1017,9 @@ fn regression_guard(baseline_path: &str, baseline: &[ParsedRow], current: &[Pars
         ok &= !breached;
     }
     if checked == 0 {
-        println!("  (baseline has no headline rows — nothing to guard)");
+        let mut sizes: Vec<usize> = measured_sizes.into_iter().collect();
+        sizes.sort_unstable();
+        println!("  (no baseline headline row at the measured sizes {sizes:?} — nothing to guard)");
     } else if ok {
         println!("  regression guard passed ({checked} rows)");
     } else {

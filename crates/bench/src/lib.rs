@@ -16,10 +16,6 @@
 //!   PR 1 generation), kept so `bench_report` and the equivalence tests
 //!   can measure all three generations;
 //! * [`timing`] — the median wall-clock helper `bench_report` times with;
-//! * [`serving`] — the concurrent multi-session harness (cold executors
-//!   vs one shared `ProfileCache` snapshot, plus the PR 7 Zipf
-//!   session mixes served unbatched vs through the batch scheduler)
-//!   timed by `bench_report`;
 //! * [`ingest`] — append-only corpus splits (base + delta) for the
 //!   live-ingest equivalence tests and the `live_ingest` rows of
 //!   `bench_report`.
@@ -33,7 +29,6 @@ pub mod experiments;
 pub mod fixture;
 pub mod ingest;
 pub mod report;
-pub mod serving;
 pub mod ta_glue;
 pub mod timing;
 
@@ -42,10 +37,10 @@ pub use fixture::Fixture;
 use hypre_core::prelude::PrefAtom;
 
 /// Overlapping-and-disjoint profile variants derived from the two study
-/// users' profiles — the distinct profile identities the Zipf serving
-/// mixes draw from. Slices of a descending-intensity profile stay
-/// descending; atoms are re-indexed so each variant is a well-formed
-/// profile of its own.
+/// users' profiles — the distinct profile identities the batched
+/// equivalence tests mix into sessions. Slices of a descending-intensity
+/// profile stay descending; atoms are re-indexed so each variant is a
+/// well-formed profile of its own.
 pub fn profile_variants(rich: &[PrefAtom], modest: &[PrefAtom]) -> Vec<Vec<PrefAtom>> {
     let reindex = |atoms: &[PrefAtom]| -> Vec<PrefAtom> {
         atoms

@@ -75,9 +75,9 @@
 //! mutex-guarded memo of pairwise tables. That is the whole
 //! thread-safety contract: share `Arc<ProfileCache>` freely, keep each
 //! `Executor` on one thread. Sessions run concurrently, one thread each
-//! (see `examples/multi_user_serving.rs`, the multi-session bench rows
-//! and [`crate::serve`], which evaluates each batch on the connection
-//! thread that read it).
+//! (see `examples/multi_user_serving.rs`, perfbench's `hot_zipf`
+//! workload and [`crate::serve`], which evaluates each batch on the
+//! connection thread that read it).
 //!
 //! ## Epoch lifecycle: live corpora without stop-the-world
 //!

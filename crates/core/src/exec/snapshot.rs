@@ -642,15 +642,37 @@ mod tests {
         (ProfileCache::snapshot(&exec), pairs)
     }
 
+    /// A snapshot path in the temp dir, named per process so concurrent
+    /// test runs cannot collide, and removed on drop so a test that
+    /// panics before cleaning up leaves no file behind.
+    struct TempPath(std::path::PathBuf);
+
+    impl TempPath {
+        fn new(name: &str) -> TempPath {
+            let file = format!("hypre_snapshot_{name}_{}.hyprsnap", std::process::id());
+            TempPath(std::env::temp_dir().join(file))
+        }
+    }
+
+    impl AsRef<Path> for TempPath {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
     #[test]
     fn snapshot_round_trips_to_equal_cache() {
         let db = tiny_dblp();
         let (cache, pairs) = warmed(&db);
-        let dir = std::env::temp_dir();
-        let path = dir.join("hypre_snapshot_roundtrip.hyprsnap");
+        let path = TempPath::new("roundtrip");
         cache.save_to(&path, Some(&pairs)).unwrap();
         let (loaded, loaded_pairs) = ProfileCache::load_from(&path, &db).unwrap();
-        std::fs::remove_file(&path).unwrap();
 
         assert_eq!(loaded.fingerprint, cache.fingerprint);
         assert_eq!(loaded.tuple_universe(), cache.tuple_universe());
@@ -761,7 +783,7 @@ mod tests {
     fn fingerprint_mismatch_is_stale() {
         let mut db = tiny_dblp();
         let (cache, _) = warmed(&db);
-        let path = std::env::temp_dir().join("hypre_snapshot_stale.hyprsnap");
+        let path = TempPath::new("stale");
         cache.save_to(&path, None).unwrap();
         // Grow the corpus under the snapshot.
         db.table_mut("dblp")
@@ -769,7 +791,6 @@ mod tests {
             .insert(vec![Value::Int(999), Value::str("ICDE"), Value::Int(2020)])
             .unwrap();
         let err = ProfileCache::load_from(&path, &db).unwrap_err();
-        std::fs::remove_file(&path).unwrap();
         assert!(
             matches!(err, HypreError::StaleSnapshot { ref table, .. } if table == "dblp"),
             "{err:?}"

@@ -195,7 +195,7 @@ fn mixed_k_inside_one_group_matches_every_standalone_k() {
 }
 
 #[test]
-fn in_flight_batches_pin_their_epoch_and_drained_sessions_pick_up_the_new_one() {
+fn in_flight_batches_pin_their_epoch_and_the_next_batch_takes_the_new_one() {
     // The live-corpus lifecycle, batched: warm on the base corpus,
     // publish epoch 1, hold it; ingest the delta to epoch 2 while epoch 1
     // is still held. Batches on the held epoch answer epoch-1 results

@@ -150,7 +150,7 @@ fn ingest_of_an_unchanged_corpus_is_a_noop() {
 }
 
 #[test]
-fn epoch_sessions_drain_without_stop_the_world() {
+fn a_held_epoch_keeps_serving_while_ingest_publishes_the_next() {
     // A deep 40 % delta, so the appended papers demonstrably move the
     // top-20 (a 5 % tail delta can leave the head of the ranking
     // untouched, which would make "old answers" == "new answers").
@@ -212,7 +212,7 @@ fn epoch_sessions_drain_without_stop_the_world() {
 }
 
 #[test]
-fn every_warm_up_fault_retries_to_success_or_fails_atomically() {
+fn every_warm_up_fault_is_a_typed_error_with_nothing_returned() {
     let split = split();
     let atoms = few_atoms();
     let predicates: Vec<&Predicate> = atoms.iter().map(|a| &a.predicate).collect();

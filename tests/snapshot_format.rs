@@ -6,7 +6,7 @@
 //! different corpus — must surface as the right typed `HypreError`, never
 //! a panic and never silently wrong results.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use hypre_bench::Fixture;
@@ -31,8 +31,25 @@ fn warmed() -> (ProfileCache, PairwiseCache, Vec<PrefAtom>, Vec<RankedTuple>) {
     (ProfileCache::snapshot(&exec), pairs, atoms, want)
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("hypre_{name}_{}.hyprsnap", std::process::id()))
+/// A snapshot path in the temp dir, named per process, that is removed
+/// when dropped: a test that panics before its load returns leaves no
+/// file behind.
+struct TempPath(PathBuf);
+
+impl AsRef<Path> for TempPath {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn temp_path(name: &str) -> TempPath {
+    TempPath(std::env::temp_dir().join(format!("hypre_{name}_{}.hyprsnap", std::process::id())))
 }
 
 /// Bytes of the trailing FNV-1a-64 checksum.
@@ -53,9 +70,7 @@ fn reseal(bytes: &mut [u8]) {
 fn load_bytes(name: &str, bytes: &[u8]) -> Result<(ProfileCache, Option<PairwiseCache>)> {
     let path = temp_path(name);
     std::fs::write(&path, bytes).unwrap();
-    let loaded = ProfileCache::load_from(&path, &fixture().db);
-    std::fs::remove_file(&path).unwrap();
-    loaded
+    ProfileCache::load_from(&path, &fixture().db)
 }
 
 #[test]
@@ -65,7 +80,6 @@ fn loaded_snapshot_serves_identical_top_k() {
     let path = temp_path("roundtrip");
     cache.save_to(&path, Some(&pairs)).unwrap();
     let (loaded, loaded_pairs) = ProfileCache::load_from(&path, &fx.db).unwrap();
-    std::fs::remove_file(&path).unwrap();
     let loaded = Arc::new(loaded);
     let loaded_pairs = loaded_pairs.expect("pairwise table travelled with the snapshot");
 
@@ -95,7 +109,6 @@ fn truncated_snapshots_are_corrupt_at_every_tested_cut() {
     let path = temp_path("truncate");
     cache.save_to(&path, Some(&pairs)).unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
     // Cuts inside the magic, the version, the header sections and near
     // the end (the module's unit suite sweeps every byte; here we pin
     // the file-level behaviour end to end).
@@ -103,7 +116,6 @@ fn truncated_snapshots_are_corrupt_at_every_tested_cut() {
         let path = temp_path("truncate_cut");
         std::fs::write(&path, &bytes[..cut]).unwrap();
         let err = ProfileCache::load_from(&path, &fx.db).unwrap_err();
-        std::fs::remove_file(&path).unwrap();
         assert!(
             matches!(err, HypreError::SnapshotCorrupt { .. }),
             "cut at {cut}: {err:?}"
@@ -131,7 +143,6 @@ fn a_pairwise_size_whose_triangle_overflows_is_corrupt() {
     reseal(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
     let err = ProfileCache::load_from(&path, &fx.db).unwrap_err();
-    std::fs::remove_file(&path).unwrap();
     assert!(matches!(err, HypreError::SnapshotCorrupt { .. }), "{err:?}");
 }
 
@@ -153,7 +164,6 @@ fn bad_magic_and_trailing_garbage_are_corrupt() {
     trailing.extend_from_slice(b"junk");
     std::fs::write(&path, &trailing).unwrap();
     let err = ProfileCache::load_from(&path, &fx.db).unwrap_err();
-    std::fs::remove_file(&path).unwrap();
     assert!(matches!(err, HypreError::SnapshotCorrupt { .. }), "{err:?}");
 }
 
@@ -167,7 +177,6 @@ fn version_skewed_snapshot_reports_both_versions() {
     bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let err = ProfileCache::load_from(&path, &fx.db).unwrap_err();
-    std::fs::remove_file(&path).unwrap();
     match err {
         HypreError::SnapshotVersion { found, supported } => {
             assert_eq!(found, 99);
@@ -196,7 +205,6 @@ fn snapshot_of_a_different_corpus_is_stale() {
         ])
         .unwrap();
     let err = ProfileCache::load_from(&path, &grown).unwrap_err();
-    std::fs::remove_file(&path).unwrap();
     match err {
         HypreError::StaleSnapshot {
             table,
@@ -218,12 +226,13 @@ fn flipping_one_bit_in_any_byte_is_never_ok() {
     let atoms: Vec<PrefAtom> = fx.graph.positive_profile(fx.rich_user)[..3].to_vec();
     let exec = fx.executor();
     let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
-    let path = temp_path("bit_flip");
-    ProfileCache::snapshot(&exec)
-        .save_to(&path, Some(&pairs))
-        .unwrap();
-    let good = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
+    let good = {
+        let path = temp_path("bit_flip");
+        ProfileCache::snapshot(&exec)
+            .save_to(&path, Some(&pairs))
+            .unwrap();
+        std::fs::read(&path).unwrap()
+    };
     assert!(load_bytes("bit_flip", &good).is_ok());
     for at in 0..good.len() {
         let mut flipped = good.clone();
@@ -251,7 +260,6 @@ fn zeroed_pairwise_counts_are_corrupt() {
     let path = temp_path("zeroed");
     cache.save_to(&path, Some(&pairs)).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
     let entries_at = bytes.len() - CHECKSUM_LEN - 32 * pairs.entries().len();
     let mut zeroed = 0;
     for (idx, entry) in pairs.entries().iter().enumerate() {
