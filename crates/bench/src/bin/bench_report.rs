@@ -53,8 +53,8 @@
 //! * `graph_workload` — property-graph build, co-occurrence derivation,
 //!   DSL compile of `COAUTHOR_OF`/`SAME_VENUE_AS` atoms, and PEPS top-k
 //!   over them;
-//! * `set_algebra` / `set_algebra_sparse` — `and_count`/`or`/`and_not`
-//!   over the densest and the sparsest operand pair, with each operand's
+//! * `set_algebra` / `set_algebra_sparse` — `and_count` and `or` over
+//!   the densest and the sparsest operand pair, with each operand's
 //!   bytes in `memory`;
 //! * `ablation` (smallest size only) — the §4.4 exponential versus
 //!   linear intensity model (graph load time), and the §5.5 pairwise
@@ -572,14 +572,6 @@ fn set_algebra(c: &Corpus) -> Vec<Row> {
             measure(|| aa.or(&ab).count()),
             measure(|| ba.or(&bb).count()),
             measure(|| ha.union(&hb).count()),
-        ));
-        rows.push(engines(
-            section,
-            "and_not",
-            n,
-            measure(|| aa.and_not(&ab).count()),
-            measure(|| ba.and_not(&bb).count()),
-            measure(|| ha.difference(&hb).count()),
         ));
     }
     rows

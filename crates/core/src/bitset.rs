@@ -248,24 +248,6 @@ impl BitSet {
         BitSet { words }
     }
 
-    /// [`and_not`](Self::and_not) over 4-word blocks.
-    pub fn and_not_wide(&self, other: &BitSet) -> BitSet {
-        let mut words = self.words.clone();
-        let n = words.len().min(other.words.len());
-        let mut out_blocks = words[..n].chunks_exact_mut(4);
-        for (o, s) in (&mut out_blocks).zip(other.words[..n].chunks_exact(4)) {
-            o[0] &= !s[0];
-            o[1] &= !s[1];
-            o[2] &= !s[2];
-            o[3] &= !s[3];
-        }
-        let tail = n - n % 4;
-        for (o, s) in words[tail..n].iter_mut().zip(&other.words[tail..n]) {
-            *o &= !s;
-        }
-        BitSet::from_words(words)
-    }
-
     /// [`and_assign`](Self::and_assign) over 4-word blocks.
     pub fn and_assign_wide(&mut self, other: &BitSet) {
         let n = self.words.len().min(other.words.len());
@@ -455,7 +437,6 @@ mod tests {
             for b in &shapes {
                 assert_eq!(a.and_wide(b), a.and(b));
                 assert_eq!(a.or_wide(b), a.or(b));
-                assert_eq!(a.and_not_wide(b), a.and_not(b));
                 assert_eq!(a.and_count_wide(b), a.and_count(b));
                 let mut assign = a.clone();
                 assign.and_assign_wide(b);

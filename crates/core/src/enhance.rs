@@ -65,8 +65,8 @@ pub fn score_tuples(exec: &Executor<'_>, atoms: &[PrefAtom]) -> Result<Vec<Score
                 residual.resize(idx + 1, 1.0);
             }
             residual[idx] *= 1.0 - atom.intensity;
-            touched.insert(id);
         }
+        touched.or_assign(&set);
     }
     let mut out: Vec<ScoredTuple> = touched
         .iter()

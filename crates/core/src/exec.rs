@@ -726,11 +726,10 @@ impl<'db> Executor<'db> {
 pub struct ProfileCache {
     base: BaseQuery,
     interner: Arc<TupleInterner>,
-    sets: HashMap<String, SharedTupleSet>,
-    /// The predicate AST behind every materialised set (same keys as
-    /// `sets`) — what delta ingest re-evaluates over changed rows
-    /// without re-parsing canonical text.
-    preds: HashMap<String, Predicate>,
+    /// Every materialised set with the predicate AST behind it, by
+    /// canonical key — the AST is what delta ingest re-evaluates over
+    /// changed rows without re-parsing canonical text.
+    sets: HashMap<String, (Predicate, SharedTupleSet)>,
     /// Row counts of the base query's tables at snapshot time, named in
     /// [`BaseQuery::tables`] order — the cheap corpus identity
     /// [`ProfileCache::check_corpus`] compares so a snapshot is never
@@ -830,20 +829,18 @@ impl ProfileCache {
             Some(base) if interner.values.is_empty() => Arc::clone(base),
             _ => Arc::new(interner.flattened()),
         };
-        let (mut sets, mut preds) = exec
+        let mut sets = exec
             .shared
             .as_ref()
-            .map(|c| (c.sets.clone(), c.preds.clone()))
+            .map(|c| c.sets.clone())
             .unwrap_or_default();
         for (key, (pred, set)) in exec.atom_cache.borrow().iter() {
-            sets.insert(key.clone(), Arc::clone(set));
-            preds.insert(key.clone(), pred.clone());
+            sets.insert(key.clone(), (pred.clone(), Arc::clone(set)));
         }
         ProfileCache {
             base: exec.base.clone(),
             interner,
             sets,
-            preds,
             fingerprint: corpus_fingerprint(exec.db, &exec.base),
             pairwise: PairwiseMemo::default(),
         }
@@ -871,7 +868,7 @@ impl ProfileCache {
     /// The materialised tuple set for a canonical predicate key, if the
     /// snapshot holds it.
     pub fn get(&self, canonical: &str) -> Option<SharedTupleSet> {
-        self.sets.get(canonical).map(Arc::clone)
+        self.sets.get(canonical).map(|(_, set)| Arc::clone(set))
     }
 
     /// Whether the snapshot holds a predicate (by canonical text).
@@ -1048,15 +1045,13 @@ impl ProfileCache {
         // sorted order so id assignment is deterministic.
         let mut interner = (*self.interner).clone();
         let before_universe = interner.len();
-        let mut sets: HashMap<String, SharedTupleSet> = HashMap::with_capacity(self.sets.len());
+        let mut sets: HashMap<String, (Predicate, SharedTupleSet)> =
+            HashMap::with_capacity(self.sets.len());
         let mut changed: Vec<String> = Vec::new();
         let mut cands_by_refs: HashMap<Vec<&str>, Vec<RowId>> = HashMap::new();
-        let mut keys: Vec<&String> = self.preds.keys().collect();
-        keys.sort();
-        for key in keys {
-            let (Some(pred), Some(old_set)) = (self.preds.get(key), self.sets.get(key)) else {
-                unreachable!("preds and sets share keys");
-            };
+        let mut entries: Vec<(&String, &(Predicate, SharedTupleSet))> = self.sets.iter().collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        for (key, (pred, old_set)) in entries {
             // A predicate's candidates depend only on which grown joined
             // tables its query joins, so each such set is merged once.
             let q = self.base.select_for(pred);
@@ -1075,19 +1070,19 @@ impl ProfileCache {
                 cands
             });
             if cands.is_empty() {
-                sets.insert(key.clone(), Arc::clone(old_set));
+                sets.insert(key.clone(), (pred.clone(), Arc::clone(old_set)));
                 continue;
             }
             let rids = q.distinct_row_set_among(db, cands)?;
             let mut fresh = interner.intern_keys(driver, key_idx, &rids)?;
             fresh.retain(|&id| !old_set.contains(id));
             if fresh.is_empty() {
-                sets.insert(key.clone(), Arc::clone(old_set));
+                sets.insert(key.clone(), (pred.clone(), Arc::clone(old_set)));
             } else {
                 let mut grown = (**old_set).clone();
                 grown.insert_all(fresh);
                 changed.push(key.clone());
-                sets.insert(key.clone(), Arc::new(grown));
+                sets.insert(key.clone(), (pred.clone(), Arc::new(grown)));
             }
         }
         let new_tuples = interner.len() - before_universe;
@@ -1096,7 +1091,6 @@ impl ProfileCache {
                 base: self.base.clone(),
                 interner: Arc::new(interner),
                 sets,
-                preds: self.preds.clone(),
                 fingerprint: corpus_fingerprint(db, &self.base),
                 pairwise: PairwiseMemo::default(),
             },
@@ -1276,14 +1270,14 @@ fn triangle(n: usize) -> impl Iterator<Item = (usize, usize)> {
 /// Builds the per-first-member retrieval index over a pairwise table:
 /// applicable entries grouped by `i`, each group in descending combined
 /// intensity (ties by ascending `j`) — the order PEPS consumes.
-fn index_by_first(entries: &[PairEntry]) -> HashMap<usize, Vec<usize>> {
-    let mut by_first: HashMap<usize, Vec<usize>> = HashMap::new();
+fn index_by_first(entries: &[PairEntry], n: usize) -> Vec<Vec<usize>> {
+    let mut by_first: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (idx, e) in entries.iter().enumerate() {
         if e.applicable() {
-            by_first.entry(e.i).or_default().push(idx);
+            by_first[e.i].push(idx);
         }
     }
-    for list in by_first.values_mut() {
+    for list in &mut by_first {
         list.sort_by(|&x, &y| {
             entries[y]
                 .intensity
@@ -1354,9 +1348,10 @@ pub struct PairwiseCache {
     /// Profile size the cache was built for.
     n: usize,
     entries: Vec<PairEntry>,
-    /// entry indexes grouped by first member, each sorted by descending
-    /// combined intensity (the retrieval order PEPS wants).
-    by_first: HashMap<usize, Vec<usize>>,
+    /// entry indexes grouped by first member (indexed by member), each
+    /// sorted by descending combined intensity (the retrieval order PEPS
+    /// wants).
+    by_first: Vec<Vec<usize>>,
 }
 
 impl PairwiseCache {
@@ -1372,7 +1367,7 @@ impl PairwiseCache {
         let n = atoms.len();
         let mut entries = Vec::with_capacity(n * n.saturating_sub(1) / 2);
         entries.extend(triangle(n).map(|(i, j)| PairEntry::score(i, j, &sets, &intensities)));
-        let by_first = index_by_first(&entries);
+        let by_first = index_by_first(&entries, n);
         Ok(PairwiseCache {
             n,
             entries,
@@ -1389,7 +1384,7 @@ impl PairwiseCache {
     /// intensity — the `CombsOfTwo(p)` lookup of Algorithm 6.
     pub fn pairs_from(&self, i: usize) -> impl Iterator<Item = &PairEntry> + '_ {
         self.by_first
-            .get(&i)
+            .get(i)
             .into_iter()
             .flatten()
             .map(move |&idx| &self.entries[idx])

@@ -391,14 +391,12 @@ impl ProfileCache {
             w_value(&mut buf, self.interner.value(id))?;
         }
 
-        let mut keys: Vec<&String> = self.sets.keys().collect();
-        keys.sort();
-        w_u64(&mut buf, keys.len() as u64);
-        for key in keys {
+        let mut sets: Vec<(&String, &SharedTupleSet)> =
+            self.sets.iter().map(|(key, (_, set))| (key, set)).collect();
+        sets.sort_unstable_by_key(|&(key, _)| key);
+        w_u64(&mut buf, sets.len() as u64);
+        for (key, set) in sets {
             w_str(&mut buf, key)?;
-            let Some(set) = self.sets.get(key) else {
-                unreachable!("key came from the map");
-            };
             w_set(&mut buf, set);
         }
 
@@ -522,8 +520,7 @@ impl ProfileCache {
 
         let raw_sets = r.r_u64("tuple-set count")?;
         let n_sets = r.checked_count(raw_sets, 9, "tuple-set count")?;
-        let mut sets: HashMap<String, SharedTupleSet> = HashMap::with_capacity(n_sets);
-        let mut preds: HashMap<String, Predicate> = HashMap::with_capacity(n_sets);
+        let mut sets: HashMap<String, (Predicate, SharedTupleSet)> = HashMap::with_capacity(n_sets);
         for _ in 0..n_sets {
             let key = r.r_str("tuple-set predicate key")?;
             let set = r.r_set(universe, "tuple-set container")?;
@@ -533,10 +530,9 @@ impl ProfileCache {
             let pred = parse_predicate(&key).map_err(|e| HypreError::SnapshotCorrupt {
                 detail: format!("unparseable predicate key '{key}': {e}"),
             })?;
-            if sets.insert(key.clone(), Arc::new(set)).is_some() {
+            if sets.insert(key, (pred, Arc::new(set))).is_some() {
                 return Err(r.corrupt("duplicate tuple-set key"));
             }
-            preds.insert(key, pred);
         }
 
         let pairs = match r.r_u8("pairwise flag")? {
@@ -567,7 +563,7 @@ impl ProfileCache {
                         count: hits,
                     });
                 }
-                let by_first = index_by_first(&entries);
+                let by_first = index_by_first(&entries, n);
                 Some(PairwiseCache {
                     n,
                     entries,
@@ -582,7 +578,6 @@ impl ProfileCache {
             base,
             interner: Arc::new(interner),
             sets,
-            preds,
             fingerprint,
             pairwise: PairwiseMemo::default(),
         };
@@ -677,12 +672,10 @@ mod tests {
         assert_eq!(loaded.fingerprint, cache.fingerprint);
         assert_eq!(loaded.tuple_universe(), cache.tuple_universe());
         assert_eq!(loaded.len(), cache.len());
-        for (key, set) in &cache.sets {
-            let restored = loaded.get(key).unwrap();
-            assert_eq!(&*restored, &**set, "set for {key}");
-        }
-        for (key, pred) in &cache.preds {
-            assert_eq!(loaded.preds.get(key), Some(pred), "pred for {key}");
+        for (key, (pred, set)) in &cache.sets {
+            let (loaded_pred, restored) = &loaded.sets[key];
+            assert_eq!(&**restored, &**set, "set for {key}");
+            assert_eq!(loaded_pred, pred, "pred for {key}");
         }
         for id in 0..cache.tuple_universe() as u32 {
             assert_eq!(loaded.interner.value(id), cache.interner.value(id));

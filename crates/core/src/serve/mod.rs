@@ -55,7 +55,6 @@
 pub mod wire;
 
 use std::collections::HashMap;
-use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -116,35 +115,6 @@ pub const MAX_PROFILE_ATOMS: usize = 1024;
 /// 16 KiB, a pipelined Zipf workload with live ingest served about a
 /// quarter fewer requests per second.
 const READ_BYTES: usize = 256 * 1024;
-
-/// Why the server could not start or stopped serving.
-#[derive(Debug)]
-pub enum ServeError {
-    /// A socket or thread-spawn failure.
-    Io(io::Error),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::Io(e) => write!(f, "serving I/O: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServeError::Io(e) => Some(e),
-        }
-    }
-}
-
-impl From<io::Error> for ServeError {
-    fn from(e: io::Error) -> Self {
-        ServeError::Io(e)
-    }
-}
 
 /// A point-in-time snapshot of the server-wide counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -311,12 +281,12 @@ impl Server {
     /// accepting.
     ///
     /// # Errors
-    /// [`ServeError::Io`] when binding or spawning fails.
+    /// The `io::Error` when binding or spawning fails.
     pub fn start(
         db: Arc<Database>,
         epochs: Arc<EpochCache>,
         config: ServeConfig,
-    ) -> Result<Server, ServeError> {
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let limit = if config.shards == 0 {

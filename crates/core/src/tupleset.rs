@@ -48,6 +48,31 @@
 //! [`BitSet`]'s trailing-zero-word trimming, two equal sets are equal
 //! container-for-container no matter which op sequence built them.
 //!
+//! ## The ops
+//!
+//! Sets are built from ids ([`TupleSet::from_unsorted`], `collect`) or a
+//! bitmap, grow by [`insert`](TupleSet::insert) /
+//! [`insert_all`](TupleSet::insert_all), and combine by
+//! [`and`](TupleSet::and) / [`and_assign`](TupleSet::and_assign),
+//! [`or`](TupleSet::or) / [`or_assign`](TupleSet::or_assign),
+//! [`and_count`](TupleSet::and_count) and
+//! [`intersects`](TupleSet::intersects). There is no difference and no
+//! removal: the engine only ever narrows a set by intersecting it.
+//!
+//! Each of the array×array, array×runs and runs×runs pairs has one
+//! merge walk, a visitor that calls back on each common id (or each
+//! overlapping interval) in ascending order and stops when the callback
+//! returns `false` — the idiom `for_run_words` uses for runs against
+//! bitmap words. `and` collects the visits, `and_count` counts them and
+//! `intersects` stops at the first:
+//!
+//! * `for_each_common` — two arrays: a two-pointer merge, galloping
+//!   binary search over the larger side past `GALLOP_SKEW`× skew;
+//! * `for_each_in_runs` — an array against runs: one forward walk;
+//! * `for_each_overlap` — two run lists: an interval sweep, or a
+//!   forward `partition_point` seek over the larger list past
+//!   `GALLOP_SKEW`× skew.
+//!
 //! The whole combination algebra of the executor ([`crate::exec`]), the
 //! PEPS expansion ([`crate::algo::peps`]) and the dense scorer
 //! ([`crate::enhance`]) runs on this type; `BitSet` remains public as the
@@ -327,21 +352,7 @@ impl TupleSet {
     /// insert bridging two runs coalesces them; an isolated insert into a
     /// run set can tip it back to an array).
     pub fn insert(&mut self, id: u32) -> bool {
-        let fresh = match &mut self.repr {
-            Repr::Array(v) => match v.binary_search(&id) {
-                Ok(_) => false,
-                Err(pos) => {
-                    v.insert(pos, id);
-                    true
-                }
-            },
-            Repr::Runs(r) => runs_insert(r, id),
-            Repr::Bitmap(b) => b.insert(id),
-        };
-        if fresh {
-            self.canonicalize();
-        }
-        fresh
+        self.insert_all([id]) == 1
     }
 
     /// Appends a batch of ids, returning how many were newly added — the
@@ -370,42 +381,39 @@ impl TupleSet {
         fresh
     }
 
-    /// Removes an id; returns whether it was present. Converts container
-    /// when the shrunk contents pick a different one (removing a far
-    /// outlier can collapse an array's span onto a tiny bitmap; removing
-    /// a mid-run id splits a run in two).
-    pub fn remove(&mut self, id: u32) -> bool {
-        let present = match &mut self.repr {
-            Repr::Array(v) => match v.binary_search(&id) {
-                Ok(pos) => {
-                    v.remove(pos);
-                    true
-                }
-                Err(_) => false,
-            },
-            Repr::Runs(r) => runs_remove(r, id),
-            Repr::Bitmap(b) => b.remove(id),
-        };
-        if present {
-            self.canonicalize();
-        }
-        present
-    }
-
     /// `self ∩ other` as a new set, picking the container-pair fast path:
     /// merge/gallop for array pairs, interval sweep for run pairs,
     /// SIMD-width word-AND for bitmap pairs, probe/masked walks for the
     /// mixed pairs.
     pub fn and(&self, other: &TupleSet) -> TupleSet {
         match (&self.repr, &other.repr) {
-            (Repr::Array(a), Repr::Array(b)) => TupleSet::from_sorted(intersect_arrays(a, b)),
+            (Repr::Array(a), Repr::Array(b)) => {
+                let mut out = Vec::with_capacity(a.len().min(b.len()));
+                for_each_common(a, b, |id| {
+                    out.push(id);
+                    true
+                });
+                TupleSet::from_sorted(out)
+            }
             (Repr::Array(a), Repr::Bitmap(b)) | (Repr::Bitmap(b), Repr::Array(a)) => {
                 TupleSet::from_sorted(a.iter().copied().filter(|&id| b.contains(id)).collect())
             }
             (Repr::Array(a), Repr::Runs(r)) | (Repr::Runs(r), Repr::Array(a)) => {
-                TupleSet::from_sorted(intersect_array_runs(a, r))
+                let mut out = Vec::new();
+                for_each_in_runs(a, r, |id| {
+                    out.push(id);
+                    true
+                });
+                TupleSet::from_sorted(out)
             }
-            (Repr::Runs(a), Repr::Runs(b)) => TupleSet::from_runs(intersect_runs(a, b)),
+            (Repr::Runs(a), Repr::Runs(b)) => {
+                let mut out = Vec::new();
+                for_each_overlap(a, b, |s, e| {
+                    out.push((s as u32, (e - s) as u32));
+                    true
+                });
+                TupleSet::from_runs(out)
+            }
             (Repr::Runs(r), Repr::Bitmap(b)) | (Repr::Bitmap(b), Repr::Runs(r)) => {
                 TupleSet::from_bits(restrict_bitmap_to_runs(b, r))
             }
@@ -434,35 +442,6 @@ impl TupleSet {
                 TupleSet::from_bits(overlay_runs_on_bitmap(b, r))
             }
             (Repr::Bitmap(a), Repr::Bitmap(b)) => TupleSet::from_bits(a.or_wide(b)),
-        }
-    }
-
-    /// `self \ other` as a new set (an `and_not` can split runs; results
-    /// re-containerise like every other op).
-    pub fn and_not(&self, other: &TupleSet) -> TupleSet {
-        match (&self.repr, &other.repr) {
-            (Repr::Array(a), _) => TupleSet::from_sorted(
-                a.iter()
-                    .copied()
-                    .filter(|&id| !other.contains(id))
-                    .collect(),
-            ),
-            (Repr::Runs(a), Repr::Runs(b)) => TupleSet::from_runs(diff_runs(a, b)),
-            (Repr::Runs(a), Repr::Array(b)) => {
-                TupleSet::from_runs(diff_runs(a, &runs_from_sorted(b)))
-            }
-            (Repr::Runs(a), Repr::Bitmap(b)) => TupleSet::from_bits(runs_minus_bitmap(a, b)),
-            (Repr::Bitmap(a), Repr::Bitmap(b)) => TupleSet::from_bits(a.and_not_wide(b)),
-            (Repr::Bitmap(a), Repr::Array(b)) => {
-                let mut bits = a.clone();
-                for &id in b {
-                    bits.remove(id);
-                }
-                TupleSet::from_bits(bits)
-            }
-            (Repr::Bitmap(a), Repr::Runs(r)) => {
-                TupleSet::from_bits(subtract_runs_from_bitmap(a, r))
-            }
         }
     }
 
@@ -512,14 +491,33 @@ impl TupleSet {
     /// `|self ∩ other|` without materialising the intersection.
     pub fn and_count(&self, other: &TupleSet) -> usize {
         match (&self.repr, &other.repr) {
-            (Repr::Array(a), Repr::Array(b)) => intersect_count_arrays(a, b),
+            (Repr::Array(a), Repr::Array(b)) => {
+                let mut n = 0usize;
+                for_each_common(a, b, |_| {
+                    n += 1;
+                    true
+                });
+                n
+            }
             (Repr::Array(a), Repr::Bitmap(b)) | (Repr::Bitmap(b), Repr::Array(a)) => {
                 a.iter().filter(|&&id| b.contains(id)).count()
             }
             (Repr::Array(a), Repr::Runs(r)) | (Repr::Runs(r), Repr::Array(a)) => {
-                intersect_count_array_runs(a, r)
+                let mut n = 0usize;
+                for_each_in_runs(a, r, |_| {
+                    n += 1;
+                    true
+                });
+                n
             }
-            (Repr::Runs(a), Repr::Runs(b)) => intersect_count_runs(a, b),
+            (Repr::Runs(a), Repr::Runs(b)) => {
+                let mut n = 0usize;
+                for_each_overlap(a, b, |s, e| {
+                    n += (e - s) as usize;
+                    true
+                });
+                n
+            }
             (Repr::Runs(r), Repr::Bitmap(b)) | (Repr::Bitmap(b), Repr::Runs(r)) => {
                 let words = b.words();
                 let mut n = 0usize;
@@ -536,14 +534,33 @@ impl TupleSet {
     /// Whether the sets share any id (short-circuits on the first hit).
     pub fn intersects(&self, other: &TupleSet) -> bool {
         match (&self.repr, &other.repr) {
-            (Repr::Array(a), Repr::Array(b)) => arrays_intersect(a, b),
+            (Repr::Array(a), Repr::Array(b)) => {
+                let mut hit = false;
+                for_each_common(a, b, |_| {
+                    hit = true;
+                    false
+                });
+                hit
+            }
             (Repr::Array(a), Repr::Bitmap(b)) | (Repr::Bitmap(b), Repr::Array(a)) => {
                 a.iter().any(|&id| b.contains(id))
             }
             (Repr::Array(a), Repr::Runs(r)) | (Repr::Runs(r), Repr::Array(a)) => {
-                array_runs_intersect(a, r)
+                let mut hit = false;
+                for_each_in_runs(a, r, |_| {
+                    hit = true;
+                    false
+                });
+                hit
             }
-            (Repr::Runs(a), Repr::Runs(b)) => runs_overlap(a, b),
+            (Repr::Runs(a), Repr::Runs(b)) => {
+                let mut hit = false;
+                for_each_overlap(a, b, |_, _| {
+                    hit = true;
+                    false
+                });
+                hit
+            }
             (Repr::Runs(r), Repr::Bitmap(b)) | (Repr::Bitmap(b), Repr::Runs(r)) => {
                 let words = b.words();
                 let mut hit = false;
@@ -729,94 +746,50 @@ fn runs_insert(runs: &mut Vec<Run>, id: u32) -> bool {
     true
 }
 
-/// Removes `id` from a run list, shrinking or splitting its run; returns
-/// whether it was present.
-fn runs_remove(runs: &mut Vec<Run>, id: u32) -> bool {
-    let pos = runs.partition_point(|&(s, _)| s <= id);
-    if pos == 0 {
-        return false;
-    }
-    let k = pos - 1;
-    let (s, l) = runs[k];
-    let end = s as u64 + l as u64;
-    if (id as u64) >= end {
-        return false;
-    }
-    if l == 1 {
-        runs.remove(k);
-    } else if id == s {
-        runs[k] = (s + 1, l - 1);
-    } else if id as u64 == end - 1 {
-        runs[k].1 = l - 1;
-    } else {
-        runs[k] = (s, id - s);
-        runs.insert(k + 1, (id + 1, (end - 1 - id as u64) as u32));
-    }
-    true
-}
-
-/// Whether a run×run op should take the seek path: the same ≥16× size
-/// skew at which the array kernels switch to galloping.
-fn runs_skewed(a: &[Run], b: &[Run]) -> bool {
-    a.len().min(b.len()) * GALLOP_SKEW < a.len().max(b.len())
-}
-
-/// The seek path for run×run sweeps under ≥[`GALLOP_SKEW`]× size skew
-/// (PR 8), mirroring the array galloping rule: for each run of the
-/// smaller list, `partition_point` over the larger list's tail finds
-/// the first run that can overlap it, then the overlaps are emitted in
-/// order — `O(|small| · log |large|)` instead of the two-pointer
-/// sweep's `O(|small| + |large|)`. The seek cursor only moves forward,
-/// so the worst case stays linear. Emits exactly the overlap intervals
-/// the sweep would, in the same order; `emit` returning `false` stops
-/// early (the overlap probe's short-circuit).
-fn gallop_runs<F: FnMut(u64, u64) -> bool>(small: &[Run], large: &[Run], mut emit: F) {
-    let mut lo = 0usize;
-    for &(s, l) in small {
-        let (s, e) = (s as u64, s as u64 + l as u64);
-        lo += large[lo..].partition_point(|&(bs, bl)| bs as u64 + bl as u64 <= s);
-        let mut k = lo;
-        while k < large.len() {
-            let (b0, b1) = (large[k].0 as u64, large[k].0 as u64 + large[k].1 as u64);
-            if b0 >= e {
-                break;
+/// The one run×run merge walk: calls `f(start, end)` (end exclusive) on
+/// every maximal overlap of two run lists, ascending, until it returns
+/// `false`. Two-pointer interval sweep, `O(r₁ + r₂)`; under
+/// ≥[`GALLOP_SKEW`]× size skew (PR 8), mirroring the array galloping
+/// rule, it takes the seek path instead: for each run of the smaller
+/// list, `partition_point` over the larger list's tail finds the first
+/// run that can overlap it — `O(|small| · log |large|)`. The seek cursor
+/// only moves forward, so the worst case stays linear. Both paths visit
+/// the same overlaps in the same order. Each overlap is maximal (gaps in
+/// either input separate overlaps).
+fn for_each_overlap(a: &[Run], b: &[Run], mut f: impl FnMut(u64, u64) -> bool) {
+    let bounds = |(s, l): Run| (s as u64, s as u64 + l as u64);
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if small.len() * GALLOP_SKEW < large.len() {
+        let mut lo = 0usize;
+        for &run in small {
+            let (s, e) = bounds(run);
+            lo += large[lo..].partition_point(|&r| bounds(r).1 <= s);
+            let mut k = lo;
+            while k < large.len() {
+                let (b0, b1) = bounds(large[k]);
+                if b0 >= e {
+                    break;
+                }
+                if !f(s.max(b0), e.min(b1)) {
+                    return;
+                }
+                if b1 > e {
+                    // This large run extends past the current small run,
+                    // so it may also overlap the next one: leave it.
+                    break;
+                }
+                k += 1;
             }
-            if !emit(s.max(b0), e.min(b1)) {
-                return;
-            }
-            if b1 > e {
-                // This large run extends past the current small run, so
-                // it may also overlap the next one: leave it in place.
-                break;
-            }
-            k += 1;
+            lo = k;
         }
-        lo = k;
+        return;
     }
-}
-
-/// `a ∩ b` over run lists: a two-pointer interval sweep, switching to
-/// the galloping seek path under ≥16× skew. The output is maximal
-/// (gaps in either input separate output runs).
-fn intersect_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
-    if runs_skewed(a, b) {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut out = Vec::new();
-        gallop_runs(small, large, |s, e| {
-            out.push((s as u32, (e - s) as u32));
-            true
-        });
-        return out;
-    }
-    let mut out = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
-        let (a0, a1) = (a[i].0 as u64, a[i].0 as u64 + a[i].1 as u64);
-        let (b0, b1) = (b[j].0 as u64, b[j].0 as u64 + b[j].1 as u64);
-        let s = a0.max(b0);
-        let e = a1.min(b1);
-        if s < e {
-            out.push((s as u32, (e - s) as u32));
+        let ((a0, a1), (b0, b1)) = (bounds(a[i]), bounds(b[j]));
+        let (s, e) = (a0.max(b0), a1.min(b1));
+        if s < e && !f(s, e) {
+            return;
         }
         if a1 <= b1 {
             i += 1;
@@ -824,66 +797,6 @@ fn intersect_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
             j += 1;
         }
     }
-    out
-}
-
-/// `|a ∩ b|` over run lists without materialising (galloping under
-/// ≥16× skew, like [`intersect_runs`]).
-fn intersect_count_runs(a: &[Run], b: &[Run]) -> usize {
-    if runs_skewed(a, b) {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut n = 0usize;
-        gallop_runs(small, large, |s, e| {
-            n += (e - s) as usize;
-            true
-        });
-        return n;
-    }
-    let mut n = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (a0, a1) = (a[i].0 as u64, a[i].0 as u64 + a[i].1 as u64);
-        let (b0, b1) = (b[j].0 as u64, b[j].0 as u64 + b[j].1 as u64);
-        let s = a0.max(b0);
-        let e = a1.min(b1);
-        if s < e {
-            n += (e - s) as usize;
-        }
-        if a1 <= b1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    n
-}
-
-/// Whether two run lists overlap (short-circuiting sweep, galloping
-/// under ≥16× skew).
-fn runs_overlap(a: &[Run], b: &[Run]) -> bool {
-    if runs_skewed(a, b) {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut hit = false;
-        gallop_runs(small, large, |_, _| {
-            hit = true;
-            false
-        });
-        return hit;
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let (a0, a1) = (a[i].0 as u64, a[i].0 as u64 + a[i].1 as u64);
-        let (b0, b1) = (b[j].0 as u64, b[j].0 as u64 + b[j].1 as u64);
-        if a0.max(b0) < a1.min(b1) {
-            return true;
-        }
-        if a1 <= b1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    false
 }
 
 /// `a ∪ b` over run lists: an ascending merge that coalesces overlapping
@@ -918,85 +831,18 @@ fn union_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
     out
 }
 
-/// `a \ b` over run lists: subtracts `b`'s intervals from each of `a`'s
-/// runs (splitting runs where `b` punches holes). The output is maximal.
-fn diff_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &(s, l) in a {
-        let mut s = s as u64;
-        let e = s + l as u64;
-        while j < b.len() && b[j].0 as u64 + b[j].1 as u64 <= s {
-            j += 1;
-        }
-        let mut k = j;
-        while s < e {
-            if k >= b.len() || b[k].0 as u64 >= e {
-                out.push((s as u32, (e - s) as u32));
-                break;
-            }
-            let (b0, b1) = (b[k].0 as u64, b[k].0 as u64 + b[k].1 as u64);
-            if b0 > s {
-                out.push((s as u32, (b0 - s) as u32));
-            }
-            s = s.max(b1);
-            k += 1;
-        }
-    }
-    out
-}
-
-/// `ids ∩ runs` for a sorted array against a run list (merge walk).
-fn intersect_array_runs(ids: &[u32], runs: &[Run]) -> Vec<u32> {
-    let mut out = Vec::new();
+/// The one array×runs merge walk: calls `f` on every id of the sorted
+/// array that the run list covers, ascending, until it returns `false`.
+fn for_each_in_runs(ids: &[u32], runs: &[Run], mut f: impl FnMut(u32) -> bool) {
     let mut j = 0usize;
     for &id in ids {
         while j < runs.len() && runs[j].0 as u64 + runs[j].1 as u64 <= id as u64 {
             j += 1;
         }
-        if j == runs.len() {
-            break;
-        }
-        if runs[j].0 <= id {
-            out.push(id);
+        if j == runs.len() || (runs[j].0 <= id && !f(id)) {
+            return;
         }
     }
-    out
-}
-
-/// `|ids ∩ runs|` without materialising.
-fn intersect_count_array_runs(ids: &[u32], runs: &[Run]) -> usize {
-    let mut n = 0usize;
-    let mut j = 0usize;
-    for &id in ids {
-        while j < runs.len() && runs[j].0 as u64 + runs[j].1 as u64 <= id as u64 {
-            j += 1;
-        }
-        if j == runs.len() {
-            break;
-        }
-        if runs[j].0 <= id {
-            n += 1;
-        }
-    }
-    n
-}
-
-/// Whether a sorted array and a run list share an id (short-circuits).
-fn array_runs_intersect(ids: &[u32], runs: &[Run]) -> bool {
-    let mut j = 0usize;
-    for &id in ids {
-        while j < runs.len() && runs[j].0 as u64 + runs[j].1 as u64 <= id as u64 {
-            j += 1;
-        }
-        if j == runs.len() {
-            return false;
-        }
-        if runs[j].0 <= id {
-            return true;
-        }
-    }
-    false
 }
 
 /// The word mask covering the intersection of the 64-bit word starting
@@ -1097,31 +943,6 @@ fn restrict_bitmap_to_runs(bits: &BitSet, runs: &[Run]) -> BitSet {
     BitSet::from_words(out)
 }
 
-/// `bitmap \ runs` as a bitmap (masked word clears).
-fn subtract_runs_from_bitmap(bits: &BitSet, runs: &[Run]) -> BitSet {
-    let mut out = bits.words().to_vec();
-    for_run_words(runs, out.len(), |wi, mask| {
-        out[wi] &= !mask;
-        true
-    });
-    BitSet::from_words(out)
-}
-
-/// `runs \ bitmap` as a bitmap (masked complements over the runs' span).
-fn runs_minus_bitmap(runs: &[Run], bits: &BitSet) -> BitSet {
-    let Some(&(ls, ll)) = runs.last() else {
-        return BitSet::new();
-    };
-    let span = word_span(ls + (ll - 1));
-    let words = bits.words();
-    let mut out = vec![0u64; span];
-    for_run_words(runs, span, |wi, mask| {
-        out[wi] |= mask & !words.get(wi).copied().unwrap_or(0);
-        true
-    });
-    BitSet::from_words(out)
-}
-
 /// `bitmap ∪ runs` as a bitmap (masked word fills over the wider span).
 fn overlay_runs_on_bitmap(bits: &BitSet, runs: &[Run]) -> BitSet {
     let span = runs
@@ -1138,14 +959,15 @@ fn overlay_runs_on_bitmap(bits: &BitSet, runs: &[Run]) -> BitSet {
 }
 
 // ----------------------------------------------------------------------
-// array-container helpers (unchanged from PR 2)
+// array-container helpers
 // ----------------------------------------------------------------------
 
-/// Sorted-array intersection: two-pointer merge, switching to galloping
-/// binary search when one side is ≥ [`GALLOP_SKEW`]× the other.
-fn intersect_arrays(a: &[u32], b: &[u32]) -> Vec<u32> {
+/// The one array×array merge walk: calls `f` on every id both sorted
+/// arrays hold, ascending, until it returns `false`. Two-pointer merge,
+/// switching to galloping binary search over the larger side when it is
+/// more than [`GALLOP_SKEW`]× the smaller.
+fn for_each_common(a: &[u32], b: &[u32], mut f: impl FnMut(u32) -> bool) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(small.len());
     if small.len() * GALLOP_SKEW < large.len() {
         // Galloping: binary-search each small element in the still-unseen
         // suffix of the large side.
@@ -1153,93 +975,33 @@ fn intersect_arrays(a: &[u32], b: &[u32]) -> Vec<u32> {
         for &id in small {
             match large[lo..].binary_search(&id) {
                 Ok(pos) => {
-                    out.push(id);
+                    if !f(id) {
+                        return;
+                    }
                     lo += pos + 1;
                 }
                 Err(pos) => lo += pos,
             }
             if lo >= large.len() {
-                break;
+                return;
             }
         }
-    } else {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < small.len() && j < large.len() {
-            match small[i].cmp(&large[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(small[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// `|a ∩ b|` over sorted arrays without materialising.
-fn intersect_count_arrays(a: &[u32], b: &[u32]) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.len() * GALLOP_SKEW < large.len() {
-        let mut lo = 0usize;
-        let mut n = 0usize;
-        for &id in small {
-            match large[lo..].binary_search(&id) {
-                Ok(pos) => {
-                    n += 1;
-                    lo += pos + 1;
-                }
-                Err(pos) => lo += pos,
-            }
-            if lo >= large.len() {
-                break;
-            }
-        }
-        n
-    } else {
-        let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-        while i < small.len() && j < large.len() {
-            match small[i].cmp(&large[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
-    }
-}
-
-/// Whether two sorted arrays share an element (short-circuiting merge).
-fn arrays_intersect(a: &[u32], b: &[u32]) -> bool {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.len() * GALLOP_SKEW < large.len() {
-        let mut lo = 0usize;
-        for &id in small {
-            match large[lo..].binary_search(&id) {
-                Ok(_) => return true,
-                Err(pos) => lo += pos,
-            }
-            if lo >= large.len() {
-                return false;
-            }
-        }
-        return false;
+        return;
     }
     let (mut i, mut j) = (0usize, 0usize);
     while i < small.len() && j < large.len() {
         match small[i].cmp(&large[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
+            std::cmp::Ordering::Equal => {
+                if !f(small[i]) {
+                    return;
+                }
+                i += 1;
+                j += 1;
+            }
         }
     }
-    false
 }
 
 /// Sorted-array union (merge; output stays sorted and duplicate-free).
@@ -1338,6 +1100,31 @@ mod tests {
     /// A set holding exactly `n` ids spaced `stride` apart from `start`.
     fn strided(start: u32, n: usize, stride: u32) -> TupleSet {
         (0..n as u32).map(|i| start + i * stride).collect()
+    }
+
+    /// Every overlap of two run lists, as runs.
+    fn overlaps(a: &[Run], b: &[Run]) -> Vec<Run> {
+        let mut out = Vec::new();
+        for_each_overlap(a, b, |s, e| {
+            out.push((s as u32, (e - s) as u32));
+            true
+        });
+        out
+    }
+
+    /// `(callback calls of a full walk, callback calls of a walk whose
+    /// callback returns false)`.
+    fn visits(walk: impl Fn(&mut dyn FnMut() -> bool)) -> (usize, usize) {
+        let (mut all, mut stopped) = (0, 0);
+        walk(&mut || {
+            all += 1;
+            true
+        });
+        walk(&mut || {
+            stopped += 1;
+            false
+        });
+        (all, stopped)
     }
 
     /// The rule every constructor and mutation must re-establish: the
@@ -1447,8 +1234,6 @@ mod tests {
         assert_eq!(universe.count(), 10_000);
         assert_eq!(universe.and(&universe), universe);
         assert_eq!(universe.or(&universe), universe);
-        assert!(universe.and_not(&universe).is_empty());
-        assert!(universe.and_not(&universe).is_array(), "empty is an array");
         assert_eq!(empty.and(&universe), empty);
         assert_eq!(empty.or(&universe), universe);
         assert_eq!(universe.and_count(&empty), 0);
@@ -1480,7 +1265,10 @@ mod tests {
     fn demotion_exactly_at_the_array_cardinality_threshold() {
         let mut s = strided(0, ARRAY_MAX + 1, WIDE);
         assert!(s.is_bitmap());
-        assert!(s.remove(0));
+        // Dropping id 0 through an in-place bitmap∩bitmap.
+        let mask = strided(WIDE, ARRAY_MAX + 1, WIDE);
+        assert!(mask.is_bitmap());
+        s.and_assign(&mask);
         assert!(s.is_array(), "falling to ARRAY_MAX demotes");
         assert_eq!(s.count(), ARRAY_MAX);
         // structural equality with a direct array build
@@ -1539,18 +1327,14 @@ mod tests {
             let want: Vec<u32> = a.intersection(&b).copied().collect();
             assert!(!want.is_empty(), "the shapes overlap");
             for (x, y) in [(small.as_slice(), large), (large, small.as_slice())] {
-                let got: Vec<u32> = iter_runs(&intersect_runs(x, y)).collect();
+                let got: Vec<u32> = iter_runs(&overlaps(x, y)).collect();
                 assert_eq!(got, want, "intersect at skew {len}");
-                assert_eq!(intersect_count_runs(x, y), want.len());
-                assert!(runs_overlap(x, y));
             }
         }
         // disjoint skewed lists: the seek path must find nothing
         let hole: Vec<Run> = vec![(50_000, 10)];
         for (x, y) in [(hole.as_slice(), all_large.as_slice()), (&all_large, &hole)] {
-            assert!(!runs_overlap(x, y));
-            assert!(intersect_runs(x, y).is_empty());
-            assert_eq!(intersect_count_runs(x, y), 0);
+            assert!(overlaps(x, y).is_empty());
         }
     }
 
@@ -1565,9 +1349,7 @@ mod tests {
             .collect();
         assert!(small.len() * GALLOP_SKEW < large.len(), "gallop path");
         for (x, y) in [(small.as_slice(), large.as_slice()), (&large, &small)] {
-            assert_eq!(intersect_runs(x, y), small, "both small runs survive");
-            assert_eq!(intersect_count_runs(x, y), 20);
-            assert!(runs_overlap(x, y));
+            assert_eq!(overlaps(x, y), small, "both small runs survive");
         }
     }
 
@@ -1596,11 +1378,6 @@ mod tests {
             assert_eq!(a.or(b), over_cap);
             assert!(a.intersects(b));
         }
-        assert_eq!(
-            over_cap.and_not(&at_cap),
-            TupleSet::from_unsorted(vec![448, 449])
-        );
-        assert!(at_cap.and_not(&over_cap).is_empty());
         assert_canonical(&at_cap);
         assert_canonical(&over_cap);
     }
@@ -1616,12 +1393,11 @@ mod tests {
         assert!(s.is_runs(), "array grew a long run");
         assert_canonical(&s);
 
-        // runs → array: removals shattering the runs into isolated ids.
+        // runs → array: an intersection shattering the runs into
+        // isolated ids.
         let mut s: TupleSet = (0..40).map(|i| i * WIDE).flat_map(|s| [s, s + 1]).collect();
         assert!(s.is_runs());
-        for i in 0..40 {
-            s.remove(i * WIDE + 1);
-        }
+        s.and_assign(&strided(0, 40, WIDE));
         assert!(s.is_array(), "unit runs fall back to the array");
         assert_canonical(&s);
 
@@ -1634,16 +1410,14 @@ mod tests {
         // bitmap → array: the PR 2 demotion.
         let mut s = strided(0, ARRAY_MAX + 1, WIDE);
         assert!(s.is_bitmap());
-        s.remove(0);
+        s.and_assign(&strided(WIDE, ARRAY_MAX + 1, WIDE));
         assert!(s.is_array());
         assert_canonical(&s);
 
-        // runs → bitmap: punching every other id out of one run.
+        // runs → bitmap: intersecting one run with every other id.
         let mut s: TupleSet = (0..260).collect();
         assert!(s.is_runs());
-        for id in (1..260).step_by(2) {
-            s.remove(id);
-        }
+        s.and_assign(&(0..260).step_by(2).collect());
         assert!(s.is_bitmap(), "alternating bits are bitmap territory");
         assert_canonical(&s);
 
@@ -1677,25 +1451,6 @@ mod tests {
     }
 
     #[test]
-    fn and_not_splits_a_run() {
-        let big: TupleSet = (0..1_000).collect();
-        let hole: TupleSet = (400..500).collect();
-        assert!(big.is_runs() && hole.is_runs());
-        let split = big.and_not(&hole);
-        assert!(split.is_runs());
-        assert_eq!(split.heap_bytes(), 16, "one run split into two");
-        assert_eq!(split.count(), 900);
-        assert_eq!(split, (0..400).chain(500..1_000).collect::<TupleSet>());
-        // removing a mid-run id splits in place
-        let mut s: TupleSet = (0..1_000).collect();
-        assert!(s.remove(500));
-        assert_eq!(s, (0..500).chain(501..1_000).collect::<TupleSet>());
-        assert_eq!(s.heap_bytes(), 16);
-        assert_canonical(&split);
-        assert_canonical(&s);
-    }
-
-    #[test]
     fn span_rule_keeps_scattered_sets_out_of_runs() {
         // 300 ids packed into five words: runs (one 8-byte run) beat
         // the 40-byte bitmap and the 1200-byte array.
@@ -1717,21 +1472,27 @@ mod tests {
     #[test]
     fn removing_an_outlier_recontainerises() {
         // [0..6) plus one far outlier: two runs, 16 B, beats the 28 B
-        // array; dropping the outlier leaves one word → bitmap.
+        // array; intersecting the outlier away leaves one word → bitmap.
         let mut s: TupleSet = (0..6u32).chain(std::iter::once(1_000_000)).collect();
         assert!(s.is_runs());
-        assert!(s.remove(1_000_000));
+        let low: TupleSet = (0..1_000).collect();
+        assert!(low.is_runs());
+        s.and_assign(&low);
         assert!(s.is_bitmap(), "span collapsed; one word is now smaller");
         assert_eq!(s, (0..6u32).collect::<TupleSet>());
         assert_canonical(&s);
     }
 
     #[test]
-    fn and_not_collapses_bitmap_under_the_threshold() {
+    fn and_collapses_bitmap_under_the_threshold() {
+        // A run against a striped bitmap sharing only its last five ids:
+        // the bitmap result demotes to one run.
         let big: TupleSet = (0..40_000).collect();
-        let mask: TupleSet = (0..40_000 - 5).collect();
-        assert!(big.is_runs() && mask.is_runs());
-        let sparse = big.and_not(&mask);
+        let mask: TupleSet = (40_000 - 5..40_000)
+            .chain((50_000..60_000).step_by(2))
+            .collect();
+        assert!(big.is_runs() && mask.is_bitmap());
+        let sparse = big.and(&mask);
         assert!(sparse.is_runs(), "tiny contiguous residue is one run");
         assert_eq!(sparse.heap_bytes(), 8);
         assert_eq!(
@@ -1744,11 +1505,12 @@ mod tests {
             "canonical across builds"
         );
         assert_canonical(&sparse);
-        // a striped bitmap minus an array stays canonical too
+        // a striped bitmap losing two ids stays canonical too
         let striped: TupleSet = (0..40_000).step_by(2).collect();
         assert!(striped.is_bitmap());
-        let few = strided(0, 2, WIDE);
-        let nearly = striped.and_not(&few);
+        let all_but_two: TupleSet = (1..40_000).filter(|&id| id != WIDE).collect();
+        assert!(all_but_two.is_runs());
+        let nearly = striped.and(&all_but_two);
         assert!(nearly.is_bitmap());
         assert_eq!(nearly.count(), 20_000 - 2);
         assert_canonical(&nearly);
@@ -1799,15 +1561,6 @@ mod tests {
             assert_canonical(&or);
         }
 
-        // difference is order-sensitive; check both directions explicitly
-        assert_eq!(
-            sparse.and_not(&dense).iter().collect::<Vec<_>>(),
-            vec![40_003, 80_003, 120_003]
-        );
-        assert_eq!(dense.and_not(&sparse).count(), 1_500 - 1);
-        assert_eq!(dense.and_not(&striped).count(), 750);
-        assert_eq!(striped.and_not(&dense).count(), 750);
-
         let disjoint = set(&[9_999_999]);
         assert!(!disjoint.intersects(&dense));
         assert!(!dense.intersects(&disjoint));
@@ -1846,20 +1599,44 @@ mod tests {
                 let mut want_or: Vec<u32> = ha.union(&hb).copied().collect();
                 want_or.sort_unstable();
                 assert_eq!(a.or(b).iter().collect::<Vec<_>>(), want_or);
-                let mut want_diff: Vec<u32> = ha.difference(&hb).copied().collect();
-                want_diff.sort_unstable();
-                assert_eq!(a.and_not(b).iter().collect::<Vec<_>>(), want_diff);
                 let mut and_acc = a.clone();
                 and_acc.and_assign(b);
                 assert_eq!(and_acc, a.and(b), "and_assign ≡ and");
                 let mut or_acc = a.clone();
                 or_acc.or_assign(b);
                 assert_eq!(or_acc, a.or(b), "or_assign ≡ or");
-                for r in [a.and(b), a.or(b), a.and_not(b)] {
+                for r in [a.and(b), a.or(b)] {
                     assert_canonical(&r);
                 }
             }
         }
+    }
+
+    #[test]
+    fn each_merge_walk_stops_at_the_first_false() {
+        // array×array: the merge path (3 vs 10) and the gallop path
+        // (3 vs 100), in both argument orders.
+        let few: Vec<u32> = vec![0, 5, 9];
+        let (near, far): (Vec<u32>, Vec<u32>) = ((0..10).collect(), (0..100).collect());
+        assert!(few.len() * GALLOP_SKEW >= near.len() && few.len() * GALLOP_SKEW < far.len());
+        for other in [&near, &far] {
+            for (x, y) in [(&few, other), (other, &few)] {
+                assert_eq!(visits(|f| for_each_common(x, y, |_| f())), (3, 1));
+            }
+        }
+        // runs×runs: the sweep (1 vs 2 runs) and the seek path (1 vs 40).
+        let one: Vec<Run> = vec![(0, 1_000)];
+        let two: Vec<Run> = vec![(0, 10), (100, 10)];
+        let forty: Vec<Run> = (0..40).map(|k| (k * 20, 10)).collect();
+        assert!(one.len() * GALLOP_SKEW >= two.len() && one.len() * GALLOP_SKEW < forty.len());
+        for (other, hits) in [(&two, 2), (&forty, 40)] {
+            for (x, y) in [(&one, other), (other, &one)] {
+                assert_eq!(visits(|f| for_each_overlap(x, y, |_, _| f())), (hits, 1));
+            }
+        }
+        // array×runs has a single path and a fixed argument order.
+        let ids: Vec<u32> = vec![0, 5, 9, 500];
+        assert_eq!(visits(|f| for_each_in_runs(&ids, &two, |_| f())), (3, 1));
     }
 
     #[test]
@@ -1927,8 +1704,6 @@ mod tests {
             assert_eq!(a.and(b).count(), a.and_count(b));
         }
         assert_eq!(runs.or(&striped).count(), 700 + 380 - want.len());
-        assert_eq!(runs.and_not(&striped).count(), 700 - want.len());
-        assert_eq!(striped.and_not(&runs).count(), 380 - want.len());
     }
 
     #[test]
@@ -1962,10 +1737,14 @@ mod tests {
         let mut s: TupleSet = (0..10u32).chain([u32::MAX - 1, u32::MAX]).collect();
         assert!(s.is_runs());
         assert!(s.contains(u32::MAX));
-        // shatter the low run so the rule re-picks the array
-        for id in (1..10).step_by(2) {
-            assert!(s.remove(id));
-        }
+        // shatter the low run against a run mask so the rule re-picks
+        // the array
+        let mask: TupleSet = (0..10u32)
+            .step_by(2)
+            .chain(u32::MAX - 1_000..=u32::MAX)
+            .collect();
+        assert!(mask.is_runs());
+        s.and_assign(&mask);
         assert!(s.is_array(), "scattered survivors fall back to the array");
         assert_eq!(
             s.iter().collect::<Vec<_>>(),

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # CI gate for the HYPRE reproduction workspace:
-#   fmt check → clippy (warnings are errors) → build (all targets) →
-#   tests → the untrusted-input suites again in release → perfbench fmt
-#   check, clippy (warnings are errors),
-#   self-tests and a one-second smoke run of each workload → rustdoc
-#   (warnings are errors) → compile-and-run every example (doc rot and
-#   broken examples fail CI). perfbench is its own workspace, so the
-#   workspace-wide fmt and clippy never reach it; its own steps make an
-#   API change that breaks the benchmark fail CI, and the smoke runs
-#   fail CI when the server answers wrongly or fails requests.
+#   non-test line count (printed, not gated) → fmt check → clippy
+#   (warnings are errors) → build (all targets) → tests → the
+#   untrusted-input suites again in release → perfbench fmt check,
+#   clippy (warnings are errors), self-tests and a one-second smoke run
+#   of each workload → rustdoc (warnings are errors) → compile-and-run
+#   every example (doc rot and broken examples fail CI). perfbench is
+#   its own workspace, so the workspace-wide fmt and clippy never reach
+#   it; its own steps make an API change that breaks the benchmark fail
+#   CI, and the smoke runs fail CI when the server answers wrongly or
+#   fails requests.
 #
 # Usage: scripts/ci.sh [--release-bench] [--bench-1m]
 #   --release-bench  additionally regenerates the bench report and runs
@@ -55,6 +56,9 @@ for arg in "$@"; do
             ;;
     esac
 done
+
+# The figure simplicity changes quote; printed for the log, never gated.
+echo "==> non-test line count (scripts/loc.sh): $(scripts/loc.sh)"
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

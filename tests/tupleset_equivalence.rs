@@ -46,7 +46,6 @@ enum Expr {
     Atom(Predicate),
     And(Box<Expr>, Box<Expr>),
     Or(Box<Expr>, Box<Expr>),
-    AndNot(Box<Expr>, Box<Expr>),
 }
 
 fn expr_tree() -> BoxedStrategy<Expr> {
@@ -55,12 +54,11 @@ fn expr_tree() -> BoxedStrategy<Expr> {
         .boxed()
         .prop_recursive(3, 24, 2, |inner| {
             prop_oneof![
-                (inner.clone(), inner.clone(), 0u8..3).prop_map(|(a, b, op)| {
+                (inner.clone(), inner.clone(), 0u8..2).prop_map(|(a, b, op)| {
                     let (a, b) = (Box::new(a), Box::new(b));
                     match op {
                         0 => Expr::And(a, b),
-                        1 => Expr::Or(a, b),
-                        _ => Expr::AndNot(a, b),
+                        _ => Expr::Or(a, b),
                     }
                 }),
             ]
@@ -74,7 +72,6 @@ fn eval_adaptive(expr: &Expr, exec: &Executor<'_>) -> TupleSet {
         Expr::Atom(p) => (*exec.tuple_set(p).unwrap()).clone(),
         Expr::And(a, b) => eval_adaptive(a, exec).and(&eval_adaptive(b, exec)),
         Expr::Or(a, b) => eval_adaptive(a, exec).or(&eval_adaptive(b, exec)),
-        Expr::AndNot(a, b) => eval_adaptive(a, exec).and_not(&eval_adaptive(b, exec)),
     };
     assert_canonical(&out);
     out
@@ -108,7 +105,6 @@ fn eval_bitset(expr: &Expr, algebra: &BitsetAlgebra<'_, '_>) -> BitSet {
         Expr::Atom(p) => (*algebra.tuple_set(p).unwrap()).clone(),
         Expr::And(a, b) => eval_bitset(a, algebra).and(&eval_bitset(b, algebra)),
         Expr::Or(a, b) => eval_bitset(a, algebra).or(&eval_bitset(b, algebra)),
-        Expr::AndNot(a, b) => eval_bitset(a, algebra).and_not(&eval_bitset(b, algebra)),
     }
 }
 
@@ -123,10 +119,6 @@ fn eval_hashset(expr: &Expr, algebra: &HashSetAlgebra<'_, '_>) -> HashSet<Value>
         Expr::Or(a, b) => {
             let (x, y) = (eval_hashset(a, algebra), eval_hashset(b, algebra));
             x.union(&y).cloned().collect()
-        }
-        Expr::AndNot(a, b) => {
-            let (x, y) = (eval_hashset(a, algebra), eval_hashset(b, algebra));
-            x.difference(&y).cloned().collect()
         }
     }
 }
@@ -189,10 +181,6 @@ proptest! {
             prop_assert_eq!(x.and_count(y), x.and(y).count());
             prop_assert_eq!(x.intersects(y), p.intersects(q));
             prop_assert_eq!(x.intersects(y), !x.and(y).is_empty());
-            prop_assert_eq!(
-                x.and_not(y).iter().collect::<Vec<u32>>(),
-                p.and_not(q).iter().collect::<Vec<u32>>()
-            );
             let mut and_acc = x.clone();
             and_acc.and_assign(y);
             prop_assert_eq!(&and_acc, &x.and(y), "and_assign ≡ and");
@@ -229,8 +217,7 @@ proptest! {
     /// Run-container boundary property: on synthetic range-plus-scatter
     /// sets, every op agrees with plain `HashSet<u32>` semantics in both
     /// argument orders, every result keeps a canonical container, and
-    /// run-edge mutations (inserts that bridge runs, removes that split
-    /// them) match reference mutations exactly.
+    /// inserts (which can bridge runs) match reference inserts exactly.
     #[test]
     fn prop_run_boundary_algebra_agrees_with_hashset(a in shaped_ids(), b in shaped_ids()) {
         let ta: TupleSet = a.iter().copied().collect();
@@ -249,35 +236,26 @@ proptest! {
             let mut want_or: Vec<u32> = p.union(q).copied().collect();
             want_or.sort_unstable();
             prop_assert_eq!(x.or(y).iter().collect::<Vec<u32>>(), want_or);
-            let mut want_diff: Vec<u32> = p.difference(q).copied().collect();
-            want_diff.sort_unstable();
-            prop_assert_eq!(x.and_not(y).iter().collect::<Vec<u32>>(), want_diff);
             let mut and_acc = x.clone();
             and_acc.and_assign(y);
             prop_assert_eq!(&and_acc, &x.and(y));
             let mut or_acc = x.clone();
             or_acc.or_assign(y);
             prop_assert_eq!(&or_acc, &x.or(y));
-            for r in [x.and(y), x.or(y), x.and_not(y)] {
+            for r in [x.and(y), x.or(y)] {
                 assert_canonical(&r);
             }
         }
 
-        // Mutations at run edges: split each run at its midpoint, then
-        // re-bridge it; the set must round-trip and stay canonical.
+        // Inserts at run edges: one at a time, each set must match the
+        // reference and stay canonical.
         let mut mutated = ta.clone();
         let mut reference = ha.clone();
-        let probes: Vec<u32> = a.iter().copied().take(8).collect();
-        for id in &probes {
-            prop_assert_eq!(mutated.remove(*id), reference.remove(id));
-            prop_assert_eq!(mutated.contains(*id), false);
+        for id in b.iter().copied().take(8) {
+            prop_assert_eq!(mutated.insert(id), reference.insert(id));
+            prop_assert!(mutated.contains(id));
             assert_canonical(&mutated);
         }
-        for id in &probes {
-            prop_assert_eq!(mutated.insert(*id), reference.insert(*id));
-            assert_canonical(&mutated);
-        }
-        prop_assert_eq!(&mutated, &ta, "remove/insert round trip");
     }
 }
 
