@@ -17,21 +17,39 @@
 //!
 //! The store is typed columns, keyed for deduplication:
 //!
-//! * node `i` holds its uid, its [`Predicate`] and the predicate's
-//!   canonical text, `Option<(intensity, Provenance)>`, and the ids of its
-//!   outgoing and incoming edges;
-//! * edge `j` holds its endpoints, its [`EdgeKind`] and its strength;
+//! * each distinct canonical text is interned once for the whole graph:
+//!   predicate id `p` holds a [`Predicate`] and its canonical text, and a
+//!   `canonical text → p` table finds it;
+//! * node `i` holds its uid, its predicate id,
+//!   `Option<(intensity, Provenance)>`, and the first and last of its
+//!   outgoing and of its incoming edges;
+//! * edge `j` holds its endpoints, its [`EdgeKind`], its strength, and
+//!   the next edge out of its source and into its target, so each
+//!   adjacency list is threaded through the edges in insertion order and
+//!   a node allocates nothing for it;
 //! * each user maps to its nodes in creation order and to a
-//!   `canonical text → node` table — the `createOrReturnNodeId` lookup
-//!   the dissertation serves from the Neo4j `uidIndex` plus a predicate
+//!   `predicate id → node` table — the `createOrReturnNodeId` lookup the
+//!   dissertation serves from the Neo4j `uidIndex` plus a predicate
 //!   filter (§4.3).
+//!
+//! Node identity is `(user, canonical text)`. The `Predicate` a node
+//! reads back is the first one inserted with its canonical text
+//! *anywhere in the graph*, possibly by another user and possibly of
+//! another shape: `And([And([a, b]), c])` and `And([a, b, c])` render the
+//! same text and share one entry. That cannot change an answer: trees
+//! with one text select the same tuples (the text parses back to one
+//! predicate), and [`ProfileCache`](crate::exec::ProfileCache) and the
+//! scheduler resolve an atom by its canonical text, never by its tree
+//! shape.
 //!
 //! Reads ([`HypreGraph::node_intensity`], [`HypreGraph::profile`],
 //! [`HypreGraph::positive_profile`], [`HypreGraph::users`]) look up no
-//! string-keyed property and parse nothing: a profile clones the stored
-//! `Predicate`s. Each insert canonicalises a predicate once per lookup,
-//! and the PREFERS cycle guard walks the typed adjacency with reusable
-//! scratch, so it allocates nothing per insert.
+//! string-keyed property and parse nothing: a profile clones the interned
+//! `Predicate`s. Each insert renders a predicate's canonical text into a
+//! buffer the graph reuses and allocates its text only the first time
+//! the graph sees it; the per-user predicate-id tables hash with one
+//! multiply per key. The PREFERS cycle guard walks the typed adjacency with
+//! reusable scratch, so it allocates nothing per insert either.
 //!
 //! ## Property-graph export
 //!
@@ -76,7 +94,8 @@
 //! PREFERS subgraph is acyclic.** [`HypreGraph::check_invariants`] asserts
 //! both (used by tests and property tests).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -163,11 +182,31 @@ pub struct IngestReport {
 /// One preference node.
 struct Node {
     uid: u64,
-    predicate: Predicate,
-    canonical: Arc<str>,
+    /// Index into [`HypreGraph::predicates`].
+    pred: u32,
     score: Option<(f64, Provenance)>,
-    out_edges: Vec<usize>,
-    in_edges: Vec<usize>,
+    /// Outgoing edges, linked through [`Edge::next_out`].
+    out_edges: EdgeList,
+    /// Incoming edges, linked through [`Edge::next_in`].
+    in_edges: EdgeList,
+}
+
+/// The end of an adjacency list.
+const NO_EDGE: usize = usize::MAX;
+
+/// The ends of a node's outgoing or incoming edge list, which continues
+/// through the edges themselves.
+#[derive(Clone, Copy)]
+struct EdgeList {
+    first: usize,
+    last: usize,
+}
+
+impl EdgeList {
+    const EMPTY: EdgeList = EdgeList {
+        first: NO_EDGE,
+        last: NO_EDGE,
+    };
 }
 
 /// One qualitative edge.
@@ -177,14 +216,63 @@ struct Edge {
     to: usize,
     kind: EdgeKind,
     strength: f64,
+    /// The next edge out of `from`, or [`NO_EDGE`].
+    next_out: usize,
+    /// The next edge into `to`, or [`NO_EDGE`].
+    next_in: usize,
+}
+
+/// The edges of the list starting at `first`, following `next`.
+fn edge_list(
+    edges: &[Edge],
+    first: usize,
+    next: fn(&Edge) -> usize,
+) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors((first != NO_EDGE).then_some(first), move |&e| {
+        let n = next(&edges[e]);
+        (n != NO_EDGE).then_some(n)
+    })
+}
+
+/// The edges out of `node`, in insertion order.
+fn out_edges<'a>(
+    nodes: &[Node],
+    edges: &'a [Edge],
+    node: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    edge_list(edges, nodes[node].out_edges.first, |e| e.next_out)
+}
+
+/// The hasher of the per-user `predicate id → node` tables: one multiply
+/// per key instead of SipHash. Predicate ids are dense and assigned by
+/// the graph itself, never taken from input, so no key can be crafted to
+/// collide; the odd Fibonacci constant keeps distinct low bits distinct
+/// and spreads them into the high bits the table's control bytes read.
+#[derive(Default)]
+struct PredIdHasher(u64);
+
+impl Hasher for PredIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
 }
 
 /// One user's nodes: creation order, and the `(uid, predicate)` dedup
-/// table on canonical text.
+/// table on predicate id.
 #[derive(Default)]
 struct UserNodes {
     nodes: Vec<usize>,
-    by_predicate: HashMap<Arc<str>, usize>,
+    by_pred: HashMap<u32, usize, BuildHasherDefault<PredIdHasher>>,
 }
 
 /// Reusable scratch for the PREFERS reachability walk: a visit stamp per
@@ -209,7 +297,7 @@ impl Walk {
         self.stack.push(from);
         self.stamp[from] = self.generation;
         while let Some(n) = self.stack.pop() {
-            for &e in &nodes[n].out_edges {
+            for e in out_edges(nodes, edges, n) {
                 let edge = edges[e];
                 if edge.kind != EdgeKind::Prefers {
                     continue;
@@ -239,7 +327,14 @@ fn edge_id(j: usize) -> EdgeId {
 pub struct HypreGraph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
-    users: BTreeMap<u64, UserNodes>,
+    users: HashMap<u64, UserNodes>,
+    /// The interned predicates, by predicate id: the first `Predicate`
+    /// inserted with each canonical text, and that text.
+    predicates: Vec<(Predicate, Arc<str>)>,
+    /// Canonical text → predicate id.
+    pred_ids: HashMap<Arc<str>, u32>,
+    /// The buffer each insert renders canonical text into.
+    text: String,
     model: IntensityModel,
     default_strategy: DefaultValueStrategy,
     walk: Walk,
@@ -263,7 +358,10 @@ impl HypreGraph {
         HypreGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
-            users: BTreeMap::new(),
+            users: HashMap::new(),
+            predicates: Vec::new(),
+            pred_ids: HashMap::new(),
+            text: String::new(),
             model,
             default_strategy,
             walk: Walk::default(),
@@ -280,7 +378,7 @@ impl HypreGraph {
         for n in &self.nodes {
             let mut props = vec![
                 ("uid", PropValue::Int(n.uid as i64)),
-                ("predicate", PropValue::str(&*n.canonical)),
+                ("predicate", PropValue::str(&*self.interned(n).1)),
             ];
             if let Some((intensity, provenance)) = n.score {
                 props.push(("intensity", PropValue::Float(intensity)));
@@ -331,7 +429,8 @@ impl HypreGraph {
     /// updated: averaged with the new value when one was already present,
     /// set otherwise. Either way the stored value is marked user-provided.
     pub fn add_quantitative(&mut self, pref: &QuantitativePref) -> NodeId {
-        let node = self.create_or_get_node(pref.user, &pref.predicate, pref.predicate.canonical());
+        let pred = self.intern(&pref.predicate);
+        let node = self.create_or_get_node(pref.user, pred);
         let new_value = match self.nodes[node].score {
             Some((old, Provenance::UserProvided)) => (old + pref.intensity.value()) / 2.0,
             _ => pref.intensity.value(),
@@ -345,15 +444,15 @@ impl HypreGraph {
     ///
     /// # Errors
     /// [`HypreError::SelfPreference`] when both sides have the same
-    /// canonical text; the graph is left unchanged.
+    /// canonical text; no node or edge is added.
     pub fn add_qualitative(&mut self, pref: &QualitativePref) -> Result<QualInsertOutcome> {
-        let left_text = pref.left.canonical();
-        let right_text = pref.right.canonical();
-        if left_text == right_text {
-            return Err(HypreError::SelfPreference(left_text));
+        let left_pred = self.intern(&pref.left);
+        let right_pred = self.intern(&pref.right);
+        if left_pred == right_pred {
+            return Err(HypreError::SelfPreference(pref.left.canonical()));
         }
-        let left = self.create_or_get_node(pref.user, &pref.left, left_text);
-        let right = self.create_or_get_node(pref.user, &pref.right, right_text);
+        let left = self.create_or_get_node(pref.user, left_pred);
+        let right = self.create_or_get_node(pref.user, right_pred);
         let ql = pref.intensity;
         let outcome =
             |edge: usize, kind: EdgeKind, recomputed: Vec<(NodeId, f64)>| QualInsertOutcome {
@@ -366,11 +465,9 @@ impl HypreGraph {
 
         // Duplicate edge: refresh the strength instead of stacking edges.
         let edges = &self.edges;
-        if let Some(&existing) = self.nodes[left]
-            .out_edges
-            .iter()
-            .find(|&&e| edges[e].to == right && edges[e].kind == EdgeKind::Prefers)
-        {
+        let duplicate = out_edges(&self.nodes, edges, left)
+            .find(|&e| edges[e].to == right && edges[e].kind == EdgeKind::Prefers);
+        if let Some(existing) = duplicate {
             self.edges[existing].strength = ql.value();
             return Ok(outcome(existing, EdgeKind::Prefers, Vec::new()));
         }
@@ -463,6 +560,10 @@ impl HypreGraph {
         quals: &[QualitativePref],
     ) -> Result<IngestReport> {
         let mut report = IngestReport::default();
+        // At most one node per quantitative and two per qualitative
+        // preference, and one edge per qualitative preference.
+        self.nodes.reserve(quants.len() + 2 * quals.len());
+        self.edges.reserve(quals.len());
         let t0 = Instant::now();
         for q in quants {
             self.add_quantitative(q);
@@ -489,10 +590,11 @@ impl HypreGraph {
 
     /// Finds the node for `(user, predicate)` if present.
     pub fn find_node(&self, user: UserId, predicate: &Predicate) -> Option<NodeId> {
+        let pred = *self.pred_ids.get(predicate.canonical().as_str())?;
         self.users
             .get(&user.0)?
-            .by_predicate
-            .get(predicate.canonical().as_str())
+            .by_pred
+            .get(&pred)
             .map(|&i| node_id(i))
     }
 
@@ -512,7 +614,7 @@ impl HypreGraph {
             .ok_or(GraphError::NodeNotFound(node.0))?;
         Ok(StoredPreference {
             node,
-            predicate: n.predicate.clone(),
+            predicate: self.interned(n).0.clone(),
             intensity: n.score.map(|(v, _)| v),
             provenance: n.score.map(|(_, p)| p),
         })
@@ -520,7 +622,9 @@ impl HypreGraph {
 
     /// All user ids with at least one node, ascending.
     pub fn users(&self) -> Vec<UserId> {
-        self.users.keys().map(|&uid| UserId(uid)).collect()
+        let mut uids: Vec<u64> = self.users.keys().copied().collect();
+        uids.sort_unstable();
+        uids.into_iter().map(UserId).collect()
     }
 
     /// All nodes belonging to a user, in node-id order.
@@ -579,7 +683,7 @@ impl HypreGraph {
         positive
             .into_iter()
             .enumerate()
-            .map(|(index, (i, v))| PrefAtom::new(index, self.nodes[i].predicate.clone(), v))
+            .map(|(index, (i, v))| PrefAtom::new(index, self.interned(&self.nodes[i]).0.clone(), v))
             .collect()
     }
 
@@ -613,7 +717,7 @@ impl HypreGraph {
     pub fn edge_kind_counts(&self, user: UserId) -> HashMap<EdgeKind, usize> {
         let mut out = HashMap::new();
         for &i in self.nodes_of(user) {
-            for &e in &self.nodes[i].out_edges {
+            for e in out_edges(&self.nodes, &self.edges, i) {
                 *out.entry(self.edges[e].kind).or_insert(0) += 1;
             }
         }
@@ -672,29 +776,44 @@ impl HypreGraph {
         self.users.get(&user.0).map_or(&[], |u| u.nodes.as_slice())
     }
 
-    /// `createOrReturnNodeId`: the node for `(user, canonical)`, created
-    /// with `predicate` when absent.
-    fn create_or_get_node(
-        &mut self,
-        user: UserId,
-        predicate: &Predicate,
-        canonical: String,
-    ) -> usize {
+    /// A node's interned predicate and canonical text.
+    fn interned(&self, node: &Node) -> &(Predicate, Arc<str>) {
+        &self.predicates[node.pred as usize]
+    }
+
+    /// The predicate id of `predicate`'s canonical text, interning the
+    /// predicate when the graph has not seen that text. The text is
+    /// rendered into the reused buffer, so only a new text allocates.
+    fn intern(&mut self, predicate: &Predicate) -> u32 {
+        self.text.clear();
+        predicate.write_canonical(&mut self.text);
+        if let Some(&pred) = self.pred_ids.get(self.text.as_str()) {
+            return pred;
+        }
+        let pred = u32::try_from(self.predicates.len())
+            .unwrap_or_else(|_| unreachable!("more than u32::MAX distinct predicates"));
+        let text: Arc<str> = Arc::from(self.text.as_str());
+        self.pred_ids.insert(Arc::clone(&text), pred);
+        self.predicates.push((predicate.clone(), text));
+        pred
+    }
+
+    /// `createOrReturnNodeId`: the node for `(user, pred)`, created when
+    /// absent.
+    fn create_or_get_node(&mut self, user: UserId, pred: u32) -> usize {
         let entry = self.users.entry(user.0).or_default();
-        if let Some(&i) = entry.by_predicate.get(canonical.as_str()) {
+        if let Some(&i) = entry.by_pred.get(&pred) {
             return i;
         }
         let i = self.nodes.len();
-        let canonical: Arc<str> = canonical.into();
         entry.nodes.push(i);
-        entry.by_predicate.insert(Arc::clone(&canonical), i);
+        entry.by_pred.insert(pred, i);
         self.nodes.push(Node {
             uid: user.0,
-            predicate: predicate.clone(),
-            canonical,
+            pred,
             score: None,
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
+            out_edges: EdgeList::EMPTY,
+            in_edges: EdgeList::EMPTY,
         });
         i
     }
@@ -702,11 +821,10 @@ impl HypreGraph {
     /// Whether the node has any PREFERS edge, in or out (Algorithm 1's
     /// `degree(n, PREFERS) > 0`).
     fn has_prefers_edge(&self, node: usize) -> bool {
-        let n = &self.nodes[node];
-        n.out_edges
-            .iter()
-            .chain(&n.in_edges)
-            .any(|&e| self.edges[e].kind == EdgeKind::Prefers)
+        let incoming = edge_list(&self.edges, self.nodes[node].in_edges.first, |e| e.next_in);
+        out_edges(&self.nodes, &self.edges, node)
+            .chain(incoming)
+            .any(|e| self.edges[e].kind == EdgeKind::Prefers)
     }
 
     /// Whether a PREFERS edge `left → right` would close a cycle, i.e.
@@ -731,11 +849,17 @@ impl HypreGraph {
     ///   promoted back to `PREFERS` — unless doing so would close a cycle
     ///   in the current PREFERS subgraph.
     fn revalidate_incident_edges(&mut self, node: usize) {
-        for k in 0..self.nodes[node].out_edges.len() {
-            self.revalidate_edge(self.nodes[node].out_edges[k]);
+        // Revalidation relabels edges but never relinks them, so each
+        // list can be followed while it runs.
+        let mut e = self.nodes[node].out_edges.first;
+        while e != NO_EDGE {
+            self.revalidate_edge(e);
+            e = self.edges[e].next_out;
         }
-        for k in 0..self.nodes[node].in_edges.len() {
-            self.revalidate_edge(self.nodes[node].in_edges[k]);
+        let mut e = self.nodes[node].in_edges.first;
+        while e != NO_EDGE {
+            self.revalidate_edge(e);
+            e = self.edges[e].next_in;
         }
     }
 
@@ -766,9 +890,21 @@ impl HypreGraph {
             to: right,
             kind,
             strength: ql.value(),
+            next_out: NO_EDGE,
+            next_in: NO_EDGE,
         });
-        self.nodes[left].out_edges.push(edge);
-        self.nodes[right].in_edges.push(edge);
+        let out = &mut self.nodes[left].out_edges;
+        match out.last {
+            NO_EDGE => out.first = edge,
+            prev => self.edges[prev].next_out = edge,
+        }
+        out.last = edge;
+        let inc = &mut self.nodes[right].in_edges;
+        match inc.last {
+            NO_EDGE => inc.first = edge,
+            prev => self.edges[prev].next_in = edge,
+        }
+        inc.last = edge;
         edge
     }
 }
@@ -1061,6 +1197,52 @@ mod tests {
             )
             .unwrap();
         assert_eq!(v1, 0.5);
+    }
+
+    #[test]
+    fn one_canonical_text_is_one_node_per_user_and_one_entry_per_graph() {
+        let (a, b, c) = (
+            parse_predicate("a=1").unwrap(),
+            parse_predicate("b=2").unwrap(),
+            parse_predicate("c=3").unwrap(),
+        );
+        let nested = Predicate::And(vec![Predicate::And(vec![a.clone(), b.clone()]), c.clone()]);
+        let flat = Predicate::And(vec![a, b, c]);
+        assert_ne!(nested, flat);
+        assert_eq!(nested.canonical(), flat.canonical());
+
+        let mut g = HypreGraph::new();
+        let first = g.add_quantitative(&QuantitativePref::new(
+            UserId(1),
+            nested.clone(),
+            Intensity::new(0.2).unwrap(),
+        ));
+        let again = g.add_quantitative(&QuantitativePref::new(
+            UserId(1),
+            flat.clone(),
+            Intensity::new(0.4).unwrap(),
+        ));
+        assert_eq!(first, again, "one user: both shapes are one node");
+        assert_eq!(g.node_count(), 1);
+        assert!((g.node_intensity(first).unwrap().0 - 0.3).abs() < 1e-12);
+        assert_eq!(g.find_node(UserId(1), &nested), Some(first));
+        assert_eq!(g.find_node(UserId(1), &flat), Some(first));
+        // The node keeps the first shape inserted with its text.
+        assert_eq!(g.stored_preference(first).unwrap().predicate, nested);
+
+        let other = g.add_quantitative(&QuantitativePref::new(
+            UserId(2),
+            flat.clone(),
+            Intensity::new(0.9).unwrap(),
+        ));
+        assert_ne!(other, first, "two users: two nodes");
+        assert_eq!(g.node_count(), 2);
+        assert_eq!(g.predicates.len(), 1, "the two nodes share one entry");
+        assert_eq!(g.nodes[0].pred, g.nodes[1].pred);
+        // ... so user 2's node reads back user 1's shape.
+        assert_eq!(g.stored_preference(other).unwrap().predicate, nested);
+        assert_eq!(g.find_node(UserId(2), &nested), Some(other));
+        assert_eq!(g.find_node(UserId(3), &nested), None);
     }
 
     #[test]

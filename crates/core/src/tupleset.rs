@@ -1613,6 +1613,37 @@ mod tests {
     }
 
     #[test]
+    fn and_assign_equals_and_for_every_container_pair() {
+        // Two operands of each container, overlapping in part, so every
+        // one of the nine receiver × operand pairs is met in both
+        // argument orders; the arrays differ enough in size to take the
+        // gallop path against each other.
+        let shapes = [
+            strided(0, 20, WIDE * 8),                           // array
+            strided(WIDE, ARRAY_MAX, WIDE),                     // array, > GALLOP_SKEW× larger
+            (0..2_000).collect::<TupleSet>(),                   // one run
+            (500..900).chain(WIDE * 10..WIDE * 12).collect(),   // two runs
+            strided(0, 2 * ARRAY_MAX + 1, 2),                   // striped bitmap
+            (0..64).chain((3_000..4_000).step_by(3)).collect(), // bitmap
+        ];
+        assert!(shapes[0].is_array() && shapes[1].is_array());
+        assert!(shapes[2].is_runs() && shapes[3].is_runs());
+        assert!(shapes[4].is_bitmap() && shapes[5].is_bitmap());
+        assert_eq!(shapes[0].and_count(&shapes[1]), 19, "the arrays overlap");
+        let mut pairs = HashSet::new();
+        for a in &shapes {
+            for b in &shapes {
+                let mut acc = a.clone();
+                acc.and_assign(b);
+                assert_eq!(acc, a.and(b), "{} ∩= {}", a.container(), b.container());
+                assert_canonical(&acc);
+                pairs.insert((a.container(), b.container()));
+            }
+        }
+        assert_eq!(pairs.len(), 9);
+    }
+
+    #[test]
     fn each_merge_walk_stops_at_the_first_false() {
         // array×array: the merge path (3 vs 10) and the gallop path
         // (3 vs 100), in both argument orders.

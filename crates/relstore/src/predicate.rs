@@ -314,10 +314,12 @@ impl Predicate {
 
     /// A canonical rendering used for node deduplication in the HYPRE graph
     /// (the dissertation deduplicates nodes by `(uid, predicate)` string
-    /// equality). Currently the `Display` form, centralised here so the
-    /// canonicalisation policy has one home.
+    /// equality): the [`Predicate::write_canonical`] text, which is also
+    /// the `Display` form.
     pub fn canonical(&self) -> String {
-        self.to_string()
+        let mut out = String::new();
+        self.write_canonical(&mut out);
+        out
     }
 
     /// Number of atomic comparisons in the predicate — a cheap complexity
@@ -330,63 +332,91 @@ impl Predicate {
             Predicate::And(ps) | Predicate::Or(ps) => ps.iter().map(Predicate::atom_count).sum(),
         }
     }
-}
 
-impl fmt::Display for Predicate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn needs_parens(parent_is_and: bool, child: &Predicate) -> bool {
-            match child {
-                Predicate::Or(_) => parent_is_and,
-                _ => false,
-            }
-        }
+    /// Appends the canonical text to `out`: the one renderer behind
+    /// [`Predicate::canonical`] and `Display`, so the canonicalisation
+    /// policy has one home. `And` operands that are `Or`s are
+    /// parenthesised, `NOT` wraps a non-atomic operand in parentheses,
+    /// and literals are [`Value::write_literal`]'s. It allocates nothing
+    /// beyond growing `out`, so a caller that renders many predicates can
+    /// reuse one buffer.
+    pub fn write_canonical(&self, out: &mut String) {
         match self {
-            Predicate::True => write!(f, "TRUE"),
-            Predicate::False => write!(f, "FALSE"),
-            Predicate::Cmp(c, op, v) => write!(f, "{c}{op}{}", v.to_literal()),
+            Predicate::True => out.push_str("TRUE"),
+            Predicate::False => out.push_str("FALSE"),
+            Predicate::Cmp(c, op, v) => {
+                write_col(c, out);
+                out.push_str(op.symbol());
+                v.write_literal(out);
+            }
             Predicate::Between(c, lo, hi) => {
-                write!(f, "{c} BETWEEN {} AND {}", lo.to_literal(), hi.to_literal())
+                write_col(c, out);
+                out.push_str(" BETWEEN ");
+                lo.write_literal(out);
+                out.push_str(" AND ");
+                hi.write_literal(out);
             }
             Predicate::InList(c, vals) => {
-                write!(f, "{c} IN (")?;
+                write_col(c, out);
+                out.push_str(" IN (");
                 for (i, v) in vals.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ", ")?;
+                        out.push_str(", ");
                     }
-                    write!(f, "{}", v.to_literal())?;
+                    v.write_literal(out);
                 }
-                write!(f, ")")
+                out.push(')');
             }
             Predicate::Not(inner) => match inner.as_ref() {
                 Predicate::Cmp(..) | Predicate::Between(..) | Predicate::InList(..) => {
-                    write!(f, "NOT {inner}")
+                    out.push_str("NOT ");
+                    inner.write_canonical(out);
                 }
-                _ => write!(f, "NOT ({inner})"),
+                _ => {
+                    out.push_str("NOT (");
+                    inner.write_canonical(out);
+                    out.push(')');
+                }
             },
             Predicate::And(ps) => {
                 for (i, p) in ps.iter().enumerate() {
                     if i > 0 {
-                        write!(f, " AND ")?;
+                        out.push_str(" AND ");
                     }
-                    if needs_parens(true, p) {
-                        write!(f, "({p})")?;
+                    if matches!(p, Predicate::Or(_)) {
+                        out.push('(');
+                        p.write_canonical(out);
+                        out.push(')');
                     } else {
-                        write!(f, "{p}")?;
+                        p.write_canonical(out);
                     }
                 }
-                Ok(())
             }
             Predicate::Or(ps) => {
                 for (i, p) in ps.iter().enumerate() {
                     if i > 0 {
-                        write!(f, " OR ")?;
+                        out.push_str(" OR ");
                     }
-                    write!(f, "{p}")?;
+                    p.write_canonical(out);
                 }
-                Ok(())
             }
         }
     }
+}
+
+impl fmt::Display for Predicate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.canonical())
+    }
+}
+
+/// Appends `table.column` or `column`.
+fn write_col(c: &ColRef, out: &mut String) {
+    if let Some(t) = &c.table {
+        out.push_str(t);
+        out.push('.');
+    }
+    out.push_str(&c.column);
 }
 
 #[cfg(test)]

@@ -331,7 +331,7 @@ impl Table {
                 return Err(RelError::TypeMismatch {
                     column: col.name().to_owned(),
                     expected: col.data_type(),
-                    value: v.to_literal().into_owned(),
+                    value: v.to_literal(),
                 });
             }
             coerced.push(v.coerce_to(col.data_type()));

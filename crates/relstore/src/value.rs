@@ -6,9 +6,8 @@
 //! *total* order and a hash consistent with equality so they can serve as
 //! hash-join and `COUNT(DISTINCT …)` keys.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 
 /// The declared type of a column. `NULL` is permitted in any column and has
@@ -148,22 +147,65 @@ impl Value {
     }
 
     /// Renders the value as a predicate literal (strings single-quoted with
-    /// embedded quotes doubled, SQL style).
-    pub fn to_literal(&self) -> Cow<'static, str> {
+    /// embedded quotes doubled, SQL style), through
+    /// [`Value::write_literal`].
+    pub fn to_literal(&self) -> String {
+        let mut out = String::new();
+        self.write_literal(&mut out);
+        out
+    }
+
+    /// Appends the value's predicate literal to `out`: `NULL`, an integer
+    /// in decimal, a float as Rust prints it (an integral finite float
+    /// keeps a trailing `.0` so the literal round-trips as a float), or a
+    /// single-quoted string with embedded quotes doubled. Integers and
+    /// strings are written by hand; only floats go through `fmt`, straight
+    /// into `out`. Every literal rendering goes through here.
+    pub fn write_literal(&self, out: &mut String) {
         match self {
-            Value::Null => Cow::Borrowed("NULL"),
-            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Null => out.push_str("NULL"),
+            Value::Int(i) => write_int(*i, out),
             Value::Float(f) => {
-                // Keep a trailing ".0" so the literal round-trips as a float.
-                if f.fract() == 0.0 && f.is_finite() {
-                    Cow::Owned(format!("{f:.1}"))
+                // Writing into a `String` cannot fail.
+                let _ = if f.fract() == 0.0 && f.is_finite() {
+                    write!(out, "{f:.1}")
                 } else {
-                    Cow::Owned(f.to_string())
-                }
+                    write!(out, "{f}")
+                };
             }
-            Value::Str(s) => Cow::Owned(format!("'{}'", s.replace('\'', "''"))),
+            Value::Str(s) => {
+                out.push('\'');
+                for (i, part) in s.split('\'').enumerate() {
+                    if i > 0 {
+                        out.push_str("''");
+                    }
+                    out.push_str(part);
+                }
+                out.push('\'');
+            }
         }
     }
+}
+
+/// Appends `i` in decimal: digits are produced least significant first
+/// into a stack buffer wide enough for `u64::MAX` (20 digits), so
+/// `i64::MIN` needs no special case.
+fn write_int(i: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 impl PartialEq for Value {
@@ -362,6 +404,11 @@ mod tests {
         assert_eq!(Value::Int(42).to_literal(), "42");
         assert_eq!(Value::Float(2.0).to_literal(), "2.0");
         assert_eq!(Value::Null.to_literal(), "NULL");
+        assert_eq!(Value::Int(i64::MIN).to_literal(), i64::MIN.to_string());
+        assert_eq!(Value::Int(i64::MAX).to_literal(), i64::MAX.to_string());
+        assert_eq!(Value::Int(-7).to_literal(), "-7");
+        assert_eq!(Value::Int(0).to_literal(), "0");
+        assert_eq!(Value::str("''").to_literal(), "''''''");
     }
 
     #[test]

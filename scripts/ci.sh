@@ -3,13 +3,16 @@
 #   non-test line count (printed, not gated) → fmt check → clippy
 #   (warnings are errors) → build (all targets) → tests → the
 #   untrusted-input suites again in release → perfbench fmt check,
-#   clippy (warnings are errors), self-tests and a one-second smoke run
-#   of each workload → rustdoc (warnings are errors) → compile-and-run
-#   every example (doc rot and broken examples fail CI). perfbench is
-#   its own workspace, so the workspace-wide fmt and clippy never reach
-#   it; its own steps make an API change that breaks the benchmark fail
-#   CI, and the smoke runs fail CI when the server answers wrongly or
-#   fails requests.
+#   clippy (warnings are errors), self-tests, a one-second untraced
+#   smoke run of each workload (printing max_rate_rps and setup_s) and
+#   one traced run of hot_zipf (printing the set-up phases
+#   relstore.load_s, graph.load_s and exec.warm_s) → rustdoc (warnings
+#   are errors) → compile-and-run every example (doc rot and broken
+#   examples fail CI). perfbench is its own workspace, so the
+#   workspace-wide fmt and clippy never reach it; its own steps make an
+#   API change that breaks the benchmark fail CI, and the smoke runs fail
+#   CI when the server answers wrongly or fails requests; the printed
+#   metrics decide nothing.
 #
 # Usage: scripts/ci.sh [--release-bench] [--bench-1m]
 #   --release-bench  additionally regenerates the bench report and runs
@@ -90,25 +93,38 @@ cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D 
 echo "==> cargo test (perfbench)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-# One short untraced run per workload (~40 s for all three): the last
-# line of output is the result, which must report every checked answer
-# correct and no failed request. Its max_rate_rps and setup_s are
-# printed for the log; they do not decide the outcome.
-for workload in hot_zipf adhoc_cold live_ingest; do
-    echo "==> perfbench smoke run: ${workload}"
+# perfbench_smoke <workload> <trace> <metric>...: one one-second run of
+# the workload. The last line of output is the result, which must report
+# every checked answer correct and no failed request; the named metrics
+# are printed for the log and do not decide the outcome.
+perfbench_smoke() {
+    local workload="$1" trace="$2"
+    shift 2
+    local result metric pattern
     result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "${workload}" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-    for metric in max_rate_rps setup_s; do
+        --workload "${workload}" --seed 1 --seconds 1 --trace "${trace}" | tail -n 1)"
+    for metric in "$@"; do
         pattern="\"${metric}\": [{]\"value\": ([^,]+)"
         if [[ "${result}" =~ ${pattern} ]]; then
             echo "    ${metric} = ${BASH_REMATCH[1]}"
         fi
     done
     if [[ "${result}" != *'"correct": true'* || "${result}" != *'"failed": 0,'* ]]; then
-        echo "perfbench ${workload} smoke run failed: ${result}" >&2
+        echo "perfbench ${workload} smoke run (trace ${trace}) failed: ${result}" >&2
         exit 1
     fi
+}
+
+# One short untraced run per workload (~40 s for all three), printing
+# its end-to-end metrics.
+for workload in hot_zipf adhoc_cold live_ingest; do
+    echo "==> perfbench smoke run: ${workload}"
+    perfbench_smoke "${workload}" 0 max_rate_rps setup_s
 done
+# One short traced run, printing the set-up phases behind setup_s: the
+# relstore load, the HYPRE graph load and the profile warm-up.
+echo "==> perfbench traced smoke run: hot_zipf (set-up phases)"
+perfbench_smoke hot_zipf 1 relstore.load_s graph.load_s exec.warm_s
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -417,6 +417,289 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// canonical text: one renderer, byte-identical to the original Display
+// ---------------------------------------------------------------------
+
+/// The original fmt-based rendering of predicates and literals, kept here
+/// as the reference `Predicate::write_canonical` must reproduce byte for
+/// byte.
+mod reference {
+    use std::borrow::Cow;
+    use std::fmt;
+
+    use hypre_repro::relstore::{ColRef, Predicate, Value};
+
+    pub fn literal(v: &Value) -> Cow<'static, str> {
+        match v {
+            Value::Null => Cow::Borrowed("NULL"),
+            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Float(f) => {
+                if f.fract() == 0.0 && f.is_finite() {
+                    Cow::Owned(format!("{f:.1}"))
+                } else {
+                    Cow::Owned(f.to_string())
+                }
+            }
+            Value::Str(s) => Cow::Owned(format!("'{}'", s.replace('\'', "''"))),
+        }
+    }
+
+    struct Col<'a>(&'a ColRef);
+
+    impl fmt::Display for Col<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match &self.0.table {
+                Some(t) => write!(f, "{t}.{}", self.0.column),
+                None => write!(f, "{}", self.0.column),
+            }
+        }
+    }
+
+    pub struct Text<'a>(pub &'a Predicate);
+
+    impl fmt::Display for Text<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            fn needs_parens(parent_is_and: bool, child: &Predicate) -> bool {
+                match child {
+                    Predicate::Or(_) => parent_is_and,
+                    _ => false,
+                }
+            }
+            match self.0 {
+                Predicate::True => write!(f, "TRUE"),
+                Predicate::False => write!(f, "FALSE"),
+                Predicate::Cmp(c, op, v) => write!(f, "{}{op}{}", Col(c), literal(v)),
+                Predicate::Between(c, lo, hi) => {
+                    write!(f, "{} BETWEEN {} AND {}", Col(c), literal(lo), literal(hi))
+                }
+                Predicate::InList(c, vals) => {
+                    write!(f, "{} IN (", Col(c))?;
+                    for (i, v) in vals.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, ", ")?;
+                        }
+                        write!(f, "{}", literal(v))?;
+                    }
+                    write!(f, ")")
+                }
+                Predicate::Not(inner) => match inner.as_ref() {
+                    Predicate::Cmp(..) | Predicate::Between(..) | Predicate::InList(..) => {
+                        write!(f, "NOT {}", Text(inner))
+                    }
+                    _ => write!(f, "NOT ({})", Text(inner)),
+                },
+                Predicate::And(ps) => {
+                    for (i, p) in ps.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, " AND ")?;
+                        }
+                        if needs_parens(true, p) {
+                            write!(f, "({})", Text(p))?;
+                        } else {
+                            write!(f, "{}", Text(p))?;
+                        }
+                    }
+                    Ok(())
+                }
+                Predicate::Or(ps) => {
+                    for (i, p) in ps.iter().enumerate() {
+                        if i > 0 {
+                            write!(f, " OR ")?;
+                        }
+                        write!(f, "{}", Text(p))?;
+                    }
+                    Ok(())
+                }
+            }
+        }
+    }
+
+    pub fn render(p: &Predicate) -> String {
+        Text(p).to_string()
+    }
+}
+
+/// Float literals whose rendering is easy to get wrong: signed zero,
+/// integral values (which keep a `.0`), extremes and non-finite values.
+const EDGE_FLOATS: [f64; 12] = [
+    -0.0,
+    0.0,
+    2.0,
+    -3.0,
+    1e20,
+    -1e300,
+    0.1,
+    -2.5e-7,
+    f64::MAX,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Strings that exercise the `''` escape.
+const EDGE_STRINGS: [&str; 6] = ["", "'", "''", "O'Hara", "a'b'c'", "plain"];
+
+fn render_col() -> impl Strategy<Value = ColRef> {
+    prop_oneof![
+        (0usize..3).prop_map(|i| ColRef::bare(["year", "venue", "pid"][i])),
+        (0usize..3).prop_map(|i| ColRef::qualified(["dblp", "t", "dblp_author"][i], "aid")),
+    ]
+}
+
+/// A literal; `finite` keeps out the non-finite floats, which the
+/// predicate parser has no spelling for.
+fn render_value(finite: bool) -> BoxedStrategy<Value> {
+    let floats = if finite {
+        EDGE_FLOATS.len() - 3
+    } else {
+        EDGE_FLOATS.len()
+    };
+    prop_oneof![
+        Just(Value::Null),
+        (-1_000i64..1_000).prop_map(Value::Int),
+        (i64::MIN..=i64::MAX).prop_map(Value::Int),
+        prop_oneof![Just(Value::Int(i64::MIN)), Just(Value::Int(i64::MAX))],
+        (-1e6f64..1e6).prop_map(Value::Float),
+        (-1_000i64..1_000).prop_map(|i| Value::Float(i as f64)),
+        (0..floats).prop_map(|i| Value::Float(EDGE_FLOATS[i])),
+        (0..EDGE_STRINGS.len()).prop_map(|i| Value::str(EDGE_STRINGS[i])),
+        prop::collection::vec(0usize..4, 0..6)
+            .prop_map(|cs| Value::Str(cs.into_iter().map(|c| ['a', '\'', ' ', 'Z'][c]).collect())),
+    ]
+    .boxed()
+}
+
+fn render_op() -> impl Strategy<Value = CmpOp> {
+    (0usize..6).prop_map(|i| {
+        [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ][i]
+    })
+}
+
+/// A random predicate tree built with the raw constructors, so `And`s
+/// nest inside `And`s and `Or`s inside `Or`s (the builders would flatten
+/// them). With `parser_normal`, `NOT` goes through [`Predicate::not`]
+/// and `And`/`Or` have at least two operands, which is what the parser
+/// builds, so the text can round-trip; without it, `NOT (NOT …)` and
+/// one-operand `And`/`Or` appear too.
+fn render_tree(finite: bool, parser_normal: bool) -> BoxedStrategy<Predicate> {
+    let leaf = prop_oneof![
+        (render_col(), render_op(), render_value(finite))
+            .prop_map(|(c, op, v)| Predicate::Cmp(c, op, v)),
+        (render_col(), render_value(finite), render_value(finite))
+            .prop_map(|(c, lo, hi)| Predicate::Between(c, lo, hi)),
+        (
+            render_col(),
+            prop::collection::vec(render_value(finite), 1..4)
+        )
+            .prop_map(|(c, vs)| Predicate::InList(c, vs)),
+    ];
+    // The parser never builds a one-operand `And` or `Or`.
+    let operands = if parser_normal { 2..4 } else { 1..4 };
+    leaf.prop_recursive(3, 24, 3, move |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), operands.clone()).prop_map(Predicate::And),
+            prop::collection::vec(inner.clone(), operands.clone()).prop_map(Predicate::Or),
+            inner.prop_map(move |p| {
+                if parser_normal {
+                    p.not()
+                } else {
+                    Predicate::Not(Box::new(p))
+                }
+            }),
+        ]
+    })
+    .boxed()
+}
+
+/// `write_canonical` (into a fresh and into a reused buffer),
+/// `canonical()` and `Display` all equal the reference rendering.
+fn assert_renders_like_the_reference(p: &Predicate, reused: &mut String) -> String {
+    let want = reference::render(p);
+    let mut fresh = String::new();
+    p.write_canonical(&mut fresh);
+    assert_eq!(fresh, want, "write_canonical of {p:?}");
+    reused.clear();
+    p.write_canonical(reused);
+    assert_eq!(
+        *reused, want,
+        "write_canonical into a reused buffer of {p:?}"
+    );
+    assert_eq!(p.canonical(), want, "canonical() of {p:?}");
+    assert_eq!(format!("{p}"), want, "Display of {p:?}");
+    want
+}
+
+#[test]
+fn literal_edge_cases_render_like_the_reference() {
+    let mut values: Vec<Value> = vec![
+        Value::Null,
+        Value::Int(0),
+        Value::Int(-1),
+        Value::Int(-42),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+    ];
+    values.extend(EDGE_FLOATS.map(Value::Float));
+    values.extend(EDGE_STRINGS.map(Value::str));
+    let mut reused = String::new();
+    for v in values {
+        let want = reference::literal(&v);
+        assert_eq!(v.to_literal(), want, "to_literal of {v:?}");
+        reused.clear();
+        v.write_literal(&mut reused);
+        assert_eq!(reused, want, "write_literal of {v:?}");
+        let p = Predicate::Cmp(ColRef::qualified("t", "c"), CmpOp::Ge, v.clone());
+        let text = assert_renders_like_the_reference(&p, &mut reused);
+        let non_finite = matches!(v, Value::Float(f) if !f.is_finite());
+        if !non_finite {
+            let reparsed = parse_predicate(&text).unwrap();
+            assert_eq!(
+                reparsed.canonical(),
+                text,
+                "{v:?} round-trips through the parser"
+            );
+        }
+    }
+    for (p, text) in [
+        (Predicate::True, "TRUE"),
+        (Predicate::False, "FALSE"),
+        (Predicate::Not(Box::new(Predicate::True)), "NOT (TRUE)"),
+        (Predicate::And(vec![]), ""),
+    ] {
+        assert_eq!(assert_renders_like_the_reference(&p, &mut reused), text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every rendering path reproduces the reference on any tree shape,
+    /// non-finite literals and double negations included.
+    #[test]
+    fn prop_canonical_renderer_matches_the_reference(p in render_tree(false, false)) {
+        let mut reused = String::from("stale text the renderer must not keep");
+        assert_renders_like_the_reference(&p, &mut reused);
+    }
+
+    /// On trees the parser can spell (finite literals, `NOT` as the parser
+    /// builds it), parsing the canonical text gives the same text back.
+    #[test]
+    fn prop_canonical_text_reparses_to_itself(p in render_tree(true, true)) {
+        let mut reused = String::new();
+        let text = assert_renders_like_the_reference(&p, &mut reused);
+        let reparsed = parse_predicate(&text).unwrap();
+        prop_assert_eq!(reparsed.canonical(), text);
+    }
+}
+
+// ---------------------------------------------------------------------
 // preference-DSL round-trip and error hygiene
 // ---------------------------------------------------------------------
 
