@@ -1,6 +1,6 @@
-//! The pre-interning `HashSet<Value>` set-algebra baseline.
+//! The pre-bitset `HashSet<Value>` set-algebra baseline.
 //!
-//! PR 1 replaced the executor's tuple sets with interned-id bitsets. This
+//! PR 1 replaced the executor's tuple sets with tuple-id bitsets. This
 //! module keeps the *old* evaluation strategy alive — per-predicate
 //! `HashSet<Value>` materialisation, hash-probe intersections, and a
 //! `HashMap<Value, f64>` ranked map — so benches can report the
@@ -9,7 +9,7 @@
 //!
 //! The baseline issues its own queries through
 //! `SelectQuery::distinct_values` (the seed's exact feed) and keeps its
-//! own memo cache, so it never touches the executor's interner. Like the
+//! own memo cache, so it never touches the executor's sets. Like the
 //! PR 1 bitmap generation ([`crate::bitset_baseline`]), it is frozen:
 //! the PR 4 hot-path work (run containers, SIMD-width kernels, COW
 //! expansion) lands only in the adaptive engine, and the three-way

@@ -34,8 +34,8 @@
 //!   including its `n` SQL queries;
 //! * `peps_top_k` (headline) — `Peps::top_k` (complete variant, k = 10
 //!   and 100) over the rich profile, plus `sparse_k10` over a
-//!   sparse/range-heavy synthetic profile (year windows interning to id
-//!   runs, single-author long-tail atoms);
+//!   sparse/range-heavy synthetic profile (year windows, single-author
+//!   long-tail atoms);
 //! * `containers` — how the rich profile's tuple sets distribute over
 //!   the array / runs / bitmap containers, with bytes against the
 //!   pure-bitmap footprint;
@@ -232,8 +232,8 @@ fn time_once<R>(f: impl FnOnce() -> R) -> (u128, R) {
     (start.elapsed().as_nanos(), out)
 }
 
-/// A sparse/range-heavy synthetic profile: year windows (whose tuple
-/// sets intern to contiguous id runs — run-container territory) plus
+/// A sparse/range-heavy synthetic profile: year windows (wide sets
+/// scattered over corpus order — bitmap territory) plus
 /// single-author long-tail atoms (tiny arrays). The `sparse_k10`
 /// headline row measures it.
 fn sparse_profile() -> Vec<PrefAtom> {

@@ -4,7 +4,7 @@
 //! `u32` arrays below the cardinality threshold, packed-word bitmaps
 //! above it. This module keeps the intermediate generation — every set a
 //! plain [`BitSet`] regardless of cardinality — alive behind the same
-//! interned-id space, so the three-way `adaptive-vs-bitset-vs-hashset`
+//! tuple-id space, so the three-way `adaptive-vs-bitset-vs-hashset`
 //! benches and the differential equivalence tests can compare all three
 //! generations on identical inputs:
 //!
@@ -36,15 +36,15 @@ use std::rc::Rc;
 use hypre_core::prelude::*;
 use relstore::{Predicate, Value};
 
-/// A memoising pure-`BitSet` evaluator sharing an [`Executor`]'s interned
-/// id space — the PR 1 representation, preserved.
+/// A memoising pure-`BitSet` evaluator sharing an [`Executor`]'s tuple-id
+/// space — the PR 1 representation, preserved.
 pub struct BitsetAlgebra<'a, 'db> {
     exec: &'a Executor<'db>,
     cache: RefCell<HashMap<String, Rc<BitSet>>>,
 }
 
 impl<'a, 'db> BitsetAlgebra<'a, 'db> {
-    /// Wraps an executor (for its memoised tuple sets and interner).
+    /// Wraps an executor (for its memoised tuple sets and tuple values).
     pub fn new(exec: &'a Executor<'db>) -> Self {
         BitsetAlgebra {
             exec,
@@ -53,7 +53,7 @@ impl<'a, 'db> BitsetAlgebra<'a, 'db> {
     }
 
     /// The predicate's tuple set as a dense bitmap over the executor's
-    /// interned ids (one adaptive-set fetch + densification, memoised).
+    /// tuple ids (one adaptive-set fetch + densification, memoised).
     pub fn tuple_set(&self, unit: &Predicate) -> Result<Rc<BitSet>> {
         let key = unit.canonical();
         if let Some(set) = self.cache.borrow().get(&key) {

@@ -101,20 +101,28 @@ impl Fixture {
 }
 
 /// Picks the richest user and a mid-tail user with a meaningful profile.
+/// Each user's strongest quantitative intensity comes from one pass over
+/// the preferences.
 fn pick_users(workload: &ExtractedWorkload) -> (UserId, UserId) {
+    let mut strongest: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
+    for p in &workload.quantitative {
+        let max = strongest.entry(p.user.0).or_insert(0.0);
+        *max = max.max(p.intensity.value());
+    }
+    pick_users_by(workload, |uid| strongest.get(&uid).copied().unwrap_or(0.0))
+}
+
+/// [`pick_users`] given each user's strongest quantitative intensity
+/// (`0.0` for a user with none).
+fn pick_users_by(
+    workload: &ExtractedWorkload,
+    max_intensity: impl Fn(u64) -> f64,
+) -> (UserId, UserId) {
     let counts = workload.preference_counts();
     // Study users must have a non-saturated top preference: a profile whose
     // strongest intensity is exactly 1.0 turns every intensity figure into
     // a flat line at 1.0 (the threshold filter of Figs. 37–38 then matches
     // only the 1.0-scoring tuples on both sides).
-    let max_intensity = |uid: u64| {
-        workload
-            .quantitative
-            .iter()
-            .filter(|p| p.user.0 == uid)
-            .map(|p| p.intensity.value())
-            .fold(0.0f64, f64::max)
-    };
     let rich = counts
         .iter()
         .filter(|(uid, _)| max_intensity(**uid) < 0.95)
@@ -184,6 +192,36 @@ mod tests {
         let modest = f.graph.positive_profile(f.modest_user);
         assert!(!modest.is_empty());
         assert!(profile.len() >= modest.len());
+    }
+
+    #[test]
+    fn study_users_match_the_per_user_scan_at_2k_papers() {
+        let config = gen::GeneratorConfig {
+            papers: 2000,
+            authors: 800,
+            venues: 30,
+            ..gen::GeneratorConfig::default()
+        };
+        let workload = extract::extract(
+            &gen::generate(&config),
+            &extract::ExtractionConfig {
+                conflict_rate: 0.03,
+                ..extract::ExtractionConfig::default()
+            },
+        );
+        // The O(users × preferences) scan `pick_users` used to run per
+        // candidate user.
+        let scan = |uid: u64| {
+            workload
+                .quantitative
+                .iter()
+                .filter(|p| p.user.0 == uid)
+                .map(|p| p.intensity.value())
+                .fold(0.0f64, f64::max)
+        };
+        let picks = pick_users(&workload);
+        assert_eq!(picks, pick_users_by(&workload, scan));
+        assert_ne!(picks.0, picks.1, "two distinct study users");
     }
 
     #[test]

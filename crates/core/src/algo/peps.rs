@@ -172,11 +172,12 @@ impl<'a, 'db> Peps<'a, 'db> {
     /// `k`-th score, a later round could have scored smaller tied ones.
     /// Answers are deterministic either way.
     ///
-    /// Scores accumulate in a dense `Vec<f64>` indexed by interned tuple
-    /// id, written the moment each combination is emitted — no per-tuple
+    /// Scores accumulate in a dense `Vec<f64>` indexed by tuple id,
+    /// written the moment each combination is emitted — no per-tuple
     /// hashing, no `Value` cloning and no retained tuple sets inside the
-    /// rounds; identities are materialised only for the final Top-K
-    /// slice.
+    /// rounds; the stop test and the final slice walk only the ids
+    /// scored so far, and identities are materialised only for the final
+    /// Top-K slice.
     ///
     /// # Errors
     /// [`HypreError::ZeroK`] when `k == 0`.
@@ -221,11 +222,8 @@ impl<'a, 'db> Peps<'a, 'db> {
             // is snapshotted here, before any further rounds run.
             let threshold = self.atoms[s].intensity;
             for (slot, &k) in results.iter_mut().zip(ks) {
-                if slot.is_none()
-                    && sink.n_ranked >= k
-                    && has_k_at_least(&sink.ranked, k, threshold)
-                {
-                    *slot = Some(self.finalize_top_k(&sink.ranked, k));
+                if slot.is_none() && sink.has_k_at_least(k, threshold) {
+                    *slot = Some(self.finalize_top_k(&sink, k));
                     pending -= 1;
                 }
             }
@@ -233,29 +231,26 @@ impl<'a, 'db> Peps<'a, 'db> {
         Ok(results
             .into_iter()
             .zip(ks)
-            .map(|(slot, &k)| slot.unwrap_or_else(|| self.finalize_top_k(&sink.ranked, k)))
+            .map(|(slot, &k)| slot.unwrap_or_else(|| self.finalize_top_k(&sink, k)))
             .collect())
     }
 
     /// Materialises the Top-K slice of the dense score array: exactly
-    /// the first `k` of the array's tuples ordered by (score descending,
+    /// the first `k` of its scored tuples ordered by (score descending,
     /// tuple value ascending). Whether that matches the full ranking is
     /// up to when the rounds stopped (see [`Peps::top_k`]).
     ///
     /// Selects the `k`-th best score first (linear time) and keeps the
     /// scores strictly above it. Among the tuples tied at it, only the
     /// `k − above` smallest values are kept, selected by comparing the
-    /// interned values in place. Only the `k` returned values are cloned.
-    fn finalize_top_k(&self, ranked: &[f64], k: usize) -> Vec<RankedTuple> {
-        let mut scored: Vec<(u32, f64)> = ranked
+    /// keys in place. Only the `k` returned values are cloned.
+    fn finalize_top_k(&self, sink: &ScoreSink, k: usize) -> Vec<RankedTuple> {
+        let mut scored: Vec<(u32, f64)> = sink
+            .scored
             .iter()
-            .enumerate()
-            .filter(|(_, &score)| score > f64::NEG_INFINITY)
-            .map(|(id, &score)| (id as u32, score))
+            .map(|&id| (id, sink.ranked[id as usize]))
             .collect();
-        let interner = self.exec.interner();
-        let by_value =
-            |a: &(u32, f64), b: &(u32, f64)| interner.value(a.0).cmp(interner.value(b.0));
+        let by_value = |a: &(u32, f64), b: &(u32, f64)| self.exec.cmp_tuples(a.0, b.0);
         if scored.len() > k {
             scored.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
             let pivot = scored[k - 1].1;
@@ -274,7 +269,7 @@ impl<'a, 'db> Peps<'a, 'db> {
         scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| by_value(a, b)));
         scored
             .into_iter()
-            .map(|(id, score)| (interner.value(id).clone(), score))
+            .map(|(id, score)| (self.exec.tuple_value(id), score))
             .collect()
     }
 
@@ -513,10 +508,29 @@ trait RoundSink {
 /// array immediately — `ranked[id]` is the best combined intensity seen
 /// for tuple `id` so far, `NEG_INFINITY` marks "never scored". The final
 /// array is a per-tuple maximum, so emission order cannot change it.
+/// `scored` lists the scored ids in first-scored order, so the stop test
+/// and the final slice read the tuples a profile reached, not every id
+/// below the largest one.
 #[derive(Default)]
 struct ScoreSink {
     ranked: Vec<f64>,
-    n_ranked: usize,
+    scored: Vec<u32>,
+}
+
+impl ScoreSink {
+    /// Whether at least `k` scores reach `threshold` — the same test as
+    /// "the `k`-th best score is at least `threshold`", without
+    /// allocating, and stopping at the `k`-th hit.
+    fn has_k_at_least(&self, k: usize, threshold: f64) -> bool {
+        self.scored.len() >= k
+            && self
+                .scored
+                .iter()
+                .filter(|&&id| self.ranked[id as usize] >= threshold)
+                .take(k)
+                .count()
+                == k
+    }
 }
 
 impl RoundSink for ScoreSink {
@@ -528,9 +542,9 @@ impl RoundSink for ScoreSink {
             if e > self.ranked.len() {
                 self.ranked.resize(e, f64::NEG_INFINITY);
             }
-            for slot in &mut self.ranked[s..e] {
+            for (id, slot) in (start..).zip(&mut self.ranked[s..e]) {
                 if *slot == f64::NEG_INFINITY {
-                    self.n_ranked += 1;
+                    self.scored.push(id);
                     *slot = intensity;
                 } else if intensity > *slot {
                     *slot = intensity;
@@ -575,13 +589,6 @@ fn sort_order(order: &mut [RoundCombo]) {
             .then_with(|| a.members.len().cmp(&b.members.len()))
             .then_with(|| a.members.cmp(&b.members))
     });
-}
-
-/// Whether at least `k` scores in the dense ranking array reach
-/// `threshold` — the same test as "the `k`-th best score is at least
-/// `threshold`", without allocating, and stopping at the `k`-th hit.
-fn has_k_at_least(ranked: &[f64], k: usize, threshold: f64) -> bool {
-    ranked.iter().filter(|&&s| s >= threshold).take(k).count() == k
 }
 
 #[cfg(test)]
@@ -835,21 +842,41 @@ mod tests {
             full.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             for k in 1..=len + 1 {
                 let want = &full[..k.min(full.len())];
-                assert_eq!(peps.finalize_top_k(&ranked, k), want, "k = {k}");
+                assert_eq!(peps.finalize_top_k(&sink_of(&ranked), k), want, "k = {k}");
             }
+        }
+    }
+
+    /// A sink holding a dense score array, its scored ids listed in
+    /// descending order (emission order is not id order).
+    fn sink_of(ranked: &[f64]) -> ScoreSink {
+        ScoreSink {
+            ranked: ranked.to_vec(),
+            scored: (0..ranked.len() as u32)
+                .rev()
+                .filter(|&id| ranked[id as usize] > f64::NEG_INFINITY)
+                .collect(),
         }
     }
 
     #[test]
     fn at_least_k_scores_reach_the_threshold() {
-        let ranked = [0.5, f64::NEG_INFINITY, 0.8, 0.3, 0.5];
-        assert!(has_k_at_least(&ranked, 3, 0.5));
-        assert!(!has_k_at_least(&ranked, 4, 0.5));
-        assert!(has_k_at_least(&ranked, 4, 0.3));
-        assert!(
-            !has_k_at_least(&ranked, 5, 0.0),
-            "unscored slots never count"
-        );
+        let sink = sink_of(&[0.5, f64::NEG_INFINITY, 0.8, 0.3, 0.5]);
+        assert!(sink.has_k_at_least(3, 0.5));
+        assert!(!sink.has_k_at_least(4, 0.5));
+        assert!(sink.has_k_at_least(4, 0.3));
+        assert!(!sink.has_k_at_least(5, 0.0), "unscored slots never count");
+    }
+
+    #[test]
+    fn the_sink_lists_each_scored_id_once_in_first_scored_order() {
+        let mut sink = ScoreSink::default();
+        sink.emit(&[0], 0.5, 3, &[7u32, 2, 9].into_iter().collect());
+        sink.emit(&[1], 0.8, 2, &[9u32, 4].into_iter().collect());
+        assert_eq!(sink.scored, [2, 7, 9, 4]);
+        assert_eq!(sink.ranked[9], 0.8);
+        assert_eq!(sink.ranked[2], 0.5);
+        assert_eq!(sink.ranked[3], f64::NEG_INFINITY);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Word-packed bitsets: the dense set-algebra engine behind the executor's
 //! tuple sets.
 //!
-//! Every tuple identity the base query can return is interned to a dense
-//! `u32` id (see [`crate::exec::TupleInterner`]), so a set of tuples is a
+//! Every tuple identity the base query can return has a dense `u32` id —
+//! its row in the driving table (see [`crate::exec`]) — so a set of tuples is a
 //! [`BitSet`] — a `Vec<u64>` where bit `i` of word `i / 64` marks tuple
 //! `i`. The combination algebra the dissertation evaluates per enhanced
 //! query (intersection for `AND`, union for `OR`, §4.6) then compiles to
@@ -10,7 +10,7 @@
 //! hot path of the PairwiseCache build and every PEPS round.
 //!
 //! Sets of different lengths are fine everywhere: missing high words are
-//! treated as zero, so a set built before the interner grew still
+//! treated as zero, so a set built before the corpus grew still
 //! intersects correctly with a newer, wider one.
 //!
 //! Every shrinking operation (`remove`, `and`, `and_not`, `and_assign`)

@@ -52,9 +52,21 @@ pub type ScoredTuple = (Value, f64);
 /// sorted by descending intensity, ties by ascending tuple value for
 /// determinism.
 pub fn score_tuples(exec: &Executor<'_>, atoms: &[PrefAtom]) -> Result<Vec<ScoredTuple>> {
-    // Accumulate ∏(1 − p) per tuple in a dense array indexed by interned
-    // tuple id, then flip to 1 − ∏ at the end. Identities only
-    // materialise for the matched tuples.
+    score_tuples_with_negatives(exec, atoms, &[])
+}
+
+/// Scores tuples like [`score_tuples`] but *excludes* any tuple matched by
+/// a negative preference — negatives act as hard filters rather than score
+/// penalties when ranking (the enhancement path of §4.3 drops negative
+/// predicates entirely).
+pub fn score_tuples_with_negatives(
+    exec: &Executor<'_>,
+    atoms: &[PrefAtom],
+    negatives: &[Predicate],
+) -> Result<Vec<ScoredTuple>> {
+    // Accumulate ∏(1 − p) per tuple in a dense array indexed by tuple id,
+    // then flip to 1 − ∏ at the end. Identities only materialise for the
+    // matched tuples that no negative bans.
     let mut residual: Vec<f64> = Vec::new();
     let mut touched = TupleSet::new();
     for atom in atoms {
@@ -68,34 +80,18 @@ pub fn score_tuples(exec: &Executor<'_>, atoms: &[PrefAtom]) -> Result<Vec<Score
         }
         touched.or_assign(&set);
     }
-    let mut out: Vec<ScoredTuple> = touched
-        .iter()
-        .map(|id| (exec.tuple_value(id), 1.0 - residual[id as usize]))
-        .collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    Ok(out)
-}
-
-/// Scores tuples like [`score_tuples`] but *excludes* any tuple matched by
-/// a negative preference — negatives act as hard filters rather than score
-/// penalties when ranking (the enhancement path of §4.3 drops negative
-/// predicates entirely).
-pub fn score_tuples_with_negatives(
-    exec: &Executor<'_>,
-    atoms: &[PrefAtom],
-    negatives: &[Predicate],
-) -> Result<Vec<ScoredTuple>> {
-    let mut scored = score_tuples(exec, atoms)?;
-    if negatives.is_empty() {
-        return Ok(scored);
-    }
     let mut banned = TupleSet::new();
     for neg in negatives {
         let set = exec.tuple_set(neg)?;
         banned.or_assign(&set);
     }
-    scored.retain(|(t, _)| exec.tuple_id(t).is_none_or(|id| !banned.contains(id)));
-    Ok(scored)
+    let mut out: Vec<ScoredTuple> = touched
+        .iter()
+        .filter(|&id| !banned.contains(id))
+        .map(|id| (exec.tuple_value(id), 1.0 - residual[id as usize]))
+        .collect();
+    out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    Ok(out)
 }
 
 #[cfg(test)]

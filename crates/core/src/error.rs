@@ -26,7 +26,9 @@ pub enum HypreError {
     ZeroK,
     /// A `ProfileCache` snapshot no longer matches the corpus it was
     /// warmed on: the named table's row count moved (or the table itself
-    /// appeared/disappeared). Re-warm, or ingest the delta with
+    /// appeared/disappeared), or — with equal counts — the keys of the
+    /// driving table's first `warmed` rows differ from warm time (rows
+    /// rewritten or permuted). Re-warm, or ingest the delta with
     /// [`ProfileCache::ingest_delta`](crate::exec::ProfileCache::ingest_delta).
     StaleSnapshot {
         /// The table whose shape diverged.
@@ -37,14 +39,15 @@ pub enum HypreError {
         current: Option<usize>,
     },
     /// A base query whose key column, or a join's driver-side column, is
-    /// not on the driving table — the one shape the executor and delta
-    /// ingest support.
+    /// not on the driving table, or whose key is `NULL` or repeated on it
+    /// — the one shape the executor and delta ingest support (a tuple id
+    /// is a driver row, so the key must name rows).
     UnsupportedBaseQuery {
         /// The offending column and the driving table.
         detail: String,
     },
-    /// The dense `u32` tuple-id space is exhausted — the corpus grew past
-    /// `u32::MAX` distinct driver keys. Ingest degrades into this error
+    /// The dense `u32` tuple-id space is exhausted — the driving table
+    /// grew past `u32::MAX + 1` rows. Ingest degrades into this error
     /// instead of aborting the process.
     IdSpaceExhausted,
     /// A warm-up or delta-ingest attempt failed even after the bounded
@@ -104,6 +107,18 @@ impl fmt::Display for HypreError {
                 table,
                 warmed,
                 current,
+            } if warmed == current => {
+                let rows = warmed.map_or(0, |n| n);
+                write!(
+                    f,
+                    "profile snapshot warmed on a different corpus: the keys of \
+                     table '{table}''s first {rows} rows changed since warm time"
+                )
+            }
+            HypreError::StaleSnapshot {
+                table,
+                warmed,
+                current,
             } => {
                 let show = |n: &Option<usize>| match n {
                     Some(n) => n.to_string(),
@@ -123,7 +138,7 @@ impl fmt::Display for HypreError {
             HypreError::IdSpaceExhausted => {
                 write!(
                     f,
-                    "tuple id space exhausted: more than u32::MAX tuple identities"
+                    "tuple id space exhausted: the driving table has more than u32::MAX + 1 rows"
                 )
             }
             HypreError::WarmUpFailed { attempts, last } => {
@@ -211,6 +226,14 @@ mod tests {
             current: None,
         };
         assert!(gone.to_string().contains("absent"));
+        let rekeyed = HypreError::StaleSnapshot {
+            table: "dblp".into(),
+            warmed: Some(100),
+            current: Some(100),
+        };
+        assert!(rekeyed
+            .to_string()
+            .contains("keys of table 'dblp''s first 100 rows"));
         assert!(HypreError::IdSpaceExhausted.to_string().contains("u32"));
         let wrapped = HypreError::WarmUpFailed {
             attempts: 3,
@@ -234,7 +257,7 @@ mod tests {
         assert!(e.to_string().contains('9'));
         assert!(e.to_string().contains("<= 1"));
         let e = HypreError::SnapshotCorrupt {
-            detail: "interner table truncated at entry 12".into(),
+            detail: "tuple-set table truncated at entry 12".into(),
         };
         assert!(e.to_string().contains("truncated at entry 12"));
     }

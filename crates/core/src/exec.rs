@@ -1,7 +1,7 @@
 //! Query execution services for the combination algorithms: the base-query
 //! shape, applicability checks (Definition 15) with memoisation, and the
 //! pre-computed pairwise combination list used by PEPS (§5.5) — all built
-//! on a dense tuple-id interner and packed-bitset set algebra.
+//! on row-id tuple ids and adaptive compressed set algebra.
 //!
 //! ## Combination semantics
 //!
@@ -18,24 +18,31 @@
 //! per attribute, author grades `f∧`-aggregated per paper) — the reported
 //! 100 % PEPS/TA agreement is only possible under these semantics.
 //!
-//! ## The interner + adaptive-set architecture
+//! ## Row ids as tuple ids + adaptive sets
 //!
 //! The executor evaluates combinations by set algebra — intersection for
 //! `AND`, union for `OR` — but never over heap `HashSet<Value>`s. Instead:
 //!
-//! 1. A [`TupleInterner`] maps every distinct key value (`dblp.pid`) the
-//!    base query surfaces to a dense `u32` id, assigned on first sight and
-//!    stable for the executor's lifetime. The mapping is fed by
-//!    `relstore`'s columnar `distinct_row_set` plan, which returns each
-//!    matching driver row once, and keys are read from the driver's
-//!    typed key segment, so interning clones each key value exactly
-//!    once — not once per joined row.
+//! 1. A tuple's id is the index of its row in the driving table. The base
+//!    query's key (`dblp.pid`) must be non-`NULL` and unique on the
+//!    driver, so a row stands for exactly one key and counting rows
+//!    counts `DISTINCT` keys; a key that is `NULL` or repeated is
+//!    [`HypreError::UnsupportedBaseQuery`]. `relstore`'s columnar
+//!    `distinct_row_set` plan returns each matching driver row once, in
+//!    ascending order, and that list *is* the predicate's set: no key is
+//!    read, hashed or sorted. The keys are checked once — when a fresh
+//!    executor first uses a row, when a cache is warmed or loaded, when
+//!    a delta is ingested, and in a session only for rows past its
+//!    snapshot's checked rows. With an index on the key the check reads
+//!    the index's key count; without one it is one pass over the column.
 //! 2. Each preference's *tuple set* is an adaptive compressed
 //!    [`TupleSet`] over those ids — a sorted
 //!    `u32` array for sparse predicates (the single-author/rare-venue long
-//!    tail), a packed-word bitmap for dense ones — materialised once per
-//!    distinct predicate (memoised on the predicate's canonical text; one
-//!    SQL query per predicate, ever) and shared as [`SharedTupleSet`].
+//!    tail), a packed-word bitmap for dense ones, runs where rows are
+//!    contiguous — materialised once per distinct predicate (memoised on
+//!    the predicate's canonical text; one SQL query per predicate, ever)
+//!    and shared as [`SharedTupleSet`]. Sets follow corpus order, so a
+//!    predicate over a column the corpus is sorted by is a few runs.
 //! 3. Combination evaluation picks the container-pair fast path: word-wide
 //!    `&`/`|` loops and popcounts for bitmap pairs, merge/galloping walks
 //!    for array pairs, contains-probes for mixed pairs; applicability
@@ -46,8 +53,9 @@
 //!
 //! Tuple *identities* (`Value`s) only reappear at the API boundary
 //! ([`Executor::tuples`], [`Executor::tuples_and`],
-//! [`Executor::values_of`]), where ids are translated back through the
-//! interner and sorted for determinism.
+//! [`Executor::values_of`], PEPS's final Top-K slice), where ids are read
+//! back from the driver's key column and sorted for determinism; rankings
+//! break ties by key value, never by id.
 //!
 //! ## Threading and the snapshot/sharing model
 //!
@@ -60,16 +68,17 @@
 //! *between* sessions, through **shared profile snapshots**.
 //!
 //! A [`ProfileCache`] is an immutable, `Send + Sync` snapshot of a
-//! warmed executor: the interner (frozen, behind `Arc`) plus the
-//! memoised predicate→tuple-set map (`Arc`'d sets, shared
-//! structurally). N concurrent user sessions against the same corpus
-//! each open a cheap session executor with [`Executor::with_cache`];
-//! cached predicates resolve **lock-free** from the snapshot (no
-//! `RefCell` borrow, no SQL), while predicates the snapshot has not
-//! seen fall through to the session's private memo and intern *new* ids
-//! in a local overlay **above** the frozen snapshot ids — base ids stay
-//! stable, so tuple sets from the snapshot and session-local sets share
-//! one id space. Sets are written only during the build phase (warm an
+//! warmed executor: the memoised predicate→tuple-set map (`Arc`'d sets,
+//! shared structurally) plus the corpus identity it was built on — the
+//! base tables' row counts and a digest of the driver's key column. N
+//! concurrent user sessions against the same corpus each open a cheap
+//! session executor with [`Executor::with_cache`]; cached predicates
+//! resolve **lock-free** from the snapshot (no `RefCell` borrow, no SQL),
+//! while predicates the snapshot has not seen fall through to the
+//! session's private memo. Both name tuples by driver row, so snapshot
+//! sets and session-local sets share one id space with no translation,
+//! and rows appended after the snapshot get ids above every old one.
+//! Sets are written only during the build phase (warm an
 //! executor, then [`ProfileCache::snapshot`]) and are immutable
 //! thereafter; the only later write is the snapshot's bounded,
 //! mutex-guarded memo of pairwise tables. That is the whole
@@ -116,16 +125,18 @@
 //! untouched and serving. There is no partially-warmed epoch by
 //! construction; [`EpochCache::ingest`]'s bounded retry reruns whole
 //! attempts, never resumes half-built state. A corpus change appends
-//! cannot explain (a table shrank or vanished) is
-//! [`HypreError::StaleSnapshot`] — never a panic. Every base query has
-//! one shape — the key column on the driving table, every join anchored
-//! on a driver column — which is what makes ingest incremental; a base
-//! query of another shape is [`HypreError::UnsupportedBaseQuery`] on
-//! first use, never a silent fallback. The fault-injection harness
+//! cannot explain (a table shrank or vanished, or an old driver key
+//! changed) is [`HypreError::StaleSnapshot`] — never a panic. Every base
+//! query has one shape — the key column on the driving table, unique
+//! there, every join anchored on a driver column — which is what makes
+//! ingest incremental; a base query of another shape, or a key that is
+//! `NULL` or repeated, is [`HypreError::UnsupportedBaseQuery`] on first
+//! use, never a silent fallback. The fault-injection harness
 //! (`relstore::FailSchedule`) and `tests/live_corpus.rs` pin this
 //! contract at every injection point.
 
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
@@ -199,9 +210,9 @@ impl BaseQuery {
 
     /// Checks the one base-query shape the executor supports: the key
     /// column is on the driving table and every join is anchored on a
-    /// driver column (unqualified columns resolve on the driver). The
-    /// interner reads keys straight from the driver's key segment, and
-    /// delta ingest maps joined rows back to driver rows, on that shape.
+    /// driver column (unqualified columns resolve on the driver). Tuple
+    /// ids are driver rows, and delta ingest maps joined rows back to
+    /// driver rows, on that shape.
     ///
     /// # Errors
     /// [`HypreError::UnsupportedBaseQuery`] naming the offending column.
@@ -234,163 +245,68 @@ impl BaseQuery {
     }
 }
 
-/// Interns the base query's distinct key values into dense `u32` tuple
-/// ids, assigned in first-sight order and stable for the executor's
-/// lifetime. The id space doubles as the index space of every
-/// [`TupleSet`]-backed tuple set and of PEPS's dense ranking array.
+/// Checks that the key column at `key_idx` of `driver` can name tuples
+/// by row: every key is non-`NULL` and held by no other row, so one row
+/// id stands for one key value and counting rows counts distinct keys,
+/// and every row id fits a `u32` tuple id.
 ///
-/// An interner is either *flat* (the common case) or *layered*: a session
-/// executor opened over a [`ProfileCache`] stacks a private overlay on
-/// top of the cache's frozen snapshot. Base ids `0..base_len` resolve
-/// through the shared snapshot without copying it; values the snapshot
-/// never saw intern into the overlay with ids starting at `base_len`, so
-/// snapshot tuple sets and session-local sets share one id space.
-#[derive(Debug, Clone, Default)]
-pub struct TupleInterner {
-    /// Frozen lower layer (always flat — snapshots flatten before
-    /// freezing), shared lock-free across sessions.
-    base: Option<Arc<TupleInterner>>,
-    /// Local overlay; ids stored here are absolute (`>= base_len`).
-    ids: HashMap<Value, u32>,
-    values: Vec<Value>,
-}
-
-impl TupleInterner {
-    /// A session interner layered over a frozen snapshot.
-    fn layered(base: Arc<TupleInterner>) -> Self {
-        debug_assert!(base.base.is_none(), "snapshot bases are flat");
-        TupleInterner {
-            base: Some(base),
-            ids: HashMap::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Size of the frozen base layer (0 for a flat interner).
-    fn base_len(&self) -> usize {
-        self.base.as_ref().map_or(0, |b| b.values.len())
-    }
-
-    /// Number of interned tuple identities (the id-space size).
-    pub fn len(&self) -> usize {
-        self.base_len() + self.values.len()
-    }
-
-    /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The id of an already-interned value.
-    pub fn id(&self, value: &Value) -> Option<u32> {
-        if let Some(base) = &self.base {
-            if let Some(&id) = base.ids.get(value) {
-                return Some(id);
-            }
-        }
-        self.ids.get(value).copied()
-    }
-
-    /// The value behind an id.
-    ///
-    /// # Panics
-    /// Panics if the id was never issued by this interner.
-    pub fn value(&self, id: u32) -> &Value {
-        let base_len = self.base_len();
-        if (id as usize) < base_len {
-            let Some(base) = self.base.as_ref() else {
-                unreachable!("base ids imply a base layer");
-            };
-            &base.values[id as usize]
-        } else {
-            &self.values[id as usize - base_len]
-        }
-    }
-
-    /// Interns a value, cloning it only on first sight. A layered
-    /// interner never re-interns a value its base already holds.
-    ///
-    /// # Errors
-    /// [`HypreError::IdSpaceExhausted`] once the dense `u32` id space is
-    /// full — ingest at scale degrades into an error, not a process
-    /// abort.
-    fn intern(&mut self, value: &Value) -> Result<u32> {
-        if let Some(id) = self.id(value) {
-            return Ok(id);
-        }
-        let id = next_id(self.len())?;
-        self.ids.insert(value.clone(), id);
-        self.values.push(value.clone());
-        Ok(id)
-    }
-
-    /// Interns the key of each listed row of `table`, in row order, read
-    /// straight from the key column's typed segment so no row is
-    /// materialised; `NULL` keys are skipped. A string key interns once
-    /// per distinct dictionary *code*, so string keys keep the dense
-    /// corpus-order id assignment.
-    fn intern_keys(&mut self, table: &Table, key_idx: usize, rows: &[RowId]) -> Result<Vec<u32>> {
-        let mut ids = Vec::with_capacity(rows.len());
-        let live = rows.iter().filter(|r| !table.is_null_at(r.0, key_idx));
-        if let Some(vals) = table.int_values(key_idx) {
-            for rid in live {
-                ids.push(self.intern(&Value::Int(vals[rid.0]))?);
-            }
-        } else if let Some((codes, dict)) = table.str_codes(key_idx) {
-            let mut code_ids: HashMap<u32, u32> = HashMap::new();
-            for rid in live {
-                let code = codes[rid.0];
-                let id = match code_ids.get(&code) {
-                    Some(&id) => id,
-                    None => {
-                        let Some(s) = dict.get(code) else {
-                            unreachable!("codes come from this dictionary");
-                        };
-                        let id = self.intern(&Value::str(s))?;
-                        code_ids.insert(code, id);
-                        id
-                    }
-                };
-                ids.push(id);
-            }
-        } else {
-            for rid in live {
-                if let Some(v) = table.value_at(rid.0, key_idx) {
-                    ids.push(self.intern(&v)?);
-                }
-            }
-        }
-        Ok(ids)
-    }
-
-    /// A flat, self-contained copy (base and overlay merged) — what a
-    /// [`ProfileCache`] freezes.
-    fn flattened(&self) -> TupleInterner {
-        match &self.base {
-            None => self.clone(),
-            Some(base) => {
-                let mut ids = base.ids.clone();
-                ids.extend(self.ids.iter().map(|(v, &id)| (v.clone(), id)));
-                let mut values = base.values.clone();
-                values.extend(self.values.iter().cloned());
-                TupleInterner {
-                    base: None,
-                    ids,
-                    values,
-                }
-            }
-        }
+/// # Errors
+/// [`HypreError::IdSpaceExhausted`] past `u32::MAX + 1` rows;
+/// [`HypreError::UnsupportedBaseQuery`] for a `NULL` or repeated key.
+fn check_keys(driver: &Table, key_idx: usize) -> Result<()> {
+    id_space(driver.len())?;
+    if driver.is_unique_key(key_idx) {
+        Ok(())
+    } else {
+        let column = driver.schema().column(key_idx).name();
+        Err(HypreError::UnsupportedBaseQuery {
+            detail: format!(
+                "key column {}.{column} holds a NULL or a repeated value",
+                driver.name()
+            ),
+        })
     }
 }
 
-/// The next dense tuple id for an id space of `len` identities, or
-/// [`HypreError::IdSpaceExhausted`] when the `u32` space is full.
-fn next_id(len: usize) -> Result<u32> {
-    u32::try_from(len).map_err(|_| HypreError::IdSpaceExhausted)
+/// Checks that `rows` driver rows fit the dense `u32` tuple-id space.
+fn id_space(rows: usize) -> Result<()> {
+    if rows as u64 > u64::from(u32::MAX) + 1 {
+        Err(HypreError::IdSpaceExhausted)
+    } else {
+        Ok(())
+    }
+}
+
+/// The FNV-1a-64 offset basis: the digest of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Extends an FNV-1a-64 state over `bytes`. Each step is a bijection of
+/// the running state, so changing any one byte always changes the result.
+fn fnv1a64(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Extends an FNV-1a-64 state over the keys of `rows` of the driver:
+/// each `INT` key as its eight little-endian bytes, any other key as its
+/// canonical literal and a `0` separator. It is a snapshot's corpus
+/// identity: a tuple id is a row, so the digest says which key each id
+/// stands for.
+fn key_digest(state: u64, driver: &Table, key_idx: usize, rows: std::ops::Range<usize>) -> u64 {
+    match driver.int_values(key_idx) {
+        Some(keys) => keys[rows]
+            .iter()
+            .fold(state, |h, k| fnv1a64(h, &k.to_le_bytes())),
+        None => rows.fold(state, |h, row| {
+            let key = driver.value_at(row, key_idx).unwrap_or(Value::Null);
+            fnv1a64(fnv1a64(h, key.to_literal().as_bytes()), &[0])
+        }),
+    }
 }
 
 /// A shared, immutable tuple set: an adaptive compressed set
-/// ([`TupleSet`]) over interned tuple ids. `Arc`-backed so materialised
+/// ([`TupleSet`]) over tuple ids (driver row ids). `Arc`-backed so materialised
 /// sets are shared without copying — down PEPS expansion paths and out
 /// of a [`ProfileCache`] shared by concurrent sessions.
 pub type SharedTupleSet = Arc<TupleSet>;
@@ -405,7 +321,12 @@ pub type SharedTupleSet = Arc<TupleSet>;
 pub struct Executor<'db> {
     db: &'db Database,
     base: BaseQuery,
-    interner: RefCell<TupleInterner>,
+    /// The driving table and its key column, resolved once.
+    driver: Result<(&'db Table, usize)>,
+    /// Driver rows whose keys are known non-`NULL` and unique: none for a
+    /// fresh executor, the snapshot's checked rows for a session. A
+    /// result holding a row at or past it checks the key column first.
+    unique_rows: Cell<usize>,
     atom_cache: RefCell<HashMap<String, (Predicate, SharedTupleSet)>>,
     shared: Option<Arc<ProfileCache>>,
     queries_run: Cell<usize>,
@@ -418,8 +339,9 @@ impl<'db> Executor<'db> {
     pub fn new(db: &'db Database, base: BaseQuery) -> Self {
         Executor {
             db,
+            driver: base.driver_key(db),
             base,
-            interner: RefCell::new(TupleInterner::default()),
+            unique_rows: Cell::new(0),
             atom_cache: RefCell::new(HashMap::new()),
             shared: None,
             queries_run: Cell::new(0),
@@ -430,8 +352,8 @@ impl<'db> Executor<'db> {
 
     /// Opens a session executor over a shared profile snapshot: the base
     /// query comes from the cache, cached predicates resolve lock-free
-    /// without SQL, and new predicates intern into a private overlay
-    /// above the snapshot's frozen id space.
+    /// without SQL, and new predicates run into the session's own memo.
+    /// Both name tuples by driver row, so they share one id space.
     ///
     /// The snapshot pins the corpus state it was built from — sessions
     /// must run against the same (immutable) [`Database`] the cache was
@@ -443,7 +365,11 @@ impl<'db> Executor<'db> {
     /// not match the counts recorded when the snapshot was taken — the
     /// cheap fingerprint that turns a mixed-corpora session (stale cached
     /// sets beside fresh SQL against a different corpus) into an
-    /// immediate typed error instead of a silently wrong ranking.
+    /// immediate typed error instead of a silently wrong ranking. A
+    /// session open compares row counts only: the key digest is checked
+    /// where a snapshot meets a corpus it was not built on
+    /// ([`ProfileCache::load_from`], [`ProfileCache::ingest_delta`]), not
+    /// on every batch.
     pub fn with_cache(db: &'db Database, cache: Arc<ProfileCache>) -> Result<Self> {
         Executor::open_session(db, cache, CorpusCheck::Exact)
     }
@@ -473,7 +399,8 @@ impl<'db> Executor<'db> {
         Ok(Executor {
             db,
             base: cache.base.clone(),
-            interner: RefCell::new(TupleInterner::layered(Arc::clone(&cache.interner))),
+            driver: cache.base.driver_key(db),
+            unique_rows: Cell::new(cache.checked_rows),
             atom_cache: RefCell::new(HashMap::new()),
             shared: Some(cache),
             queries_run: Cell::new(0),
@@ -496,37 +423,71 @@ impl<'db> Executor<'db> {
     // tuple-id boundary
     // ------------------------------------------------------------------
 
-    /// Read access to the interner (id ⇄ value mapping).
-    pub fn interner(&self) -> Ref<'_, TupleInterner> {
-        self.interner.borrow()
-    }
-
-    /// Size of the interned id space so far — the upper bound for ids in
-    /// any tuple set this executor has produced.
-    pub fn tuple_universe(&self) -> usize {
-        self.interner.borrow().len()
-    }
-
-    /// The tuple identity behind an interned id.
+    /// The driving table and its key column, behind every issued id.
     ///
     /// # Panics
-    /// Panics if the id was never issued by this executor's interner.
-    pub fn tuple_value(&self, id: u32) -> Value {
-        self.interner.borrow().value(id).clone()
+    /// Panics when the base query has no driver: then no id was issued.
+    fn key_column(&self) -> (&'db Table, usize) {
+        match &self.driver {
+            Ok(driver) => *driver,
+            Err(e) => panic!("no tuple id was issued: {e}"),
+        }
     }
 
-    /// The interned id of a tuple identity, if this executor has seen it.
-    pub fn tuple_id(&self, value: &Value) -> Option<u32> {
-        self.interner.borrow().id(value)
+    /// The id-space size: the driving table's row count, an upper bound
+    /// for ids in any tuple set this executor produces.
+    pub fn tuple_universe(&self) -> usize {
+        self.driver.as_ref().map_or(0, |(driver, _)| driver.len())
+    }
+
+    /// The tuple identity behind an id: its driver row's key.
+    ///
+    /// # Panics
+    /// Panics if the id is past the driving table.
+    pub fn tuple_value(&self, id: u32) -> Value {
+        let (driver, key_idx) = self.key_column();
+        match driver.value_at(id as usize, key_idx) {
+            Some(key) => key,
+            None => panic!("tuple id {id} is past the driving table"),
+        }
+    }
+
+    /// Orders two tuple ids by their keys — the tie-break of every
+    /// ranking — without cloning a key.
+    pub(crate) fn cmp_tuples(&self, a: u32, b: u32) -> Ordering {
+        let (driver, key_idx) = self.key_column();
+        let (a, b) = (a as usize, b as usize);
+        if let Some(keys) = driver.int_values(key_idx) {
+            Value::Int(keys[a]).cmp(&Value::Int(keys[b]))
+        } else if let Some((codes, dict)) = driver.str_codes(key_idx) {
+            dict.get(codes[a]).cmp(&dict.get(codes[b]))
+        } else {
+            driver
+                .value_at(a, key_idx)
+                .cmp(&driver.value_at(b, key_idx))
+        }
     }
 
     /// Translates a tuple set back to sorted tuple identities — the only
     /// place ids become `Value`s again.
     pub fn values_of(&self, set: &TupleSet) -> Vec<Value> {
-        let interner = self.interner.borrow();
-        let mut out: Vec<Value> = set.iter().map(|id| interner.value(id).clone()).collect();
+        let mut out: Vec<Value> = set.iter().map(|id| self.tuple_value(id)).collect();
         out.sort();
         out
+    }
+
+    /// Checks the driver's keys before ids up to `end` are used, unless
+    /// rows that far are already known unique; after a check, every row
+    /// of the (immutable) driver is.
+    ///
+    /// # Errors
+    /// As [`check_keys`].
+    fn ensure_unique_keys(&self, driver: &Table, key_idx: usize, end: usize) -> Result<()> {
+        if end > self.unique_rows.get() {
+            check_keys(driver, key_idx)?;
+            self.unique_rows.set(driver.len());
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -558,27 +519,24 @@ impl<'db> Executor<'db> {
             return Ok((Arc::clone(set), false));
         }
         self.queries_run.set(self.queries_run.get() + 1);
-        let set: SharedTupleSet = Arc::new(self.run_and_intern(unit)?);
+        let set: SharedTupleSet = Arc::new(self.run(unit)?);
         self.atom_cache
             .borrow_mut()
             .insert(key, (unit.clone(), Arc::clone(&set)));
         Ok((set, false))
     }
 
-    /// Runs the unit's enhanced query and interns its distinct keys: the
-    /// distinct driving rows (no `Value` hashed or cloned per joined
-    /// row), then one interner probe per row, fed straight from the
-    /// driver's typed key segment. Ids are collected first and handed to
-    /// [`TupleSet::from_unsorted`], which sorts once and picks the right
-    /// container for the final cardinality.
-    fn run_and_intern(&self, unit: &Predicate) -> Result<TupleSet> {
-        let (driver, key_idx) = self.base.driver_key(self.db)?;
+    /// Runs the unit's enhanced query: its distinct driving rows, which
+    /// come back ascending and deduplicated, *are* its tuple ids — no key
+    /// is read, hashed or sorted. Rows past those known to have unique
+    /// keys are checked first.
+    fn run(&self, unit: &Predicate) -> Result<TupleSet> {
+        let (driver, key_idx) = self.driver.clone()?;
         let rids = self.base.select_for(unit).distinct_row_set(self.db)?;
-        let ids = self
-            .interner
-            .borrow_mut()
-            .intern_keys(driver, key_idx, &rids)?;
-        Ok(TupleSet::from_unsorted(ids))
+        self.ensure_unique_keys(driver, key_idx, rids.last().map_or(0, |r| r.0 + 1))?;
+        Ok(TupleSet::from_sorted(
+            rids.into_iter().map(|r| r.0 as u32).collect(),
+        ))
     }
 
     /// `COUNT(DISTINCT key)` for one preference predicate (a popcount).
@@ -698,19 +656,18 @@ impl<'db> Executor<'db> {
 }
 
 /// An immutable, `Send + Sync` snapshot of a warmed executor, shared
-/// across session executors behind `Arc`: the frozen tuple-id interner
-/// plus the memoised predicate→tuple-set map. The serving shape for
+/// across session executors behind `Arc`: the memoised predicate→tuple-set
+/// map plus the corpus identity it was built on. The serving shape for
 /// multi-user workloads (Chomicki's incremental-profile argument): N
-/// concurrent sessions against one corpus intern once, fetch
-/// materialised sets lock-free, and only pay SQL for predicates the
-/// snapshot has never seen.
+/// concurrent sessions against one corpus fetch materialised sets
+/// lock-free, and only pay SQL for predicates the snapshot has never
+/// seen.
 ///
 /// Writes go through a *build phase* — warm any executor (run the
 /// profile predicates through it), then freeze with
-/// [`ProfileCache::snapshot`]. The interner and the tuple sets are
-/// immutable thereafter; to absorb new predicates, snapshot a session
-/// that ran them and swap the `Arc` (readers keep their old snapshot
-/// until they re-open).
+/// [`ProfileCache::snapshot`]. The tuple sets are immutable thereafter;
+/// to absorb new predicates, snapshot a session that ran them and swap
+/// the `Arc` (readers keep their old snapshot until they re-open).
 ///
 /// The one thing that still changes is a bounded memo of pairwise
 /// tables (§5.5's per-profile list, "updated when the preference graph
@@ -725,7 +682,6 @@ impl<'db> Executor<'db> {
 #[derive(Debug, Clone)]
 pub struct ProfileCache {
     base: BaseQuery,
-    interner: Arc<TupleInterner>,
     /// Every materialised set with the predicate AST behind it, by
     /// canonical key — the AST is what delta ingest re-evaluates over
     /// changed rows without re-parsing canonical text.
@@ -735,6 +691,12 @@ pub struct ProfileCache {
     /// [`ProfileCache::check_corpus`] compares so a snapshot is never
     /// silently served against a different database.
     fingerprint: Vec<(String, Option<usize>)>,
+    /// FNV-1a-64 of the driver's key column over the fingerprinted driver
+    /// rows ([`key_digest`]): which key each tuple id stands for.
+    key_digest: u64,
+    /// Driver rows whose keys are known non-`NULL` and unique; every id
+    /// in every set is below it. Sessions start from it.
+    checked_rows: usize,
     /// Pairwise tables of the profiles served from this snapshot.
     pairwise: PairwiseMemo,
 }
@@ -817,18 +779,13 @@ enum CorpusCheck {
 type TableSpan = Option<(usize, usize)>;
 
 impl ProfileCache {
-    /// Freezes an executor's current state — interner and every
-    /// memoised tuple set — into a shareable snapshot. Snapshotting a
-    /// session executor folds its private overlay (interner overlay and
-    /// local memo) *and* the snapshot it reads through into one flat
-    /// base, so caches compose incrementally.
+    /// Freezes an executor's current state — every memoised tuple set —
+    /// into a shareable snapshot. Snapshotting a session executor folds
+    /// its local memo *and* the snapshot it reads through into one flat
+    /// map, so caches compose incrementally. The snapshot fingerprints
+    /// the corpus as it is now, key digest included (one pass over the
+    /// driver's key column).
     pub fn snapshot(exec: &Executor<'_>) -> Self {
-        let interner = exec.interner.borrow();
-        // Re-use the frozen base Arc when the session added nothing.
-        let interner = match &interner.base {
-            Some(base) if interner.values.is_empty() => Arc::clone(base),
-            _ => Arc::new(interner.flattened()),
-        };
         let mut sets = exec
             .shared
             .as_ref()
@@ -837,26 +794,40 @@ impl ProfileCache {
         for (key, (pred, set)) in exec.atom_cache.borrow().iter() {
             sets.insert(key.clone(), (pred.clone(), Arc::clone(set)));
         }
+        let key_digest = exec
+            .driver
+            .as_ref()
+            .map_or(FNV_OFFSET, |&(driver, key_idx)| {
+                key_digest(FNV_OFFSET, driver, key_idx, 0..driver.len())
+            });
         ProfileCache {
             base: exec.base.clone(),
-            interner,
             sets,
             fingerprint: corpus_fingerprint(exec.db, &exec.base),
+            key_digest,
+            checked_rows: exec.unique_rows.get(),
             pairwise: PairwiseMemo::default(),
         }
     }
 
     /// Builds a snapshot directly: runs every predicate through a fresh
     /// executor (one SQL query each) and freezes the result.
+    ///
+    /// # Errors
+    /// [`HypreError::UnsupportedBaseQuery`] for a base query of another
+    /// shape or a driver key that is `NULL` or repeated somewhere; any
+    /// error of the queries.
     pub fn warm<'p>(
         db: &Database,
         base: BaseQuery,
         predicates: impl IntoIterator<Item = &'p Predicate>,
     ) -> Result<Self> {
         let exec = Executor::new(db, base);
+        let (driver, key_idx) = exec.driver.clone()?;
         for p in predicates {
             exec.tuple_set(p)?;
         }
+        exec.ensure_unique_keys(driver, key_idx, driver.len())?;
         Ok(ProfileCache::snapshot(&exec))
     }
 
@@ -886,9 +857,13 @@ impl ProfileCache {
         self.sets.is_empty()
     }
 
-    /// Size of the frozen tuple-id space.
+    /// Size of the frozen tuple-id space: the driver's row count when the
+    /// snapshot was taken.
     pub fn tuple_universe(&self) -> usize {
-        self.interner.len()
+        self.fingerprint
+            .first()
+            .and_then(|&(_, rows)| rows)
+            .unwrap_or(0)
     }
 
     /// The pairwise table for a profile whose every atom set came from
@@ -955,6 +930,25 @@ impl ProfileCache {
             .collect()
     }
 
+    /// Checks that the driver's first [`tuple_universe`](Self::tuple_universe)
+    /// keys are still the ones the snapshot was built on.
+    ///
+    /// # Errors
+    /// [`HypreError::StaleSnapshot`] with equal row counts when a key
+    /// differs (a row rewritten, or rows permuted).
+    fn check_key_digest(&self, driver: &Table, key_idx: usize) -> Result<()> {
+        let rows = self.tuple_universe().min(driver.len());
+        if key_digest(FNV_OFFSET, driver, key_idx, 0..rows) == self.key_digest {
+            Ok(())
+        } else {
+            Err(HypreError::StaleSnapshot {
+                table: self.base.table.clone(),
+                warmed: Some(rows),
+                current: Some(rows),
+            })
+        }
+    }
+
     /// Absorbs an *append-only* corpus delta into a new snapshot without
     /// re-deriving any predicate from SQL scratch. For every base-query
     /// table that grew since warm time, the delta rows are mapped to the
@@ -964,13 +958,16 @@ impl ProfileCache {
     /// that column. Each predicate is then re-evaluated over just those
     /// candidate rows by relstore's seeded columnar plan
     /// ([`relstore::SelectQuery::distinct_row_set_among`]); the matching
-    /// rows' keys are read from the driver's typed key segment (no row is
-    /// materialised), fresh matches intern *above* the frozen id space,
-    /// and the matching run / array / bitmap containers grow
-    /// copy-on-write — untouched sets are shared structurally with the
-    /// old snapshot. Because the tables are append-only, predicate
-    /// matches are monotone (a driver row can only *gain* witnesses), so
-    /// insert-only maintenance is exact.
+    /// rows are the new members (an appended driver row's id is above
+    /// every old one by construction), and the matching run / array /
+    /// bitmap containers grow copy-on-write — untouched sets are shared
+    /// structurally with the old snapshot. Because the tables are
+    /// append-only, predicate matches are monotone (a driver row can only
+    /// *gain* witnesses), so insert-only maintenance is exact.
+    ///
+    /// Before any set grows, the driver's keys over the old rows must
+    /// still match the snapshot's key digest, and every key, appended ones
+    /// included, must be non-`NULL` and unique.
     ///
     /// `self` is never mutated: on any error the old snapshot remains
     /// fully intact and serving — the atomicity contract the epoch layer
@@ -979,10 +976,12 @@ impl ProfileCache {
     ///
     /// # Errors
     /// [`HypreError::StaleSnapshot`] when the corpus changed in a way
-    /// appends cannot produce (a table shrank, appeared or disappeared);
+    /// appends cannot produce (a table shrank, appeared or disappeared, or
+    /// an old driver key changed);
     /// [`HypreError::UnsupportedBaseQuery`] for a base query with its key
-    /// or a join column off the driving table; any error from the
-    /// underlying queries (e.g. injected faults).
+    /// or a join column off the driving table, or a key that is `NULL` or
+    /// repeated; any error from the underlying queries (e.g. injected
+    /// faults).
     pub fn ingest_delta(&self, db: &Database) -> Result<(ProfileCache, DeltaReport)> {
         let spans = self.check_corpus(db, CorpusCheck::AppendOnly)?;
         let appended: Vec<(String, usize)> = self
@@ -994,10 +993,12 @@ impl ProfileCache {
                 _ => None,
             })
             .collect();
+        let (driver, key_idx) = self.base.driver_key(db)?;
+        self.check_key_digest(driver, key_idx)?;
         if appended.is_empty() {
             return Ok((self.clone(), DeltaReport::default()));
         }
-        let (driver, key_idx) = self.base.driver_key(db)?;
+        check_keys(driver, key_idx)?;
         let (driver_old, driver_now) = spans[0].unwrap_or((driver.len(), driver.len()));
 
         // Per joined table that grew: the driver rows its delta rows reach
@@ -1041,10 +1042,9 @@ impl ProfileCache {
         let new_driver: Vec<RowId> = (driver_old..driver_now).map(RowId).collect();
 
         // Re-evaluate each predicate over only its candidate rows,
-        // growing the matching containers copy-on-write. Keys iterate in
-        // sorted order so id assignment is deterministic.
-        let mut interner = (*self.interner).clone();
-        let before_universe = interner.len();
+        // growing the matching containers copy-on-write, and note which
+        // appended driver rows joined some set.
+        let mut joined_new = vec![false; driver_now - driver_old];
         let mut sets: HashMap<String, (Predicate, SharedTupleSet)> =
             HashMap::with_capacity(self.sets.len());
         let mut changed: Vec<String> = Vec::new();
@@ -1074,8 +1074,14 @@ impl ProfileCache {
                 continue;
             }
             let rids = q.distinct_row_set_among(db, cands)?;
-            let mut fresh = interner.intern_keys(driver, key_idx, &rids)?;
-            fresh.retain(|&id| !old_set.contains(id));
+            let fresh: Vec<u32> = rids
+                .iter()
+                .map(|r| r.0 as u32)
+                .filter(|&id| !old_set.contains(id))
+                .collect();
+            for r in rids.iter().filter(|r| r.0 >= driver_old) {
+                joined_new[r.0 - driver_old] = true;
+            }
             if fresh.is_empty() {
                 sets.insert(key.clone(), (pred.clone(), Arc::clone(old_set)));
             } else {
@@ -1085,19 +1091,20 @@ impl ProfileCache {
                 sets.insert(key.clone(), (pred.clone(), Arc::new(grown)));
             }
         }
-        let new_tuples = interner.len() - before_universe;
+        let key_digest = key_digest(self.key_digest, driver, key_idx, driver_old..driver_now);
         Ok((
             ProfileCache {
                 base: self.base.clone(),
-                interner: Arc::new(interner),
                 sets,
                 fingerprint: corpus_fingerprint(db, &self.base),
+                key_digest,
+                checked_rows: driver.len(),
                 pairwise: PairwiseMemo::default(),
             },
             DeltaReport {
                 appended,
                 changed,
-                new_tuples,
+                new_tuples: joined_new.iter().filter(|&&joined| joined).count(),
             },
         ))
     }
@@ -1112,7 +1119,8 @@ pub struct DeltaReport {
     /// Canonical keys of the predicates whose tuple sets gained members,
     /// sorted.
     pub changed: Vec<String>,
-    /// Tuple identities interned above the previous frozen id space.
+    /// Appended driver rows (tuples above the previous id space) that
+    /// joined some tuple set.
     pub new_tuples: usize,
 }
 
@@ -1563,23 +1571,99 @@ mod tests {
     }
 
     #[test]
-    fn interner_round_trips_identities() {
+    fn tuple_ids_are_driver_rows() {
         let db = db();
         let exec = Executor::new(&db, BaseQuery::dblp());
+        // Rows 1..=3 hold papers 2, 3 and 4.
         let set = exec.tuple_set(&p("dblp.year>=2008")).unwrap();
-        assert_eq!(set.count(), 3);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [1, 2, 3]);
         for id in set.iter() {
-            let value = exec.tuple_value(id);
-            assert_eq!(exec.tuple_id(&value), Some(id), "id ⇄ value round trip");
+            assert_eq!(exec.tuple_value(id), Value::Int(i64::from(id) + 1));
         }
-        assert!(exec.tuple_universe() >= 3);
-        assert_eq!(exec.tuple_id(&Value::Int(999)), None);
-        // ids are stable across further queries
-        let before: Vec<(u32, Value)> = set.iter().map(|id| (id, exec.tuple_value(id))).collect();
-        exec.tuple_set(&p("dblp.venue='VLDB'")).unwrap();
-        for (id, value) in before {
-            assert_eq!(exec.tuple_value(id), value);
+        assert_eq!(exec.tuple_universe(), 4);
+        assert_eq!(exec.cmp_tuples(1, 3), std::cmp::Ordering::Less);
+        assert_eq!(exec.cmp_tuples(2, 2), std::cmp::Ordering::Equal);
+        // A joined filter names the same rows.
+        let coauth = exec.tuple_set(&p("dblp_author.aid=11")).unwrap();
+        assert_eq!(coauth.iter().collect::<Vec<_>>(), [1, 2]);
+    }
+
+    /// The test corpus with its `dblp` rows' keys replaced by `keys`.
+    fn db_with_keys(keys: &[Value]) -> Database {
+        let mut db = Database::new();
+        let papers = db
+            .create_table(
+                "dblp",
+                Schema::of(&[("pid", DataType::Int), ("venue", DataType::Str)]),
+            )
+            .unwrap();
+        for key in keys {
+            papers.insert(vec![key.clone(), "VLDB".into()]).unwrap();
         }
+        db.create_table(
+            "dblp_author",
+            Schema::of(&[("pid", DataType::Int), ("aid", DataType::Int)]),
+        )
+        .unwrap();
+        db
+    }
+
+    #[test]
+    fn a_null_or_repeated_driver_key_is_an_unsupported_base_query() {
+        let vldb = p("dblp.venue='VLDB'");
+        for keys in [
+            vec![Value::Int(1), Value::Int(2), Value::Int(1)],
+            vec![Value::Int(1), Value::Null],
+        ] {
+            for indexed in [false, true] {
+                let mut db = db_with_keys(&keys);
+                if indexed {
+                    db.table_mut("dblp")
+                        .unwrap()
+                        .create_index("pid", relstore::IndexKind::Hash)
+                        .unwrap();
+                }
+                let exec = Executor::new(&db, BaseQuery::dblp());
+                assert!(matches!(
+                    exec.tuple_set(&vldb),
+                    Err(HypreError::UnsupportedBaseQuery { .. })
+                ));
+                // Warm-up checks the keys even when no set holds a row.
+                assert!(matches!(
+                    ProfileCache::warm(&db, BaseQuery::dblp(), [&p("dblp.venue='PODS'")]),
+                    Err(HypreError::UnsupportedBaseQuery { .. })
+                ));
+            }
+        }
+        let unique = db_with_keys(&[Value::Int(1), Value::Int(2)]);
+        assert!(ProfileCache::warm(&unique, BaseQuery::dblp(), [&vldb]).is_ok());
+    }
+
+    #[test]
+    fn a_session_checks_keys_only_for_rows_past_its_snapshot() {
+        let base = db_with_keys(&[Value::Int(1), Value::Int(2)]);
+        let cache = Arc::new(
+            ProfileCache::warm(&base, BaseQuery::dblp(), [&p("dblp.venue='VLDB'")]).unwrap(),
+        );
+        // An appended row repeating key 1: cached sets still serve, and a
+        // fresh atom matching only old rows needs no check.
+        let mut grown = base.clone();
+        grown
+            .table_mut("dblp")
+            .unwrap()
+            .insert(vec![1.into(), "PODS".into()])
+            .unwrap();
+        let session = Executor::with_cache_pinned(&grown, Arc::clone(&cache)).unwrap();
+        assert_eq!(
+            session.tuples(&p("dblp.venue='VLDB'")).unwrap(),
+            [Value::Int(1), Value::Int(2)]
+        );
+        assert_eq!(session.tuples(&p("dblp.pid=2")).unwrap(), [Value::Int(2)]);
+        // A fresh atom reaching the appended row is a typed error.
+        assert!(matches!(
+            session.tuple_set(&p("dblp.venue='PODS'")),
+            Err(HypreError::UnsupportedBaseQuery { .. })
+        ));
     }
 
     #[test]
@@ -1630,7 +1714,6 @@ mod tests {
         check::<TupleSet>();
         check::<crate::bitset::BitSet>();
         check::<SharedTupleSet>();
-        check::<TupleInterner>();
         check::<ProfileCache>();
         check::<PairwiseCache>();
         check::<Epoch>();
@@ -1658,7 +1741,7 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert!(cache.contains(&vldb));
         assert!(!cache.is_empty());
-        assert!(cache.tuple_universe() >= 3);
+        assert_eq!(cache.tuple_universe(), 4);
 
         let session = Executor::with_cache(&db, Arc::clone(&cache)).unwrap();
         // Cached predicates: zero SQL, shared hits instead.
@@ -1667,7 +1750,7 @@ mod tests {
         assert_eq!(session.queries_run(), 0);
         assert_eq!(session.shared_hits(), 1);
         // A predicate the snapshot never saw: one SQL query, local memo,
-        // ids extend above the frozen base without disturbing it.
+        // in the same row-id space as the snapshot's sets.
         let pods = p("dblp.venue='PODS'");
         let fresh = Executor::new(&db, BaseQuery::dblp());
         let want: Vec<Value> = fresh.tuples(&pods).unwrap();
@@ -1675,13 +1758,9 @@ mod tests {
         assert_eq!(session.queries_run(), 1);
         session.tuple_set(&pods).unwrap();
         assert_eq!(session.queries_run(), 1, "local memo caught the repeat");
-        assert!(session.tuple_universe() >= cache.tuple_universe());
-        // Snapshot ids stayed stable: values round-trip through both.
-        for id in set.iter() {
-            let v = session.tuple_value(id);
-            assert_eq!(session.tuple_id(&v), Some(id));
-        }
-        // Re-snapshot folds the session overlay into a new flat cache.
+        assert_eq!(session.tuple_universe(), cache.tuple_universe());
+        assert_eq!(session.values_of(&set), fresh.tuples(&vldb).unwrap());
+        // Re-snapshot folds the session memo into a new flat cache.
         let folded = ProfileCache::snapshot(&session);
         assert_eq!(folded.len(), 3);
         assert_eq!(folded.tuple_universe(), session.tuple_universe());
@@ -1739,11 +1818,10 @@ mod tests {
 
     #[test]
     fn id_space_exhaustion_is_a_typed_error() {
-        assert_eq!(next_id(0).unwrap(), 0);
-        assert_eq!(next_id(41).unwrap(), 41);
-        assert_eq!(next_id(u32::MAX as usize).unwrap(), u32::MAX);
+        assert_eq!(id_space(0), Ok(()));
+        assert_eq!(id_space(u32::MAX as usize + 1), Ok(()), "row u32::MAX fits");
         assert_eq!(
-            next_id(u32::MAX as usize + 1),
+            id_space(u32::MAX as usize + 2),
             Err(HypreError::IdSpaceExhausted)
         );
     }

@@ -4,12 +4,12 @@
 //! Warming a profile cache over a large corpus costs one SQL query per
 //! distinct predicate plus the triangular pairwise pass; at a million
 //! papers that is the dominant start-up cost. A snapshot file persists
-//! the warmed state — frozen tuple-id interner, every materialised
-//! predicate tuple set (in its canonical container encoding), and
-//! optionally the pairwise table — so a restarted process gets back to
-//! serving with a single sequential file read.
+//! the warmed state — every materialised predicate tuple set (in its
+//! canonical container encoding), the corpus identity it was built on,
+//! and optionally the pairwise table — so a restarted process gets back
+//! to serving with a single sequential file read.
 //!
-//! ## Format (version 2)
+//! ## Format (version 3)
 //!
 //! A flat length-prefixed little-endian byte stream, no external
 //! dependencies:
@@ -17,10 +17,10 @@
 //! ```text
 //! magic     8  b"HYPRSNAP"
 //! version   u32
-//! fingerprint  u32 count, then per table: str name, u8 tag, [u64 rows]
+//! fingerprint  u32 count, then per table: str name, u8 tag, [u64 rows];
+//!              then u64 key digest
 //! base query   str driver, colref key, u32 joins,
 //!              then per join: str table, colref left, colref right
-//! interner     u64 count, then per value (in id order): u8 tag + payload
 //! tuple sets   u64 count (keys sorted), then per set:
 //!              str canonical-predicate key, u8 container tag, payload
 //!                0 array:  u32 n, n × u32 id
@@ -37,6 +37,11 @@
 //! text, and the display/parse round-trip (`tests/properties.rs`) makes
 //! re-parsing it reproduce the AST exactly.
 //!
+//! A tuple id is a driver row, so the file stores no key values (version
+//! 2 wrote every key in id order). The fingerprint's key digest — FNV-1a-64
+//! over the driver's key column on the fingerprinted rows — is what ties
+//! ids to keys instead.
+//!
 //! ## Integrity contract
 //!
 //! The checksum is verified right after the magic and version (so a
@@ -48,15 +53,17 @@
 //! against the bytes remaining *before* allocation, so even a re-sealed
 //! file with bad fields surfaces as a typed error —
 //! [`HypreError::SnapshotCorrupt`], [`HypreError::SnapshotVersion`],
-//! [`HypreError::SnapshotIo`] — never a panic or an over-allocation. Container payloads are re-validated
-//! against the [`TupleSet`] invariants (sorted arrays, disjoint
-//! ascending runs) and every tuple id must resolve inside the interner's
-//! id space. The base query must have the one shape the executor
-//! supports, and the fingerprint must name exactly its tables, in order;
-//! either failing is [`HypreError::SnapshotCorrupt`]. Loading also
-//! re-fingerprints the live corpus through the in-process staleness
-//! check: a snapshot warmed on different table shapes is
-//! [`HypreError::StaleSnapshot`].
+//! [`HypreError::SnapshotIo`] — never a panic or an over-allocation.
+//! Container payloads are re-validated against the [`TupleSet`]
+//! invariants (sorted arrays, disjoint ascending runs) and every tuple id
+//! must be below the fingerprinted driver row count. The base query must
+//! have the one shape the executor supports, and the fingerprint must
+//! name exactly its tables, in order; either failing is
+//! [`HypreError::SnapshotCorrupt`]. Loading also re-fingerprints the live
+//! corpus: a snapshot warmed on different row counts, or on driver rows
+//! whose keys differ (rewritten or permuted rows), is
+//! [`HypreError::StaleSnapshot`], and a driver key that is `NULL` or
+//! repeated is [`HypreError::UnsupportedBaseQuery`].
 //!
 //! Writes go to a sibling temp file first and are published with an
 //! atomic rename, so a crash mid-save never leaves a torn snapshot at
@@ -66,32 +73,28 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use relstore::{parse_predicate, ColRef, Database, Predicate, Value};
+use relstore::{parse_predicate, ColRef, Database, Predicate};
 
 use crate::error::{HypreError, Result};
 use crate::tupleset::{ContainerDump, TupleSet};
 
 use super::{
-    check_fingerprint_tables, index_by_first, triangle, BaseQuery, CorpusCheck, PairEntry,
-    PairwiseCache, PairwiseMemo, ProfileCache, SharedTupleSet, TupleInterner,
+    check_fingerprint_tables, check_keys, fnv1a64, index_by_first, triangle, BaseQuery,
+    CorpusCheck, PairEntry, PairwiseCache, PairwiseMemo, ProfileCache, SharedTupleSet, FNV_OFFSET,
 };
 
 /// File magic: identifies a HYPRE profile snapshot.
 const MAGIC: &[u8; 8] = b"HYPRSNAP";
 
 /// Highest snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Bytes of the trailing checksum.
 const CHECKSUM_LEN: usize = 8;
 
-/// FNV-1a, 64-bit: the checksum that seals a snapshot's bytes. Each step
-/// is a bijection of the running state, so changing any one byte always
-/// changes the result.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// FNV-1a, 64-bit: the checksum that seals a snapshot's bytes.
+fn checksum(bytes: &[u8]) -> u64 {
+    fnv1a64(FNV_OFFSET, bytes)
 }
 
 // ----------------------------------------------------------------------
@@ -128,25 +131,6 @@ fn w_colref(buf: &mut Vec<u8>, c: &ColRef) -> Result<()> {
         None => w_u8(buf, 0),
     }
     w_str(buf, &c.column)
-}
-
-fn w_value(buf: &mut Vec<u8>, v: &Value) -> Result<()> {
-    match v {
-        Value::Null => w_u8(buf, 0),
-        Value::Int(i) => {
-            w_u8(buf, 1);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            w_u8(buf, 2);
-            w_u64(buf, f.to_bits());
-        }
-        Value::Str(s) => {
-            w_u8(buf, 3);
-            w_str(buf, s)?;
-        }
-    }
-    Ok(())
 }
 
 fn w_set(buf: &mut Vec<u8>, set: &TupleSet) {
@@ -223,10 +207,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(arr))
     }
 
-    fn r_i64(&mut self, what: &str) -> Result<i64> {
-        Ok(self.r_u64(what)? as i64)
-    }
-
     /// A `count`-element section of at least `min_entry` bytes per
     /// element must fit in the remaining bytes — checked *before* any
     /// allocation, so a corrupt count cannot drive an OOM.
@@ -258,18 +238,8 @@ impl<'a> Reader<'a> {
         Ok(ColRef { table, column })
     }
 
-    fn r_value(&mut self, what: &str) -> Result<Value> {
-        match self.r_u8(what)? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.r_i64(what)?)),
-            2 => Ok(Value::Float(f64::from_bits(self.r_u64(what)?))),
-            3 => Ok(Value::Str(self.r_str(what)?)),
-            _ => Err(self.corrupt(what)),
-        }
-    }
-
     /// One tuple-set container: parse, re-validate its invariants, and
-    /// check every id lands inside the interner's `universe`.
+    /// check every id lands inside the `universe` of driver rows.
     fn r_set(&mut self, universe: usize, what: &str) -> Result<TupleSet> {
         let tag = self.r_u8(what)?;
         let raw_n = self.r_u32(what)? as u64;
@@ -333,7 +303,7 @@ impl<'a> Reader<'a> {
 
 impl ProfileCache {
     /// Serialises the warmed cache (and optionally a [`PairwiseCache`]
-    /// built over the same profile) to `path` in snapshot format v2.
+    /// built over the same profile) to `path` in snapshot format v3.
     ///
     /// The bytes are staged in a sibling `.tmp` file and published with
     /// an atomic rename, so readers never observe a torn snapshot and a
@@ -376,6 +346,7 @@ impl ProfileCache {
                 None => w_u8(&mut buf, 0),
             }
         }
+        w_u64(&mut buf, self.key_digest);
 
         w_str(&mut buf, &self.base.table)?;
         w_colref(&mut buf, &self.base.key)?;
@@ -384,11 +355,6 @@ impl ProfileCache {
             w_str(&mut buf, table)?;
             w_colref(&mut buf, left)?;
             w_colref(&mut buf, right)?;
-        }
-
-        w_u64(&mut buf, self.interner.len() as u64);
-        for id in 0..self.interner.len() as u32 {
-            w_value(&mut buf, self.interner.value(id))?;
         }
 
         let mut sets: Vec<(&String, &SharedTupleSet)> =
@@ -414,14 +380,16 @@ impl ProfileCache {
             }
             None => w_u8(&mut buf, 0),
         }
-        let checksum = fnv1a64(&buf);
-        w_u64(&mut buf, checksum);
+        let sealed = checksum(&buf);
+        w_u64(&mut buf, sealed);
         Ok(buf)
     }
 
     /// Loads a snapshot written by [`ProfileCache::save_to`] and pins it
     /// to the live corpus: the stored fingerprint must match the row
-    /// counts `db` reports for every base-query table.
+    /// counts `db` reports for every base-query table, and the key digest
+    /// the driver's keys; then every driver key is checked non-`NULL` and
+    /// unique. Both checks are one pass over the driver's key column.
     ///
     /// # Errors
     /// - [`HypreError::SnapshotIo`] — the file cannot be read.
@@ -431,7 +399,9 @@ impl ProfileCache {
     /// - [`HypreError::SnapshotVersion`] — valid magic, another format
     ///   version.
     /// - [`HypreError::StaleSnapshot`] — well-formed snapshot warmed on
-    ///   a corpus whose table shapes differ from `db`.
+    ///   a corpus whose row counts or driver keys differ from `db`'s.
+    /// - [`HypreError::UnsupportedBaseQuery`] — a driver key of `db` is
+    ///   `NULL` or repeated.
     pub fn load_from(
         path: impl AsRef<Path>,
         db: &Database,
@@ -440,8 +410,12 @@ impl ProfileCache {
         let bytes = std::fs::read(path).map_err(|e| HypreError::SnapshotIo {
             detail: format!("read {}: {e}", path.display()),
         })?;
-        let (cache, pairs) = ProfileCache::from_bytes(&bytes)?;
+        let (mut cache, pairs) = ProfileCache::from_bytes(&bytes)?;
         cache.check_corpus(db, CorpusCheck::Exact)?;
+        let (driver, key_idx) = cache.base.driver_key(db)?;
+        cache.check_key_digest(driver, key_idx)?;
+        check_keys(driver, key_idx)?;
+        cache.checked_rows = driver.len();
         Ok((cache, pairs))
     }
 
@@ -468,7 +442,7 @@ impl ProfileCache {
             return Err(r.corrupt("missing checksum"));
         };
         let (body, sealed) = bytes.split_at(body_len);
-        if fnv1a64(body).to_le_bytes() != sealed {
+        if checksum(body).to_le_bytes() != sealed {
             return Err(r.corrupt("checksum mismatch"));
         }
         r.buf = body;
@@ -485,6 +459,7 @@ impl ProfileCache {
             };
             fingerprint.push((table, rows));
         }
+        let key_digest = r.r_u64("key digest")?;
 
         let driver = r.r_str("base-query driver table")?;
         let key = r.r_colref("base-query key column")?;
@@ -506,17 +481,8 @@ impl ProfileCache {
             .map_err(|e| r.corrupt(&format!("base query: {e}")))?;
         check_fingerprint_tables(&fingerprint, &base)?;
 
-        let raw_vals = r.r_u64("interner count")?;
-        let n_vals = r.checked_count(raw_vals, 1, "interner count")?;
-        let mut interner = TupleInterner::default();
-        for idx in 0..n_vals {
-            let v = r.r_value("interner value")?;
-            let id = interner.intern(&v)?;
-            if id as usize != idx {
-                return Err(r.corrupt("duplicate interner value"));
-            }
-        }
-        let universe = interner.len();
+        // Tuple ids are driver rows.
+        let universe = fingerprint[0].1.unwrap_or(0);
 
         let raw_sets = r.r_u64("tuple-set count")?;
         let n_sets = r.checked_count(raw_sets, 9, "tuple-set count")?;
@@ -576,9 +542,11 @@ impl ProfileCache {
 
         let cache = ProfileCache {
             base,
-            interner: Arc::new(interner),
             sets,
             fingerprint,
+            key_digest,
+            // Nothing is known of the corpus until `load_from` checks it.
+            checked_rows: 0,
             pairwise: PairwiseMemo::default(),
         };
         Ok((cache, pairs))
@@ -590,7 +558,7 @@ mod tests {
     use super::super::{Executor, PairwiseCache, ProfileCache};
     use super::*;
     use crate::combine::PrefAtom;
-    use relstore::{DataType, Schema};
+    use relstore::{DataType, Schema, Value};
 
     fn tiny_dblp() -> Database {
         let mut db = Database::new();
@@ -677,9 +645,8 @@ mod tests {
             assert_eq!(&**restored, &**set, "set for {key}");
             assert_eq!(loaded_pred, pred, "pred for {key}");
         }
-        for id in 0..cache.tuple_universe() as u32 {
-            assert_eq!(loaded.interner.value(id), cache.interner.value(id));
-        }
+        assert_eq!(loaded.key_digest, cache.key_digest);
+        assert_eq!(loaded.checked_rows, 4, "load checks every driver key");
         let loaded_pairs = loaded_pairs.unwrap();
         assert_eq!(loaded_pairs.entries, pairs.entries);
         assert_eq!(loaded_pairs.n, pairs.n);
@@ -770,6 +737,50 @@ mod tests {
         let bytes = cache.to_bytes(None).unwrap();
         let err = ProfileCache::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, HypreError::SnapshotCorrupt { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn a_rewritten_driver_key_is_stale_at_load_and_ingest() {
+        let db = tiny_dblp();
+        let (cache, _) = warmed(&db);
+        let path = TempPath::new("rewritten");
+        cache.save_to(&path, None).unwrap();
+        // The same rows, with paper 4 renumbered 5.
+        let mut rewritten = Database::new();
+        let papers = rewritten
+            .create_table(
+                "dblp",
+                Schema::of(&[
+                    ("pid", DataType::Int),
+                    ("venue", DataType::Str),
+                    ("year", DataType::Int),
+                ]),
+            )
+            .unwrap();
+        for row in db.table("dblp").unwrap().scan().map(|(_, row)| row) {
+            let pid = if row[0] == Value::Int(4) {
+                Value::Int(5)
+            } else {
+                row[0].clone()
+            };
+            papers
+                .insert(vec![pid, row[1].clone(), row[2].clone()])
+                .unwrap();
+        }
+        let links = db.table("dblp_author").unwrap();
+        *rewritten
+            .create_table("dblp_author", links.schema().clone())
+            .unwrap() = links.clone();
+        let stale = HypreError::StaleSnapshot {
+            table: "dblp".into(),
+            warmed: Some(4),
+            current: Some(4),
+        };
+        assert_eq!(
+            ProfileCache::load_from(&path, &rewritten).unwrap_err(),
+            stale
+        );
+        assert_eq!(cache.ingest_delta(&rewritten).unwrap_err(), stale);
     }
 
     #[test]

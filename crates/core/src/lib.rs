@@ -112,7 +112,7 @@ pub mod prelude {
     pub use crate::error::{HypreError, Result};
     pub use crate::exec::{
         BaseQuery, DeltaReport, Epoch, EpochCache, Executor, PairEntry, PairwiseCache,
-        ProfileCache, SharedTupleSet, TupleInterner,
+        ProfileCache, SharedTupleSet,
     };
     pub use crate::graph::{
         EdgeKind, HypreGraph, IngestReport, QualInsertOutcome, StoredPreference, NODE_LABEL,

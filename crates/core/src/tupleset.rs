@@ -4,12 +4,11 @@
 //! PR 1 made tuple sets word-packed [`BitSet`]s, ideal for dense
 //! predicates but wasteful for the highly selective long tail; PR 2 added
 //! a sorted-array container for that tail. This revision adds the third
-//! classic roaring container — **run-length encoding** — because the
-//! interner assigns tuple ids in first-sight order: the corpus is scanned
-//! in row order, so the sets of year/range predicates (and every dense
-//! result derived from them) are a handful of *contiguous id runs* that
-//! collapse to a few `(start, len)` pairs. A [`TupleSet`] adapts its
-//! container to its contents:
+//! classic roaring container — **run-length encoding** — because a tuple
+//! id is a driver row: a predicate over a column the corpus is ordered
+//! by (a key range, a load-order window) matches a handful of
+//! *contiguous id runs* that collapse to a few `(start, len)` pairs. A
+//! [`TupleSet`] adapts its container to its contents:
 //!
 //! * **Array container** — a sorted, duplicate-free `Vec<u32>`. Storage is
 //!   4 bytes per id, intersection is a two-pointer merge (galloping
@@ -181,8 +180,7 @@ impl TupleSet {
         TupleSet::default()
     }
 
-    /// Builds a set from ids in any order, with duplicates allowed — the
-    /// executor's materialisation path (row-scan order is arbitrary).
+    /// Builds a set from ids in any order, with duplicates allowed.
     pub fn from_unsorted(mut ids: Vec<u32>) -> Self {
         ids.sort_unstable();
         ids.dedup();
@@ -190,8 +188,9 @@ impl TupleSet {
     }
 
     /// Wraps a sorted, duplicate-free id vector in the canonical
-    /// container.
-    fn from_sorted(ids: Vec<u32>) -> Self {
+    /// container — the executor's materialisation path, whose scans
+    /// return driver rows ascending.
+    pub(crate) fn from_sorted(ids: Vec<u32>) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
         let w = ids.last().map_or(0, |&m| word_span(m));
         let repr = match choose_kind(ids.len(), run_count_sorted(&ids), w) {

@@ -16,15 +16,16 @@
 //!
 //! ## Columnar plans
 //!
-//! [`SelectQuery::distinct_row_set`] — the call feeding the tuple interner
-//! in `hypre-core` — and its seeded twin
+//! [`SelectQuery::distinct_row_set`] — the call whose driver rows are
+//! `hypre-core`'s tuple sets — and its seeded twin
 //! [`SelectQuery::distinct_row_set_among`] — the delta-ingest call — both
 //! compile the query into one crate-internal `FastPlan` over the tables'
 //! columnar segments and indexes. Three shapes compile:
 //!
 //! * **Scan** — a single-table select: the compiled filter runs over the
 //!   driver rows an index seed names (a top-level `=`/`IN`/range conjunct
-//!   on an indexed driver column), or over every driver row.
+//!   on an indexed driver column), or over every driver row the zone maps
+//!   leave (below).
 //! * **Semi-join** — one `INT` equi-join, filter on the driver only: a
 //!   passing driver row also needs a join partner, found in a set of the
 //!   joined keys built once per run.
@@ -45,6 +46,21 @@
 //! inherited rather than re-implemented. String atoms are evaluated
 //! **once per dictionary code** into a truth table, so a scan over a
 //! million rows compares a million `u32`s, not a million strings.
+//!
+//! ## Zone maps
+//!
+//! Every `INT` segment keeps the min and max non-null value of each block
+//! of [`ZONE_ROWS`] rows, extended on append. A walk with no access path
+//! and no seed — a scan, a semi-join's driver walk, a joined filter's
+//! walk of the joined table — skips every block whose zone cannot satisfy
+//! one of the filter's top-level `IntRange` conjuncts (the atom itself,
+//! or an operand of a top-level `AND`): for `inside` a zone disjoint from
+//! `lo..=hi`, for `<>` a zone holding only the excluded value, and an
+//! all-`NULL` block always. It is the one walk, not a second scan path:
+//! with no such conjunct every block is walked, and every walked row is
+//! still tested by the full filter. On an ascending column such as
+//! `dblp.pid`, a `BETWEEN` touches one or two blocks. Seeded walks and
+//! index seeds do not consult the zones.
 //!
 //! A *seeded* plan restricts the driver rows to the caller's candidate
 //! rows (out-of-range and duplicate ids are dropped), which is how delta
@@ -68,7 +84,7 @@ use crate::database::Database;
 use crate::error::{RelError, Result};
 use crate::index::Index;
 use crate::predicate::{CmpOp, ColRef, ColumnResolver, Predicate};
-use crate::table::{ColumnData, NullMask, RowId, Table};
+use crate::table::{ColumnData, NullMask, RowId, Table, Zone, ZONE_ROWS};
 use crate::value::Value;
 
 /// An inner equi-join condition `left = right` between two qualified columns.
@@ -178,9 +194,9 @@ impl SelectQuery {
     /// The distinct *driving-table* rows with at least one joined row
     /// passing the filter, in scan (ascending `RowId`) order.
     ///
-    /// This is the call feeding the tuple interner in `hypre-core`. The
-    /// query compiles into a columnar plan (see the module docs): index
-    /// seeks on either side of the join, typed `i64` kernels, and driver
+    /// Its rows are `hypre-core`'s tuple sets. The query compiles into a
+    /// columnar plan (see the module docs): index seeks on either side of
+    /// the join, zone-map block skipping, typed `i64` kernels, and driver
     /// rows recovered from joined keys through the driver key's index —
     /// no row is ever materialised. Shapes the plan compiler does not
     /// cover run the reference join pipeline instead, with the same
@@ -513,7 +529,7 @@ struct KeyCol<'db> {
 impl<'db> KeyCol<'db> {
     fn new(table: &'db Table, col_idx: usize) -> Option<Self> {
         match table.column_data(col_idx)? {
-            ColumnData::Int { values, nulls } => Some(KeyCol {
+            ColumnData::Int { values, nulls, .. } => Some(KeyCol {
                 values,
                 nulls,
                 index: table.index_at(col_idx),
@@ -529,36 +545,66 @@ impl<'db> KeyCol<'db> {
     }
 }
 
+/// A top-level `IntRange` conjunct of a compiled filter, seen through
+/// its column's zone map: a row can pass the filter only in a block whose
+/// zone may hold the range.
+struct ZoneTest<'db> {
+    zones: &'db [Zone],
+    lo: i64,
+    hi: i64,
+    inside: bool,
+}
+
 /// Calls `f` on each row a plan visits: the listed ids (a caller's seed
-/// or an index seed) with out-of-range ones dropped, or every row below
-/// `len`.
-fn for_each_row(len: usize, listed: Option<&[RowId]>, mut f: impl FnMut(usize)) {
+/// or an index seed) with out-of-range ones dropped, or else every row
+/// below `len` in a block of [`ZONE_ROWS`] rows whose zones may hold
+/// every one of `tests` (with no tests, every row).
+fn for_each_row(
+    len: usize,
+    listed: Option<&[RowId]>,
+    tests: &[ZoneTest<'_>],
+    mut f: impl FnMut(usize),
+) {
     match listed {
         Some(ids) => ids.iter().filter(|id| id.0 < len).for_each(|id| f(id.0)),
-        None => (0..len).for_each(f),
+        None => {
+            for start in (0..len).step_by(ZONE_ROWS) {
+                let block = start / ZONE_ROWS;
+                let may_pass = tests.iter().all(|t| {
+                    t.zones
+                        .get(block)
+                        .is_none_or(|zone| zone.may_hold(t.lo, t.hi, t.inside))
+                });
+                if may_pass {
+                    (start..len.min(start + ZONE_ROWS)).for_each(&mut f);
+                }
+            }
+        }
     }
 }
 
 /// The driver rows below `len` that pass `keep`. The walk follows the
 /// plan's own access path (`access`: an index seed or rows sought by key;
-/// `None` means every row) or the caller's sorted `seed`, whichever is
-/// shorter; rows walked from `access` must also be in `seed`.
+/// `None` means every row a zone test leaves) or the caller's sorted
+/// `seed`, whichever is shorter; rows walked from `access` must also be
+/// in `seed`.
 fn select(
     len: usize,
     access: Option<&[RowId]>,
     seed: Option<&[RowId]>,
+    tests: &[ZoneTest<'_>],
     keep: impl Fn(usize) -> bool,
 ) -> Vec<RowId> {
     let mut out = Vec::new();
     match (access, seed) {
         (Some(access), Some(seed)) if access.len() < seed.len() => {
-            for_each_row(len, Some(access), |r| {
+            for_each_row(len, Some(access), tests, |r| {
                 if seed.binary_search(&RowId(r)).is_ok() && keep(r) {
                     out.push(RowId(r));
                 }
             });
         }
-        (walk, None) | (_, walk @ Some(_)) => for_each_row(len, walk, |r| {
+        (walk, None) | (_, walk @ Some(_)) => for_each_row(len, walk, tests, |r| {
             if keep(r) {
                 out.push(RowId(r));
             }
@@ -632,7 +678,10 @@ impl<'db> FastPlan<'db> {
         let mut out = match self {
             FastPlan::Scan { pred } => {
                 let access = q.index_seed(driver, &bound.names[0]);
-                select(driver.len(), access.as_deref(), seed, |r| pred.eval(r))
+                let tests = pred.zone_tests();
+                select(driver.len(), access.as_deref(), seed, &tests, |r| {
+                    pred.eval(r)
+                })
             }
             FastPlan::SemiJoin {
                 pred,
@@ -643,7 +692,8 @@ impl<'db> FastPlan<'db> {
                     .filter_map(|r| joined_key.get(r))
                     .collect();
                 let access = q.index_seed(driver, &bound.names[0]);
-                select(driver.len(), access.as_deref(), seed, |r| {
+                let tests = pred.zone_tests();
+                select(driver.len(), access.as_deref(), seed, &tests, |r| {
                     pred.eval(r) && driver_key.get(r).is_some_and(|k| joined_keys.contains(&k))
                 })
             }
@@ -658,7 +708,8 @@ impl<'db> FastPlan<'db> {
                 let joined = bound.tables[1];
                 let joined_seed = q.index_seed(joined, &bound.names[1]);
                 let mut passing: HashSet<i64> = HashSet::new();
-                for_each_row(joined.len(), joined_seed.as_deref(), |r| {
+                let tests = pred.zone_tests();
+                for_each_row(joined.len(), joined_seed.as_deref(), &tests, |r| {
                     if pred.eval(r) {
                         passing.extend(joined_key.get(r));
                     }
@@ -672,7 +723,7 @@ impl<'db> FastPlan<'db> {
                         .copied()
                         .collect()
                 });
-                select(driver.len(), sought.as_deref(), seed, |r| {
+                select(driver.len(), sought.as_deref(), seed, &[], |r| {
                     driver_key.get(r).is_some_and(|k| passing.contains(&k))
                 })
             }
@@ -694,6 +745,7 @@ enum FastPred<'db> {
     IntRange {
         values: &'db [i64],
         nulls: &'db NullMask,
+        zones: &'db [Zone],
         lo: i64,
         hi: i64,
         inside: bool,
@@ -752,10 +804,16 @@ impl LitTest {
     /// The typed `i64` kernel for this test over an `INT` segment, when
     /// every literal is an `Int`: comparisons and `BETWEEN` become one
     /// inclusive range check (`<>` its complement), `IN` a binary search.
-    fn int_kernel<'db>(&self, values: &'db [i64], nulls: &'db NullMask) -> Option<FastPred<'db>> {
+    fn int_kernel<'db>(
+        &self,
+        values: &'db [i64],
+        nulls: &'db NullMask,
+        zones: &'db [Zone],
+    ) -> Option<FastPred<'db>> {
         let range = |lo, hi, inside| FastPred::IntRange {
             values,
             nulls,
+            zones,
             lo,
             hi,
             inside,
@@ -845,7 +903,11 @@ impl<'db> FastPred<'db> {
     /// Compiles one atom over its column's segment.
     fn atom(data: &'db ColumnData, test: LitTest) -> FastPred<'db> {
         match data {
-            ColumnData::Int { values, nulls } => match test.int_kernel(values, nulls) {
+            ColumnData::Int {
+                values,
+                nulls,
+                zones,
+            } => match test.int_kernel(values, nulls, zones) {
                 Some(kernel) => kernel,
                 None => FastPred::IntAtom {
                     values,
@@ -869,6 +931,32 @@ impl<'db> FastPred<'db> {
         }
     }
 
+    /// The zone tests of the top-level `IntRange` conjuncts: the atom
+    /// itself, or those among an `And`'s operands, at any depth of `And`.
+    fn zone_tests(&self) -> Vec<ZoneTest<'db>> {
+        let mut tests = Vec::new();
+        let mut stack = vec![self];
+        while let Some(p) = stack.pop() {
+            match p {
+                FastPred::IntRange {
+                    zones,
+                    lo,
+                    hi,
+                    inside,
+                    ..
+                } => tests.push(ZoneTest {
+                    zones,
+                    lo: *lo,
+                    hi: *hi,
+                    inside: *inside,
+                }),
+                FastPred::And(ps) => stack.extend(ps),
+                _ => {}
+            }
+        }
+        tests
+    }
+
     fn eval(&self, row: usize) -> bool {
         match self {
             FastPred::Const(b) => *b,
@@ -878,6 +966,7 @@ impl<'db> FastPred<'db> {
                 lo,
                 hi,
                 inside,
+                ..
             } => !nulls.is_null(row) && (*lo..=*hi).contains(&values[row]) == *inside,
             FastPred::IntIn {
                 values,
@@ -1631,6 +1720,133 @@ mod tests {
                 q.predicate()
             );
         }
+    }
+
+    /// A one-column-per-kind table of `rows` rows: `asc` counts up from
+    /// `-rows/2`, `mixed` is `asc` shuffled by a fixed stride, and `holey`
+    /// is `asc` with every third row and the whole second block `NULL`.
+    fn zoned_db(rows: usize) -> Database {
+        let mut db = Database::new();
+        let t = db
+            .create_table(
+                "t",
+                Schema::of(&[
+                    ("asc", DataType::Int),
+                    ("mixed", DataType::Int),
+                    ("holey", DataType::Int),
+                ]),
+            )
+            .unwrap();
+        let half = (rows / 2) as i64;
+        for r in 0..rows {
+            let asc = r as i64 - half;
+            let mixed = ((r * 7919) % rows.max(1)) as i64 - half;
+            let holey = if r % 3 == 0 || (ZONE_ROWS..2 * ZONE_ROWS).contains(&r) {
+                Value::Null
+            } else {
+                Value::Int(asc)
+            };
+            t.insert(vec![asc.into(), mixed.into(), holey]).unwrap();
+        }
+        db
+    }
+
+    fn assert_zoned_walks_match(db: &Database, filters: &[String]) {
+        for text in filters {
+            let q = SelectQuery::from("t").filter(parse_predicate(text).unwrap());
+            assert_eq!(
+                q.distinct_row_set(db).unwrap(),
+                q.distinct_row_set_rowwise(db).unwrap(),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn zone_skipping_walks_match_the_rowwise_reference() {
+        let rows = 3 * ZONE_ROWS + 5;
+        let mut db = zoned_db(rows);
+        let edge = (ZONE_ROWS as i64) - (rows / 2) as i64;
+        let (min, max) = (i64::MIN, i64::MAX);
+        let mut filters = Vec::new();
+        for col in ["asc", "mixed", "holey"] {
+            for (lo, hi) in [
+                (edge - 1, edge),
+                (edge, edge),
+                (edge - 1, edge - 1),
+                (edge + 3, edge + 2),
+                (edge - 5, edge + (ZONE_ROWS as i64) + 5),
+                (min, edge),
+                (edge, max),
+                (min, max),
+            ] {
+                filters.push(format!("t.{col} BETWEEN {lo} AND {hi}"));
+                filters.push(format!("t.{col} >= {lo} AND t.{col} <= {hi}"));
+                filters.push(format!("t.{col} BETWEEN {lo} AND {hi} OR t.{col} = 0"));
+                filters.push(format!("NOT t.{col} BETWEEN {lo} AND {hi}"));
+                filters.push(format!("t.asc < {lo} AND t.{col} > {hi}"));
+            }
+            for lit in [edge, min, max, 0] {
+                for op in ["=", "<>", "<", "<=", ">", ">="] {
+                    filters.push(format!("t.{col} {op} {lit}"));
+                }
+            }
+            filters.push(format!("t.{col} > {edge}.5"));
+            filters.push(format!("t.{col} BETWEEN {edge}.0 AND {}.5", edge + 2));
+            filters.push(format!("t.{col} = {edge}.0"));
+        }
+        assert_zoned_walks_match(&db, &filters);
+        // Appends into the partial last block extend its zone.
+        let t = db.table_mut("t").unwrap();
+        for v in [max, min, 10 * rows as i64] {
+            t.insert(vec![v.into(), v.into(), Value::Null]).unwrap();
+        }
+        filters.push(format!("t.asc >= {}", 10 * rows as i64));
+        filters.push(format!("t.mixed = {max}"));
+        filters.push(format!("t.asc = {min}"));
+        assert_zoned_walks_match(&db, &filters);
+        // And an empty table walks nothing.
+        assert_zoned_walks_match(&zoned_db(0), &filters);
+    }
+
+    #[test]
+    fn an_int_range_walk_visits_only_the_blocks_its_zones_may_hold() {
+        let rows = 4 * ZONE_ROWS + 10;
+        let db = zoned_db(rows);
+        let visited = |text: &str| {
+            let q = SelectQuery::from("t").filter(parse_predicate(text).unwrap());
+            let bound = q.bind(&db).unwrap();
+            let Some(FastPlan::Scan { pred }) = FastPlan::compile(&q, &bound) else {
+                panic!("{text} compiles to a scan");
+            };
+            let mut n = 0;
+            for_each_row(rows, None, &pred.zone_tests(), |_| n += 1);
+            n
+        };
+        let half = (rows / 2) as i64;
+        // `asc` is ascending: a range inside one block walks that block.
+        let lo = ZONE_ROWS as i64 + 10 - half;
+        assert_eq!(
+            visited(&format!("t.asc BETWEEN {lo} AND {}", lo + 50)),
+            ZONE_ROWS
+        );
+        assert_eq!(
+            visited(&format!("t.asc BETWEEN {lo} AND {}", lo + ZONE_ROWS as i64)),
+            2 * ZONE_ROWS
+        );
+        // The last, partial block; an empty range; every row.
+        assert_eq!(visited(&format!("t.asc > {}", rows as i64 - half - 3)), 10);
+        assert_eq!(visited("t.asc BETWEEN 5 AND 4"), 0);
+        assert_eq!(visited("t.asc <> 0"), rows);
+        // Only top-level conjuncts prune: under OR or NOT every row is walked.
+        assert_eq!(
+            visited(&format!("t.asc = {lo} AND t.mixed >= 0")),
+            ZONE_ROWS
+        );
+        assert_eq!(visited(&format!("t.asc = {lo} OR t.asc = 0")), rows);
+        assert_eq!(visited(&format!("NOT t.asc <> {lo}")), rows);
+        // An all-NULL block holds no value: `holey` skips its second block.
+        assert_eq!(visited("t.holey <> 0"), rows - ZONE_ROWS);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! Each column lives in its own typed segment rather than inside boxed
 //! per-row `Vec<Value>`s:
 //!
-//! * `INT` columns are a `Vec<i64>`,
+//! * `INT` columns are a `Vec<i64>` plus a *zone map*: the min and max
+//!   non-null value of each block of [`ZONE_ROWS`] rows, extended on
+//!   every append, so a range scan skips the blocks that cannot hold a
+//!   match,
 //! * `FLOAT` columns are a `Vec<f64>`,
 //! * `TEXT` columns are dictionary-encoded: a `Vec<u32>` of codes plus a
 //!   per-column [`StrDict`] mapping code → string in **first-appearance
@@ -49,9 +52,7 @@ pub struct RowId(pub usize);
 /// once).
 ///
 /// Codes are dense `u32`s assigned in insertion order; because tables are
-/// append-only, every code maps to at least one live row. Corpus-order
-/// codes are what let the dictionary feed the executor's tuple interner
-/// directly without breaking the run-container win of dense id ranges.
+/// append-only, every code maps to at least one live row.
 #[derive(Debug, Clone, Default)]
 pub struct StrDict {
     values: Vec<String>,
@@ -143,6 +144,44 @@ impl NullMask {
     }
 }
 
+/// Rows per zone-map block of an `INT` segment: block `b` covers rows
+/// `b·ZONE_ROWS .. (b+1)·ZONE_ROWS`.
+pub const ZONE_ROWS: usize = 1024;
+
+/// The smallest and largest non-null value of one zone-map block. A block
+/// with no non-null value holds the empty zone (`min > max`), which no
+/// range can hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Zone {
+    min: i64,
+    max: i64,
+}
+
+impl Zone {
+    const EMPTY: Zone = Zone {
+        min: i64::MAX,
+        max: i64::MIN,
+    };
+
+    fn extend(&mut self, v: i64) {
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Whether some value of the block can lie inside `lo..=hi`
+    /// (`inside`), or outside it (`!inside`).
+    pub(crate) fn may_hold(&self, lo: i64, hi: i64, inside: bool) -> bool {
+        if self.min > self.max {
+            return false;
+        }
+        if inside {
+            lo <= hi && self.min <= hi && self.max >= lo
+        } else {
+            self.min < lo || self.max > hi
+        }
+    }
+}
+
 /// One columnar segment. The typed array holds a sentinel (`0`, `0.0`,
 /// `u32::MAX`) at null positions; the null mask is authoritative.
 #[derive(Debug, Clone)]
@@ -150,6 +189,8 @@ pub(crate) enum ColumnData {
     Int {
         values: Vec<i64>,
         nulls: NullMask,
+        /// One zone per started block of [`ZONE_ROWS`] rows.
+        zones: Vec<Zone>,
     },
     Float {
         values: Vec<f64>,
@@ -168,6 +209,7 @@ impl ColumnData {
             DataType::Int => ColumnData::Int {
                 values: Vec::new(),
                 nulls: NullMask::default(),
+                zones: Vec::new(),
             },
             DataType::Float => ColumnData::Float {
                 values: Vec::new(),
@@ -184,11 +226,32 @@ impl ColumnData {
     /// Appends a cell already validated and coerced by `Table::insert`.
     fn push(&mut self, value: Value) {
         match (self, value) {
-            (ColumnData::Int { values, nulls }, Value::Int(i)) => {
+            (
+                ColumnData::Int {
+                    values,
+                    nulls,
+                    zones,
+                },
+                Value::Int(i),
+            ) => {
+                match zones.last_mut() {
+                    Some(zone) if values.len() % ZONE_ROWS != 0 => zone.extend(i),
+                    _ => zones.push(Zone { min: i, max: i }),
+                }
                 values.push(i);
                 nulls.push(false);
             }
-            (ColumnData::Int { values, nulls }, Value::Null) => {
+            (
+                ColumnData::Int {
+                    values,
+                    nulls,
+                    zones,
+                },
+                Value::Null,
+            ) => {
+                if values.len() % ZONE_ROWS == 0 {
+                    zones.push(Zone::EMPTY);
+                }
                 values.push(0);
                 nulls.push(true);
             }
@@ -225,7 +288,7 @@ impl ColumnData {
 
     fn value_at(&self, row: usize) -> Value {
         match self {
-            ColumnData::Int { values, nulls } => {
+            ColumnData::Int { values, nulls, .. } => {
                 if nulls.is_null(row) {
                     Value::Null
                 } else {
@@ -502,7 +565,7 @@ impl Table {
     pub fn distinct_count(&self, column: &str) -> Result<usize> {
         let ci = self.schema.require(Some(&self.name), column)?;
         Ok(match self.columns[ci].as_ref() {
-            ColumnData::Int { values, nulls } => {
+            ColumnData::Int { values, nulls, .. } => {
                 let mut seen = std::collections::HashSet::with_capacity(values.len());
                 for (row, &v) in values.iter().enumerate() {
                     if !nulls.is_null(row) {
@@ -524,6 +587,38 @@ impl Table {
             // dictionary size *is* the distinct non-null count.
             ColumnData::Str { dict, nulls, .. } => dict.len() + usize::from(nulls.any()),
         })
+    }
+
+    /// Whether every row holds a non-`NULL` value in the column at
+    /// `col_idx` that no other row holds — what a column must satisfy to
+    /// name rows. Read off the column's index when it has one (its key
+    /// count against the row count), else one pass over the segment.
+    /// A BTree index orders `INT`s above 2^53 through `f64`, so two such
+    /// keys it cannot tell apart read as a duplicate.
+    pub fn is_unique_key(&self, col_idx: usize) -> bool {
+        if let Some(ix) = self.index_at(col_idx) {
+            return ix.key_count() == self.len && ix.get(&Value::Null).is_empty();
+        }
+        let Some(data) = self.column_data(col_idx) else {
+            return false;
+        };
+        match data {
+            ColumnData::Int { values, nulls, .. } => {
+                let mut seen = std::collections::HashSet::with_capacity(values.len());
+                !nulls.any() && values.iter().all(|&v| seen.insert(v))
+            }
+            ColumnData::Float { values, nulls } => {
+                let mut seen = std::collections::HashSet::with_capacity(values.len());
+                !nulls.any() && values.iter().all(|&v| seen.insert(v.to_bits()))
+            }
+            ColumnData::Str { codes, dict, nulls } => {
+                let mut seen = vec![false; dict.len()];
+                !nulls.any()
+                    && codes
+                        .iter()
+                        .all(|&c| !std::mem::replace(&mut seen[c as usize], true))
+            }
+        }
     }
 }
 

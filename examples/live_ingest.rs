@@ -97,8 +97,8 @@ fn main() -> Result<()> {
     );
 
     // 6. The same ingest with a one-retry budget rides over the fault:
-    //    the delta is appended to the touched sets in place (new tuple
-    //    ids intern above the frozen id space) and epoch 2 is published.
+    //    the delta is appended to the touched sets in place (appended
+    //    rows' ids lie above every old one) and epoch 2 is published.
     let ingest_start = Instant::now();
     let driver = FailingDriver::new(split.full.clone(), FailSchedule::nth(3));
     let report = epochs.ingest(driver.database(), 1)?;

@@ -4,9 +4,11 @@
 #   (warnings are errors) → build (all targets) → tests → the
 #   untrusted-input suites again in release → perfbench fmt check,
 #   clippy (warnings are errors), self-tests, a one-second untraced
-#   smoke run of each workload (printing max_rate_rps and setup_s) and
-#   one traced run of hot_zipf (printing the set-up phases
-#   relstore.load_s, graph.load_s and exec.warm_s) → rustdoc (warnings
+#   smoke run of each workload (printing max_rate_rps and setup_s), one
+#   traced run of hot_zipf (printing the set-up phases relstore.load_s,
+#   graph.load_s and exec.warm_s) and one traced run of adhoc_cold
+#   (printing the fresh-atom layers sched.run_us, exec.resolve_us and
+#   relstore.select_us) → rustdoc (warnings
 #   are errors) → compile-and-run every example (doc rot and broken
 #   examples fail CI). perfbench is its own workspace, so the
 #   workspace-wide fmt and clippy never reach it; its own steps make an
@@ -125,6 +127,10 @@ done
 # relstore load, the HYPRE graph load and the profile warm-up.
 echo "==> perfbench traced smoke run: hot_zipf (set-up phases)"
 perfbench_smoke hot_zipf 1 relstore.load_s graph.load_s exec.warm_s
+# And one of adhoc_cold, printing what a request with one fresh atom
+# costs: the batch, the atom resolutions and the relstore scans.
+echo "==> perfbench traced smoke run: adhoc_cold (fresh-atom layers)"
+perfbench_smoke adhoc_cold 1 sched.run_us exec.resolve_us relstore.select_us
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 use hypre_bench::ingest::{split_corpus, CorpusSplit};
 use hypre_bench::Fixture;
 use hypre_repro::prelude::*;
-use hypre_repro::relstore::{Database, FailSchedule, FailingDriver, Predicate, RelError};
+use hypre_repro::relstore::{Database, FailSchedule, FailingDriver, Predicate, RelError, Value};
 
 fn fixture() -> &'static Fixture {
     static FX: OnceLock<Fixture> = OnceLock::new();
@@ -97,7 +97,7 @@ fn ingested_snapshot_matches_a_fresh_executor() {
     let base_cache = warm_on(&split.base, &atoms);
     let (next, report) = base_cache.ingest_delta(&split.full).unwrap();
     assert!(!report.is_noop(), "a 5% delta must register");
-    assert!(report.new_tuples > 0, "appended papers intern new ids");
+    assert!(report.new_tuples > 0, "appended papers join some set");
     let next = Arc::new(next);
 
     // Ground truth: a cold executor over the full corpus.
@@ -289,4 +289,49 @@ fn every_ingest_fault_leaves_the_previous_epoch_serving() {
     assert!(!report.is_noop());
     assert_eq!(epochs.current_epoch(), 2, "the retried ingest published");
     assert_eq!(driver.schedule().injected(), 1);
+}
+
+#[test]
+fn a_repeated_key_in_a_delta_is_a_typed_error_and_the_old_epoch_keeps_serving() {
+    let split = split();
+    let atoms = rich_atoms();
+    let epochs = EpochCache::new(warm_on(&split.base, &atoms));
+    let serve = |db| {
+        let exec = Executor::with_cache_pinned(db, Arc::clone(epochs.current().cache())).unwrap();
+        let pairs = PairwiseCache::build(&atoms, &exec).unwrap();
+        Peps::new(&atoms, &exec, &pairs, PepsVariant::Complete)
+            .top_k(10)
+            .unwrap()
+    };
+    let before = serve(&split.base);
+
+    // The delta plus one more paper reusing the first paper's pid: a
+    // tuple id is a driver row, so two rows may not share a key.
+    let mut repeated = split.full.clone();
+    let dblp = repeated.table_mut("dblp").unwrap();
+    let first_pid = dblp.value_at(0, 0).unwrap();
+    dblp.insert(vec![
+        first_pid,
+        Value::str("A Second Paper With The Same Key"),
+        Value::Int(2011),
+        Value::str("VLDB"),
+    ])
+    .unwrap();
+    let err = epochs.ingest(&repeated, 1).unwrap_err();
+    match &err {
+        HypreError::WarmUpFailed { attempts: 2, last } => assert!(
+            matches!(**last, HypreError::UnsupportedBaseQuery { .. }),
+            "{last}"
+        ),
+        other => panic!("expected a failed ingest, got {other}"),
+    }
+    assert_eq!(epochs.current_epoch(), 1, "nothing was published");
+    // The held epoch keeps answering, over the base corpus and over the
+    // grown one alike: its cached sets never reach the repeated row.
+    assert_eq!(serve(&split.base), before);
+    assert_eq!(serve(&repeated), before);
+
+    // The clean delta still ingests.
+    assert!(!epochs.ingest(&split.full, 0).unwrap().is_noop());
+    assert_eq!(epochs.current_epoch(), 2);
 }

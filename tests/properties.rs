@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use hypre_repro::core::dsl::{AtomAst, AtomKind, Pos, PrefExpr, ProfileAst};
 use hypre_repro::graphstore::traverse::would_create_cycle;
 use hypre_repro::prelude::*;
+use hypre_repro::relstore::table::ZONE_ROWS;
 use hypre_repro::relstore::{
     parse_predicate, CmpOp, ColRef, DataType, Database, IndexKind, Predicate, RowId, Schema,
     SelectQuery, Value,
@@ -1124,6 +1125,92 @@ proptest! {
             "query {:?} among {:?}",
             q,
             seed
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// zone-map range walks vs the row-wise reference (relstore)
+// ---------------------------------------------------------------------
+
+/// A table spanning several zone-map blocks: `asc` counts up from
+/// `-rows/2`, `shuffled` holds the same values in a scattered order, and
+/// `holey` is `asc` with a `NULL` every `null_every` rows (none for 0)
+/// and its second block all `NULL`.
+fn zoned_table(rows: usize, null_every: usize) -> Database {
+    let mut db = Database::new();
+    let t = db
+        .create_table(
+            "t",
+            Schema::of(&[
+                ("asc", DataType::Int),
+                ("shuffled", DataType::Int),
+                ("holey", DataType::Int),
+            ]),
+        )
+        .unwrap();
+    let half = (rows / 2) as i64;
+    for r in 0..rows {
+        let asc = r as i64 - half;
+        let shuffled = ((r * 7919) % rows) as i64 - half;
+        let hole =
+            (null_every > 0 && r % null_every == 0) || (ZONE_ROWS..2 * ZONE_ROWS).contains(&r);
+        let holey = if hole { Value::Null } else { Value::Int(asc) };
+        t.insert(vec![asc.into(), shuffled.into(), holey]).unwrap();
+    }
+    db
+}
+
+/// A range bound near the generated values: mostly an `Int`, else a
+/// fractional or integral `Float`, else `i64::MIN`/`MAX`.
+fn zone_bound() -> impl Strategy<Value = Value> {
+    (0u8..8, -1700i64..1700).prop_map(|(kind, v)| match kind {
+        0..=4 => Value::Int(v),
+        5 => Value::Float(v as f64 + 0.5),
+        6 => Value::Float(v as f64),
+        _ => Value::Int(if v < 0 { i64::MIN } else { i64::MAX }),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// An unseeded walk skips the zone-map blocks a top-level `INT` range
+    /// conjunct rules out; the row-wise pipeline is the oracle. Ranges
+    /// land on ascending and scattered columns, with `NULL`s, across
+    /// block edges and the partial last block, alone, under `AND`, `OR`
+    /// and `NOT`, as `<>`, and with float bounds.
+    #[test]
+    fn prop_zone_skipping_walks_match_rowwise_reference(
+        rows in 0usize..(3 * ZONE_ROWS + 64),
+        null_every in 0usize..4,
+        column in 0usize..3,
+        other_column in 0usize..3,
+        form in 0u8..6,
+        lo in zone_bound(),
+        hi in zone_bound(),
+        op in cmp_op(),
+    ) {
+        let db = zoned_table(rows, null_every);
+        let names = ["t.asc", "t.shuffled", "t.holey"];
+        let col = || ColRef::parse(names[column]);
+        let range = Predicate::between(col(), lo.clone(), hi.clone());
+        let other = Predicate::cmp(ColRef::parse(names[other_column]), op, hi.clone());
+        let pred = match form {
+            0 => range,
+            1 => range.and(other),
+            2 => range.or(other),
+            3 => range.not(),
+            4 => Predicate::cmp(col(), CmpOp::Ne, lo),
+            _ => Predicate::cmp(col(), CmpOp::Ge, lo).and(Predicate::cmp(col(), CmpOp::Le, hi)),
+        };
+        let q = SelectQuery::from("t").filter(pred);
+        prop_assert_eq!(
+            q.distinct_row_set(&db).unwrap(),
+            q.distinct_row_set_rowwise(&db).unwrap(),
+            "query {:?} over {} rows",
+            q,
+            rows
         );
     }
 }

@@ -278,3 +278,40 @@ fn zeroed_pairwise_counts_are_corrupt() {
         loaded.map(|_| "loaded")
     );
 }
+
+#[test]
+fn a_corpus_with_two_driver_rows_swapped_is_stale() {
+    // A tuple id is a driver row, so the file holds no keys: only the
+    // key digest can tell a permuted corpus of the same row counts.
+    let fx = fixture();
+    let (first, second) = (&fx.dataset.papers[0], &fx.dataset.papers[1]);
+    let pick = hypre_repro::relstore::parse_predicate(&format!("dblp.pid={}", first.pid)).unwrap();
+    let cache = ProfileCache::warm(&fx.db, BaseQuery::dblp(), [&pick]).unwrap();
+    let path = temp_path("swapped");
+    cache.save_to(&path, None).unwrap();
+
+    let mut dataset = fx.dataset.clone();
+    dataset.papers.swap(0, 1);
+    let swapped = hypre_repro::dblp::load(&dataset).unwrap();
+    match ProfileCache::load_from(&path, &swapped).unwrap_err() {
+        HypreError::StaleSnapshot {
+            table,
+            warmed,
+            current,
+        } => {
+            assert_eq!(table, "dblp");
+            assert_eq!(warmed, current, "the row counts agree; the keys do not");
+        }
+        other => panic!("expected StaleSnapshot, got {other:?}"),
+    }
+
+    // What the digest prevents: a session opened on the swapped corpus
+    // checks row counts only, and its cached id names the other paper.
+    let fresh = Executor::new(&swapped, BaseQuery::dblp());
+    let session = Executor::with_cache(&swapped, Arc::new(cache)).unwrap();
+    assert_eq!(fresh.tuples(&pick).unwrap(), [Value::Int(first.pid as i64)]);
+    assert_eq!(
+        session.tuples(&pick).unwrap(),
+        [Value::Int(second.pid as i64)]
+    );
+}
