@@ -206,7 +206,18 @@ impl<'a, 'db> Peps<'a, 'db> {
         if ks.contains(&0) {
             return Err(HypreError::ZeroK);
         }
-        let sets = self.atom_sets()?;
+        Ok(self.top_k_multi_over(ks, &self.atom_sets()?))
+    }
+
+    /// [`top_k_multi`](Self::top_k_multi) for non-zero `ks` over the
+    /// profile's tuple sets, one per atom, already resolved through this
+    /// engine's executor.
+    pub(crate) fn top_k_multi_over(
+        &self,
+        ks: &[usize],
+        sets: &[SharedTupleSet],
+    ) -> Vec<Vec<RankedTuple>> {
+        debug_assert!(!ks.contains(&0), "the caller rejects k = 0");
         let mut emitted = EmittedSet::new(self.atoms.len());
         let mut sink = ScoreSink::default();
         let mut results: Vec<Option<Vec<RankedTuple>>> = vec![None; ks.len()];
@@ -215,7 +226,7 @@ impl<'a, 'db> Peps<'a, 'db> {
             if pending == 0 {
                 break;
             }
-            self.run_round(s, &sets, &mut emitted, &mut sink);
+            self.run_round(s, sets, &mut emitted, &mut sink);
             // Early termination, per requested k: every combination a
             // later round can emit is capped by this round's threshold,
             // so a k with k scores at or above it is final — its ranking
@@ -228,11 +239,11 @@ impl<'a, 'db> Peps<'a, 'db> {
                 }
             }
         }
-        Ok(results
+        results
             .into_iter()
             .zip(ks)
             .map(|(slot, &k)| slot.unwrap_or_else(|| self.finalize_top_k(&sink, k)))
-            .collect())
+            .collect()
     }
 
     /// Materialises the Top-K slice of the dense score array: exactly

@@ -673,10 +673,12 @@ impl<'db> Executor<'db> {
 /// tables (§5.5's per-profile list, "updated when the preference graph
 /// is updated"). [`BatchScheduler`](crate::sched::BatchScheduler) fills
 /// it lazily, one [`PairwiseCache`] per profile identity whose every
-/// atom set this snapshot holds, and stops adding tables once they hold
-/// [`PAIRWISE_MEMO_ENTRIES`]. A table is a pure function of the sets
-/// and intensities it is keyed by, so the memo changes wall-clock,
-/// never an answer. Every new snapshot — [`ProfileCache::snapshot`],
+/// atom set this snapshot holds (for a profile with atoms from
+/// elsewhere, the table of its snapshot atoms alone: the full table is
+/// extended from it and never memoised), and stops adding tables once
+/// they hold [`PAIRWISE_MEMO_ENTRIES`]. A table is a pure function of
+/// the sets and intensities it is keyed by, so the memo changes
+/// wall-clock, never an answer. Every new snapshot — [`ProfileCache::snapshot`],
 /// a delta ingest that changed something, a loaded file — starts with
 /// an empty memo; a clone copies it.
 #[derive(Debug, Clone)]
@@ -866,23 +868,23 @@ impl ProfileCache {
             .unwrap_or(0)
     }
 
-    /// The pairwise table for a profile whose every atom set came from
-    /// this snapshot: the memoised one (`true`), or else `build`'s,
-    /// memoised while the memo has room (`false`). The lock is never
-    /// held while `build` runs, so two batches may build the same table
-    /// at once; the first to finish keeps its copy.
-    ///
-    /// # Errors
-    /// Whatever `build` returns.
+    /// The pairwise table keyed by `key`, whose every set pointer names
+    /// a set this snapshot holds — a whole profile's, or the part of an
+    /// edited profile that came from the snapshot, which the caller then
+    /// [extends](PairwiseCache::extend) by its other atoms: the memoised
+    /// table (`true`), or else `build`'s, memoised while the memo has
+    /// room (`false`). The lock is never held while `build` runs, so two
+    /// batches may build the same table at once; the first to finish
+    /// keeps its copy.
     pub(crate) fn memoised_pairwise(
         &self,
         key: &[(usize, u64)],
-        build: impl FnOnce() -> Result<PairwiseCache>,
-    ) -> Result<(Arc<PairwiseCache>, bool)> {
+        build: impl FnOnce() -> PairwiseCache,
+    ) -> (Arc<PairwiseCache>, bool) {
         if let Some(pairs) = self.pairwise.lock().tables.get(key) {
-            return Ok((Arc::clone(pairs), true));
+            return (Arc::clone(pairs), true);
         }
-        let pairs = Arc::new(build()?);
+        let pairs = Arc::new(build());
         let cost = pairs.entries.len() + 1;
         let mut memo = self.pairwise.lock();
         let memo = &mut *memo;
@@ -892,7 +894,7 @@ impl ProfileCache {
                 memo.entries += cost;
             }
         }
-        Ok((pairs, false))
+        (pairs, false)
     }
 
     /// Pairwise entries the memo holds, plus one per table — never more
@@ -1275,6 +1277,12 @@ fn triangle(n: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..n).flat_map(move |i| (i + 1..n).map(move |j| (i, j)))
 }
 
+/// Where the pair `(i, j)`, `i < j < n`, sits in [`triangle`]'s order:
+/// row `i` starts after the `i` previous rows of lengths `n−1, …, n−i`.
+fn triangle_index(n: usize, i: usize, j: usize) -> usize {
+    i * (2 * n - i - 1) / 2 + (j - i - 1)
+}
+
 /// Builds the per-first-member retrieval index over a pairwise table:
 /// applicable entries grouped by `i`, each group in descending combined
 /// intensity (ties by ascending `j`) — the order PEPS consumes.
@@ -1367,20 +1375,67 @@ impl PairwiseCache {
     /// executor plus `n(n−1)/2` container-adaptive intersection-count
     /// passes — no pairwise intersection is ever materialised.
     pub fn build(atoms: &[PrefAtom], exec: &Executor<'_>) -> Result<Self> {
-        let mut sets = Vec::with_capacity(atoms.len());
-        for a in atoms {
-            sets.push(exec.tuple_set(&a.predicate)?);
-        }
+        let sets = atoms
+            .iter()
+            .map(|a| exec.tuple_set(&a.predicate))
+            .collect::<Result<Vec<_>>>()?;
         let intensities: Vec<f64> = atoms.iter().map(|a| a.intensity).collect();
-        let n = atoms.len();
-        let mut entries = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        entries.extend(triangle(n).map(|(i, j)| PairEntry::score(i, j, &sets, &intensities)));
+        Ok(Self::from_sets(&sets, &intensities))
+    }
+
+    /// [`build`](Self::build) over sets the caller has already resolved,
+    /// one per atom, with the atoms' intensities.
+    pub(crate) fn from_sets(sets: &[SharedTupleSet], intensities: &[f64]) -> Self {
+        Self::from_entries(
+            triangle(sets.len())
+                .map(|(i, j)| PairEntry::score(i, j, sets, intensities))
+                .collect(),
+            sets.len(),
+        )
+    }
+
+    /// The table of a profile that contains this table's profile: `sets`
+    /// and `intensities` describe the whole profile, and `kept[a]` is
+    /// the position in it of this table's atom `a`. Pairs of two kept
+    /// atoms are copied with their indexes remapped; only pairs that
+    /// involve another atom are scored. The result equals
+    /// [`build`](Self::build) over the whole profile whenever this
+    /// table was built over `kept`'s sets and intensities.
+    ///
+    /// # Panics
+    /// When `kept` does not hold one strictly ascending position below
+    /// `sets.len()` per atom of this table.
+    pub fn extend(&self, kept: &[usize], sets: &[SharedTupleSet], intensities: &[f64]) -> Self {
+        let n = sets.len();
+        assert_eq!(kept.len(), self.n, "one position per atom of the table");
+        assert!(
+            kept.windows(2).all(|w| w[0] < w[1]) && kept.last().is_none_or(|&p| p < n),
+            "kept positions ascend inside the profile"
+        );
+        let mut slot = vec![None; n];
+        for (a, &p) in kept.iter().enumerate() {
+            slot[p] = Some(a);
+        }
+        let entries = triangle(n)
+            .map(|(i, j)| match (slot[i], slot[j]) {
+                (Some(a), Some(b)) => PairEntry {
+                    i,
+                    j,
+                    ..self.entries[triangle_index(self.n, a, b)].clone()
+                },
+                _ => PairEntry::score(i, j, sets, intensities),
+            })
+            .collect();
+        Self::from_entries(entries, n)
+    }
+
+    fn from_entries(entries: Vec<PairEntry>, n: usize) -> Self {
         let by_first = index_by_first(&entries, n);
-        Ok(PairwiseCache {
+        PairwiseCache {
             n,
             entries,
             by_first,
-        })
+        }
     }
 
     /// All entries (applicable or not), in `(i, j)` order.
@@ -1405,8 +1460,7 @@ impl PairwiseCache {
         if a == b || j >= self.n {
             return None;
         }
-        // Row i starts after the i previous rows of lengths n−1, …, n−i.
-        let idx = i * (2 * self.n - i - 1) / 2 + (j - i - 1);
+        let idx = triangle_index(self.n, i, j);
         debug_assert!({
             let e = &self.entries[idx];
             e.i == i && e.j == j

@@ -4,8 +4,8 @@
 //! At serving scale most concurrent `top_k` calls are not unique work:
 //! popular profiles repeat across sessions, and a warmed
 //! [`ProfileCache`] hands every session *pointer-identical*
-//! [`SharedTupleSet`](crate::exec::SharedTupleSet)s for the same
-//! canonical predicate. [`BatchScheduler`] exploits that: it groups the
+//! [`SharedTupleSet`]s for the same canonical predicate.
+//! [`BatchScheduler`] exploits that: it groups the
 //! requests of one batch by **profile-atom identity** — two requests
 //! land in the same group exactly when their atom lists pair up with
 //! [`Arc::ptr_eq`]-identical tuple sets and bit-identical intensities
@@ -33,14 +33,28 @@
 //! # Pairwise memo
 //!
 //! A group's PEPS rounds read its profile's pairwise table (§5.5). The
-//! paper computes that table once per profile; here the snapshot keeps
-//! it. A group whose every atom set came from the snapshot itself looks
-//! its table up in the snapshot's memo by the grouping key's atom list
-//! (set pointers plus intensity bits), and builds it only on a miss
-//! (see [`ProfileCache`] for the bound and the lifetime). A group with
-//! an atom from the batch memo or SQL bypasses the memo: its set
-//! pointers die with the batch. The table is a pure function of the key,
-//! so a memoised table is the table the group would have built, and the
+//! paper computes that table once per profile and updates it "when the
+//! preference graph is updated"; here the snapshot keeps it. Each group
+//! resolves its atoms once, while grouping, and both the table and the
+//! PEPS rounds read those sets. The atoms whose sets came from the
+//! snapshot itself key the snapshot's memo by their part of the
+//! grouping key (set pointers plus intensity bits, in profile order):
+//!
+//! * when every atom came from the snapshot, the group's table is
+//!   looked up there and built only on a miss (see [`ProfileCache`] for
+//!   the bound and the lifetime);
+//! * when at least two did and others did not — a warmed profile edited
+//!   by atoms from the batch memo or SQL, at any positions — the table
+//!   of the snapshot atoms alone is looked up or built and memoised,
+//!   then [extended](PairwiseCache::extend) to the whole profile: its
+//!   pairs are copied and only the pairs that touch another atom are
+//!   scored. The extended table is never memoised: the other atoms' set
+//!   pointers die with the batch;
+//! * otherwise the group builds its table without the memo.
+//!
+//! A table is a pure function of its sets and intensities, and an
+//! extended table equals the one built from scratch, so a memoised or
+//! extended table is the table the group would have built, and the
 //! determinism contract above holds for it too.
 //!
 //! # Epoch integration
@@ -63,7 +77,7 @@ use relstore::Database;
 use crate::algo::peps::{Peps, PepsVariant, RankedTuple};
 use crate::combine::PrefAtom;
 use crate::error::{HypreError, Result};
-use crate::exec::{Executor, PairwiseCache, ProfileCache, ProfileKey};
+use crate::exec::{Executor, PairwiseCache, ProfileCache, ProfileKey, SharedTupleSet};
 
 /// One session's Top-K call, queued for batched evaluation.
 #[derive(Debug, Clone)]
@@ -111,7 +125,8 @@ pub struct BatchStats {
     /// was served from the warmed cache.
     pub queries_run: usize,
     /// Groups whose pairwise table came from the snapshot's memo
-    /// instead of a fresh build.
+    /// instead of a fresh build, or was extended from a memoised table
+    /// of the group's snapshot atoms.
     pub pairwise_reused: usize,
 }
 
@@ -144,13 +159,48 @@ type GroupKey = (u8, ProfileKey);
 struct Group {
     atoms: Vec<PrefAtom>,
     variant: PepsVariant,
-    /// The atom list of the grouping key when every atom set came from
-    /// the snapshot, so the pairwise table may be memoised there.
-    memo_key: Option<ProfileKey>,
+    /// Each atom's tuple set, resolved once while grouping.
+    sets: Vec<SharedTupleSet>,
+    /// Ascending positions of the atoms whose sets came from the
+    /// snapshot: their pairwise table may be memoised there.
+    warmed: Vec<usize>,
     /// Distinct requested `k`s, ascending.
     ks: Vec<usize>,
     /// `(request index, k)` per member.
     members: Vec<(usize, usize)>,
+}
+
+impl Group {
+    /// The group's pairwise table and whether it came from (or was
+    /// extended from) the snapshot's memo, as the module docs set out.
+    fn pairwise(&self, cache: &ProfileCache) -> (Arc<PairwiseCache>, bool) {
+        let intensities: Vec<f64> = self.atoms.iter().map(|a| a.intensity).collect();
+        let (warmed, n) = (&self.warmed, self.atoms.len());
+        if warmed.len() < n.min(2) {
+            let pairs = PairwiseCache::from_sets(&self.sets, &intensities);
+            return (Arc::new(pairs), false);
+        }
+        let key: ProfileKey = warmed
+            .iter()
+            .map(|&p| {
+                (
+                    Arc::as_ptr(&self.sets[p]) as usize,
+                    intensities[p].to_bits(),
+                )
+            })
+            .collect();
+        let (pairs, reused) = cache.memoised_pairwise(&key, || {
+            let sets: Vec<SharedTupleSet> =
+                warmed.iter().map(|&p| Arc::clone(&self.sets[p])).collect();
+            let intensities: Vec<f64> = warmed.iter().map(|&p| intensities[p]).collect();
+            PairwiseCache::from_sets(&sets, &intensities)
+        });
+        if warmed.len() == n {
+            return (pairs, reused);
+        }
+        let extended = pairs.extend(warmed, &self.sets, &intensities);
+        (Arc::new(extended), reused)
+    }
 }
 
 impl BatchScheduler {
@@ -203,13 +253,17 @@ impl BatchScheduler {
                 continue;
             }
             let mut key_atoms = Vec::with_capacity(req.atoms.len());
-            let mut all_cached = true;
+            let mut sets = Vec::with_capacity(req.atoms.len());
+            let mut warmed = Vec::new();
             let mut resolve_err = None;
-            for atom in &req.atoms {
+            for (p, atom) in req.atoms.iter().enumerate() {
                 match exec.resolve(&atom.predicate) {
                     Ok((set, cached)) => {
                         key_atoms.push((Arc::as_ptr(&set) as usize, atom.intensity.to_bits()));
-                        all_cached &= cached;
+                        sets.push(set);
+                        if cached {
+                            warmed.push(p);
+                        }
                     }
                     Err(e) => {
                         resolve_err = Some(e);
@@ -222,11 +276,12 @@ impl BatchScheduler {
                 continue;
             }
             let key: GroupKey = (variant_tag(req.variant), key_atoms);
-            let g = *index.entry(key).or_insert_with_key(|(_, atoms)| {
+            let g = *index.entry(key).or_insert_with(|| {
                 groups.push(Group {
                     atoms: req.atoms.clone(),
                     variant: req.variant,
-                    memo_key: all_cached.then(|| atoms.clone()),
+                    sets,
+                    warmed,
                     ks: Vec::new(),
                     members: Vec::new(),
                 });
@@ -241,34 +296,18 @@ impl BatchScheduler {
         // Evaluate each distinct round expansion once; demultiplex.
         stats.groups = groups.len();
         for group in &groups {
-            let build = || PairwiseCache::build(&group.atoms, &exec);
-            let pairs = match &group.memo_key {
-                Some(key) => cache.memoised_pairwise(key, build).map(|(pairs, reused)| {
-                    stats.pairwise_reused += usize::from(reused);
-                    pairs
-                }),
-                None => build().map(Arc::new),
-            };
-            let per_k = pairs.and_then(|pairs| {
-                Peps::new(&group.atoms, &exec, &pairs, group.variant).top_k_multi(&group.ks)
-            });
-            match per_k {
-                Ok(per_k) => {
-                    for &(r, k) in &group.members {
-                        results[r] = Ok(group
-                            .ks
-                            .binary_search(&k)
-                            .ok()
-                            .and_then(|slot| per_k.get(slot))
-                            .cloned()
-                            .unwrap_or_default());
-                    }
-                }
-                Err(e) => {
-                    for &(r, _) in &group.members {
-                        results[r] = Err(e.clone());
-                    }
-                }
+            let (pairs, reused) = group.pairwise(cache);
+            stats.pairwise_reused += usize::from(reused);
+            let per_k = Peps::new(&group.atoms, &exec, &pairs, group.variant)
+                .top_k_multi_over(&group.ks, &group.sets);
+            for &(r, k) in &group.members {
+                results[r] = Ok(group
+                    .ks
+                    .binary_search(&k)
+                    .ok()
+                    .and_then(|slot| per_k.get(slot))
+                    .cloned()
+                    .unwrap_or_default());
             }
             stats.shared += group.members.len() - 1;
         }
@@ -448,25 +487,30 @@ mod tests {
     }
 
     #[test]
-    fn a_group_with_an_uncached_atom_bypasses_the_memo() {
+    fn a_group_with_an_uncached_atom_extends_its_warmed_parts_memoised_table() {
+        // The fresh atom sits between warmed ones, as after the server's
+        // strongest-first sort.
         let db = db();
         let cache = warmed(&db);
         let mut mixed = rich();
-        mixed.push(PrefAtom::new(
-            4,
-            parse_predicate("dblp.venue='ICDE'").unwrap(),
-            0.1,
-        ));
+        mixed.insert(
+            2,
+            PrefAtom::new(4, parse_predicate("dblp.venue='ICDE'").unwrap(), 0.4),
+        );
         let reqs = vec![BatchRequest::new(mixed, 3)];
-        for _ in 0..2 {
+        for round in 0..2 {
             let out = BatchScheduler::sequential()
                 .run(&db, &cache, &reqs)
                 .unwrap();
             assert_eq!(out.stats.queries_run, 1, "the ICDE atom is not warmed");
-            assert_eq!(out.stats.pairwise_reused, 0);
+            assert_eq!(out.stats.pairwise_reused, round, "round {round}");
+            assert_eq!(
+                cache.pairwise_memo_entries(),
+                4 * 3 / 2 + 1,
+                "only the 4 warmed atoms' table is memoised (round {round})"
+            );
             assert_eq!(out.results[0].as_ref().unwrap(), &solo(&db, &reqs[0]));
         }
-        assert_eq!(cache.pairwise_memo_entries(), 0, "the memo stays empty");
     }
 
     #[test]

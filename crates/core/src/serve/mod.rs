@@ -127,7 +127,9 @@ pub struct StatsSnapshot {
     pub groups: u64,
     /// Requests answered off another session's evaluation.
     pub shared: u64,
-    /// Groups whose pairwise table came from the snapshot's memo.
+    /// Groups whose pairwise table came from the snapshot's memo, or was
+    /// extended from a memoised table of the group's snapshot atoms (see
+    /// [`BatchStats::pairwise_reused`](crate::sched::BatchStats::pairwise_reused)).
     pub pairwise_reused: u64,
     /// Requests rejected by the bounded admission queue.
     pub overloads: u64,

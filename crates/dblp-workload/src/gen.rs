@@ -106,8 +106,8 @@ fn zipf(rng: &mut StdRng, n: usize, s: f64, weights: &mut Vec<f64>) -> usize {
 }
 
 /// A streaming paper generator: yields each paper with its author-id
-/// list one at a time, holding only the community rosters and degree
-/// counters (O(authors) memory) — never the corpus itself. This is the
+/// list one at a time, holding only the community rosters and their
+/// pick weights (O(authors) memory) — never the corpus itself. This is the
 /// constant-memory path `load_streamed` uses to build million-paper
 /// databases without materialising a [`DblpDataset`] first.
 ///
@@ -121,9 +121,62 @@ pub struct PaperStream {
     rng: StdRng,
     config: GeneratorConfig,
     venue_weights: Vec<f64>,
-    community: Vec<Vec<u64>>,
-    author_degree: Vec<usize>,
+    community: Vec<Roster>,
+    /// Per author id: its `(venue, position)` in its home roster (the
+    /// entry for id 0 is unused).
+    home_slot: Vec<(usize, usize)>,
+    /// `(author id, venue, position)` of each author added to a venue
+    /// that had no home members.
+    drafted: Vec<(u64, usize, usize)>,
     next_paper: usize,
+}
+
+/// One venue's community: its members, and a Fenwick tree over their
+/// pick weights `degree + 1`.
+struct Roster {
+    members: Vec<u64>,
+    /// 1-based: `tree[i]` sums the weights of members
+    /// `i − lowbit(i) .. i` (0-based, end exclusive).
+    tree: Vec<usize>,
+    total: usize,
+}
+
+impl Roster {
+    /// A roster whose members all have degree 0 (weight 1).
+    fn new(members: Vec<u64>) -> Self {
+        let n = members.len();
+        Roster {
+            members,
+            tree: (0..=n).map(|i| i & i.wrapping_neg()).collect(),
+            total: n,
+        }
+    }
+
+    /// Adds one to the weight of the member at `pos`.
+    fn bump(&mut self, pos: usize) {
+        let mut i = pos + 1;
+        while i < self.tree.len() {
+            self.tree[i] += 1;
+            i += i & i.wrapping_neg();
+        }
+        self.total += 1;
+    }
+
+    /// The first member whose cumulative weight exceeds `x < total`.
+    fn find(&self, mut x: usize) -> u64 {
+        let n = self.tree.len() - 1;
+        let mut pos = 0;
+        let mut step = if n == 0 { 0 } else { 1 << n.ilog2() };
+        while step > 0 {
+            let next = pos + step;
+            if next <= n && self.tree[next] <= x {
+                pos = next;
+                x -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        self.members[pos]
+    }
 }
 
 impl PaperStream {
@@ -149,22 +202,27 @@ impl PaperStream {
             .collect();
         // Community rosters for fast sampling.
         let mut community: Vec<Vec<u64>> = vec![Vec::new(); config.venues];
+        let mut home_slot = vec![(0, 0); config.authors + 1];
         for (i, &v) in home_venue.iter().enumerate() {
+            home_slot[i + 1] = (v, community[v].len());
             community[v].push(i as u64 + 1);
         }
+        let mut drafted = Vec::new();
         for (v, members) in community.iter_mut().enumerate() {
             if members.is_empty() {
                 // Guarantee each venue has at least one potential author.
-                members.push((v % config.authors) as u64 + 1);
+                let aid = (v % config.authors) as u64 + 1;
+                drafted.push((aid, v, 0));
+                members.push(aid);
             }
         }
-        let author_degree = vec![0; config.authors + 1];
         PaperStream {
             rng,
             config,
             venue_weights,
-            community,
-            author_degree,
+            community: community.into_iter().map(Roster::new).collect(),
+            home_slot,
+            drafted,
             next_paper: 0,
         }
     }
@@ -231,7 +289,7 @@ impl Iterator for PaperStream {
             // top venue share to 1.0 (the dissertation's profiles top
             // out around 0.5, Fig. 26).
             let aid = if self.rng.gen_bool(0.6) {
-                preferential_pick(&mut self.rng, roster, &self.author_degree)
+                roster.find(self.rng.gen_range(0..roster.total))
             } else {
                 self.rng.gen_range(1..=self.config.authors as u64)
             };
@@ -240,7 +298,11 @@ impl Iterator for PaperStream {
             }
         }
         for &aid in &chosen {
-            self.author_degree[aid as usize] += 1;
+            let (v, pos) = self.home_slot[aid as usize];
+            self.community[v].bump(pos);
+            for &(_, v, pos) in self.drafted.iter().filter(|d| d.0 == aid) {
+                self.community[v].bump(pos);
+            }
         }
         Some((paper, chosen))
     }
@@ -321,21 +383,6 @@ pub fn generate(config: &GeneratorConfig) -> DblpDataset {
     }
 }
 
-fn preferential_pick(rng: &mut StdRng, roster: &[u64], degree: &[usize]) -> u64 {
-    debug_assert!(!roster.is_empty());
-    // Weight each community member by degree + 1.
-    let total: usize = roster.iter().map(|&a| degree[a as usize] + 1).sum();
-    let mut x = rng.gen_range(0..total);
-    for &a in roster {
-        let w = degree[a as usize] + 1;
-        if x < w {
-            return a;
-        }
-        x -= w;
-    }
-    roster[roster.len() - 1]
-}
-
 fn sample_poissonish(rng: &mut StdRng, mean: f64) -> usize {
     // A simple geometric approximation of a Poisson with the given mean —
     // the experiments only need a skewed small count.
@@ -378,6 +425,35 @@ fn pick_citation_target(
 mod tests {
     use super::*;
     use std::collections::{HashMap, HashSet};
+
+    #[test]
+    fn roster_picks_the_member_a_cumulative_scan_picks() {
+        // Weights `degree + 1` over a scan of the same draw, after
+        // arbitrary bumps, at roster sizes around powers of two.
+        let mut rng = StdRng::seed_from_u64(3);
+        for n in [1usize, 2, 3, 7, 8, 9, 64, 100] {
+            let mut roster = Roster::new((0..n as u64).map(|a| a * 10).collect());
+            let mut weight = vec![1usize; n];
+            for _ in 0..200 {
+                let pos = rng.gen_range(0..n);
+                roster.bump(pos);
+                weight[pos] += 1;
+                assert_eq!(roster.total, weight.iter().sum::<usize>());
+                let x = rng.gen_range(0..roster.total);
+                let mut left = x;
+                let want = weight
+                    .iter()
+                    .position(|&w| {
+                        left < w || {
+                            left -= w;
+                            false
+                        }
+                    })
+                    .unwrap();
+                assert_eq!(roster.find(x), roster.members[want], "n {n}, x {x}");
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_equal_seeds() {

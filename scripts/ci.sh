@@ -7,9 +7,10 @@
 #   smoke run of each workload (printing max_rate_rps and setup_s), one
 #   traced run of hot_zipf (printing the set-up phases relstore.load_s,
 #   graph.load_s and exec.warm_s) and one traced run of adhoc_cold
-#   (printing the fresh-atom layers sched.run_us, exec.resolve_us and
-#   relstore.select_us) → rustdoc (warnings
-#   are errors) → compile-and-run every example (doc rot and broken
+#   (printing the fresh-atom layers sched.run_us, exec.resolve_us,
+#   relstore.select_us and peps.top_k_us, and trace.unattributed_share,
+#   the share of sched.run_us its composed phases leave over) → rustdoc
+#   (warnings are errors) → compile-and-run every example (doc rot and broken
 #   examples fail CI). perfbench is its own workspace, so the
 #   workspace-wide fmt and clippy never reach it; its own steps make an
 #   API change that breaks the benchmark fail CI, and the smoke runs fail
@@ -128,9 +129,13 @@ done
 echo "==> perfbench traced smoke run: hot_zipf (set-up phases)"
 perfbench_smoke hot_zipf 1 relstore.load_s graph.load_s exec.warm_s
 # And one of adhoc_cold, printing what a request with one fresh atom
-# costs: the batch, the atom resolutions and the relstore scans.
+# costs: the batch, the atom resolutions, the relstore scans and the
+# PEPS rounds, and how far the composed phases are from the batch (it
+# reads negative where the served batch takes its pairwise table from
+# the snapshot's memo and the composed replay builds it).
 echo "==> perfbench traced smoke run: adhoc_cold (fresh-atom layers)"
-perfbench_smoke adhoc_cold 1 sched.run_us exec.resolve_us relstore.select_us
+perfbench_smoke adhoc_cold 1 sched.run_us exec.resolve_us relstore.select_us peps.top_k_us \
+    trace.unattributed_share
 
 echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

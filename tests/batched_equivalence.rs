@@ -379,3 +379,71 @@ fn past_the_memo_bound_answers_are_unchanged_and_the_memo_stays_bounded() {
         }
     }
 }
+
+/// `profile` edited by `fresh` atoms, re-sorted strongest first as the
+/// server sorts an admitted profile (stable, so the warmed atoms keep
+/// their order).
+fn edited(profile: &[PrefAtom], fresh: &[(&str, f64)]) -> Vec<PrefAtom> {
+    let mut atoms: Vec<PrefAtom> = profile.to_vec();
+    for &(text, intensity) in fresh {
+        let predicate = hypre_repro::relstore::parse_predicate(text).unwrap();
+        atoms.push(PrefAtom::new(0, predicate, intensity));
+    }
+    atoms.sort_by(|a, b| b.intensity.total_cmp(&a.intensity));
+    for (i, atom) in atoms.iter_mut().enumerate() {
+        atom.index = i;
+    }
+    atoms
+}
+
+#[test]
+fn edited_profiles_extend_their_warmed_parts_memoised_tables() {
+    // One warmed profile with different fresh atoms (middle, last, two
+    // at once), the plain profile, and a second warmed profile with its
+    // own fresh atom. Only the two warmed profiles' tables enter the
+    // memo; every edited group extends one of them.
+    let fx = fixture();
+    let cache = warmed_cache();
+    let profiles = variants();
+    let (base, other) = (&profiles[0], &profiles[1]);
+    let mix = vec![
+        BatchRequest::new(edited(base, &[("dblp.pid BETWEEN 100 AND 400", 0.45)]), 10),
+        BatchRequest::new(
+            edited(base, &[("dblp.pid IN (3, 70, 500, 900)", 0.01)]),
+            100,
+        ),
+        BatchRequest::new(
+            edited(
+                base,
+                &[
+                    ("dblp.pid BETWEEN 100 AND 400", 0.45),
+                    ("dblp.pid BETWEEN 20 AND 60", 0.99),
+                ],
+            ),
+            10,
+        ),
+        BatchRequest::new(base.clone(), 10),
+        BatchRequest::new(edited(other, &[("dblp.pid BETWEEN 5 AND 800", 0.3)]), 10)
+            .with_variant(PepsVariant::Approximate),
+    ];
+    let want: Vec<Vec<RankedTuple>> = mix.iter().map(|req| solo(&fx.db, req)).collect();
+    let tables = |n: usize| n * (n - 1) / 2 + 1;
+    let sub_tables = tables(base.len()) + tables(other.len());
+    let scheduler = BatchScheduler::sequential();
+    for round in 0..2 {
+        let out = scheduler.run(&fx.db, &cache, &mix).unwrap();
+        assert_eq!(out.stats.groups, mix.len(), "round {round}");
+        assert_eq!(out.stats.queries_run, 4, "four fresh atoms, round {round}");
+        // The first run builds each warmed profile's table once.
+        let reused = if round == 0 { mix.len() - 2 } else { mix.len() };
+        assert_eq!(out.stats.pairwise_reused, reused, "round {round}");
+        assert_eq!(
+            cache.pairwise_memo_entries(),
+            sub_tables,
+            "only the warmed tables are memoised (round {round})"
+        );
+        for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
+            assert_eq!(got.as_ref().unwrap(), want, "request {i}, round {round}");
+        }
+    }
+}

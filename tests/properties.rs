@@ -5,6 +5,8 @@
 //! skyline dominance, and relstore's columnar plans against the row-wise
 //! reference pipeline.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use hypre_repro::core::dsl::{AtomAst, AtomKind, Pos, PrefExpr, ProfileAst};
@@ -337,6 +339,62 @@ proptest! {
             };
             prop_assert_eq!(above(&got), above(&full));
             prop_assert!(got.windows(2).all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// An edited profile's pairwise table, extended from the table of its
+    /// kept atoms, equals the table built from scratch entry for entry
+    /// and lookup for lookup, wherever the other atoms sit and however
+    /// many there are (none, all, tied intensities, empty sets); and the
+    /// scheduler, which extends the snapshot atoms' memoised table, ranks
+    /// as a fresh executor does.
+    #[test]
+    fn prop_extended_pairwise_table_equals_a_fresh_build(
+        venues in prop::collection::vec(0u8..5, 3..12),
+        authors in prop::collection::vec((0u8..12, 0u8..8), 1..20),
+        prefs in prop::collection::vec((atom_predicate(), tied_intensity(), 0u8..2), 1..9),
+    ) {
+        let db = micro_db(&venues, &authors);
+        let exec = Executor::new(&db, BaseQuery::dblp());
+        let mut prefs = prefs;
+        prefs.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let atoms: Vec<PrefAtom> = prefs
+            .iter()
+            .enumerate()
+            .map(|(i, (p, v, _))| PrefAtom::new(i, p.clone(), *v))
+            .collect();
+        let kept: Vec<usize> = (0..atoms.len()).filter(|&i| prefs[i].2 == 0).collect();
+        let kept_atoms: Vec<PrefAtom> = kept.iter().map(|&i| atoms[i].clone()).collect();
+        let sets: Vec<SharedTupleSet> =
+            atoms.iter().map(|a| exec.tuple_set(&a.predicate).unwrap()).collect();
+        let intensities: Vec<f64> = atoms.iter().map(|a| a.intensity).collect();
+
+        let want = PairwiseCache::build(&atoms, &exec).unwrap();
+        let got = PairwiseCache::build(&kept_atoms, &exec)
+            .unwrap()
+            .extend(&kept, &sets, &intensities);
+        prop_assert_eq!(got.entries(), want.entries());
+        for i in 0..atoms.len() {
+            let from = |t: &PairwiseCache| t.pairs_from(i).cloned().collect::<Vec<_>>();
+            prop_assert_eq!(from(&got), from(&want));
+            for j in 0..atoms.len() {
+                prop_assert_eq!(got.entry(i, j), want.entry(i, j));
+            }
+        }
+
+        let cache = Arc::new(
+            ProfileCache::warm(&db, BaseQuery::dblp(), kept_atoms.iter().map(|a| &a.predicate))
+                .unwrap(),
+        );
+        let req = [BatchRequest::new(atoms.clone(), 5)];
+        let solo = Peps::new(&atoms, &exec, &want, PepsVariant::Complete).top_k(5).unwrap();
+        for _ in 0..2 {
+            let out = BatchScheduler::sequential().run(&db, &cache, &req).unwrap();
+            prop_assert_eq!(out.results[0].as_ref().unwrap(), &solo);
         }
     }
 }
