@@ -63,6 +63,7 @@
 //! the profile, its tuple sets and the pairwise table — not on emission
 //! order.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use relstore::Value;
@@ -75,7 +76,7 @@ use crate::tupleset::TupleSet;
 use super::CombinationRecord;
 
 /// Which PEPS variant to run (§5.5.1 vs §5.5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PepsVariant {
     /// Keeps every pair that might still beat the threshold (Prop. 6 bound).
     Complete,
@@ -177,7 +178,7 @@ impl<'a, 'db> Peps<'a, 'db> {
     /// hashing, no `Value` cloning and no retained tuple sets inside the
     /// rounds; the stop test and the final slice walk only the ids
     /// scored so far, and identities are materialised only for the final
-    /// Top-K slice.
+    /// Top-K slice. The thread keeps the array for its next run.
     ///
     /// # Errors
     /// [`HypreError::ZeroK`] when `k == 0`.
@@ -219,7 +220,7 @@ impl<'a, 'db> Peps<'a, 'db> {
     ) -> Vec<Vec<RankedTuple>> {
         debug_assert!(!ks.contains(&0), "the caller rejects k = 0");
         let mut emitted = EmittedSet::new(self.atoms.len());
-        let mut sink = ScoreSink::default();
+        let mut sink = ScoreSink::reused();
         let mut results: Vec<Option<Vec<RankedTuple>>> = vec![None; ks.len()];
         let mut pending = ks.len();
         for s in 0..self.atoms.len() {
@@ -239,11 +240,13 @@ impl<'a, 'db> Peps<'a, 'db> {
                 }
             }
         }
-        results
+        let results = results
             .into_iter()
             .zip(ks)
             .map(|(slot, &k)| slot.unwrap_or_else(|| self.finalize_top_k(&sink, k)))
-            .collect()
+            .collect();
+        sink.recycle();
+        results
     }
 
     /// Materialises the Top-K slice of the dense score array: exactly
@@ -254,14 +257,16 @@ impl<'a, 'db> Peps<'a, 'db> {
     /// Selects the `k`-th best score first (linear time) and keeps the
     /// scores strictly above it. Among the tuples tied at it, only the
     /// `k − above` smallest values are kept, selected by comparing the
-    /// keys in place. Only the `k` returned values are cloned.
+    /// keys in place, off a key column resolved once. Only the `k`
+    /// returned values are cloned.
     fn finalize_top_k(&self, sink: &ScoreSink, k: usize) -> Vec<RankedTuple> {
         let mut scored: Vec<(u32, f64)> = sink
             .scored
             .iter()
             .map(|&id| (id, sink.ranked[id as usize]))
             .collect();
-        let by_value = |a: &(u32, f64), b: &(u32, f64)| self.exec.cmp_tuples(a.0, b.0);
+        let order = self.exec.tuple_order();
+        let by_value = |a: &(u32, f64), b: &(u32, f64)| order.cmp(a.0, b.0);
         if scored.len() > k {
             scored.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1));
             let pivot = scored[k - 1].1;
@@ -522,13 +527,44 @@ trait RoundSink {
 /// `scored` lists the scored ids in first-scored order, so the stop test
 /// and the final slice read the tuples a profile reached, not every id
 /// below the largest one.
+///
+/// Each thread keeps one sink between runs ([`ScoreSink::reused`]), its
+/// array grown to the largest id any run on the thread reached; a run
+/// resets only the slots it scored.
 #[derive(Default)]
 struct ScoreSink {
     ranked: Vec<f64>,
     scored: Vec<u32>,
 }
 
+thread_local! {
+    /// This thread's idle sink: every `ranked` slot `NEG_INFINITY`,
+    /// `scored` empty. A run that panics takes it and never hands it
+    /// back, so the next run starts a new one.
+    static IDLE_SINK: Cell<ScoreSink> = const {
+        Cell::new(ScoreSink {
+            ranked: Vec::new(),
+            scored: Vec::new(),
+        })
+    };
+}
+
 impl ScoreSink {
+    /// Takes this thread's idle sink.
+    fn reused() -> Self {
+        IDLE_SINK.with(Cell::take)
+    }
+
+    /// Unscores the slots this run scored and hands the sink back to the
+    /// thread.
+    fn recycle(mut self) {
+        for &id in &self.scored {
+            self.ranked[id as usize] = f64::NEG_INFINITY;
+        }
+        self.scored.clear();
+        IDLE_SINK.with(|idle| idle.set(self));
+    }
+
     /// Whether at least `k` scores reach `threshold` — the same test as
     /// "the `k`-th best score is at least `threshold`", without
     /// allocating, and stopping at the `k`-th hit.
@@ -888,6 +924,18 @@ mod tests {
         assert_eq!(sink.ranked[9], 0.8);
         assert_eq!(sink.ranked[2], 0.5);
         assert_eq!(sink.ranked[3], f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn a_recycled_sink_is_idle_again() {
+        let mut sink = ScoreSink::reused();
+        sink.emit(&[0], 0.5, 3, &[7u32, 2, 9].into_iter().collect());
+        sink.recycle();
+        let again = ScoreSink::reused();
+        assert!(again.scored.is_empty());
+        assert_eq!(again.ranked.len(), 10, "the array is kept");
+        assert!(again.ranked.iter().all(|&r| r == f64::NEG_INFINITY));
+        again.recycle();
     }
 
     #[test]

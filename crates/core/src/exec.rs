@@ -141,8 +141,9 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
-use relstore::{ColRef, Database, Predicate, RowId, SelectQuery, Table, Value};
+use relstore::{ColRef, Database, Predicate, RowId, SelectQuery, StrDict, Table, Value};
 
+use crate::algo::peps::{PepsVariant, RankedTuple};
 use crate::combine::{f_and, PrefAtom};
 use crate::error::{HypreError, Result};
 use crate::tupleset::TupleSet;
@@ -452,19 +453,17 @@ impl<'db> Executor<'db> {
         }
     }
 
-    /// Orders two tuple ids by their keys — the tie-break of every
-    /// ranking — without cloning a key.
-    pub(crate) fn cmp_tuples(&self, a: u32, b: u32) -> Ordering {
+    /// How tuple ids order by their keys — the tie-break of every
+    /// ranking — with the key column resolved once, so a comparison
+    /// clones no key.
+    pub(crate) fn tuple_order(&self) -> TupleOrder<'db> {
         let (driver, key_idx) = self.key_column();
-        let (a, b) = (a as usize, b as usize);
         if let Some(keys) = driver.int_values(key_idx) {
-            Value::Int(keys[a]).cmp(&Value::Int(keys[b]))
+            TupleOrder::Int(keys)
         } else if let Some((codes, dict)) = driver.str_codes(key_idx) {
-            dict.get(codes[a]).cmp(&dict.get(codes[b]))
+            TupleOrder::Str(codes, dict)
         } else {
-            driver
-                .value_at(a, key_idx)
-                .cmp(&driver.value_at(b, key_idx))
+            TupleOrder::Cells(driver, key_idx)
         }
     }
 
@@ -655,6 +654,30 @@ impl<'db> Executor<'db> {
     }
 }
 
+/// How tuple ids order: by their driver keys, in [`Value`] order, read
+/// straight off the key column's segment. Keys are non-`NULL`, so an
+/// `INT` key compares as its `i64` and a `TEXT` key as its string, as
+/// their `Value`s do.
+pub(crate) enum TupleOrder<'db> {
+    Int(&'db [i64]),
+    Str(&'db [u32], &'db StrDict),
+    Cells(&'db Table, usize),
+}
+
+impl TupleOrder<'_> {
+    /// Orders two tuple ids by their keys.
+    pub(crate) fn cmp(&self, a: u32, b: u32) -> Ordering {
+        let (a, b) = (a as usize, b as usize);
+        match *self {
+            TupleOrder::Int(keys) => keys[a].cmp(&keys[b]),
+            TupleOrder::Str(codes, dict) => dict.get(codes[a]).cmp(&dict.get(codes[b])),
+            TupleOrder::Cells(driver, key_idx) => driver
+                .value_at(a, key_idx)
+                .cmp(&driver.value_at(b, key_idx)),
+        }
+    }
+}
+
 /// An immutable, `Send + Sync` snapshot of a warmed executor, shared
 /// across session executors behind `Arc`: the memoised predicate→tuple-set
 /// map plus the corpus identity it was built on. The serving shape for
@@ -671,13 +694,22 @@ impl<'db> Executor<'db> {
 ///
 /// The one thing that still changes is a bounded memo of pairwise
 /// tables (§5.5's per-profile list, "updated when the preference graph
-/// is updated"). [`BatchScheduler`](crate::sched::BatchScheduler) fills
-/// it lazily, one [`PairwiseCache`] per profile identity whose every
-/// atom set this snapshot holds (for a profile with atoms from
-/// elsewhere, the table of its snapshot atoms alone: the full table is
-/// extended from it and never memoised), and stops adding tables once
-/// they hold [`PAIRWISE_MEMO_ENTRIES`]. A table is a pure function of
-/// the sets and intensities it is keyed by, so the memo changes
+/// is updated") and of the answers read off them.
+/// [`BatchScheduler`](crate::sched::BatchScheduler) fills it lazily:
+///
+/// * one [`PairwiseCache`] per profile identity whose every atom set
+///   this snapshot holds (for a profile with atoms from elsewhere, the
+///   table of its snapshot atoms alone: the full table is extended from
+///   it and never memoised), until the tables hold
+///   [`PAIRWISE_MEMO_ENTRIES`] entries;
+/// * beside a whole profile's table, its finished PEPS answers by
+///   variant and `k`, until the answers hold [`PAIRWISE_MEMO_ENTRIES`]
+///   tuples, tallied apart from the tables. An answer only ever joins a
+///   memoised table, and never one of an edited profile's snapshot part.
+///
+/// A table is a pure function of the sets and intensities it is keyed
+/// by, and an answer of the table, its sets, the variant and `k` (its
+/// tuple keys are those of rows the snapshot pins), so the memo changes
 /// wall-clock, never an answer. Every new snapshot — [`ProfileCache::snapshot`],
 /// a delta ingest that changed something, a loaded file — starts with
 /// an empty memo; a clone copies it.
@@ -699,32 +731,47 @@ pub struct ProfileCache {
     /// Driver rows whose keys are known non-`NULL` and unique; every id
     /// in every set is below it. Sessions start from it.
     checked_rows: usize,
-    /// Pairwise tables of the profiles served from this snapshot.
+    /// Pairwise tables and answers of the profiles served from this
+    /// snapshot.
     pairwise: PairwiseMemo,
 }
 
 /// The most pairwise entries a [`ProfileCache`]'s memo holds, counting
 /// one more per table for its key. At 32 bytes per [`PairEntry`] that is
-/// about 32 MiB.
+/// about 32 MiB. The memoised answers have a budget of their own of as
+/// many tuples, counting one more per answer: at 40 bytes per
+/// [`RankedTuple`] (plus a text key's bytes) about 40 MiB.
 pub const PAIRWISE_MEMO_ENTRIES: usize = 1 << 20;
+
+/// A memoised Top-K answer, shared by every request it answers.
+pub(crate) type MemoAnswer = Arc<[RankedTuple]>;
 
 /// A profile's identity: each atom's tuple-set `Arc` pointer and
 /// intensity bits, in profile order. The pairwise table is a pure
 /// function of it while the sets behind the pointers stay alive.
 pub(crate) type ProfileKey = Vec<(usize, u64)>;
 
-/// A snapshot's memo of pairwise tables, keyed by [`ProfileKey`]. Only
-/// keys whose pointers all name sets the snapshot itself holds may
-/// enter: the snapshot keeps those `Arc`s alive as long as the memo, so
-/// no pointer in a key can be reused for another set.
+/// A snapshot's memo of pairwise tables and answers, keyed by
+/// [`ProfileKey`]. Only keys whose pointers all name sets the snapshot
+/// itself holds may enter: the snapshot keeps those `Arc`s alive as long
+/// as the memo, so no pointer in a key can be reused for another set.
 #[derive(Debug, Default)]
 struct PairwiseMemo(Mutex<MemoTables>);
 
 #[derive(Debug, Default, Clone)]
 struct MemoTables {
-    tables: HashMap<ProfileKey, Arc<PairwiseCache>>,
+    tables: HashMap<ProfileKey, MemoEntry>,
     /// Entries held, plus one per table.
     entries: usize,
+    /// Answer tuples held, plus one per answer.
+    answer_tuples: usize,
+}
+
+/// One profile's table and the answers PEPS read off it.
+#[derive(Debug, Clone)]
+struct MemoEntry {
+    pairs: Arc<PairwiseCache>,
+    answers: HashMap<(PepsVariant, usize), MemoAnswer>,
 }
 
 impl PairwiseMemo {
@@ -873,16 +920,28 @@ impl ProfileCache {
     /// edited profile that came from the snapshot, which the caller then
     /// [extends](PairwiseCache::extend) by its other atoms: the memoised
     /// table (`true`), or else `build`'s, memoised while the memo has
-    /// room (`false`). The lock is never held while `build` runs, so two
-    /// batches may build the same table at once; the first to finish
-    /// keeps its copy.
+    /// room (`false`). Beside it, for each of `ks`, the answer under
+    /// `variant` memoised with the table, if there is one. Only a
+    /// caller whose key is its whole profile's may ask for answers (and
+    /// store them with [`memoise_answers`](Self::memoise_answers)); any
+    /// other passes no `ks`.
+    ///
+    /// A hit takes the lock once. It is never held while `build` runs,
+    /// so two batches may build the same table at once; the first to
+    /// finish keeps its copy.
     pub(crate) fn memoised_pairwise(
         &self,
         key: &[(usize, u64)],
+        variant: PepsVariant,
+        ks: &[usize],
         build: impl FnOnce() -> PairwiseCache,
-    ) -> (Arc<PairwiseCache>, bool) {
-        if let Some(pairs) = self.pairwise.lock().tables.get(key) {
-            return (Arc::clone(pairs), true);
+    ) -> (Arc<PairwiseCache>, bool, Vec<Option<MemoAnswer>>) {
+        if let Some(entry) = self.pairwise.lock().tables.get(key) {
+            let answers = ks
+                .iter()
+                .map(|&k| entry.answers.get(&(variant, k)).cloned())
+                .collect();
+            return (Arc::clone(&entry.pairs), true, answers);
         }
         let pairs = Arc::new(build());
         let cost = pairs.entries.len() + 1;
@@ -890,17 +949,52 @@ impl ProfileCache {
         let memo = &mut *memo;
         if memo.entries + cost <= PAIRWISE_MEMO_ENTRIES {
             if let Entry::Vacant(slot) = memo.tables.entry(key.to_vec()) {
-                slot.insert(Arc::clone(&pairs));
+                slot.insert(MemoEntry {
+                    pairs: Arc::clone(&pairs),
+                    answers: HashMap::new(),
+                });
                 memo.entries += cost;
             }
         }
-        (pairs, false)
+        (pairs, false, vec![None; ks.len()])
+    }
+
+    /// Memoises `answers`, the Top-K answers under `variant` of the whole
+    /// profile `key` names, beside its table while the answers have room.
+    /// A profile whose table is not memoised keeps no answer.
+    pub(crate) fn memoise_answers(
+        &self,
+        key: &[(usize, u64)],
+        variant: PepsVariant,
+        answers: impl IntoIterator<Item = (usize, MemoAnswer)>,
+    ) {
+        let mut memo = self.pairwise.lock();
+        let memo = &mut *memo;
+        let Some(entry) = memo.tables.get_mut(key) else {
+            return;
+        };
+        for (k, answer) in answers {
+            let cost = answer.len() + 1;
+            if memo.answer_tuples + cost > PAIRWISE_MEMO_ENTRIES {
+                continue;
+            }
+            if let Entry::Vacant(slot) = entry.answers.entry((variant, k)) {
+                slot.insert(answer);
+                memo.answer_tuples += cost;
+            }
+        }
     }
 
     /// Pairwise entries the memo holds, plus one per table — never more
     /// than [`PAIRWISE_MEMO_ENTRIES`].
     pub fn pairwise_memo_entries(&self) -> usize {
         self.pairwise.lock().entries
+    }
+
+    /// Answer tuples the memo holds, plus one per answer — never more
+    /// than [`PAIRWISE_MEMO_ENTRIES`].
+    pub fn answer_memo_tuples(&self) -> usize {
+        self.pairwise.lock().answer_tuples
     }
 
     /// The one corpus-identity check: `db`'s base-query tables against
@@ -1635,8 +1729,8 @@ mod tests {
             assert_eq!(exec.tuple_value(id), Value::Int(i64::from(id) + 1));
         }
         assert_eq!(exec.tuple_universe(), 4);
-        assert_eq!(exec.cmp_tuples(1, 3), std::cmp::Ordering::Less);
-        assert_eq!(exec.cmp_tuples(2, 2), std::cmp::Ordering::Equal);
+        assert_eq!(exec.tuple_order().cmp(1, 3), std::cmp::Ordering::Less);
+        assert_eq!(exec.tuple_order().cmp(2, 2), std::cmp::Ordering::Equal);
         // A joined filter names the same rows.
         let coauth = exec.tuple_set(&p("dblp_author.aid=11")).unwrap();
         assert_eq!(coauth.iter().collect::<Vec<_>>(), [1, 2]);

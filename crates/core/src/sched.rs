@@ -9,9 +9,10 @@
 //! requests of one batch by **profile-atom identity** — two requests
 //! land in the same group exactly when their atom lists pair up with
 //! [`Arc::ptr_eq`]-identical tuple sets and bit-identical intensities
-//! under the same [`PepsVariant`] — runs the PEPS rounds **once per
-//! group** through [`Peps::top_k_multi`], and fans the per-`k` rankings
-//! back out to each member session.
+//! under the same [`PepsVariant`] — runs the PEPS rounds **at most once
+//! per group** through [`Peps::top_k_multi`] (not at all when the
+//! snapshot's memo holds every requested answer, below), and fans the
+//! per-`k` rankings back out to each member session.
 //!
 //! # Determinism contract
 //!
@@ -30,7 +31,7 @@
 //! to running that session alone on a fresh executor — the contract
 //! `tests/batched_equivalence.rs` pins.
 //!
-//! # Pairwise memo
+//! # Pairwise and answer memo
 //!
 //! A group's PEPS rounds read its profile's pairwise table (§5.5). The
 //! paper computes that table once per profile and updates it "when the
@@ -52,10 +53,21 @@
 //!   pointers die with the batch;
 //! * otherwise the group builds its table without the memo.
 //!
+//! A whole-snapshot group also keeps its answers there: the entry it
+//! looked its table up in holds the finished answers of that profile by
+//! variant and `k`. The group takes each requested `k`'s answer from
+//! the entry, runs [`Peps::top_k_multi`] only for the `k`s the entry
+//! lacks, and stores their answers while the memo's answer budget has
+//! room. An edited group reads and stores no answer: its key names only
+//! part of its profile.
+//!
 //! A table is a pure function of its sets and intensities, and an
 //! extended table equals the one built from scratch, so a memoised or
-//! extended table is the table the group would have built, and the
-//! determinism contract above holds for it too.
+//! extended table is the table the group would have built. An answer is
+//! a pure function of the table, the sets, the variant and `k` (each
+//! `k`'s answer is the same whatever other `k`s run with it), so a
+//! memoised answer is the one PEPS would return. The determinism
+//! contract above holds for both.
 //!
 //! # Epoch integration
 //!
@@ -65,9 +77,9 @@
 //! [`EpochCache::current`](crate::exec::EpochCache::current) returns for
 //! a batch and takes it afresh for the next, as [`crate::serve`] does:
 //! an in-flight batch keeps answering on the epoch it started on, and
-//! the next batch picks up the newest published epoch, whose pairwise
-//! memo starts empty (`tests/batched_equivalence.rs` pins that lifecycle
-//! too).
+//! the next batch picks up the newest published epoch, whose memo of
+//! tables and answers starts empty, so no answer outlives its epoch
+//! (`tests/batched_equivalence.rs` pins that lifecycle too).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,7 +89,7 @@ use relstore::Database;
 use crate::algo::peps::{Peps, PepsVariant, RankedTuple};
 use crate::combine::PrefAtom;
 use crate::error::{HypreError, Result};
-use crate::exec::{Executor, PairwiseCache, ProfileCache, ProfileKey, SharedTupleSet};
+use crate::exec::{Executor, MemoAnswer, PairwiseCache, ProfileCache, ProfileKey, SharedTupleSet};
 
 /// One session's Top-K call, queued for batched evaluation.
 #[derive(Debug, Clone)]
@@ -126,8 +138,12 @@ pub struct BatchStats {
     pub queries_run: usize,
     /// Groups whose pairwise table came from the snapshot's memo
     /// instead of a fresh build, or was extended from a memoised table
-    /// of the group's snapshot atoms.
+    /// of the group's snapshot atoms. A group answered from the memo
+    /// found its table there, so it counts too.
     pub pairwise_reused: usize,
+    /// Answers, one per distinct `k` of a group, taken from the
+    /// snapshot's memo instead of a PEPS run.
+    pub answers_reused: usize,
 }
 
 /// A completed batch: one answer slot per request, in request order.
@@ -170,15 +186,36 @@ struct Group {
     members: Vec<(usize, usize)>,
 }
 
+/// What one group's evaluation produced: an answer per distinct `k`
+/// (ascending, as [`Group::ks`]), whether its pairwise table came from
+/// (or was extended from) the snapshot's memo, and how many of its
+/// answers came from the memo.
+struct Evaluation {
+    answers: Vec<MemoAnswer>,
+    pairwise_reused: bool,
+    answers_reused: usize,
+}
+
 impl Group {
-    /// The group's pairwise table and whether it came from (or was
-    /// extended from) the snapshot's memo, as the module docs set out.
-    fn pairwise(&self, cache: &ProfileCache) -> (Arc<PairwiseCache>, bool) {
+    /// Answers every requested `k`, taking the pairwise table and the
+    /// answers from the snapshot's memo where the module docs allow.
+    fn evaluate(&self, exec: &Executor<'_>, cache: &ProfileCache) -> Evaluation {
         let intensities: Vec<f64> = self.atoms.iter().map(|a| a.intensity).collect();
+        let peps = |pairs: &PairwiseCache, ks: &[usize]| -> Vec<MemoAnswer> {
+            Peps::new(&self.atoms, exec, pairs, self.variant)
+                .top_k_multi_over(ks, &self.sets)
+                .into_iter()
+                .map(MemoAnswer::from)
+                .collect()
+        };
         let (warmed, n) = (&self.warmed, self.atoms.len());
         if warmed.len() < n.min(2) {
             let pairs = PairwiseCache::from_sets(&self.sets, &intensities);
-            return (Arc::new(pairs), false);
+            return Evaluation {
+                answers: peps(&pairs, &self.ks),
+                pairwise_reused: false,
+                answers_reused: 0,
+            };
         }
         let key: ProfileKey = warmed
             .iter()
@@ -189,17 +226,50 @@ impl Group {
                 )
             })
             .collect();
-        let (pairs, reused) = cache.memoised_pairwise(&key, || {
-            let sets: Vec<SharedTupleSet> =
-                warmed.iter().map(|&p| Arc::clone(&self.sets[p])).collect();
-            let intensities: Vec<f64> = warmed.iter().map(|&p| intensities[p]).collect();
-            PairwiseCache::from_sets(&sets, &intensities)
-        });
-        if warmed.len() == n {
-            return (pairs, reused);
+        // Only a whole profile's key may hold answers.
+        let whole = warmed.len() == n;
+        let ks: &[usize] = if whole { &self.ks } else { &[] };
+        let (pairs, pairwise_reused, memoised) =
+            cache.memoised_pairwise(&key, self.variant, ks, || {
+                let sets: Vec<SharedTupleSet> =
+                    warmed.iter().map(|&p| Arc::clone(&self.sets[p])).collect();
+                let intensities: Vec<f64> = warmed.iter().map(|&p| intensities[p]).collect();
+                PairwiseCache::from_sets(&sets, &intensities)
+            });
+        if !whole {
+            let extended = pairs.extend(warmed, &self.sets, &intensities);
+            return Evaluation {
+                answers: peps(&extended, &self.ks),
+                pairwise_reused,
+                answers_reused: 0,
+            };
         }
-        let extended = pairs.extend(warmed, &self.sets, &intensities);
-        (Arc::new(extended), reused)
+        // PEPS runs for the missing `k`s alone: each `k`'s answer is the
+        // same whatever the other `k`s are.
+        let mut answers = memoised;
+        let missing: Vec<usize> = self
+            .ks
+            .iter()
+            .zip(&answers)
+            .filter_map(|(&k, answer)| answer.is_none().then_some(k))
+            .collect();
+        if !missing.is_empty() {
+            let fresh = peps(&pairs, &missing);
+            cache.memoise_answers(
+                &key,
+                self.variant,
+                missing.iter().copied().zip(fresh.iter().cloned()),
+            );
+            let slots = answers.iter_mut().filter(|answer| answer.is_none());
+            for (slot, answer) in slots.zip(fresh) {
+                *slot = Some(answer);
+            }
+        }
+        Evaluation {
+            answers: answers.into_iter().flatten().collect(),
+            pairwise_reused,
+            answers_reused: self.ks.len() - missing.len(),
+        }
     }
 }
 
@@ -296,17 +366,16 @@ impl BatchScheduler {
         // Evaluate each distinct round expansion once; demultiplex.
         stats.groups = groups.len();
         for group in &groups {
-            let (pairs, reused) = group.pairwise(cache);
-            stats.pairwise_reused += usize::from(reused);
-            let per_k = Peps::new(&group.atoms, &exec, &pairs, group.variant)
-                .top_k_multi_over(&group.ks, &group.sets);
+            let eval = group.evaluate(&exec, cache);
+            stats.pairwise_reused += usize::from(eval.pairwise_reused);
+            stats.answers_reused += eval.answers_reused;
             for &(r, k) in &group.members {
                 results[r] = Ok(group
                     .ks
                     .binary_search(&k)
                     .ok()
-                    .and_then(|slot| per_k.get(slot))
-                    .cloned()
+                    .and_then(|slot| eval.answers.get(slot))
+                    .map(|answer| answer.to_vec())
                     .unwrap_or_default());
             }
             stats.shared += group.members.len() - 1;
@@ -327,7 +396,7 @@ fn variant_tag(variant: PepsVariant) -> u8 {
 mod tests {
     use super::*;
     use crate::exec::BaseQuery;
-    use relstore::{parse_predicate, ColRef, DataType, Database, Predicate, Schema};
+    use relstore::{parse_predicate, ColRef, DataType, Database, Predicate, Schema, Value};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -511,6 +580,50 @@ mod tests {
             );
             assert_eq!(out.results[0].as_ref().unwrap(), &solo(&db, &reqs[0]));
         }
+    }
+
+    #[test]
+    fn a_group_runs_peps_only_for_the_answers_its_memo_entry_lacks() {
+        // A marker stands in the memo as the Complete k = 2 answer: a
+        // request that reads it took it from the memo; every other
+        // answer is PEPS's own.
+        let db = db();
+        let cache = warmed(&db);
+        let profile = rich();
+        let key: ProfileKey = profile
+            .iter()
+            .map(|a| {
+                let set = cache.get(&a.predicate.canonical()).unwrap();
+                (Arc::as_ptr(&set) as usize, a.intensity.to_bits())
+            })
+            .collect();
+        let exec = Executor::with_cache_pinned(&db, Arc::clone(&cache)).unwrap();
+        let table = PairwiseCache::build(&profile, &exec).unwrap();
+        cache.memoised_pairwise(&key, PepsVariant::Complete, &[], || table);
+        let marker: MemoAnswer = Arc::from(vec![(Value::str("memoised"), 1.0)]);
+        cache.memoise_answers(&key, PepsVariant::Complete, [(2, Arc::clone(&marker))]);
+        assert_eq!(cache.answer_memo_tuples(), 1 + 1);
+
+        let reqs = vec![
+            BatchRequest::new(rich(), 2),
+            BatchRequest::new(rich(), 5),
+            BatchRequest::new(rich(), 2).with_variant(PepsVariant::Approximate),
+        ];
+        let out = BatchScheduler::sequential()
+            .run(&db, &cache, &reqs)
+            .unwrap();
+        assert_eq!(out.stats.groups, 2);
+        assert_eq!(out.stats.pairwise_reused, 2);
+        assert_eq!(out.stats.answers_reused, 1, "the marker alone");
+        assert_eq!(out.results[0].as_ref().unwrap()[..], marker[..]);
+        let (five, approx) = (solo(&db, &reqs[1]), solo(&db, &reqs[2]));
+        assert_eq!(out.results[1].as_ref().unwrap(), &five);
+        assert_eq!(out.results[2].as_ref().unwrap(), &approx);
+        assert_eq!(
+            cache.answer_memo_tuples(),
+            2 + (five.len() + 1) + (approx.len() + 1),
+            "the two answers PEPS ran for joined the marker"
+        );
     }
 
     #[test]

@@ -131,6 +131,10 @@ pub struct StatsSnapshot {
     /// extended from a memoised table of the group's snapshot atoms (see
     /// [`BatchStats::pairwise_reused`](crate::sched::BatchStats::pairwise_reused)).
     pub pairwise_reused: u64,
+    /// Answers taken from the snapshot's memo instead of a PEPS run (see
+    /// [`BatchStats::answers_reused`](crate::sched::BatchStats::answers_reused)).
+    /// The wire `Stats` reply does not carry it.
+    pub answers_reused: u64,
     /// Requests rejected by the bounded admission queue.
     pub overloads: u64,
     /// Frames that failed to decode (typed error frames sent).
@@ -161,6 +165,7 @@ struct Counters {
     groups: AtomicU64,
     shared: AtomicU64,
     pairwise_reused: AtomicU64,
+    answers_reused: AtomicU64,
     overloads: AtomicU64,
     protocol_errors: AtomicU64,
     connections: AtomicU64,
@@ -174,6 +179,7 @@ impl Counters {
             groups: self.groups.load(Ordering::Relaxed),
             shared: self.shared.load(Ordering::Relaxed),
             pairwise_reused: self.pairwise_reused.load(Ordering::Relaxed),
+            answers_reused: self.answers_reused.load(Ordering::Relaxed),
             overloads: self.overloads.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
@@ -587,6 +593,9 @@ fn evaluate(state: &SharedState, batch: &[BatchRequest]) -> Vec<Response> {
             counters
                 .pairwise_reused
                 .fetch_add(outcome.stats.pairwise_reused as u64, Ordering::Relaxed);
+            counters
+                .answers_reused
+                .fetch_add(outcome.stats.answers_reused as u64, Ordering::Relaxed);
             outcome
                 .results
                 .into_iter()

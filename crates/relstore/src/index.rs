@@ -68,8 +68,8 @@ impl Index {
                 let mut out = Vec::new();
                 // `BTreeMap::range` panics on an inverted range; one such
                 // range (`BETWEEN 5 AND 3`) simply holds no rows. The bounds
-                // are ordered by the map's own `Ord`, which can call two
-                // unequal values equal (`INT`s above 2^53).
+                // are ordered by the map's own `Ord`, which calls two
+                // values equal only when `==` does.
                 if let (
                     Bound::Included(l) | Bound::Excluded(l),
                     Bound::Included(h) | Bound::Excluded(h),
@@ -143,7 +143,8 @@ mod tests {
         ] {
             assert!(ix.range_bounds(lo, hi).unwrap().is_empty());
         }
-        // unequal INTs above 2^53 that the map's order calls equal
+        // an inverted range of unequal INTs above 2^53, which round to
+        // one f64
         let (big, bigger) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
         assert_ne!(big, bigger);
         assert!(ix

@@ -593,8 +593,6 @@ impl Table {
     /// `col_idx` that no other row holds — what a column must satisfy to
     /// name rows. Read off the column's index when it has one (its key
     /// count against the row count), else one pass over the segment.
-    /// A BTree index orders `INT`s above 2^53 through `f64`, so two such
-    /// keys it cannot tell apart read as a duplicate.
     pub fn is_unique_key(&self, col_idx: usize) -> bool {
         if let Some(ix) = self.index_at(col_idx) {
             return ix.key_count() == self.len && ix.get(&Value::Null).is_empty();
@@ -841,5 +839,25 @@ mod tests {
             .unwrap();
         assert_eq!(t.distinct_count("genre").unwrap(), 5, "4 genres + NULL");
         assert_eq!(t.distinct_count("year").unwrap(), 7, "6 years + NULL");
+    }
+
+    #[test]
+    fn a_btree_index_tells_ints_past_f64_precision_apart() {
+        // 2^53 and 2^53 + 1 round to one f64; the index must still hold
+        // them as two keys.
+        let mut t = Table::new("big", Schema::of(&[("id", DataType::Int)]));
+        let (big, bigger) = (1i64 << 53, (1i64 << 53) + 1);
+        t.insert(vec![big.into()]).unwrap();
+        t.insert(vec![bigger.into()]).unwrap();
+        t.create_index("id", IndexKind::BTree).unwrap();
+        assert_eq!(
+            t.index_lookup("id", &Value::Int(bigger)),
+            Some(&[RowId(1)][..])
+        );
+        assert_eq!(
+            t.index_lookup("id", &Value::Int(big)),
+            Some(&[RowId(0)][..])
+        );
+        assert!(t.is_unique_key(0), "two distinct keys are a unique key");
     }
 }

@@ -241,8 +241,11 @@ impl PartialOrd for Value {
 }
 
 /// Total order for sorting and BTree indexes: `Null` sorts first, then
-/// numbers (Int/Float interleaved by numeric value, `Int` before an equal
-/// `Float` for determinism), then strings.
+/// numbers, then strings. Two `Int`s compare as `i64`; otherwise numbers
+/// interleave by `f64` value, `Int` before a `Float` of the same value.
+/// The numbers are thus ordered by the key (`f64` value, `Int` before
+/// `Float`, `i64`), so `INT`s above 2^53 that round to one `f64` still
+/// compare unequal, as `==` says they are.
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
         fn rank(v: &Value) -> u8 {
@@ -259,6 +262,7 @@ impl Ord for Value {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (a, b) => {
                 let (x, y) = (a.as_f64().unwrap_or(0.0), b.as_f64().unwrap_or(0.0));
                 x.total_cmp(&y).then_with(|| {
@@ -396,6 +400,23 @@ mod tests {
         let mut vals = vec![Value::Float(3.0), Value::Int(3)];
         vals.sort();
         assert_eq!(vals, vec![Value::Int(3), Value::Float(3.0)]);
+    }
+
+    #[test]
+    fn ints_past_f64_precision_order_as_i64() {
+        let (a, b) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert_eq!(a.cmp(&b), Ordering::Less);
+        assert_eq!(b.cmp(&a), Ordering::Greater);
+        assert_eq!(
+            Value::Int(i64::MAX).cmp(&Value::Int(i64::MAX - 1)),
+            Ordering::Greater
+        );
+        // Both round to 2^53 as f64: an Int still sorts before the Float,
+        // so the order stays total.
+        let f = Value::Float((1u64 << 53) as f64);
+        assert_eq!(a.cmp(&f), Ordering::Less);
+        assert_eq!(b.cmp(&f), Ordering::Less);
+        assert_eq!(Value::Int((1 << 53) + 2).cmp(&f), Ordering::Greater);
     }
 
     #[test]

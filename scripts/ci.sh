@@ -6,7 +6,8 @@
 #   clippy (warnings are errors), self-tests, a one-second untraced
 #   smoke run of each workload (printing max_rate_rps and setup_s), one
 #   traced run of hot_zipf (printing the set-up phases relstore.load_s,
-#   graph.load_s and exec.warm_s) and one traced run of adhoc_cold
+#   graph.load_s and exec.warm_s, and sched.run_us, which the snapshot's
+#   answer memo keeps low there) and one traced run of adhoc_cold
 #   (printing the fresh-atom layers sched.run_us, exec.resolve_us,
 #   relstore.select_us and peps.top_k_us, and trace.unattributed_share,
 #   the share of sched.run_us its composed phases leave over) → rustdoc
@@ -125,9 +126,10 @@ for workload in hot_zipf adhoc_cold live_ingest; do
     perfbench_smoke "${workload}" 0 max_rate_rps setup_s
 done
 # One short traced run, printing the set-up phases behind setup_s: the
-# relstore load, the HYPRE graph load and the profile warm-up.
-echo "==> perfbench traced smoke run: hot_zipf (set-up phases)"
-perfbench_smoke hot_zipf 1 relstore.load_s graph.load_s exec.warm_s
+# relstore load, the HYPRE graph load and the profile warm-up; and the
+# batch, which repeated requests answer from the snapshot's memo.
+echo "==> perfbench traced smoke run: hot_zipf (set-up phases, batch)"
+perfbench_smoke hot_zipf 1 relstore.load_s graph.load_s exec.warm_s sched.run_us
 # And one of adhoc_cold, printing what a request with one fresh atom
 # costs: the batch, the atom resolutions, the relstore scans and the
 # PEPS rounds, and how far the composed phases are from the batch (it

@@ -9,7 +9,9 @@
 //! `tests/live_corpus.rs` shape).
 //! The snapshot's pairwise memo is held to the same contract: a batch
 //! served from memoised tables, on a freshly ingested epoch, or past the
-//! memo's bound answers exactly as a fresh executor does.
+//! memo's bound answers exactly as a fresh executor does. So are the
+//! answers memoised beside the tables, which only whole-snapshot profiles
+//! store, per variant and `k`, within their own budget.
 
 use std::sync::{Arc, OnceLock};
 
@@ -445,5 +447,263 @@ fn edited_profiles_extend_their_warmed_parts_memoised_tables() {
         for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
             assert_eq!(got.as_ref().unwrap(), want, "request {i}, round {round}");
         }
+    }
+}
+
+/// Warms a snapshot of `fx.db` with `profile`'s predicates.
+fn warmed_with(profile: &[PrefAtom]) -> Arc<ProfileCache> {
+    let predicates = profile.iter().map(|a| &a.predicate);
+    Arc::new(ProfileCache::warm(&fixture().db, BaseQuery::dblp(), predicates).unwrap())
+}
+
+/// Atoms of the given predicate texts and intensities, in order.
+fn atoms_of(specs: &[(&str, f64)]) -> Vec<PrefAtom> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, &(text, intensity))| {
+            PrefAtom::new(
+                i,
+                hypre_repro::relstore::parse_predicate(text).unwrap(),
+                intensity,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_second_run_answers_every_whole_snapshot_group_from_the_memo() {
+    // One k per (profile, variant), so each group holds one answer; the
+    // last request repeats the first and shares its group.
+    let fx = fixture();
+    let cache = warmed_cache();
+    let mut mix: Vec<BatchRequest> = Vec::new();
+    for (i, profile) in variants().into_iter().enumerate() {
+        let k = [1usize, 10, 100][i % 3];
+        mix.push(BatchRequest::new(profile.clone(), k));
+        mix.push(BatchRequest::new(profile, k + 1).with_variant(PepsVariant::Approximate));
+    }
+    mix.push(mix[0].clone());
+    let want: Vec<Vec<RankedTuple>> = mix.iter().map(|req| solo(&fx.db, req)).collect();
+    let scheduler = BatchScheduler::sequential();
+    let mut tally = 0;
+    for round in 0..2 {
+        let out = scheduler.run(&fx.db, &cache, &mix).unwrap();
+        assert_eq!(out.stats.groups, mix.len() - 1, "round {round}");
+        let reused = if round == 0 { 0 } else { out.stats.groups };
+        assert_eq!(out.stats.answers_reused, reused, "round {round}");
+        if round == 0 {
+            tally = cache.answer_memo_tuples();
+            let answers: usize = want[..mix.len() - 1].iter().map(|w| w.len() + 1).sum();
+            assert_eq!(tally, answers, "one answer per group");
+        } else {
+            assert_eq!(out.stats.pairwise_reused, out.stats.groups);
+            assert_eq!(cache.answer_memo_tuples(), tally, "nothing new to store");
+        }
+        for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
+            assert_eq!(got.as_ref().unwrap(), want, "request {i}, round {round}");
+        }
+    }
+}
+
+#[test]
+fn a_group_runs_peps_only_for_the_k_its_memo_entry_lacks() {
+    let fx = fixture();
+    let cache = warmed_cache();
+    let profile = variants().remove(0);
+    let ten = BatchRequest::new(profile.clone(), 10);
+    let hundred = BatchRequest::new(profile, 100);
+    let (want_ten, want_hundred) = (solo(&fx.db, &ten), solo(&fx.db, &hundred));
+    assert_ne!(want_ten.len(), want_hundred.len());
+    let scheduler = BatchScheduler::sequential();
+
+    let first = scheduler
+        .run(&fx.db, &cache, std::slice::from_ref(&ten))
+        .unwrap();
+    assert_eq!(first.results[0].as_ref().unwrap(), &want_ten);
+    assert_eq!(cache.answer_memo_tuples(), want_ten.len() + 1);
+
+    // k = 10 comes from the memo; PEPS runs for k = 100 alone, and only
+    // its answer joins the memo.
+    let mixed = [hundred.clone(), ten.clone(), hundred];
+    let out = scheduler.run(&fx.db, &cache, &mixed).unwrap();
+    assert_eq!((out.stats.groups, out.stats.answers_reused), (1, 1));
+    assert_eq!(
+        cache.answer_memo_tuples(),
+        want_ten.len() + 1 + want_hundred.len() + 1
+    );
+    for (got, want) in out
+        .results
+        .iter()
+        .zip([&want_hundred, &want_ten, &want_hundred])
+    {
+        assert_eq!(got.as_ref().unwrap(), want);
+    }
+
+    let again = scheduler.run(&fx.db, &cache, &mixed).unwrap();
+    assert_eq!(again.stats.answers_reused, 2);
+    for (got, want) in again
+        .results
+        .iter()
+        .zip([&want_hundred, &want_ten, &want_hundred])
+    {
+        assert_eq!(got.as_ref().unwrap(), want);
+    }
+}
+
+#[test]
+fn complete_and_approximate_never_share_a_memoised_answer() {
+    // Paper 3 matches b, c and d: b ∧ c ∧ d (0.657) beats a (0.6), but
+    // no pair of them does (0.51). Complete admits b ∧ c in the first
+    // round and ranks paper 3 first; Approximate stops after that round
+    // with a's papers.
+    let fx = fixture();
+    let profile = atoms_of(&[
+        ("dblp.pid IN (1, 2)", 0.6),
+        ("dblp.pid IN (3, 5)", 0.3),
+        ("dblp.pid IN (3, 6)", 0.3),
+        ("dblp.pid IN (3, 7)", 0.3),
+    ]);
+    let complete = BatchRequest::new(profile.clone(), 1);
+    let approximate = BatchRequest::new(profile, 1).with_variant(PepsVariant::Approximate);
+    let (want_c, want_a) = (solo(&fx.db, &complete), solo(&fx.db, &approximate));
+    assert_ne!(want_c, want_a, "the variants must answer differently");
+    let scheduler = BatchScheduler::sequential();
+    for order in [[&complete, &approximate], [&approximate, &complete]] {
+        // Each variant rides alone, after the other's answer is memoised.
+        let cache = warmed_with(&complete.atoms);
+        for round in 0..2 {
+            for req in order {
+                let out = scheduler
+                    .run(&fx.db, &cache, std::slice::from_ref(req))
+                    .unwrap();
+                assert_eq!(out.stats.answers_reused, round, "round {round}");
+                let want = if req.variant == PepsVariant::Complete {
+                    &want_c
+                } else {
+                    &want_a
+                };
+                assert_eq!(out.results[0].as_ref().unwrap(), want, "round {round}");
+            }
+        }
+    }
+}
+
+#[test]
+fn edited_profiles_never_store_an_answer() {
+    let fx = fixture();
+    let cache = warmed_cache();
+    let profiles = variants();
+    let mix = vec![
+        BatchRequest::new(
+            edited(&profiles[0], &[("dblp.pid BETWEEN 100 AND 400", 0.45)]),
+            10,
+        ),
+        BatchRequest::new(
+            edited(&profiles[1], &[("dblp.pid IN (3, 70, 500)", 0.01)]),
+            100,
+        )
+        .with_variant(PepsVariant::Approximate),
+        BatchRequest::new(atoms_of(&[("dblp.pid BETWEEN 5 AND 800", 0.3)]), 10),
+    ];
+    let want: Vec<Vec<RankedTuple>> = mix.iter().map(|req| solo(&fx.db, req)).collect();
+    let scheduler = BatchScheduler::sequential();
+    for round in 0..2 {
+        let out = scheduler.run(&fx.db, &cache, &mix).unwrap();
+        assert_eq!(out.stats.answers_reused, 0, "round {round}");
+        assert_eq!(cache.answer_memo_tuples(), 0, "round {round}");
+        for (i, (got, want)) in out.results.iter().zip(&want).enumerate() {
+            assert_eq!(got.as_ref().unwrap(), want, "request {i}, round {round}");
+        }
+    }
+    assert!(
+        cache.pairwise_memo_entries() > 0,
+        "the warmed parts' tables are"
+    );
+}
+
+#[test]
+fn an_ingested_epoch_starts_with_no_answers() {
+    let fx = fixture();
+    let split = split_corpus(&fx.dataset, 0.6);
+    let profiles = variants();
+    let predicates: Vec<&Predicate> = profiles
+        .iter()
+        .flat_map(|p| p.iter().map(|a| &a.predicate))
+        .collect();
+    let cache = ProfileCache::warm(&split.base, BaseQuery::dblp(), predicates).unwrap();
+    let epochs = EpochCache::new(cache);
+    let mix: Vec<BatchRequest> = profiles
+        .iter()
+        .map(|p| BatchRequest::new(p.clone(), 20))
+        .collect();
+    let want_old: Vec<Vec<RankedTuple>> = mix.iter().map(|r| solo(&split.base, r)).collect();
+    let want_new: Vec<Vec<RankedTuple>> = mix.iter().map(|r| solo(&split.full, r)).collect();
+    assert_ne!(want_old, want_new, "the delta must move an answer");
+    let scheduler = BatchScheduler::sequential();
+    let old = scheduler
+        .run(&split.full, epochs.current().cache(), &mix)
+        .unwrap();
+    for (got, want) in old.results.iter().zip(&want_old) {
+        assert_eq!(got.as_ref().unwrap(), want, "epoch 1");
+    }
+    assert!(epochs.current().cache().answer_memo_tuples() > 0);
+
+    epochs.ingest(&split.full, 0).unwrap();
+    let epoch = epochs.current();
+    assert_eq!(epoch.number(), 2);
+    assert_eq!(
+        epoch.cache().answer_memo_tuples(),
+        0,
+        "a new epoch has none"
+    );
+    for round in 0..2 {
+        let out = scheduler.run(&split.full, epoch.cache(), &mix).unwrap();
+        let reused = if round == 0 { 0 } else { out.stats.groups };
+        assert_eq!(out.stats.answers_reused, reused, "round {round}");
+        for (i, (got, want)) in out.results.iter().zip(&want_new).enumerate() {
+            assert_eq!(got.as_ref().unwrap(), want, "request {i}, round {round}");
+        }
+    }
+}
+
+#[test]
+fn past_the_answer_budget_answers_are_unchanged_and_the_tally_stays_bounded() {
+    // One atom matching every paper: each k past the paper count answers
+    // the whole ranking, so a few hundred distinct ks overflow the
+    // budget. Batches of 64 ks keep the replies small.
+    let fx = fixture();
+    let profile = atoms_of(&[("dblp.pid>=0", 0.5)]);
+    let cache = warmed_with(&profile);
+    let papers = fx.db.table("dblp").unwrap().len();
+    let want = solo(&fx.db, &BatchRequest::new(profile.clone(), papers));
+    assert_eq!(want.len(), papers);
+    let cost = papers + 1;
+    let fits = PAIRWISE_MEMO_ENTRIES / cost;
+    let ks: Vec<usize> = (papers..papers + fits + 40).collect();
+    assert_eq!(
+        solo(
+            &fx.db,
+            &BatchRequest::new(profile.clone(), ks[ks.len() - 1])
+        ),
+        want
+    );
+    let scheduler = BatchScheduler::sequential();
+    for round in 0..2 {
+        let mut reused = 0;
+        for chunk in ks.chunks(64) {
+            let mix: Vec<BatchRequest> = chunk
+                .iter()
+                .map(|&k| BatchRequest::new(profile.clone(), k))
+                .collect();
+            let out = scheduler.run(&fx.db, &cache, &mix).unwrap();
+            reused += out.stats.answers_reused;
+            for (got, req) in out.results.iter().zip(&mix) {
+                assert_eq!(got.as_ref().unwrap(), &want, "k = {}, round {round}", req.k);
+            }
+            assert!(cache.answer_memo_tuples() <= PAIRWISE_MEMO_ENTRIES);
+        }
+        assert_eq!(reused, if round == 0 { 0 } else { fits }, "round {round}");
+        assert_eq!(cache.answer_memo_tuples(), fits * cost, "round {round}");
     }
 }
