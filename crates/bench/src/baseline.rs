@@ -11,8 +11,8 @@
 //! `SelectQuery::distinct_values` (the seed's exact feed) and keeps its
 //! own memo cache, so it never touches the executor's sets. Like the
 //! PR 1 bitmap generation ([`crate::bitset_baseline`]), it is frozen:
-//! the PR 4 hot-path work (run containers, SIMD-width kernels, COW
-//! expansion) lands only in the adaptive engine, and the three-way
+//! the PR 4 hot-path work (SIMD-width kernels, COW expansion) lands
+//! only in the adaptive engine, and the three-way
 //! equivalence suites pin all generations byte-identical.
 
 use std::cell::RefCell;

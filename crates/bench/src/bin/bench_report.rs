@@ -37,7 +37,7 @@
 //!   sparse/range-heavy synthetic profile (year windows, single-author
 //!   long-tail atoms);
 //! * `containers` — how the rich profile's tuple sets distribute over
-//!   the array / runs / bitmap containers, with bytes against the
+//!   the array and bitmap containers, with bytes against the
 //!   pure-bitmap footprint;
 //! * `live_ingest` — warm on a 95 % base corpus, then ingest the last
 //!   5 % as an append-only delta (`ProfileCache::ingest_delta`) versus a
@@ -323,7 +323,7 @@ fn headline(c: &Corpus) -> Vec<Row> {
 }
 
 fn containers(c: &Corpus) -> Vec<Row> {
-    ["array", "runs", "bitmap"]
+    ["array", "bitmap"]
         .into_iter()
         .map(|kind| {
             let (mut sets, mut adaptive_bytes, mut bitset_bytes) = (0u128, 0u128, 0u128);

@@ -25,8 +25,8 @@
 //! normalises headline timings by this engine, so it must keep measuring
 //! the *same* work run over run: it calls only `BitSet`'s original plain
 //! word-loop methods (`and`/`or`/`and_not`/`and_count`), never the PR 4
-//! SIMD-width `*_wide` kernels, and it predates the PR 4 run container,
-//! clone-free COW expansion and packed dedup keys by design — those land
+//! SIMD-width `*_wide` kernels, and it predates the PR 4 clone-free COW
+//! expansion and packed dedup keys by design — those land
 //! in the adaptive engine this module exists to measure against.
 
 use std::cell::RefCell;

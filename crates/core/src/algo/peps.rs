@@ -582,8 +582,8 @@ impl ScoreSink {
 
 impl RoundSink for ScoreSink {
     fn emit(&mut self, _members: &[usize], intensity: f64, _tuples: u64, set: &TupleSet) {
-        // Range-walk scoring: a run container's combination scores as a
-        // handful of contiguous slice sweeps, not per-id iteration.
+        // Range-walk scoring: a bitmap combination's contiguous bits
+        // score as slice sweeps, not per-id iteration.
         set.for_each_range(|start, len| {
             let (s, e) = (start as usize, start as usize + len as usize);
             if e > self.ranked.len() {

@@ -179,8 +179,8 @@ impl BitSet {
     }
 
     /// Wraps a word vector directly (trailing zero words trimmed to keep
-    /// canonical form) — the constructor the run-length container uses
-    /// to materialise word-masked results without per-bit inserts.
+    /// canonical form) — the constructor a snapshot's bitmap payload is
+    /// restored through, without per-bit inserts.
     pub fn from_words(mut words: Vec<u64>) -> BitSet {
         while words.last() == Some(&0) {
             words.pop();

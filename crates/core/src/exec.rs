@@ -38,11 +38,9 @@
 //! 2. Each preference's *tuple set* is an adaptive compressed
 //!    [`TupleSet`] over those ids — a sorted
 //!    `u32` array for sparse predicates (the single-author/rare-venue long
-//!    tail), a packed-word bitmap for dense ones, runs where rows are
-//!    contiguous — materialised once per distinct predicate (memoised on
-//!    the predicate's canonical text; one SQL query per predicate, ever)
-//!    and shared as [`SharedTupleSet`]. Sets follow corpus order, so a
-//!    predicate over a column the corpus is sorted by is a few runs.
+//!    tail), a packed-word bitmap for dense ones — materialised once per
+//!    distinct predicate (memoised on the predicate's canonical text; one
+//!    SQL query per predicate, ever) and shared as [`SharedTupleSet`].
 //! 3. Combination evaluation picks the container-pair fast path: word-wide
 //!    `&`/`|` loops and popcounts for bitmap pairs, merge/galloping walks
 //!    for array pairs, contains-probes for mixed pairs; applicability
@@ -135,6 +133,7 @@
 //! (`relstore::FailSchedule`) and `tests/live_corpus.rs` pin this
 //! contract at every injection point.
 
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -614,18 +613,7 @@ impl<'db> Executor<'db> {
             }
             group_sets.push(union);
         }
-        group_sets.sort_by_key(TupleSet::count);
-        let Some(first) = group_sets.first() else {
-            return Ok(TupleSet::new());
-        };
-        let mut acc = first.clone();
-        for s in &group_sets[1..] {
-            acc.and_assign(s);
-            if acc.is_empty() {
-                break;
-            }
-        }
-        Ok(acc)
+        Ok(intersect_all(group_sets))
     }
 
     /// `COUNT(DISTINCT key)` of a mixed clause.
@@ -1398,15 +1386,16 @@ fn index_by_first(entries: &[PairEntry], n: usize) -> Vec<Vec<usize>> {
     by_first
 }
 
-/// Intersects shared tuple sets smallest-first, bailing on empty.
-fn intersect_all(mut sets: Vec<SharedTupleSet>) -> TupleSet {
-    sets.sort_by_key(|s| s.count());
+/// Intersects tuple sets (owned or shared) smallest-first, bailing on
+/// empty; no sets intersect to the empty set.
+fn intersect_all<S: Borrow<TupleSet>>(mut sets: Vec<S>) -> TupleSet {
+    sets.sort_by_key(|s| s.borrow().count());
     let Some(first) = sets.first() else {
         return TupleSet::new();
     };
-    let mut acc: TupleSet = (**first).clone();
+    let mut acc: TupleSet = first.borrow().clone();
     for s in &sets[1..] {
-        acc.and_assign(s);
+        acc.and_assign(s.borrow());
         if acc.is_empty() {
             break;
         }

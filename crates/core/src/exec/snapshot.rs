@@ -9,7 +9,7 @@
 //! and optionally the pairwise table — so a restarted process gets back
 //! to serving with a single sequential file read.
 //!
-//! ## Format (version 3)
+//! ## Format (version 4)
 //!
 //! A flat length-prefixed little-endian byte stream, no external
 //! dependencies:
@@ -24,8 +24,8 @@
 //! tuple sets   u64 count (keys sorted), then per set:
 //!              str canonical-predicate key, u8 container tag, payload
 //!                0 array:  u32 n, n × u32 id
-//!                1 runs:   u32 n, n × (u32 start, u32 len)
 //!                2 bitmap: u32 n, n × u64 word
+//!                (tag 1 is retired: version 3 used it for run lists)
 //! pairwise     u8 flag, [u64 n, u64 count, count × (u64 i, u64 j,
 //!              f64-bits intensity, u64 count)]
 //! checksum     u64 FNV-1a-64 of every preceding byte
@@ -40,7 +40,9 @@
 //! A tuple id is a driver row, so the file stores no key values (version
 //! 2 wrote every key in id order). The fingerprint's key digest — FNV-1a-64
 //! over the driver's key column on the fingerprinted rows — is what ties
-//! ids to keys instead.
+//! ids to keys instead. Version 4 drops the run container, so a set tagged
+//! 1 is [`HypreError::SnapshotCorrupt`] and a version-3 file is
+//! [`HypreError::SnapshotVersion`].
 //!
 //! ## Integrity contract
 //!
@@ -55,7 +57,7 @@
 //! [`HypreError::SnapshotCorrupt`], [`HypreError::SnapshotVersion`],
 //! [`HypreError::SnapshotIo`] — never a panic or an over-allocation.
 //! Container payloads are re-validated against the [`TupleSet`]
-//! invariants (sorted arrays, disjoint ascending runs) and every tuple id
+//! invariants (sorted, duplicate-free arrays) and every tuple id
 //! must be below the fingerprinted driver row count. The base query must
 //! have the one shape the executor supports, and the fingerprint must
 //! name exactly its tables, in order; either failing is
@@ -87,7 +89,7 @@ use super::{
 const MAGIC: &[u8; 8] = b"HYPRSNAP";
 
 /// Highest snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Bytes of the trailing checksum.
 const CHECKSUM_LEN: usize = 8;
@@ -140,14 +142,6 @@ fn w_set(buf: &mut Vec<u8>, set: &TupleSet) {
             w_u32(buf, ids.len() as u32);
             for &id in ids {
                 w_u32(buf, id);
-            }
-        }
-        ContainerDump::Runs(runs) => {
-            w_u8(buf, 1);
-            w_u32(buf, runs.len() as u32);
-            for &(start, len) in runs {
-                w_u32(buf, start);
-                w_u32(buf, len);
             }
         }
         ContainerDump::Bitmap(bits) => {
@@ -255,21 +249,6 @@ impl<'a> Reader<'a> {
                 }
                 TupleSet::restore_array(ids).ok_or_else(|| self.corrupt(what))
             }
-            1 => {
-                let mut runs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let start = self.r_u32(what)?;
-                    let len = self.r_u32(what)?;
-                    runs.push((start, len));
-                }
-                let past_end = runs
-                    .last()
-                    .is_some_and(|&(s, l)| s as u64 + l as u64 > universe as u64);
-                if past_end {
-                    return Err(self.corrupt(what));
-                }
-                TupleSet::restore_runs(runs).ok_or_else(|| self.corrupt(what))
-            }
             2 => {
                 let mut words = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -303,7 +282,8 @@ impl<'a> Reader<'a> {
 
 impl ProfileCache {
     /// Serialises the warmed cache (and optionally a [`PairwiseCache`]
-    /// built over the same profile) to `path` in snapshot format v3.
+    /// built over the same profile) to `path` in snapshot format
+    /// [`SNAPSHOT_VERSION`].
     ///
     /// The bytes are staged in a sibling `.tmp` file and published with
     /// an atomic rename, so readers never observe a torn snapshot and a

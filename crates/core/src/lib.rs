@@ -129,5 +129,5 @@ pub mod prelude {
     };
     pub use crate::sched::{BatchOutcome, BatchRequest, BatchScheduler, BatchStats};
     pub use crate::skyline::{prioritized_skyline, skyline, AttributePref, Direction};
-    pub use crate::tupleset::{TupleSet, ARRAY_MAX, RUN_COST_FACTOR, RUN_MAX};
+    pub use crate::tupleset::{TupleSet, ARRAY_MAX};
 }

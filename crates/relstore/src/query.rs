@@ -517,9 +517,10 @@ const SEEK_COST: usize = 2;
 
 /// An `INT` join-key segment: values, null mask and the column's index,
 /// if it has one. Only a joined-filter plan's driver-key seek reads the
-/// index, and it re-checks every sought row on the exact `i64` key: index
-/// lookups match through [`Value`]'s `f64`-based order, which merges
-/// `INT`s above 2^53.
+/// index. The plan still tests every walked row on the exact `i64` key,
+/// because that test is the whole filter when no seek runs (no index, or
+/// too many keys) or when the caller's seed is the shorter walk; on sought
+/// rows it always passes.
 struct KeyCol<'db> {
     values: &'db [i64],
     nulls: &'db NullMask,

@@ -1,17 +1,25 @@
 //! Snapshot persistence contract: a warmed `ProfileCache` saved to disk
 //! and loaded back must serve byte-identical `top_k` rankings without
-//! issuing a single SQL query, and every way a snapshot file can be
-//! wrong — missing, truncated, any bit flipped, zeroed pairwise counts,
-//! newer format version, an impossible pairwise size, warmed on a
-//! different corpus — must surface as the right typed `HypreError`, never
-//! a panic and never silently wrong results.
+//! issuing a single SQL query — in process and over the wire from a
+//! server started on the loaded cache — and every way a snapshot file can
+//! be wrong — missing, truncated, any bit flipped, zeroed pairwise
+//! counts, another format version, a retired container tag, an
+//! impossible pairwise size, warmed on a different corpus — must surface
+//! as the right typed `HypreError`, never a panic and never silently
+//! wrong results.
 
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use hypre_bench::Fixture;
+use hypre_repro::core::exec::snapshot::SNAPSHOT_VERSION;
+use hypre_repro::core::serve::wire::{self, Request, Response, WireAtom, MAX_FRAME_BYTES};
+use hypre_repro::core::serve::{ServeConfig, Server};
+use hypre_repro::dblp::GeneratorConfig;
 use hypre_repro::prelude::*;
-use hypre_repro::relstore::Value;
+use hypre_repro::relstore::{parse_predicate, Value};
 
 fn fixture() -> &'static Fixture {
     static FX: OnceLock<Fixture> = OnceLock::new();
@@ -169,21 +177,54 @@ fn bad_magic_and_trailing_garbage_are_corrupt() {
 
 #[test]
 fn version_skewed_snapshot_reports_both_versions() {
+    // A newer version, and version 3, whose container tag 1 (run lists)
+    // this format retired: neither may be misread as the current one.
     let fx = fixture();
     let (cache, _, _, _) = warmed();
     let path = temp_path("version");
     cache.save_to(&path, None).unwrap();
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-    let err = ProfileCache::load_from(&path, &fx.db).unwrap_err();
-    match err {
-        HypreError::SnapshotVersion { found, supported } => {
-            assert_eq!(found, 99);
-            assert!(supported < 99);
+    let good = std::fs::read(&path).unwrap();
+    for stamped in [99u32, 3] {
+        let mut bytes = good.clone();
+        bytes[8..12].copy_from_slice(&stamped.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = ProfileCache::load_from(&path, &fx.db).unwrap_err();
+        match err {
+            HypreError::SnapshotVersion { found, supported } => {
+                assert_eq!(found, stamped);
+                assert_eq!(supported, SNAPSHOT_VERSION);
+            }
+            other => panic!("expected SnapshotVersion for {stamped}, got {other:?}"),
         }
-        other => panic!("expected SnapshotVersion, got {other:?}"),
     }
+}
+
+#[test]
+fn a_set_with_the_retired_run_tag_is_corrupt() {
+    // A set's container tag follows its canonical-predicate key. Tag 1
+    // held run lists up to version 3; a resealed current-version file
+    // carrying it must not load.
+    let fx = fixture();
+    let pick = parse_predicate("dblp.pid BETWEEN 10 AND 400").unwrap();
+    let cache = ProfileCache::warm(&fx.db, BaseQuery::dblp(), [&pick]).unwrap();
+    let path = temp_path("run_tag");
+    cache.save_to(&path, None).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let key = pick.canonical();
+    let key_at = bytes
+        .windows(key.len())
+        .position(|w| w == key.as_bytes())
+        .expect("the set's key is in the file");
+    let tag_at = key_at + key.len();
+    assert!(matches!(bytes[tag_at], 0 | 2), "array or bitmap tag");
+    bytes[tag_at] = 1;
+    reseal(&mut bytes);
+    let loaded = load_bytes("run_tag", &bytes);
+    assert!(
+        matches!(loaded, Err(HypreError::SnapshotCorrupt { .. })),
+        "{:?}",
+        loaded.map(|_| "loaded")
+    );
 }
 
 #[test]
@@ -314,4 +355,68 @@ fn a_corpus_with_two_driver_rows_swapped_is_stale() {
         session.tuples(&pick).unwrap(),
         [Value::Int(second.pid as i64)]
     );
+}
+
+#[test]
+fn a_streamed_corpus_survives_save_load_and_serve() {
+    // The whole lifecycle at a small size: stream-load, warm a profile
+    // with a contiguous `dblp.pid BETWEEN` atom, save, load, serve. The
+    // wire reply must be the bytes a fresh executor's answer encodes to.
+    let db = hypre_repro::dblp::load_streamed(&GeneratorConfig {
+        papers: 3_000,
+        authors: 1_200,
+        venues: 40,
+        ..GeneratorConfig::default()
+    })
+    .unwrap();
+    let atoms: Vec<PrefAtom> = [
+        ("dblp.venue='VLDB'", 0.9),
+        ("dblp.pid BETWEEN 300 AND 1500", 0.7),
+        ("dblp.year>=2005", 0.6),
+        ("dblp_author.aid=7", 0.5),
+        ("dblp.venue='SIGMOD'", 0.4),
+        ("dblp.year BETWEEN 1995 AND 2000", 0.3),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (text, intensity))| PrefAtom::new(i, parse_predicate(text).unwrap(), intensity))
+    .collect();
+    let predicates: Vec<_> = atoms.iter().map(|a| &a.predicate).collect();
+    let cache = ProfileCache::warm(&db, BaseQuery::dblp(), predicates).unwrap();
+    let path = temp_path("lifecycle");
+    cache.save_to(&path, None).unwrap();
+    let (loaded, no_pairs) = ProfileCache::load_from(&path, &db).unwrap();
+    assert!(no_pairs.is_none());
+
+    let fresh = Executor::new(&db, BaseQuery::dblp());
+    let pairs = PairwiseCache::build(&atoms, &fresh).unwrap();
+    let want = Peps::new(&atoms, &fresh, &pairs, PepsVariant::Complete)
+        .top_k(25)
+        .unwrap();
+    assert_eq!(want.len(), 25);
+
+    let db = Arc::new(db);
+    let epochs = Arc::new(EpochCache::new(loaded));
+    let server = Server::start(db, epochs, ServeConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let request = Request::TopK {
+        tenant: 1,
+        k: 25,
+        variant: PepsVariant::Complete,
+        atoms: atoms
+            .iter()
+            .map(|a| WireAtom {
+                predicate: a.predicate.canonical(),
+                intensity: a.intensity,
+            })
+            .collect(),
+    };
+    wire::write_frame(&mut stream, &wire::encode_request(&request)).unwrap();
+    let reply = wire::read_frame(&mut stream, MAX_FRAME_BYTES).unwrap();
+    assert_eq!(reply, wire::encode_response(&Response::TopK(want)));
+    drop(stream);
+    server.shutdown();
 }
